@@ -9,8 +9,10 @@ bit-exact and corruption is detected.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -63,8 +65,9 @@ def load_interactions(path, min_user_interactions=5, keep=None, delimiter=None):
 
     ``keep`` is an optional predicate on the rating column (e.g.
     ``lambda r: r == 5``); rows without a rating column pass unconditionally.
-    Users with fewer than ``min_user_interactions`` kept rows are dropped and
-    the surviving ids re-densified in first-seen order.
+    Repeated (user, item) rows are kept once, at their first occurrence.
+    Users with fewer than ``min_user_interactions`` distinct items are
+    dropped and the surviving ids re-densified in first-seen order.
 
     Returns (pairs, user_ids, item_ids) where pairs is an (E, 2) int array of
     dense indices.
@@ -91,6 +94,9 @@ def load_interactions(path, min_user_interactions=5, keep=None, delimiter=None):
             rows.append((uid, iid))
     if not rows:
         raise ValueError(f"{path}: no interactions after filtering")
+    # a pair on several rows is one interaction; split() would otherwise
+    # put copies of it in training and in a holdout set
+    rows = list(dict.fromkeys(rows))
 
     counts = {}
     for uid, _ in rows:
@@ -188,7 +194,10 @@ _FORMAT_VERSION = 1
 
 
 def save_container(path, arrays, meta):
-    """Write named arrays plus a JSON meta dict with a SHA-256 trailer."""
+    """Write named arrays plus a JSON meta dict with a SHA-256 trailer.
+
+    The bytes go to a sibling file that is then renamed over ``path``, so a
+    write that fails midway leaves the previous file whole."""
     descriptors = []
     blobs = []
     for name, arr in arrays.items():
@@ -202,9 +211,16 @@ def save_container(path, arrays, meta):
     ).encode()
     payload = _MAGIC + struct.pack("<Q", len(header)) + header + b"".join(blobs)
     digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(digest)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(digest)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_container(path):

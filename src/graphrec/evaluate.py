@@ -12,12 +12,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import build_graph
 from .model import forward
 
 HR_MODES = ("user-mean", "global")
 DEFAULT_TOPN = (10, 20, 30, 40, 50)
+# Users scored per block of full-itemset ranking: a block's score matrix is
+# this many rows of N floats (about 3.8 MB at ML-1M width). Larger blocks
+# were no faster there and raise the peak memory of a ranking pass.
+_BLOCK_USERS = 128
+
+
+def _ahead(scores, items, target_score, target_item):
+    """True where an item ranks ahead of a target: a higher score, or an equal
+    score at a lower item index. This is the order of a stable sort by
+    descending score; a target's rank is one plus the items ahead of it."""
+    return (scores > target_score) | ((scores == target_score) & (items < target_item))
+
+
+def _topn(ranks, lengths, n_list):
+    """Per-user hits, HR@N (recall form) and NDCG@N from 1-based target ranks
+    stored user by user (``lengths[u]`` consecutive ranks for user u).
+
+    NDCG@N uses 1/log2(rank+1) gains with the ideal DCG truncated at
+    min(N, |targets|). Returns three (users, len(n_list)) arrays.
+    """
+    users = len(lengths)
+    owner = np.repeat(np.arange(users), lengths)
+    gain = 1.0 / np.log2(ranks + 1.0)
+    ideal = np.cumsum(1.0 / np.log2(np.arange(2, max(n_list) + 2)))
+    hits = np.empty((users, len(n_list)))
+    ndcg = np.empty((users, len(n_list)))
+    for k, n in enumerate(n_list):
+        hit = ranks <= n
+        hits[:, k] = np.bincount(owner, weights=hit, minlength=users)
+        dcg = np.bincount(owner, weights=np.where(hit, gain, 0.0), minlength=users)
+        ndcg[:, k] = dcg / ideal[np.minimum(n, lengths) - 1]
+    return hits, hits / lengths[:, None], ndcg
 
 
 def user_topn_metrics(scores, train_items, target_items, n_list):
@@ -28,25 +60,40 @@ def user_topn_metrics(scores, train_items, target_items, n_list):
     1/log2(rank+1) gains with IDCG truncated at min(N, |targets|). Ties break
     by ascending item index. Returns (hr map, ndcg map, hits map).
     """
-    target_items = np.asarray(target_items)
+    target_items = np.asarray(target_items, dtype=np.int64)
     s = np.array(scores, dtype=float)
     if len(train_items):
         s[np.asarray(train_items)] = -np.inf
-    order = np.argsort(-s, kind="stable")
-    rank_of = np.empty(len(s), dtype=np.int64)
-    rank_of[order] = np.arange(1, len(s) + 1)
-    target_ranks = rank_of[target_items]
+    ranks = 1 + _ahead(s, np.arange(len(s)), s[target_items, None],
+                       target_items[:, None]).sum(axis=1)
+    hits, hr, ndcg = _topn(ranks, np.array([len(target_items)]), n_list)
+    return ({n: float(hr[0, k]) for k, n in enumerate(n_list)},
+            {n: float(ndcg[0, k]) for k, n in enumerate(n_list)},
+            {n: int(hits[0, k]) for k, n in enumerate(n_list)})
 
-    hr, ndcg, hits = {}, {}, {}
-    for n in n_list:
-        hit_ranks = target_ranks[target_ranks <= n]
-        hits[n] = len(hit_ranks)
-        hr[n] = len(hit_ranks) / len(target_items)
-        dcg = float((1.0 / np.log2(hit_ranks + 1.0)).sum())
-        ideal = np.arange(1, min(n, len(target_items)) + 1)
-        idcg = float((1.0 / np.log2(ideal + 1.0)).sum())
-        ndcg[n] = dcg / idcg
-    return hr, ndcg, hits
+
+def _block_ranks(scores, rows, items, depth):
+    """1-based ranks of targets (row ``rows[t]``, item ``items[t]``) within a
+    block of score rows whose training items are already ``-inf``.
+
+    A target scoring below its row's ``depth``-th largest score has at least
+    ``depth`` items ahead of it; it is given rank ``depth + 1`` without
+    counting. The others are counted against their whole row, at most
+    ``_BLOCK_USERS`` rows at a time.
+    """
+    N = scores.shape[1]
+    target_scores = scores[rows, items]
+    ranks = np.full(len(rows), depth + 1, dtype=np.int64)
+    if depth < N:
+        kth = np.partition(scores, N - depth, axis=1)[:, N - depth]
+        cand = np.flatnonzero(target_scores >= kth[rows])
+    else:
+        cand = np.arange(len(rows))
+    for lo in range(0, len(cand), _BLOCK_USERS):
+        c = cand[lo:lo + _BLOCK_USERS]
+        ranks[c] = 1 + _ahead(scores[rows[c]], np.arange(N), target_scores[c, None],
+                              items[c, None]).sum(axis=1)
+    return ranks
 
 
 def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
@@ -56,7 +103,12 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     ``hr_mode`` selects the HR aggregation: "user-mean" averages per-user
     recall; "global" divides total hits by total target items. NDCG is always
     a per-user mean. Users whose candidate set is empty are skipped and
-    counted.
+    counted. With ``return_per_user`` the per-user NDCG maps (user -> {N:
+    NDCG@N}) and the skipped count are returned as well.
+
+    Users are scored in blocks; a user's training items are read from the
+    user rows of ``graph_train.S``, whose column indices minus M are exactly
+    that user's training items.
     """
     if hr_mode not in HR_MODES:
         raise ValueError(f"hr_mode must be one of {HR_MODES}")
@@ -64,38 +116,44 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     if not targets:
         raise ValueError(f"no users with {target} items")
     graph = dataset.graph_train
+    M, N = graph.num_users, graph.num_items
+    S = graph.S
     U = trace.user_embeddings
     V = trace.item_embeddings
 
-    hr_sum = {n: 0.0 for n in n_list}
-    ndcg_sum = {n: 0.0 for n in n_list}
-    hits_sum = {n: 0 for n in n_list}
-    total_targets = 0
-    per_user_ndcg = {}
-    evaluated = 0
-    skipped = 0
-    for a, items in targets.items():
-        if len(graph.user_items[a]) >= graph.num_items:
-            skipped += 1
-            continue
-        scores = U[a] @ V.T
-        hr, ndcg, hits = user_topn_metrics(scores, graph.user_items[a], items, n_list)
-        for n in n_list:
-            hr_sum[n] += hr[n]
-            ndcg_sum[n] += ndcg[n]
-            hits_sum[n] += hits[n]
-        total_targets += len(items)
-        per_user_ndcg[a] = ndcg
-        evaluated += 1
-    if evaluated == 0:
+    users = np.fromiter(targets, dtype=np.int64, count=len(targets))
+    lengths = np.fromiter(map(len, targets.values()), dtype=np.int64, count=len(targets))
+    items = np.concatenate(list(targets.values())).astype(np.int64, copy=False)
+    keep = np.diff(S.indptr)[users] < N
+    skipped = int((~keep).sum())
+    items = items[np.repeat(keep, lengths)]
+    users, lengths = users[keep], lengths[keep]
+    if len(users) == 0:
         raise ValueError("no evaluable users")
 
-    if hr_mode == "user-mean":
-        hr_map = {n: hr_sum[n] / evaluated for n in n_list}
-    else:
-        hr_map = {n: hits_sum[n] / total_targets for n in n_list}
-    ndcg_map = {n: ndcg_sum[n] / evaluated for n in n_list}
+    depth = max(n_list)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    ranks = np.empty(len(items), dtype=np.int64)
+    for lo in range(0, len(users), _BLOCK_USERS):
+        block = users[lo:lo + _BLOCK_USERS]
+        scores = U[block] @ V.T
+        seen = S[block]
+        scores[np.repeat(np.arange(len(block)), np.diff(seen.indptr)), seen.indices - M] = -np.inf
+        t0, t1 = offsets[lo], offsets[lo + len(block)]
+        rows = np.repeat(np.arange(len(block)), lengths[lo:lo + len(block)])
+        ranks[t0:t1] = _block_ranks(scores, rows, items[t0:t1], depth)
+
+    hits, hr, ndcg = _topn(ranks, lengths, n_list)
+    # user means are summed one user after another (cumsum), which keeps
+    # them bit-identical to a running per-user total
+    hr_all = (np.cumsum(hr, axis=0)[-1] / len(users) if hr_mode == "user-mean"
+              else hits.sum(axis=0) / lengths.sum())
+    ndcg_all = np.cumsum(ndcg, axis=0)[-1] / len(users)
+    hr_map = {n: float(hr_all[k]) for k, n in enumerate(n_list)}
+    ndcg_map = {n: float(ndcg_all[k]) for k, n in enumerate(n_list)}
     if return_per_user:
+        per_user_ndcg = {a: dict(zip(n_list, row))
+                         for a, row in zip(users.tolist(), ndcg.tolist())}
         return hr_map, ndcg_map, per_user_ndcg, skipped
     return hr_map, ndcg_map
 
@@ -139,11 +197,9 @@ def attribute_metrics(predicted, table):
             continue
         blk = f.block
         if f.kind == "single":
-            correct = 0
-            for e in entities:
-                pred_pos = int(np.argmax(predicted[e, blk]))
-                true_pos = int(np.argmax(table.ground_truth[e, blk]))
-                correct += pred_pos == true_pos
+            # argmax takes the lowest index among tied maxima
+            correct = int(np.sum(np.argmax(predicted[entities, blk], axis=1)
+                                 == np.argmax(table.ground_truth[entities, blk], axis=1)))
             results[f.name] = {"metric": "ACC", "value": correct / len(entities),
                                "count": len(entities)}
         else:
@@ -201,6 +257,11 @@ def sparsity_groups(dataset, trace, bins):
     """
     _, _, per_user_ndcg, _ = rank_and_score(trace, dataset, [10],
                                             return_per_user=True)
+    return _group_ndcg10(dataset, per_user_ndcg, bins)
+
+
+def _group_ndcg10(dataset, per_user_ndcg, bins):
+    """Mean per-user NDCG@10 within each half-open training-count bin."""
     counts = {a: len(dataset.graph_train.user_items[a]) for a in per_user_ndcg}
     groups = []
     assigned = set()
@@ -275,9 +336,13 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
     from .model import infer_attributes
 
     trace = forward(params, dataset.graph_train, X, Y)
+    n_list = list(n_list)
+    # the sparsity groups take their NDCG@10 from this one ranking pass
     hr, ndcg, per_user, skipped = rank_and_score(
-        trace, dataset, list(n_list), target=target, hr_mode=hr_mode,
+        trace, dataset, n_list + [10], target=target, hr_mode=hr_mode,
         return_per_user=True)
+    hr = {n: hr[n] for n in n_list}
+    ndcg = {n: ndcg[n] for n in n_list}
     per_field = {}
     for table, side in ((dataset.user_attrs, "user"), (dataset.item_attrs, "item")):
         if table is None or not table.masked:
@@ -286,7 +351,7 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
         per_field.update(attribute_metrics(predicted, table))
     if bins is None:
         bins = default_bins(dataset)
-    groups = sparsity_groups(dataset, trace, bins) if target == "test" else []
+    groups = _group_ndcg10(dataset, per_user, bins) if target == "test" else []
     notes = ["attribute metrics evaluated on all masked entities, including "
              "any without training interactions"]
     return EvalReport(hr=hr, ndcg=ndcg, per_field=per_field, groups=groups,
@@ -318,23 +383,24 @@ class PropagationResult:
     predictions: np.ndarray    # (len(entities), cardinality) distributions
     fallback: np.ndarray       # True where the global-mean fallback was used
     iterations: int
+    converged: bool            # False when the sweep cap stopped propagation
 
 
-def label_propagation(graph, table, field_name, iterations=100, tol=1e-6):
+def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
     """Neighbor-averaging label propagation for one field.
 
     Every node (both sides of the bipartite graph) carries a distribution
     over the field's categories. Each sweep replaces it with the
     degree-normalized average of its neighbors' distributions; entities with
     the field observed are clamped back to their true block every sweep.
-    Disconnected masked entities fall back to the global observed mean and
-    are flagged.
+    Propagation stops once no entry moves by ``tol`` (``converged``) or after
+    ``iterations`` sweeps. Disconnected masked entities fall back to the
+    global observed mean and are flagged.
     """
     f = table.schema[field_name]
     blk = f.block
-    M, N = graph.num_users, graph.num_items
+    M = graph.num_users
     side_offset = 0 if table.side == "user" else M
-    n_side = M if table.side == "user" else N
 
     observed = table.indicator[:, f.offset] == 1
     if not observed.any():
@@ -342,15 +408,18 @@ def label_propagation(graph, table, field_name, iterations=100, tol=1e-6):
     truth = table.values[:, blk]
     mean = truth[observed].mean(axis=0)
 
-    P = build_graph(graph.edges, M, N, "row").S if graph.norm_mode != "row" else graph.S
-    F = np.tile(mean, (M + N, 1))
+    # row-normalized operator D^-1 A: the pattern of S with 1/deg per row
+    S = graph.S
+    deg = np.diff(S.indptr)
+    P = sp.csr_matrix((np.repeat(1.0 / np.maximum(deg, 1), deg), S.indices, S.indptr),
+                      shape=S.shape)
+    F = np.tile(mean, (graph.num_nodes, 1))
     rows = side_offset + np.flatnonzero(observed)
     F[rows] = truth[observed]
-
-    deg = np.asarray(P.sum(axis=1)).ravel()
     isolated = deg == 0
 
     it = 0
+    converged = False
     for it in range(1, iterations + 1):
         F_new = P @ F
         F_new[rows] = truth[observed]
@@ -358,6 +427,7 @@ def label_propagation(graph, table, field_name, iterations=100, tol=1e-6):
         delta = np.abs(F_new - F).max()
         F = F_new
         if delta < tol:
+            converged = True
             break
 
     masked_entities = np.array(
@@ -367,31 +437,13 @@ def label_propagation(graph, table, field_name, iterations=100, tol=1e-6):
     preds = F[side_offset + masked_entities].copy()
     fallback = isolated[side_offset + masked_entities]
     preds[fallback] = mean
-    return PropagationResult(masked_entities, preds, fallback, it)
+    return PropagationResult(masked_entities, preds, fallback, it, converged)
 
 
-def label_propagation_metrics(graph, table, iterations=100, tol=1e-6):
+def label_propagation_metrics(graph, table, iterations=1000, tol=1e-6):
     """ACC / MAP of label propagation on every field's masked test set."""
-    results = {}
+    predicted = np.zeros(table.values.shape)
     for f in table.schema:
         lp = label_propagation(graph, table, f.name, iterations, tol)
-        if len(lp.entities) == 0:
-            results[f.name] = {"metric": "ACC" if f.kind == "single" else "MAP",
-                               "value": None, "count": 0}
-            continue
-        blk = f.block
-        if f.kind == "single":
-            correct = sum(
-                int(np.argmax(lp.predictions[r])) == int(np.argmax(table.ground_truth[e, blk]))
-                for r, e in enumerate(lp.entities)
-            )
-            results[f.name] = {"metric": "ACC", "value": correct / len(lp.entities),
-                               "count": len(lp.entities)}
-        else:
-            aps = [average_precision(table.ground_truth[e, blk], lp.predictions[r])
-                   for r, e in enumerate(lp.entities)]
-            aps = [a for a in aps if a is not None]
-            results[f.name] = {"metric": "MAP",
-                               "value": float(np.mean(aps)) if aps else None,
-                               "count": len(aps)}
-    return results
+        predicted[lp.entities, f.block] = lp.predictions
+    return attribute_metrics(predicted, table)

@@ -95,6 +95,21 @@ class TestSplit:
             for u in range(3):
                 assert (ds.train_pairs[:, 0] == u).any(), f"seed {seed}, user {u}"
 
+    def test_duplicate_rows_do_not_leak_into_holdouts(self, tmp_path):
+        p = tmp_path / "inter.tsv"
+        rows = [f"u{a}\ti{(3 * a + k) % 25}" for a in range(20) for k in range(6)]
+        rows += ["thin\ti0", "thin\ti1", "thin\ti2"]  # 3 distinct items, 6 rows
+        write_lines(p, [r for r in rows for _ in range(2)])
+        pairs, users, items = load_interactions(p, min_user_interactions=5)
+        assert users == [f"u{a}" for a in range(20)]
+        ds = split(pairs, len(users), len(items), seed=0)
+        train = set(map(tuple, ds.train_pairs.tolist()))
+        held = [(u, int(i)) for d in (ds.val_items, ds.test_items)
+                for u, its in d.items() for i in its]
+        assert held
+        assert not train & set(held)
+        assert len(train) + len(held) == 20 * 6
+
     def test_bad_ratios(self):
         with pytest.raises(ValueError, match="ratios"):
             split([(0, 0)], 1, 1, ratios=(0.5, 0.5, 0.5))
@@ -131,6 +146,41 @@ class TestContainer:
 
 
 class TestCheckpoint:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import builtins
+
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(4, 5, 3, 2, 4, 3, K=2, seed=1),
+                        np.zeros((4, 4)), np.zeros((5, 3)), {"a": 1}, epoch=1)
+        before = path.read_bytes()
+        real_open = builtins.open
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return HalfWriter(fh) if "w" in mode else fh
+        monkeypatch.setattr(builtins, "open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_params(4, 5, 3, 2, 4, 3, K=2, seed=2),
+                            np.ones((4, 4)), np.ones((5, 3)), {"a": 2}, epoch=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
+        assert load_checkpoint(path).epoch == 1
+
     def test_round_trip_identity(self, tmp_path):
         params = init_params(4, 5, 3, 2, 4, 3, K=2, seed=1)
         rng = np.random.default_rng(2)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+import graphrec.evaluate as evaluate
 from graphrec import build_graph
-from graphrec.attributes import AttributeSchema, encode, mask
+from graphrec.attributes import AttributeSchema, encode, init_missing, mask
 from graphrec.data import Dataset
-from graphrec.evaluate import (EvalReport, attribute_metrics, average_precision,
+from graphrec.evaluate import (HR_MODES, EvalReport, attribute_metrics, average_precision,
                                bpr_baseline, default_bins, evaluate_model,
                                label_propagation, label_propagation_metrics,
                                majority_class_accuracy, rank_and_score,
                                sparsity_groups, user_topn_metrics)
-from graphrec.model import ForwardTrace
+from graphrec.model import ForwardTrace, forward, init_params
 from graphrec.train import TrainConfig
 
 
@@ -172,6 +173,45 @@ class TestRankAndScore:
         ds, trace = tiny_dataset_and_trace()
         with pytest.raises(ValueError, match="hr_mode"):
             rank_and_score(trace, ds, [10], hr_mode="median")
+
+    def test_blocked_brute_force_oracle(self, monkeypatch):
+        # several user blocks and candidate chunks, integer scores (ties),
+        # a user trained on every item, cutoffs below and at/above N
+        monkeypatch.setattr(evaluate, "_BLOCK_USERS", 3)
+        rng = np.random.default_rng(11)
+        M, N = 11, 9
+        pairs = [(a, i) for a in range(1, M) for i in range(N) if rng.random() < 0.3]
+        pairs += [(0, i) for i in range(N)]
+        g = build_graph(pairs, M, N)
+        test = {0: np.array([2])}
+        for a in range(1, M):
+            cand = np.setdiff1d(np.arange(N), g.user_items[a])
+            k = int(rng.integers(1, len(cand) + 1))
+            test[a] = np.sort(rng.choice(cand, size=k, replace=False))
+        ds = Dataset(graph_train=g, train_pairs=g.edges, val_items={}, test_items=test,
+                     user_attrs=None, item_attrs=None, user_ids=[], item_ids=[])
+        trace = ForwardTrace(h0=rng.integers(-2, 3, size=(M + N, 2)).astype(float),
+                             zs=[], hs=[], num_users=M)
+        scores = trace.user_embeddings @ trace.item_embeddings.T
+        users = list(range(1, M))
+        for n_list in ([1, 3], [2, N, N + 4]):
+            for mode in HR_MODES:
+                hr, ndcg, per_user, skipped = rank_and_score(
+                    trace, ds, n_list, hr_mode=mode, return_per_user=True)
+                assert skipped == 1
+                assert sorted(per_user) == users
+                for n in n_list:
+                    oracle = [naive_user_metrics(scores[a], g.user_items[a], test[a], n)
+                              for a in users]
+                    if mode == "user-mean":
+                        want = np.mean([h for h, _ in oracle])
+                    else:
+                        want = (sum(h * len(test[a]) for (h, _), a in zip(oracle, users))
+                                / sum(len(test[a]) for a in users))
+                    assert abs(hr[n] - want) <= 1e-12
+                    assert abs(ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
+                    for (_, d), a in zip(oracle, users):
+                        assert abs(per_user[a][n] - d) <= 1e-12
 
 
 class TestAveragePrecision:
@@ -368,6 +408,15 @@ class TestLabelPropagation:
         with pytest.raises(ValueError, match="no observed"):
             label_propagation(g, t, "f")
 
+    def test_convergence_flag(self, toy_dataset):
+        g, t = toy_dataset.graph_train, toy_dataset.user_attrs
+        capped = label_propagation(g, t, "group", iterations=2)
+        assert capped.iterations == 2
+        assert not capped.converged
+        lp = label_propagation(g, t, "group")
+        assert lp.converged
+        assert lp.iterations < 1000
+
     def test_metrics_on_toy(self, toy_dataset):
         out = label_propagation_metrics(toy_dataset.graph_train,
                                         toy_dataset.user_attrs)
@@ -396,6 +445,27 @@ class TestBaselineAndReport:
         rep.write(str(tmp_path / "report"))
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "report.tsv").exists()
+
+    def test_evaluate_model_ranks_once(self, toy_dataset, monkeypatch):
+        ds = toy_dataset
+        params = init_params(ds.num_users, ds.num_items, 6, 3,
+                             ds.user_attrs.values.shape[1], ds.item_attrs.values.shape[1],
+                             K=1, seed=4)
+        X, Y = init_missing(ds.user_attrs), init_missing(ds.item_attrs)
+        calls = []
+        real = evaluate.rank_and_score
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(evaluate, "rank_and_score", counting)
+        rep = evaluate_model(params, X, Y, ds, n_list=[5, 20])
+        assert len(calls) == 1
+        assert sorted(rep.hr) == sorted(rep.ndcg) == [5, 20]
+        trace = forward(params, ds.graph_train, X, Y)
+        hr, ndcg = real(trace, ds, [5, 20])
+        assert rep.hr == hr and rep.ndcg == ndcg
+        assert rep.groups == sparsity_groups(ds, trace, default_bins(ds))
 
     def test_evaluate_model_bounds(self, toy_dataset):
         from graphrec.train import train
