@@ -315,6 +315,9 @@ def cmd_lp_baseline(args):
         for name, info in results.items():
             val = "absent" if info["value"] is None else f"{info['value']:.6f}"
             print(f"lp.{name}.{info['metric'].lower()}={val}")
+            if not info["converged"]:
+                print(f"warning: label propagation for {name} stopped at the "
+                      f"{info['iterations']}-sweep cap before converging", file=sys.stderr)
     return 0
 
 

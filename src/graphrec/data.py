@@ -28,8 +28,8 @@ class Dataset:
     """An interaction split plus optional attribute tables.
 
     graph_train is built from training interactions only; val_items and
-    test_items map user index -> sorted item-index array. user_ids/item_ids
-    map dense indices back to external ids.
+    test_items map user index -> sorted item-index array, in ascending user
+    order. user_ids/item_ids map dense indices back to external ids.
     """
 
     graph_train: BipartiteGraph
@@ -122,6 +122,14 @@ def load_interactions(path, min_user_interactions=5, keep=None, delimiter=None):
     return pairs, user_ids, item_ids
 
 
+def _group_by_user(pairs):
+    """{user: sorted item array} from (user, item) pairs, users ascending."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    users, starts = np.unique(pairs[:, 0], return_index=True)
+    return dict(zip(users.tolist(), np.split(pairs[:, 1], starts[1:])))
+
+
 def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
           norm_mode="symmetric", user_attrs=None, item_attrs=None,
           user_ids=None, item_ids=None):
@@ -132,7 +140,7 @@ def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
     train, taken from the smaller of the two holdout sets (ties favor val)
     so the holdouts stay balanced.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three positives summing to 1, got {ratios}")
     n = len(pairs)
@@ -147,37 +155,29 @@ def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
     assign[perm[n_train:n_train + n_val]] = 1
     assign[perm[n_train + n_val:]] = 2
 
-    by_user = [[] for _ in range(num_users)]
-    for r, (u, _) in enumerate(pairs):
-        by_user[u].append(r)
+    users = pairs[:, 0]
+    no_train = ((np.bincount(users, minlength=num_users) > 0)
+                & (np.bincount(users[assign == 0], minlength=num_users) == 0))
+    # first[s, u]: u's first row in holdout set s (n when it has none there)
+    first = np.full((3, num_users), n)
+    rows = np.flatnonzero(no_train[users])
+    np.minimum.at(first, (assign[rows], users[rows]), rows)
     set_sizes = {1: n_val, 2: n_test}
-    for u in range(num_users):
-        rows = by_user[u]
-        if not rows:
-            continue
-        if not any(assign[r] == 0 for r in rows):
-            # take from the smaller holdout set (tie -> val)
-            prefer = 1 if set_sizes[1] <= set_sizes[2] else 2
-            pick = next((r for r in rows if assign[r] == prefer), None)
-            if pick is None:
-                pick = next(r for r in rows if assign[r] != 0)
-            set_sizes[assign[pick]] -= 1
-            assign[pick] = 0
+    for u in np.flatnonzero(no_train):
+        # take from the smaller holdout set (tie -> val)
+        prefer = 1 if set_sizes[1] <= set_sizes[2] else 2
+        pick = first[prefer, u] if first[prefer, u] < n else first[3 - prefer, u]
+        set_sizes[assign[pick]] -= 1
+        assign[pick] = 0
 
     train_pairs = pairs[assign == 0]
     graph = build_graph(train_pairs, num_users, num_items, norm_mode)
 
-    def per_user(which):
-        d = {}
-        for u, i in pairs[assign == which]:
-            d.setdefault(int(u), []).append(int(i))
-        return {u: np.array(sorted(v), dtype=np.int64) for u, v in d.items()}
-
     return Dataset(
         graph_train=graph,
         train_pairs=train_pairs,
-        val_items=per_user(1),
-        test_items=per_user(2),
+        val_items=_group_by_user(pairs[assign == 1]),
+        test_items=_group_by_user(pairs[assign == 2]),
         user_attrs=user_attrs,
         item_attrs=item_attrs,
         user_ids=list(user_ids) if user_ids is not None else [str(u) for u in range(num_users)],
@@ -316,13 +316,6 @@ def _pairs_from_dict(d):
     ).reshape(-1, 2)
 
 
-def _dict_from_pairs(pairs):
-    d = {}
-    for u, i in pairs:
-        d.setdefault(int(u), []).append(int(i))
-    return {u: np.array(sorted(v), dtype=np.int64) for u, v in d.items()}
-
-
 def save_dataset(path, dataset):
     """Freeze a prepared dataset (split + masks) into one container file."""
     arrays = {
@@ -371,8 +364,8 @@ def load_dataset(path):
     return Dataset(
         graph_train=graph,
         train_pairs=arrays["train_pairs"],
-        val_items=_dict_from_pairs(arrays["val_pairs"]),
-        test_items=_dict_from_pairs(arrays["test_pairs"]),
+        val_items=_group_by_user(arrays["val_pairs"]),
+        test_items=_group_by_user(arrays["test_pairs"]),
         user_attrs=tables["user"],
         item_attrs=tables["item"],
         user_ids=meta["user_ids"],

@@ -105,10 +105,6 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     a per-user mean. Users whose candidate set is empty are skipped and
     counted. With ``return_per_user`` the per-user NDCG maps (user -> {N:
     NDCG@N}) and the skipped count are returned as well.
-
-    Users are scored in blocks; a user's training items are read from the
-    user rows of ``graph_train.S``, whose column indices minus M are exactly
-    that user's training items.
     """
     if hr_mode not in HR_MODES:
         raise ValueError(f"hr_mode must be one of {HR_MODES}")
@@ -116,15 +112,14 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     if not targets:
         raise ValueError(f"no users with {target} items")
     graph = dataset.graph_train
-    M, N = graph.num_users, graph.num_items
-    S = graph.S
+    N = graph.num_items
     U = trace.user_embeddings
     V = trace.item_embeddings
 
     users = np.fromiter(targets, dtype=np.int64, count=len(targets))
     lengths = np.fromiter(map(len, targets.values()), dtype=np.int64, count=len(targets))
     items = np.concatenate(list(targets.values())).astype(np.int64, copy=False)
-    keep = np.diff(S.indptr)[users] < N
+    keep = graph.user_degrees()[users] < N
     skipped = int((~keep).sum())
     items = items[np.repeat(keep, lengths)]
     users, lengths = users[keep], lengths[keep]
@@ -137,8 +132,8 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     for lo in range(0, len(users), _BLOCK_USERS):
         block = users[lo:lo + _BLOCK_USERS]
         scores = U[block] @ V.T
-        seen = S[block]
-        scores[np.repeat(np.arange(len(block)), np.diff(seen.indptr)), seen.indices - M] = -np.inf
+        indptr, seen = graph.items_of(block)
+        scores[np.repeat(np.arange(len(block)), np.diff(indptr)), seen] = -np.inf
         t0, t1 = offsets[lo], offsets[lo + len(block)]
         rows = np.repeat(np.arange(len(block)), lengths[lo:lo + len(block)])
         ranks[t0:t1] = _block_ranks(scores, rows, items[t0:t1], depth)
@@ -162,20 +157,30 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
 # Attribute metrics
 # ---------------------------------------------------------------------------
 
+def _average_precisions(truth, scores):
+    """AP of each row: the mean over true labels of the precision at that
+    label's rank, with dimensions sorted by descending score (ties by lower
+    index). NaN for a row without a true label."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    hit = np.take_along_axis(truth, order, axis=1) != 0
+    precision = np.cumsum(hit, axis=1) / np.arange(1, hit.shape[1] + 1)
+    n_true = hit.sum(axis=1)
+    ap = np.full(len(hit), np.nan)
+    # rows with k true labels share one (rows, k) mean, which adds each
+    # row's precisions in rank order as np.mean adds a list of them
+    for k in np.unique(n_true[n_true > 0]):
+        rows = n_true == k
+        ap[rows] = precision[rows][hit[rows]].reshape(-1, k).mean(axis=1)
+    return ap
+
+
 def average_precision(truth, scores):
     """AP over one block: mean over true labels of precision at that label's
-    rank when dimensions are sorted by descending score (ties by index)."""
-    truth = np.asarray(truth)
-    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-    hits = 0
-    precisions = []
-    for k, dim in enumerate(order, start=1):
-        if truth[dim]:
-            hits += 1
-            precisions.append(hits / k)
-    if not precisions:
-        return None
-    return float(np.mean(precisions))
+    rank when dimensions are sorted by descending score (ties by index).
+    None when no label is true."""
+    ap = _average_precisions(np.asarray(truth)[None],
+                             np.asarray(scores, dtype=float)[None])[0]
+    return None if np.isnan(ap) else float(ap)
 
 
 def attribute_metrics(predicted, table):
@@ -191,25 +196,16 @@ def attribute_metrics(predicted, table):
         by_field.setdefault(f_idx, []).append(e)
     for f_idx, f in enumerate(table.schema):
         entities = by_field.get(f_idx, [])
-        if not entities:
-            results[f.name] = {"metric": "ACC" if f.kind == "single" else "MAP",
-                               "value": None, "count": 0}
-            continue
-        blk = f.block
+        aps = _average_precisions(table.ground_truth[entities, f.block],
+                                  predicted[entities, f.block])
         if f.kind == "single":
-            # argmax takes the lowest index among tied maxima
-            correct = int(np.sum(np.argmax(predicted[entities, blk], axis=1)
-                                 == np.argmax(table.ground_truth[entities, blk], axis=1)))
-            results[f.name] = {"metric": "ACC", "value": correct / len(entities),
-                               "count": len(entities)}
+            # one true label: a prediction is right when it ranks that label first
+            scored = aps == 1.0
         else:
-            aps = []
-            for e in entities:
-                ap = average_precision(table.ground_truth[e, blk], predicted[e, blk])
-                if ap is not None:  # entities without true labels are skipped
-                    aps.append(ap)
-            value = float(np.mean(aps)) if aps else None
-            results[f.name] = {"metric": "MAP", "value": value, "count": len(aps)}
+            scored = aps[~np.isnan(aps)]  # entities without true labels are skipped
+        results[f.name] = {"metric": "ACC" if f.kind == "single" else "MAP",
+                           "value": float(np.mean(scored)) if len(scored) else None,
+                           "count": len(scored)}
     return results
 
 
@@ -237,7 +233,7 @@ def majority_class_accuracy(table, field_name):
 
 def default_bins(dataset, n_groups=5):
     """Half-open interaction-count ranges with roughly equal user counts."""
-    counts = np.array([len(items) for items in dataset.graph_train.user_items])
+    counts = dataset.graph_train.user_degrees()
     qs = np.quantile(counts, np.linspace(0, 1, n_groups + 1))
     edges = sorted(set(int(np.floor(q)) for q in qs))
     bins = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
@@ -262,7 +258,8 @@ def sparsity_groups(dataset, trace, bins):
 
 def _group_ndcg10(dataset, per_user_ndcg, bins):
     """Mean per-user NDCG@10 within each half-open training-count bin."""
-    counts = {a: len(dataset.graph_train.user_items[a]) for a in per_user_ndcg}
+    degrees = dataset.graph_train.user_degrees()
+    counts = {a: int(degrees[a]) for a in per_user_ndcg}
     groups = []
     assigned = set()
     for lo, hi in bins:
@@ -441,9 +438,14 @@ def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
 
 
 def label_propagation_metrics(graph, table, iterations=1000, tol=1e-6):
-    """ACC / MAP of label propagation on every field's masked test set."""
+    """ACC / MAP of label propagation on every field's masked test set, with
+    each field's ``converged`` flag and sweep count (``iterations``)."""
     predicted = np.zeros(table.values.shape)
+    runs = {}
     for f in table.schema:
-        lp = label_propagation(graph, table, f.name, iterations, tol)
+        runs[f.name] = lp = label_propagation(graph, table, f.name, iterations, tol)
         predicted[lp.entities, f.block] = lp.predictions
-    return attribute_metrics(predicted, table)
+    results = attribute_metrics(predicted, table)
+    for name, lp in runs.items():
+        results[name].update(converged=lp.converged, iterations=lp.iterations)
+    return results

@@ -21,18 +21,14 @@ class BipartiteGraph:
     Attributes:
         num_users: M.
         num_items: N.
-        user_items: list of M sorted int arrays, the items each user interacted with.
-        item_users: list of N sorted int arrays, the users of each item.
         edges: (E, 2) int array of unique (user, item) pairs, lexicographically sorted.
         S: (M+N) x (M+N) CSR propagation operator (normalized adjacency, no self loops).
         norm_mode: "symmetric" (D^-1/2 A D^-1/2) or "row" (D^-1 A).
     """
 
-    def __init__(self, num_users, num_items, user_items, item_users, edges, S, norm_mode):
+    def __init__(self, num_users, num_items, edges, S, norm_mode):
         self.num_users = num_users
         self.num_items = num_items
-        self.user_items = user_items
-        self.item_users = item_users
         self.edges = edges
         self.S = S
         self.norm_mode = norm_mode
@@ -40,6 +36,16 @@ class BipartiteGraph:
     @property
     def num_nodes(self):
         return self.num_users + self.num_items
+
+    def user_degrees(self):
+        """Item count of every user, an (M,) int array."""
+        return np.diff(self.S.indptr[:self.num_users + 1])
+
+    def items_of(self, users):
+        """(indptr, items): ``items[indptr[r]:indptr[r + 1]]`` are the items of
+        ``users[r]``, read from its row of S and not necessarily sorted."""
+        rows = self.S[users]
+        return rows.indptr, rows.indices - self.num_users
 
     def __repr__(self):
         return (f"BipartiteGraph(M={self.num_users}, N={self.num_items}, "
@@ -63,40 +69,30 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     if norm_mode not in NORM_MODES:
         raise ValueError(f"unknown norm_mode {norm_mode!r}, expected one of {NORM_MODES}")
 
-    pairs = np.asarray(list(interactions), dtype=np.int64).reshape(-1, 2)
-    if len(pairs):
-        bad = ((pairs[:, 0] < 0) | (pairs[:, 0] >= num_users)
-               | (pairs[:, 1] < 0) | (pairs[:, 1] >= num_items))
-        if bad.any():
-            u, i = pairs[np.argmax(bad)]
-            raise ValueError(f"interaction ({u}, {i}) out of range for M={num_users}, N={num_items}")
-        pairs = np.unique(pairs, axis=0)
+    pairs = np.asarray(interactions, dtype=np.int64).reshape(-1, 2)
+    bad = ((pairs[:, 0] < 0) | (pairs[:, 0] >= num_users)
+           | (pairs[:, 1] < 0) | (pairs[:, 1] >= num_items))
+    if bad.any():
+        u, i = pairs[np.argmax(bad)]
+        raise ValueError(f"interaction ({u}, {i}) out of range for M={num_users}, N={num_items}")
+    keys = np.unique(pairs[:, 0] * num_items + pairs[:, 1])
+    pairs = np.column_stack([keys // num_items, keys % num_items])
 
     M, N = num_users, num_items
-    R = sp.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(M, N), dtype=np.float64
-    )
+    # both directions of every edge
+    rows = np.concatenate([pairs[:, 0], M + pairs[:, 1]])
+    cols = np.concatenate([M + pairs[:, 1], pairs[:, 0]])
+    A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(M + N, M + N))
 
-    user_items = [R.indices[R.indptr[a]:R.indptr[a + 1]].copy() for a in range(M)]
-    Rc = R.tocsc()
-    item_users = [np.sort(Rc.indices[Rc.indptr[i]:Rc.indptr[i + 1]]) for i in range(N)]
+    deg = np.diff(A.indptr)
+    with np.errstate(divide="ignore"):
+        if norm_mode == "symmetric":
+            D = sp.diags(np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0))
+            S = (D @ A @ D).tocsr()
+        else:
+            S = (sp.diags(np.where(deg > 0, 1.0 / deg, 0.0)) @ A).tocsr()
 
-    A = sp.bmat(
-        [[None, R], [R.T, None]], format="csr", dtype=np.float64
-    ) if len(pairs) else sp.csr_matrix((M + N, M + N), dtype=np.float64)
-
-    deg = np.asarray(A.sum(axis=1)).ravel()
-    if norm_mode == "symmetric":
-        with np.errstate(divide="ignore"):
-            d_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        D = sp.diags(d_inv_sqrt)
-        S = (D @ A @ D).tocsr()
-    else:
-        with np.errstate(divide="ignore"):
-            d_inv = np.where(deg > 0, 1.0 / deg, 0.0)
-        S = (sp.diags(d_inv) @ A).tocsr()
-
-    return BipartiteGraph(M, N, user_items, item_users, pairs, S, norm_mode)
+    return BipartiteGraph(M, N, pairs, S, norm_mode)
 
 
 def propagate(graph, H):

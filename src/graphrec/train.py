@@ -137,15 +137,19 @@ class TripleBatch:
 
 
 def sample_negatives(graph, users, rng):
-    """One uniformly random non-interacted item per user, by rejection."""
+    """One uniformly random non-interacted item per user, by rejection. Only
+    rows whose draw is one of the user's items draw again, row by row."""
     N = graph.num_items
+    indptr, items = graph.items_of(users)
+    full = np.diff(indptr) >= N
+    if full.any():
+        raise ValueError(f"user {users[np.argmax(full)]} interacts with every item; "
+                         "cannot sample a negative")
     neg = rng.integers(0, N, size=len(users))
-    for r, a in enumerate(users):
-        items = graph.user_items[a]
-        if len(items) >= N:
-            raise ValueError(f"user {a} interacts with every item; cannot sample a negative")
-        pos_set = set(items.tolist())
-        while int(neg[r]) in pos_set:
+    owner = np.repeat(np.arange(len(users)), np.diff(indptr))
+    for r in owner[items == neg[owner]]:
+        own = items[indptr[r]:indptr[r + 1]]
+        while neg[r] in own:
             neg[r] = rng.integers(0, N)
     return neg
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graphrec.cli as cli
 from graphrec.cli import main, read_config_file
 from graphrec.data import load_dataset
 from graphrec.toy import write_toy_files
@@ -174,3 +175,18 @@ class TestLpBaseline:
         assert "lp.group.acc=" in printed
         assert "lp.tags.map=" in printed
         assert "lp.kind.acc=" in printed
+
+    def test_warns_when_capped(self, toy_files, tmp_path, capsys, monkeypatch):
+        def run():
+            assert main(["lp-baseline", "--out", str(tmp_path / "lp")]
+                        + data_flags(toy_files)) == 0
+            out, err = capsys.readouterr()
+            return [line.split("=")[0] for line in out.splitlines()], err
+        keys, err = run()
+        assert "warning" not in err
+        real = cli.label_propagation_metrics
+        monkeypatch.setattr(cli, "label_propagation_metrics",
+                            lambda graph, table: real(graph, table, iterations=2))
+        capped_keys, capped_err = run()
+        assert capped_keys == keys
+        assert "warning: label propagation for group stopped at the 2-sweep cap" in capped_err

@@ -5,7 +5,8 @@ from graphrec import make_toy_dataset
 from graphrec.data import (load_checkpoint, load_container, load_dataset,
                            load_interactions, save_checkpoint, save_container,
                            save_dataset, split)
-from graphrec.model import init_params
+from graphrec.evaluate import rank_and_score
+from graphrec.model import ForwardTrace, init_params
 from graphrec.train import TrainConfig, train
 
 from dataclasses import replace
@@ -13,6 +14,45 @@ from dataclasses import replace
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def split_assignment_oracle(pairs, num_users, ratios, seed):
+    """split's assignment row by row (0 train, 1 val, 2 test): the seeded
+    permutation, then, user by user, one holdout row of each user without a
+    training row moves to train, from the smaller holdout set (tie -> val).
+    Returns the assignment and the number of rows moved."""
+    n = len(pairs)
+    perm = np.random.default_rng(seed).permutation(n)
+    n_val, n_test = int(np.floor(n * ratios[1])), int(np.floor(n * ratios[2]))
+    n_train = n - n_val - n_test
+    assign = np.empty(n, dtype=np.int8)
+    assign[perm[:n_train]] = 0
+    assign[perm[n_train:n_train + n_val]] = 1
+    assign[perm[n_train + n_val:]] = 2
+    by_user = [[] for _ in range(num_users)]
+    for r, (u, _) in enumerate(pairs):
+        by_user[u].append(r)
+    set_sizes = {1: n_val, 2: n_test}
+    moved = 0
+    for rows in by_user:
+        if rows and not any(assign[r] == 0 for r in rows):
+            prefer = 1 if set_sizes[1] <= set_sizes[2] else 2
+            pick = next((r for r in rows if assign[r] == prefer), None)
+            if pick is None:
+                pick = next(r for r in rows if assign[r] != 0)
+            set_sizes[assign[pick]] -= 1
+            assign[pick] = 0
+            moved += 1
+    return assign, moved
+
+
+def interleaved_pairs(rng, num_users, num_items, max_per_user):
+    """Distinct pairs, 0..max_per_user per user, rows in a shuffled (time-like)
+    order, so users appear interleaved and not in ascending order."""
+    pairs = [(a, int(i)) for a in range(num_users)
+             for i in rng.choice(num_items, int(rng.integers(0, max_per_user + 1)),
+                                 replace=False)]
+    return np.array(pairs, dtype=np.int64)[rng.permutation(len(pairs))]
 
 
 class TestLoadInteractions:
@@ -109,6 +149,25 @@ class TestSplit:
         assert held
         assert not train & set(held)
         assert len(train) + len(held) == 20 * 6
+
+    def test_assignment_matches_per_row_loop(self):
+        # thin, interleaved users and a small train share: the floor fires
+        # for many users, from both holdout sets
+        rng = np.random.default_rng(8)
+        moved = 0
+        for trial in range(60):
+            M, N = int(rng.integers(2, 40)), 20
+            pairs = interleaved_pairs(rng, M, N, 4)
+            ratios = [(0.2, 0.4, 0.4), (0.2, 0.3, 0.5), (0.3, 0.5, 0.2)][trial % 3]
+            ds = split(pairs, M, N, ratios=ratios, seed=trial)
+            assign, k = split_assignment_oracle(pairs, M, ratios, trial)
+            moved += k
+            assert np.array_equal(ds.train_pairs, pairs[assign == 0])
+            for d, s in ((ds.val_items, 1), (ds.test_items, 2)):
+                assert list(d) == sorted(d)
+                got = [(u, int(i)) for u, items in d.items() for i in items]
+                assert got == sorted(map(tuple, pairs[assign == s].tolist()))
+        assert moved > 100
 
     def test_bad_ratios(self):
         with pytest.raises(ValueError, match="ratios"):
@@ -269,3 +328,20 @@ class TestDatasetBundle:
         assert ds2.user_attrs.masked == ds.user_attrs.masked
         assert ds2.item_attrs.masked == ds.item_attrs.masked
         assert ds2.user_ids == ds.user_ids
+
+    def test_interleaved_round_trip_keeps_order_and_ranking(self, tmp_path):
+        rng = np.random.default_rng(4)
+        M, N = 40, 30
+        ds = split(interleaved_pairs(rng, M, N, 10), M, N, seed=1)
+        path = tmp_path / "ds.bin"
+        save_dataset(path, ds)
+        ds2 = load_dataset(path)
+        for got, want in ((ds2.val_items, ds.val_items), (ds2.test_items, ds.test_items)):
+            assert list(got) == list(want)
+            for u in want:
+                assert np.array_equal(got[u], want[u])
+        trace = ForwardTrace(h0=rng.normal(size=(M + N, 4)), zs=[], hs=[], num_users=M)
+        for target in ("val", "test"):
+            want = rank_and_score(trace, ds, [1, 5, 10], target=target, return_per_user=True)
+            got = rank_and_score(trace, ds2, [1, 5, 10], target=target, return_per_user=True)
+            assert got == want

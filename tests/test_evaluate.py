@@ -183,9 +183,10 @@ class TestRankAndScore:
         pairs = [(a, i) for a in range(1, M) for i in range(N) if rng.random() < 0.3]
         pairs += [(0, i) for i in range(N)]
         g = build_graph(pairs, M, N)
+        trained = [np.flatnonzero(row) for row in g.S[:M, M:].toarray()]
         test = {0: np.array([2])}
         for a in range(1, M):
-            cand = np.setdiff1d(np.arange(N), g.user_items[a])
+            cand = np.setdiff1d(np.arange(N), trained[a])
             k = int(rng.integers(1, len(cand) + 1))
             test[a] = np.sort(rng.choice(cand, size=k, replace=False))
         ds = Dataset(graph_train=g, train_pairs=g.edges, val_items={}, test_items=test,
@@ -201,7 +202,7 @@ class TestRankAndScore:
                 assert skipped == 1
                 assert sorted(per_user) == users
                 for n in n_list:
-                    oracle = [naive_user_metrics(scores[a], g.user_items[a], test[a], n)
+                    oracle = [naive_user_metrics(scores[a], trained[a], test[a], n)
                               for a in users]
                     if mode == "user-mean":
                         want = np.mean([h for h, _ in oracle])
@@ -315,9 +316,9 @@ class TestSparsityGroups:
     def test_half_open_intervals(self, toy_dataset):
         trace = self.trace_for(toy_dataset)
         groups = sparsity_groups(toy_dataset, trace, [(0, 9), (9, 10**9)])
-        counts = [len(items) for items in toy_dataset.graph_train.user_items]
-        users = [a for a in toy_dataset.test_items
-                 if len(toy_dataset.graph_train.user_items[a]) < toy_dataset.num_items]
+        M = toy_dataset.num_users
+        counts = (toy_dataset.graph_train.S[:M, M:].toarray() != 0).sum(axis=1)
+        users = [a for a in toy_dataset.test_items if counts[a] < toy_dataset.num_items]
         expect_low = sum(1 for a in users if counts[a] < 9)
         assert groups[0]["count"] == expect_low
         assert groups[0]["count"] + groups[1]["count"] == len(users)
@@ -416,6 +417,15 @@ class TestLabelPropagation:
         lp = label_propagation(g, t, "group")
         assert lp.converged
         assert lp.iterations < 1000
+
+    def test_metrics_report_convergence(self, toy_dataset):
+        g, t = toy_dataset.graph_train, toy_dataset.user_attrs
+        capped = label_propagation_metrics(g, t, iterations=2)
+        assert capped["group"]["converged"] is False
+        assert capped["group"]["iterations"] == 2
+        for info in label_propagation_metrics(g, t).values():
+            assert info["converged"] is True
+            assert info["iterations"] < 1000
 
     def test_metrics_on_toy(self, toy_dataset):
         out = label_propagation_metrics(toy_dataset.graph_train,

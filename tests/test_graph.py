@@ -40,14 +40,24 @@ class TestBuildGraph:
         assert len(g1.edges) == 1
 
     def test_interaction_storage_symmetry(self):
+        # the user and item blocks of S both hold exactly the edges, and the
+        # accessors decode the user rows into sorted items and degrees
         rng = np.random.default_rng(5)
-        g = random_bipartite(rng)
-        for a, items in enumerate(g.user_items):
-            for i in items:
-                assert a in g.item_users[i]
-        for i, users in enumerate(g.item_users):
-            for a in users:
-                assert i in g.user_items[a]
+        for norm_mode in ("symmetric", "row"):
+            for _ in range(10):
+                g = random_bipartite(rng, norm_mode=norm_mode)
+                M = g.num_users
+                R = np.zeros((M, g.num_items), dtype=bool)
+                R[g.edges[:, 0], g.edges[:, 1]] = True
+                pattern = g.S.toarray() != 0
+                assert np.array_equal(pattern[:M, M:], R)
+                assert np.array_equal(pattern[M:, :M], R.T)
+                assert np.array_equal(g.user_degrees(), R.sum(axis=1))
+                users = np.concatenate([np.arange(M), [M - 1, 0]])
+                indptr, items = g.items_of(users)
+                for r, a in enumerate(users):
+                    own = items[indptr[r]:indptr[r + 1]]
+                    assert np.array_equal(np.sort(own), np.flatnonzero(R[a]))
 
     def test_diagonal_blocks_are_zero(self):
         rng = np.random.default_rng(6)

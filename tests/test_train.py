@@ -14,6 +14,19 @@ from graphrec.train import (AdamState, TrainConfig, TrainingDivergedError,
 from conftest import small_attr_tables
 
 
+def rejection_oracle(graph, users, rng):
+    """Per-row rejection sampling: draw every row, then redraw each row whose
+    draw is one of its user's items, one row after another."""
+    M, N = graph.num_users, graph.num_items
+    trained = graph.S[:M, M:].toarray() != 0
+    neg = rng.integers(0, N, size=len(users))
+    for r, a in enumerate(users):
+        pos_set = set(np.flatnonzero(trained[a]).tolist())
+        while int(neg[r]) in pos_set:
+            neg[r] = rng.integers(0, N)
+    return neg
+
+
 class TestConfig:
     def test_defaults_valid(self):
         TrainConfig().validate()
@@ -50,9 +63,26 @@ class TestSampling:
     def test_triples_valid(self, toy_dataset):
         g = toy_dataset.graph_train
         rng = np.random.default_rng(2)
+        M = g.num_users
+        trained = g.S[:M, M:].toarray() != 0
         for a, i, j in sample_triples(g, 500, rng):
-            assert i in g.user_items[a]
-            assert j not in g.user_items[a]
+            assert trained[a, i]
+            assert not trained[a, j]
+
+    def test_matches_per_row_rejection(self, toy_dataset):
+        # users 0-2 have every item but one and redraw often; the negatives
+        # and the generator state afterwards equal the per-row loop's
+        N = 12
+        dense = build_graph([(a, i) for a in range(3) for i in range(N) if i != 2 * a]
+                            + [(3, 0), (4, 5)], 5, N, "row")
+        for g in (toy_dataset.graph_train, dense):
+            users = np.random.default_rng(0).integers(0, g.num_users, size=2000)
+            for seed in range(3):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_negatives(g, users, got_rng)
+                want = rejection_oracle(g, users, want_rng)
+                assert np.array_equal(got, want)
+                assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
 
     def test_degenerate_user(self):
         g = build_graph([(0, 0), (0, 1)], 1, 2)
