@@ -23,6 +23,8 @@ class BipartiteGraph:
         num_items: N.
         edges: (E, 2) int array of unique (user, item) pairs, lexicographically sorted.
         S: (M+N) x (M+N) CSR propagation operator (normalized adjacency, no self loops).
+        St: S transposed, as CSR: S itself under symmetric normalization,
+            a copy built once under row normalization (backward passes apply it).
         norm_mode: "symmetric" (D^-1/2 A D^-1/2) or "row" (D^-1 A).
     """
 
@@ -31,6 +33,7 @@ class BipartiteGraph:
         self.num_items = num_items
         self.edges = edges
         self.S = S
+        self.St = S if norm_mode == "symmetric" else S.T.tocsr()
         self.norm_mode = norm_mode
 
     @property

@@ -2,14 +2,22 @@
 
 Per-node input is the concatenation of a free embedding (dim d) and a
 projected attribute vector (dim d_a). K propagation layers apply
-``H_{k+1} = (H_k + S @ H_k) @ W_k`` with no nonlinearity anywhere. Rating
-scores are inner products of final user/item embeddings; attribute heads map
-final embeddings to per-field probabilities (softmax per single-label field,
+``H_{k+1} = (H_k + S @ H_k) @ W_k`` with no nonlinearity anywhere, so the
+output collapses to ``H_K = A^K H_0 (W_1 ... W_K)`` with ``A = I + S``: the
+forward propagates once and multiplies by one D x D product of the layer
+weights. The attribute half of ``A^K H_0`` is ``A^K [[X, 0], [0, Y]]``
+times the stacked projections ``[W_u; W_v]``; that propagated block
+(:func:`attribute_block`) changes only when X and Y do, so a caller that
+keeps it passes it to :func:`forward`, which then propagates only the free
+embeddings ``[P; Q]`` (width d, not d + d_a). Rating scores are inner
+products of final user/item embeddings; attribute heads map final
+embeddings to per-field probabilities (softmax per single-label field,
 elementwise logistic per multi-label dimension).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,21 +88,24 @@ def init_params(num_users, num_items, d, d_a, d_x, d_y, K, seed, init_std=0.01):
 
 @dataclass
 class ForwardTrace:
-    """Cached intermediates of one forward pass (inputs to backprop).
+    """Outputs of one forward pass, and what the backward pass reads.
 
-    h0: fused input ((M+N) x (d+d_a)); zs[k] = h_k + S @ h_k (pre-weight);
-    hs[k] = zs[k] @ W_k (post-weight). hs[-1] (or h0 when K=0) holds the
-    final embeddings.
+    final: ((M+N) x D) output embeddings, users first, D = d + d_a.
+    z: ``A^K H_0``, the propagated input before the layer weights
+    (``final = z @ W_1 ... W_K``).
+    h0: the fused input H_0; only the uncached forward builds it.
+    block: the propagated attribute block ``A^K [[X, 0], [0, Y]]`` the
+    forward used, or None when it propagated the fused input.
+
+    A trace made only to hold embeddings (for ranking or the heads) needs
+    ``final`` and ``num_users`` alone.
     """
 
-    h0: np.ndarray
-    zs: list
-    hs: list
+    final: np.ndarray
     num_users: int
-
-    @property
-    def final(self):
-        return self.hs[-1] if self.hs else self.h0
+    z: np.ndarray = None
+    h0: np.ndarray = None
+    block: np.ndarray = None
 
     @property
     def user_embeddings(self):
@@ -120,18 +131,51 @@ def fuse(params, X, Y):
     return np.vstack([users, items])
 
 
-def forward(params, graph, X, Y):
-    """Run the fused input through all K propagation layers; cache intermediates."""
-    h = fuse(params, X, Y)
-    trace = ForwardTrace(h0=h, zs=[], hs=[], num_users=graph.num_users)
-    for k, Wk in enumerate(params.W):
-        z = propagate(graph, h)
-        h = z @ Wk
-        if not np.isfinite(h).all():
-            raise FloatingPointError(f"non-finite activations after layer {k + 1}")
-        trace.zs.append(z)
-        trace.hs.append(h)
-    return trace
+def propagate_k(graph, H, K):
+    """``A^K H`` with ``A = I + S``: K propagation steps."""
+    for _ in range(K):
+        H = propagate(graph, H)
+    return H
+
+
+def attribute_block(graph, X, Y, K):
+    """``A^K [[X, 0], [0, Y]]``, one (M+N) x (d_x+d_y) block: the attribute
+    inputs propagated K times. It depends on X and Y only, so it stays valid
+    until the next attribute write-back."""
+    X = np.asarray(X)
+    Y = np.asarray(Y)
+    M, d_x = X.shape
+    B = np.zeros((M + Y.shape[0], d_x + Y.shape[1]))
+    B[:M, :d_x] = X
+    B[M:, d_x:] = Y
+    return propagate_k(graph, B, K)
+
+
+def forward(params, graph, X, Y, block=None):
+    """Output embeddings of the K layers, in collapsed form.
+
+    Without ``block`` the fused input is propagated at width d + d_a. With
+    ``block = attribute_block(graph, X, Y, K)`` (the caller keeps it current
+    with X and Y) only ``[P; Q]`` is propagated, at width d, and the
+    attribute half of ``A^K H_0`` is ``block @ [W_u; W_v]``.
+    """
+    K = params.num_layers
+    if block is None:
+        h0 = fuse(params, X, Y)
+        z = propagate_k(graph, h0, K)
+    else:
+        h0 = None
+        free = propagate_k(graph, np.vstack([params.P, params.Q]), K)
+        z = np.hstack([free, block @ np.vstack([params.W_u, params.W_v])])
+    final = z @ functools.reduce(np.matmul, params.W) if K else z
+    if K and not np.isfinite(final).all():
+        h = z
+        for k, Wk in enumerate(params.W):
+            h = h @ Wk
+            if not np.isfinite(h).all():
+                break
+        raise FloatingPointError(f"non-finite activations after layer {k + 1}")
+    return ForwardTrace(final=final, num_users=graph.num_users, z=z, h0=h0, block=block)
 
 
 def predict_rating(trace, a, i):

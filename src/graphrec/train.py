@@ -4,8 +4,9 @@ The total objective is ``L = L_r + gamma * L_a`` where L_r is the BPR loss
 over sampled (user, positive, negative) triples with an L2 penalty on the
 free embeddings, and L_a is cross entropy over observed attribute entries
 only. Gradients are exact and computed by hand: through the inner product,
-the softmax/logistic heads, the K linear propagation layers (via the
-transposed sparse operator), the fusion concatenation, and the attribute
+the softmax/logistic heads, the collapsed linear propagation
+``A^K H_0 W_1 ... W_K`` (every layer weight from one D x D product, the
+inputs through ``(A^T)^K``), the fusion concatenation, and the attribute
 projections. Parameters are updated with Adam; missing attribute entries
 are refreshed from the model's own predictions between steps.
 """
@@ -18,7 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attributes import apply_update, init_missing
-from .model import ModelParams, forward, infer_attributes, init_params, normalize_logits
+from .graph import NORM_MODES
+from .model import ModelParams, attribute_block, forward, infer_attributes, init_params
 
 PROB_EPS = 1e-7  # clamp for logs inside the cross entropy
 
@@ -66,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.attr_update_cadence not in CADENCES:
             raise ValueError(f"attr_update_cadence must be one of {CADENCES}")
+        if self.norm_mode not in NORM_MODES:
+            raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
         return self
 
     def to_dict(self):
@@ -211,21 +215,30 @@ def _side_width(table):
     return table.schema.total_dim if table is not None else 0
 
 
-def batch_losses(trace, batch, user_table, item_table, params, config):
-    """(ranking loss, attribute loss) for one forward pass and batch."""
+def head_predictions(trace, params, user_table, item_table):
+    """(user, item) head probabilities of one forward pass, None for a side
+    without attributes. A training step computes them once; the loss and
+    its gradient read the same arrays."""
+    return tuple(infer_attributes(trace, params, side, table.schema)
+                 if _side_width(table) else None
+                 for side, table in (("user", user_table), ("item", item_table)))
+
+
+def batch_losses(trace, batch, user_table, item_table, params, config, heads=None):
+    """(ranking loss, attribute loss) for one forward pass and batch.
+    ``heads`` are the pass's :func:`head_predictions`, computed when absent."""
     U = trace.user_embeddings
     V = trace.item_embeddings
     u = U[batch.users]
     diff_pos = (u * V[batch.pos]).sum(axis=1)
     diff_neg = (u * V[batch.neg]).sum(axis=1)
     loss_r = bpr_loss(diff_pos, diff_neg, params, config.lam)
+    if heads is None:
+        heads = head_predictions(trace, params, user_table, item_table)
     loss_a = 0.0
-    if user_table is not None and _side_width(user_table):
-        loss_a += attribute_loss(infer_attributes(trace, params, "user", user_table.schema),
-                                 user_table)
-    if item_table is not None and _side_width(item_table):
-        loss_a += attribute_loss(infer_attributes(trace, params, "item", item_table.schema),
-                                 item_table)
+    for pred, table in zip(heads, (user_table, item_table)):
+        if pred is not None:
+            loss_a += attribute_loss(pred, table)
     return loss_r, loss_a
 
 
@@ -237,8 +250,18 @@ def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
     return loss_r + config.gamma * loss_a
 
 
-def gradients(trace, batch, user_table, item_table, params, config, graph, X, Y):
-    """Exact analytic gradients of L = L_r + gamma * L_a for every parameter."""
+def gradients(trace, batch, user_table, item_table, params, config, graph, X, Y,
+              heads=None):
+    """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
+
+    With ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``, the gradient G of
+    ``final`` gives every layer weight from ``C = z^T G`` as
+    ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from ``(A^T)^K`` applied
+    to the first d columns of ``G (W_1 ... W_K)^T``, and W_u, W_v from the
+    attribute block ``A^K [[X, 0], [0, Y]]`` (``trace.block``, built here
+    from X and Y when the forward ran without it). ``heads`` are the pass's
+    :func:`head_predictions`, computed when absent.
+    """
     M = graph.num_users
     d = params.P.shape[1]
     U = trace.user_embeddings
@@ -258,31 +281,44 @@ def gradients(trace, batch, user_table, item_table, params, config, graph, X, Y)
 
     grads = {}
     gamma = config.gamma
-    if gamma > 0 and user_table is not None and _side_width(user_table):
-        pred = normalize_logits(U @ params.W_x, user_table.schema)
-        gl = _attr_logit_grad(pred, user_table)
-        grads["W_x"] = gamma * (U.T @ gl)
-        G[:M] += gamma * (gl @ params.W_x.T)
-    else:
-        grads["W_x"] = np.zeros_like(params.W_x)
-    if gamma > 0 and item_table is not None and _side_width(item_table):
-        pred = normalize_logits(V @ params.W_y, item_table.schema)
-        gl = _attr_logit_grad(pred, item_table)
-        grads["W_y"] = gamma * (V.T @ gl)
-        G[M:] += gamma * (gl @ params.W_y.T)
-    else:
-        grads["W_y"] = np.zeros_like(params.W_y)
+    if gamma == 0:
+        heads = (None, None)
+    elif heads is None:
+        heads = head_predictions(trace, params, user_table, item_table)
+    for name, rows, emb, W_head, table, pred in (
+            ("W_x", slice(None, M), U, params.W_x, user_table, heads[0]),
+            ("W_y", slice(M, None), V, params.W_y, item_table, heads[1])):
+        if pred is not None:
+            gl = _attr_logit_grad(pred, table)
+            grads[name] = gamma * (emb.T @ gl)
+            G[rows] += gamma * (gl @ W_head.T)
+        else:
+            grads[name] = np.zeros_like(W_head)
 
-    St = graph.S.T
+    # prefix[k] = W_1 ... W_k; the layer weights' gradients walk the suffix down
+    prefix = [np.eye(D)]
+    for Wk in params.W:
+        prefix.append(prefix[-1] @ Wk)
+    C = trace.z.T @ G
+    suffix = np.eye(D)
     for k in reversed(range(params.num_layers)):
-        grads[f"W_{k + 1}"] = trace.zs[k].T @ G
-        Gz = G @ params.W[k].T
-        G = Gz + St @ Gz
+        grads[f"W_{k + 1}"] = prefix[k].T @ C @ suffix.T
+        suffix = params.W[k] @ suffix
 
-    grads["P"] = G[:M, :d] + 2.0 * config.lam * params.P
-    grads["Q"] = G[M:, :d] + 2.0 * config.lam * params.Q
-    grads["W_u"] = X.T @ G[:M, d:]
-    grads["W_v"] = Y.T @ G[M:, d:]
+    W_all = prefix[-1]
+    g_free = G @ W_all[:d].T
+    for _ in range(params.num_layers):
+        g_free = g_free + graph.St @ g_free
+    grads["P"] = g_free[:M] + 2.0 * config.lam * params.P
+    grads["Q"] = g_free[M:] + 2.0 * config.lam * params.Q
+
+    block = trace.block
+    if block is None:
+        block = attribute_block(graph, X, Y, params.num_layers)
+    g_proj = block.T @ (G @ W_all[d:].T)
+    d_x = params.W_u.shape[0]
+    grads["W_u"] = g_proj[:d_x]
+    grads["W_v"] = g_proj[d_x:]
 
     for name, g in grads.items():
         if not np.isfinite(g).all():
@@ -324,10 +360,11 @@ class TrainResult:
 
 
 def _refresh_attributes(trace, params, X, Y, user_table, item_table):
-    if user_table is not None and _side_width(user_table):
+    # the heads are evaluated afresh: after a step they read the updated W_x, W_y
+    if _side_width(user_table):
         X = apply_update(X, infer_attributes(trace, params, "user", user_table.schema),
                          user_table)
-    if item_table is not None and _side_width(item_table):
+    if _side_width(item_table):
         Y = apply_update(Y, infer_attributes(trace, params, "item", item_table.schema),
                          item_table)
     return X, Y
@@ -345,12 +382,25 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     ``val_metric_fn(epoch, trace) -> (hr, ndcg)`` can replace the built-in
     validation pass (used by tests). ``checkpoint_path`` enables per-epoch
     checkpointing for bit-exact resume via ``resume_from``.
+
+    The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is kept between
+    steps and rebuilt whenever X and Y change: at the start (fresh or
+    resumed), and after every write-back (each step under the per-batch
+    cadence, each epoch under the per-epoch one). Every forward of the loop
+    therefore propagates only the free embeddings.
+
+    Raises:
+        ValueError: when ``config.norm_mode`` is not the normalization the
+            dataset's graph was built with.
     """
     from .data import save_checkpoint  # local import to avoid a cycle
     from .evaluate import rank_and_score
 
     config.validate()
     graph = dataset.graph_train
+    if config.norm_mode != graph.norm_mode:
+        raise ValueError(f"config norm_mode {config.norm_mode!r} does not match the "
+                         f"dataset graph's norm_mode {graph.norm_mode!r}")
     M, N = graph.num_users, graph.num_items
     user_table = dataset.user_attrs
     item_table = dataset.item_attrs
@@ -380,6 +430,7 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
 
     pairs = dataset.train_pairs
     per_batch = config.attr_update_cadence == "per-batch"
+    block = attribute_block(graph, X, Y, config.K)
 
     log = []
     best_hr = -np.inf
@@ -401,9 +452,10 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
             hint = (f"; last good checkpoint: {checkpoint_path}"
                     if checkpoint_path else "")
             try:
-                trace = forward(params, graph, X, Y)
+                trace = forward(params, graph, X, Y, block)
+                heads = head_predictions(trace, params, user_table, item_table)
                 loss_r, loss_a = batch_losses(trace, batch, user_table, item_table,
-                                              params, config)
+                                              params, config, heads)
             except FloatingPointError as exc:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} ({exc}){hint}") from exc
@@ -411,19 +463,21 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} (non-finite loss){hint}")
             grads = gradients(trace, batch, user_table, item_table, params,
-                              config, graph, X, Y)
+                              config, graph, X, Y, heads)
             adam_step(pdict, grads, opt, config.learning_rate)
             if per_batch:
                 X, Y = _refresh_attributes(trace, params, X, Y, user_table, item_table)
+                block = attribute_block(graph, X, Y, config.K)
             sum_r += loss_r
             sum_a += loss_a
             n_batches += 1
 
         if not per_batch:
-            trace = forward(params, graph, X, Y)
+            trace = forward(params, graph, X, Y, block)
             X, Y = _refresh_attributes(trace, params, X, Y, user_table, item_table)
+            block = attribute_block(graph, X, Y, config.K)
 
-        eval_trace = forward(params, graph, X, Y)
+        eval_trace = forward(params, graph, X, Y, block)
         if val_metric_fn is not None:
             val_hr, val_ndcg = val_metric_fn(epoch, eval_trace)
         elif dataset.val_items:

@@ -95,6 +95,21 @@ class TestPrepareAndEvaluate:
         assert (ev / "report_test.txt").read_bytes() == \
             (run / "report_test.txt").read_bytes()
 
+    def test_row_bundle_needs_row_norm_mode(self, toy_files, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        assert main(["prepare-data", "--out", str(prep), "--norm-mode", "row"]
+                    + data_flags(toy_files)) == 0
+        bundle = ["--dataset", str(prep / "dataset.bin")]
+        capsys.readouterr()
+        rc = main(["train", "--out", str(tmp_path / "sym")] + bundle + train_flags())
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'symmetric'" in err and "'row'" in err
+        run = tmp_path / "row"
+        rc = main(["train", "--out", str(run), "--norm-mode", "row"] + bundle + train_flags())
+        assert rc == 0
+        assert read_config_file(run / "config.txt")["norm_mode"] == "row"
+
     def test_dimension_mismatch(self, toy_files, tmp_path, capsys):
         prep = tmp_path / "prep"
         main(["prepare-data", "--out", str(prep)] + data_flags(toy_files))

@@ -340,7 +340,7 @@ class TestDatasetBundle:
             assert list(got) == list(want)
             for u in want:
                 assert np.array_equal(got[u], want[u])
-        trace = ForwardTrace(h0=rng.normal(size=(M + N, 4)), zs=[], hs=[], num_users=M)
+        trace = ForwardTrace(final=rng.normal(size=(M + N, 4)), num_users=M)
         for target in ("val", "test"):
             want = rank_and_score(trace, ds, [1, 5, 10], target=target, return_per_user=True)
             got = rank_and_score(trace, ds2, [1, 5, 10], target=target, return_per_user=True)

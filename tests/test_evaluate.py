@@ -136,7 +136,7 @@ def tiny_dataset_and_trace():
     # user 0 candidate scores (items 1,2,3): 3, 2, 1 -> target 2 at rank 2
     # user 1 candidate scores (items 0,2,3): 5, 1, 4 -> targets 0 rank 1, 3 rank 2
     V = np.array([[9.0, 5.0], [3.0, 9.0], [2.0, 1.0], [1.0, 4.0]])
-    trace = ForwardTrace(h0=np.vstack([U, V]), zs=[], hs=[], num_users=2)
+    trace = ForwardTrace(final=np.vstack([U, V]), num_users=2)
     return ds, trace
 
 
@@ -164,8 +164,7 @@ class TestRankAndScore:
                      val_items={}, test_items={0: np.array([1]), 1: np.array([1])},
                      user_attrs=None, item_attrs=None, user_ids=["u0", "u1"],
                      item_ids=["a", "b"])
-        trace = ForwardTrace(h0=np.arange(8.0).reshape(4, 2), zs=[], hs=[],
-                             num_users=2)
+        trace = ForwardTrace(final=np.arange(8.0).reshape(4, 2), num_users=2)
         hr, ndcg, _, skipped = rank_and_score(trace, ds, [1], return_per_user=True)
         assert skipped == 1  # user 0 trained on every item
 
@@ -191,8 +190,8 @@ class TestRankAndScore:
             test[a] = np.sort(rng.choice(cand, size=k, replace=False))
         ds = Dataset(graph_train=g, train_pairs=g.edges, val_items={}, test_items=test,
                      user_attrs=None, item_attrs=None, user_ids=[], item_ids=[])
-        trace = ForwardTrace(h0=rng.integers(-2, 3, size=(M + N, 2)).astype(float),
-                             zs=[], hs=[], num_users=M)
+        trace = ForwardTrace(final=rng.integers(-2, 3, size=(M + N, 2)).astype(float),
+                             num_users=M)
         scores = trace.user_embeddings @ trace.item_embeddings.T
         users = list(range(1, M))
         for n_list in ([1, 3], [2, N, N + 4]):
@@ -304,7 +303,7 @@ class TestSparsityGroups:
     def trace_for(self, ds, seed=0):
         rng = np.random.default_rng(seed)
         h0 = rng.normal(size=(ds.num_users + ds.num_items, 4))
-        return ForwardTrace(h0=h0, zs=[], hs=[], num_users=ds.num_users)
+        return ForwardTrace(final=h0, num_users=ds.num_users)
 
     def test_single_bin_equals_global(self, toy_dataset):
         trace = self.trace_for(toy_dataset)

@@ -3,8 +3,8 @@ import pytest
 
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema
-from graphrec.model import (ForwardTrace, ModelParams, forward, fuse,
-                            infer_attributes, init_params, normalize_logits,
+from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
+                            fuse, infer_attributes, init_params, normalize_logits,
                             predict_rating, score_all)
 
 from conftest import random_bipartite
@@ -51,7 +51,8 @@ class TestForward:
         X, Y = rng.random((2, 3)), rng.random((1, 3))
         t = forward(p, two_user_graph, X, Y)
         assert np.array_equal(t.final, fuse(p, X, Y))
-        assert t.zs == [] and t.hs == []
+        cached = forward(p, two_user_graph, X, Y, attribute_block(two_user_graph, X, Y, 0))
+        assert np.array_equal(cached.final, t.final)
 
     def test_identity_weight_no_edges(self):
         g = build_graph([], 2, 2)
@@ -71,6 +72,15 @@ class TestForward:
         assert np.allclose(t.final[0], t.h0[0] + t.h0[1])
         assert np.allclose(t.final[1], t.h0[1] + t.h0[0])
 
+    @staticmethod
+    def dense_layers(p, g, X, Y):
+        """Layer-by-layer forward with a dense operator: (A h_k) W_k."""
+        A = np.eye(g.num_nodes) + g.S.toarray()
+        h = fuse(p, X, Y)
+        for Wk in p.W:
+            h = (A @ h) @ Wk
+        return h
+
     def test_dense_oracle_two_layers(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -80,18 +90,41 @@ class TestForward:
                            seed=int(rng.integers(10**6)))
             X, Y = rng.normal(size=(M, 4)), rng.normal(size=(N, 3))
             t = forward(p, g, X, Y)
-            A = np.eye(M + N) + g.S.toarray()
-            h = fuse(p, X, Y)
-            for Wk in p.W:
-                h = (A @ h) @ Wk
-            assert np.abs(t.final - h).max() <= 1e-12
+            assert np.abs(t.final - self.dense_layers(p, g, X, Y)).max() <= 1e-12
 
-    def test_trace_caches_all_layers(self, two_user_graph):
-        p = params_for(2, 1, 2, 1, 1, 1, K=3)
-        t = forward(p, two_user_graph, np.zeros((2, 1)), np.zeros((1, 1)))
-        assert len(t.zs) == 3 and len(t.hs) == 3
-        for z, h, Wk in zip(t.zs, t.hs, p.W):
-            assert np.array_equal(h, z @ Wk)
+    def test_dense_oracle_both_paths(self):
+        # the uncached forward and the forward from the propagated attribute
+        # block both match the layer-by-layer dense oracle, K = 0..4, under
+        # both normalizations
+        rng = np.random.default_rng(13)
+        for norm_mode in ("symmetric", "row"):
+            for K in range(5):
+                for _ in range(8):
+                    g = random_bipartite(rng, norm_mode=norm_mode)
+                    M, N = g.num_users, g.num_items
+                    p = params_for(M, N, 3, 2, 4, 3, K=K, seed=int(rng.integers(10**6)))
+                    X, Y = rng.normal(size=(M, 4)), rng.normal(size=(N, 3))
+                    want = self.dense_layers(p, g, X, Y)
+                    plain = forward(p, g, X, Y)
+                    cached = forward(p, g, X, Y, attribute_block(g, X, Y, K))
+                    assert plain.block is None and cached.h0 is None
+                    assert np.abs(plain.final - want).max() <= 1e-12
+                    assert np.abs(cached.final - want).max() <= 1e-12
+                    assert np.abs(cached.z - plain.z).max() <= 1e-12
+
+    def test_attribute_block_layout(self):
+        # A^K [[X, 0], [0, Y]]: the dense operator applied to the block
+        # matrix, with no user column fed by Y before propagation
+        rng = np.random.default_rng(14)
+        g = random_bipartite(rng, norm_mode="row")
+        M, N = g.num_users, g.num_items
+        X, Y = rng.normal(size=(M, 2)), rng.normal(size=(N, 3))
+        A = np.eye(M + N) + g.S.toarray()
+        B0 = np.zeros((M + N, 5))
+        B0[:M, :2] = X
+        B0[M:, 2:] = Y
+        assert np.array_equal(attribute_block(g, X, Y, 0), B0)
+        assert np.abs(attribute_block(g, X, Y, 3) - A @ A @ A @ B0).max() <= 1e-12
 
     def test_linear_in_inputs(self, two_user_graph):
         # scaling every input matrix scales all outputs by the same factor
@@ -113,11 +146,21 @@ class TestForward:
         with pytest.raises(FloatingPointError, match="layer 2"):
             forward(p, two_user_graph, np.zeros((2, 1)), np.zeros((1, 1)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_names_first_layer_on_both_paths(self, two_user_graph):
+        X, Y = np.ones((2, 1)), np.ones((1, 1))
+        for bad, layer in ((0, "layer 1"), (2, "layer 3")):
+            p = params_for(2, 1, 2, 1, 1, 1, K=3)
+            p.W[bad][0, 0] = np.nan
+            for block in (None, attribute_block(two_user_graph, X, Y, 3)):
+                with pytest.raises(FloatingPointError, match=layer):
+                    forward(p, two_user_graph, X, Y, block)
+
 
 class TestPredict:
     def make_trace(self, U, V):
         h0 = np.vstack([U, V])
-        return ForwardTrace(h0=h0, zs=[], hs=[], num_users=len(U))
+        return ForwardTrace(final=h0, num_users=len(U))
 
     def test_hand_case(self):
         t = self.make_trace(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))

@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
 from graphrec import build_graph, make_toy_dataset
-from graphrec.attributes import AttributeSchema, encode
-from graphrec.model import forward, init_params
+from graphrec.attributes import AttributeSchema, encode, init_missing
+from graphrec.data import load_checkpoint
+from graphrec.model import attribute_block, forward, infer_attributes, init_params
 from graphrec.train import (AdamState, TrainConfig, TrainingDivergedError,
                             TripleBatch, adam_step, attribute_loss, bpr_loss,
                             gradients, sample_negatives, sample_triples,
@@ -34,7 +37,7 @@ class TestConfig:
     def test_rejected_values(self):
         for kwargs in ({"K": 5}, {"K": -1}, {"alpha": 1.0}, {"gamma": -0.1},
                        {"lam": -1.0}, {"attr_update_cadence": "never"},
-                       {"batch_size": 0}):
+                       {"batch_size": 0}, {"norm_mode": "rows"}):
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs).validate()
 
@@ -202,6 +205,42 @@ class TestGradients:
                 rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-4)
                 assert rel < 1e-4, f"{name}[{idx}]: analytic {an}, fd {fd}"
 
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_finite_difference_row_normalized(self, K):
+        # under row normalization S is not symmetric, so the backward pass
+        # must apply S^T; both attribute sides feed the objective
+        rng = np.random.default_rng(20 + K)
+        M, N = 8, 10
+        g = build_graph(rng.integers(0, [M, N], size=(30, 2)), M, N, "row")
+        assert abs(g.S - g.S.T).max() > 0.1
+        user_table, item_table = small_attr_tables(rng)
+        config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01,
+                             norm_mode="row").validate()
+        p = init_params(M, N, 3, 2, 5, 5, K=K, seed=30 + K, init_std=0.1)
+        X = init_missing(user_table, fallback=0.5)
+        Y = init_missing(item_table, fallback=0.5)
+        batch = sample_triples(g, 16, rng)
+        grads = gradients(forward(p, g, X, Y), batch, user_table, item_table, p,
+                          config, g, X, Y)
+        cached = gradients(forward(p, g, X, Y, attribute_block(g, X, Y, K)), batch,
+                           user_table, item_table, p, config, g, X, Y)
+        h = 1e-5
+        for name, arr in p.as_dict().items():
+            assert np.abs(cached[name] - grads[name]).max() <= \
+                1e-12 * max(1.0, np.abs(grads[name]).max()), name
+            flat = arr.ravel()
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = total_loss(p, g, X, Y, batch, user_table, item_table, config)
+                flat[idx] = orig - h
+                dn = total_loss(p, g, X, Y, batch, user_table, item_table, config)
+                flat[idx] = orig
+                fd = (up - dn) / (2 * h)
+                an = grads[name].ravel()[idx]
+                rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-4)
+                assert rel < 1e-4, f"{name}[{idx}]: analytic {an}, fd {fd}"
+
     def test_zero_observed_attributes_zero_head_grads(self):
         rng = np.random.default_rng(11)
         M, N = 8, 10
@@ -318,6 +357,63 @@ class TestTrainLoop:
         for name, arr in r1.final_params.as_dict().items():
             assert np.array_equal(arr, r2.final_params.as_dict()[name])
         assert np.array_equal(r1.final_X, r2.final_X)
+
+    def test_norm_mode_must_match_graph(self, toy_dataset):
+        cfg = self.small_config(max_epochs=1)
+        with pytest.raises(ValueError, match="'row'.*'symmetric'"):
+            train(toy_dataset, replace(cfg, norm_mode="row"))
+        row_data = make_toy_dataset(seed=0, norm_mode="row")
+        with pytest.raises(ValueError, match="'symmetric'.*'row'"):
+            train(row_data, cfg)
+        assert len(train(row_data, replace(cfg, norm_mode="row")).log) == 1
+
+    def checked_steps(self, monkeypatch, dataset):
+        """Make every forward inside train() check itself against an uncached
+        forward on the same params, X and Y, and every write-back check that
+        it reads the heads at the parameters of that moment."""
+        mod = sys.modules["graphrec.train"]
+        real_forward, real_update = mod.forward, mod.apply_update
+        seen = {"errors": [], "cached": 0, "updates": 0}
+
+        def checked_forward(params, graph, X, Y, block=None):
+            trace = real_forward(params, graph, X, Y, block)
+            ref = real_forward(params, graph, X, Y)
+            seen["errors"].append(max(np.abs(trace.final - ref.final).max(),
+                                      np.abs(trace.z - ref.z).max()))
+            seen["cached"] += block is not None
+            seen["trace"], seen["params"] = trace, params
+            return trace
+
+        def checked_update(current, inferred, table):
+            side = "user" if table is dataset.user_attrs else "item"
+            want = infer_attributes(seen["trace"], seen["params"], side, table.schema)
+            assert np.array_equal(inferred, want), f"{side} write-back read stale heads"
+            seen["updates"] += 1
+            return real_update(current, inferred, table)
+
+        monkeypatch.setattr(mod, "forward", checked_forward)
+        monkeypatch.setattr(mod, "apply_update", checked_update)
+        return seen
+
+    @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
+    def test_cached_block_never_stale(self, toy_dataset, monkeypatch, tmp_path, cadence):
+        cfg = self.small_config(K=2, max_epochs=2, attr_update_cadence=cadence)
+        ckpt = tmp_path / "ckpt.bin"
+        seen = self.checked_steps(monkeypatch, toy_dataset)
+        train(toy_dataset, cfg, checkpoint_path=str(ckpt))
+        steps = -(-len(toy_dataset.train_pairs) // cfg.batch_size)
+        forwards = 2 * steps + (4 if cadence == "per-epoch" else 2)
+        assert seen["cached"] == len(seen["errors"]) == forwards
+        assert seen["updates"] == 2 * (2 * steps if cadence == "per-batch" else 2)
+        assert max(seen["errors"]) <= 1e-12
+
+        # a run resumed from the checkpoint rebuilds the block from its X, Y
+        seen["errors"].clear()
+        resumed = train(toy_dataset, replace(cfg, max_epochs=3),
+                        resume_from=load_checkpoint(str(ckpt)))
+        assert [e.epoch for e in resumed.log] == [3]
+        assert len(seen["errors"]) == forwards // 2
+        assert max(seen["errors"]) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
