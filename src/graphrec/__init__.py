@@ -13,8 +13,7 @@ from .graph import BipartiteGraph, build_graph, propagate
 from .model import (ForwardTrace, ModelParams, forward, fuse, infer_attributes,
                     init_params, predict_rating)
 from .train import (AdamState, TrainConfig, TrainResult, adam_step,
-                    attribute_loss, bpr_loss, gradients, sample_triples,
-                    total_loss, train)
+                    attribute_loss, bpr_loss, gradients, total_loss, train)
 from .toy import make_toy_dataset, write_toy_files
 
 __version__ = "0.1.0"

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .model import forward
+from .model import forward, infer_attributes
 
 HR_MODES = ("user-mean", "global")
+TARGETS = ("test", "val")
 DEFAULT_TOPN = (10, 20, 30, 40, 50)
 # Users scored per block of full-itemset ranking: a block's score matrix is
 # this many rows of N floats (about 3.8 MB at ML-1M width). Larger blocks
@@ -50,26 +51,6 @@ def _topn(ranks, lengths, n_list):
         dcg = np.bincount(owner, weights=np.where(hit, gain, 0.0), minlength=users)
         ndcg[:, k] = dcg / ideal[np.minimum(n, lengths) - 1]
     return hits, hits / lengths[:, None], ndcg
-
-
-def user_topn_metrics(scores, train_items, target_items, n_list):
-    """HR@N and NDCG@N for one user.
-
-    ``scores`` covers all items; ``train_items`` are excluded from the
-    candidate set. HR@N = |top-N hits| / |targets| (recall form); NDCG@N uses
-    1/log2(rank+1) gains with IDCG truncated at min(N, |targets|). Ties break
-    by ascending item index. Returns (hr map, ndcg map, hits map).
-    """
-    target_items = np.asarray(target_items, dtype=np.int64)
-    s = np.array(scores, dtype=float)
-    if len(train_items):
-        s[np.asarray(train_items)] = -np.inf
-    ranks = 1 + _ahead(s, np.arange(len(s)), s[target_items, None],
-                       target_items[:, None]).sum(axis=1)
-    hits, hr, ndcg = _topn(ranks, np.array([len(target_items)]), n_list)
-    return ({n: float(hr[0, k]) for k, n in enumerate(n_list)},
-            {n: float(ndcg[0, k]) for k, n in enumerate(n_list)},
-            {n: int(hits[0, k]) for k, n in enumerate(n_list)})
 
 
 def _block_ranks(scores, rows, items, depth):
@@ -108,6 +89,8 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     """
     if hr_mode not in HR_MODES:
         raise ValueError(f"hr_mode must be one of {HR_MODES}")
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     targets = dataset.test_items if target == "test" else dataset.val_items
     if not targets:
         raise ValueError(f"no users with {target} items")
@@ -172,15 +155,6 @@ def _average_precisions(truth, scores):
         rows = n_true == k
         ap[rows] = precision[rows][hit[rows]].reshape(-1, k).mean(axis=1)
     return ap
-
-
-def average_precision(truth, scores):
-    """AP over one block: mean over true labels of precision at that label's
-    rank when dimensions are sorted by descending score (ties by index).
-    None when no label is true."""
-    ap = _average_precisions(np.asarray(truth)[None],
-                             np.asarray(scores, dtype=float)[None])[0]
-    return None if np.isnan(ap) else float(ap)
 
 
 def attribute_metrics(predicted, table):
@@ -330,8 +304,6 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
                    hr_mode="user-mean", bins=None):
     """Full EvalReport for one model state: ranking metrics, per-field
     attribute metrics on the masked test pairs, and sparsity groups."""
-    from .model import infer_attributes
-
     trace = forward(params, dataset.graph_train, X, Y)
     n_list = list(n_list)
     # the sparsity groups take their NDCG@10 from this one ranking pass

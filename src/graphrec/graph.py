@@ -21,17 +21,15 @@ class BipartiteGraph:
     Attributes:
         num_users: M.
         num_items: N.
-        edges: (E, 2) int array of unique (user, item) pairs, lexicographically sorted.
         S: (M+N) x (M+N) CSR propagation operator (normalized adjacency, no self loops).
         St: S transposed, as CSR: S itself under symmetric normalization,
             a copy built once under row normalization (backward passes apply it).
         norm_mode: "symmetric" (D^-1/2 A D^-1/2) or "row" (D^-1 A).
     """
 
-    def __init__(self, num_users, num_items, edges, S, norm_mode):
+    def __init__(self, num_users, num_items, S, norm_mode):
         self.num_users = num_users
         self.num_items = num_items
-        self.edges = edges
         self.S = S
         self.St = S if norm_mode == "symmetric" else S.T.tocsr()
         self.norm_mode = norm_mode
@@ -52,7 +50,7 @@ class BipartiteGraph:
 
     def __repr__(self):
         return (f"BipartiteGraph(M={self.num_users}, N={self.num_items}, "
-                f"edges={len(self.edges)}, norm={self.norm_mode!r})")
+                f"edges={self.S.indptr[self.num_users]}, norm={self.norm_mode!r})")
 
 
 def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
@@ -78,13 +76,12 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     if bad.any():
         u, i = pairs[np.argmax(bad)]
         raise ValueError(f"interaction ({u}, {i}) out of range for M={num_users}, N={num_items}")
-    keys = np.unique(pairs[:, 0] * num_items + pairs[:, 1])
-    pairs = np.column_stack([keys // num_items, keys % num_items])
-
     M, N = num_users, num_items
+    keys = np.unique(pairs[:, 0] * N + pairs[:, 1])
+    users, items = keys // N, M + keys % N
     # both directions of every edge
-    rows = np.concatenate([pairs[:, 0], M + pairs[:, 1]])
-    cols = np.concatenate([M + pairs[:, 1], pairs[:, 0]])
+    rows = np.concatenate([users, items])
+    cols = np.concatenate([items, users])
     A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(M + N, M + N))
 
     deg = np.diff(A.indptr)
@@ -95,7 +92,7 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
         else:
             S = (sp.diags(np.where(deg > 0, 1.0 / deg, 0.0)) @ A).tocsr()
 
-    return BipartiteGraph(M, N, pairs, S, norm_mode)
+    return BipartiteGraph(M, N, S, norm_mode)
 
 
 def propagate(graph, H):

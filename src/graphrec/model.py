@@ -93,7 +93,6 @@ class ForwardTrace:
     final: ((M+N) x D) output embeddings, users first, D = d + d_a.
     z: ``A^K H_0``, the propagated input before the layer weights
     (``final = z @ W_1 ... W_K``).
-    h0: the fused input H_0; only the uncached forward builds it.
     block: the propagated attribute block ``A^K [[X, 0], [0, Y]]`` the
     forward used, or None when it propagated the fused input.
 
@@ -104,7 +103,6 @@ class ForwardTrace:
     final: np.ndarray
     num_users: int
     z: np.ndarray = None
-    h0: np.ndarray = None
     block: np.ndarray = None
 
     @property
@@ -161,10 +159,8 @@ def forward(params, graph, X, Y, block=None):
     """
     K = params.num_layers
     if block is None:
-        h0 = fuse(params, X, Y)
-        z = propagate_k(graph, h0, K)
+        z = propagate_k(graph, fuse(params, X, Y), K)
     else:
-        h0 = None
         free = propagate_k(graph, np.vstack([params.P, params.Q]), K)
         z = np.hstack([free, block @ np.vstack([params.W_u, params.W_v])])
     final = z @ functools.reduce(np.matmul, params.W) if K else z
@@ -175,7 +171,7 @@ def forward(params, graph, X, Y, block=None):
             if not np.isfinite(h).all():
                 break
         raise FloatingPointError(f"non-finite activations after layer {k + 1}")
-    return ForwardTrace(final=final, num_users=graph.num_users, z=z, h0=h0, block=block)
+    return ForwardTrace(final=final, num_users=graph.num_users, z=z, block=block)
 
 
 def predict_rating(trace, a, i):
@@ -186,11 +182,6 @@ def predict_rating(trace, a, i):
     if not 0 <= i < V.shape[0]:
         raise IndexError(f"item index {i} out of range")
     return float(trace.user_embeddings[a] @ V[i])
-
-
-def score_all(trace):
-    """Full (M x N) score matrix U @ V^T."""
-    return trace.user_embeddings @ trace.item_embeddings.T
 
 
 def normalize_logits(logits, schema):

@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attributes import apply_update, init_missing
+from .data import save_checkpoint
+from .evaluate import rank_and_score
 from .graph import NORM_MODES
 from .model import ModelParams, attribute_block, forward, infer_attributes, init_params
 
@@ -136,9 +138,6 @@ class TripleBatch:
     def __len__(self):
         return len(self.users)
 
-    def __iter__(self):
-        return iter(zip(self.users.tolist(), self.pos.tolist(), self.neg.tolist()))
-
 
 def sample_negatives(graph, users, rng):
     """One uniformly random non-interacted item per user, by rejection. Only
@@ -156,16 +155,6 @@ def sample_negatives(graph, users, rng):
         while neg[r] in own:
             neg[r] = rng.integers(0, N)
     return neg
-
-
-def sample_triples(graph, batch_size, rng):
-    """Uniform positive pairs from the training edges plus sampled negatives."""
-    if len(graph.edges) == 0:
-        raise ValueError("graph has no edges to sample from")
-    idx = rng.integers(0, len(graph.edges), size=batch_size)
-    users = graph.edges[idx, 0]
-    pos = graph.edges[idx, 1]
-    return TripleBatch(users, pos, sample_negatives(graph, users, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +239,24 @@ def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
     return loss_r + config.gamma * loss_a
 
 
-def gradients(trace, batch, user_table, item_table, params, config, graph, X, Y,
-              heads=None):
+def gradients(trace, batch, user_table, item_table, params, config, graph, heads=None):
     """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
 
     With ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``, the gradient G of
     ``final`` gives every layer weight from ``C = z^T G`` as
     ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from ``(A^T)^K`` applied
     to the first d columns of ``G (W_1 ... W_K)^T``, and W_u, W_v from the
-    attribute block ``A^K [[X, 0], [0, Y]]`` (``trace.block``, built here
-    from X and Y when the forward ran without it). ``heads`` are the pass's
-    :func:`head_predictions`, computed when absent.
+    attribute block ``A^K [[X, 0], [0, Y]]`` the forward was given
+    (``trace.block``). ``heads`` are the pass's :func:`head_predictions`,
+    computed when absent.
+
+    Raises:
+        ValueError: when the trace holds no block, i.e. the forward ran
+            without ``attribute_block(graph, X, Y, K)``.
     """
+    if trace.block is None:
+        raise ValueError("gradients need a forward trace built with "
+                         "attribute_block(graph, X, Y, K)")
     M = graph.num_users
     d = params.P.shape[1]
     U = trace.user_embeddings
@@ -312,10 +307,7 @@ def gradients(trace, batch, user_table, item_table, params, config, graph, X, Y,
     grads["P"] = g_free[:M] + 2.0 * config.lam * params.P
     grads["Q"] = g_free[M:] + 2.0 * config.lam * params.Q
 
-    block = trace.block
-    if block is None:
-        block = attribute_block(graph, X, Y, params.num_layers)
-    g_proj = block.T @ (G @ W_all[d:].T)
+    g_proj = trace.block.T @ (G @ W_all[d:].T)
     d_x = params.W_u.shape[0]
     grads["W_u"] = g_proj[:d_x]
     grads["W_v"] = g_proj[d_x:]
@@ -361,13 +353,26 @@ class TrainResult:
 
 def _refresh_attributes(trace, params, X, Y, user_table, item_table):
     # the heads are evaluated afresh: after a step they read the updated W_x, W_y
-    if _side_width(user_table):
-        X = apply_update(X, infer_attributes(trace, params, "user", user_table.schema),
-                         user_table)
-    if _side_width(item_table):
-        Y = apply_update(Y, infer_attributes(trace, params, "item", item_table.schema),
-                         item_table)
+    pred_x, pred_y = head_predictions(trace, params, user_table, item_table)
+    if pred_x is not None:
+        X = apply_update(X, pred_x, user_table)
+    if pred_y is not None:
+        Y = apply_update(Y, pred_y, item_table)
     return X, Y
+
+
+def _check_resume(params, config, M, N, d_x, d_y):
+    """Raise ValueError at the first checkpoint dimension that differs from
+    the run's: its layer count, widths and node counts."""
+    for name, have, want in (("K", params.num_layers, config.K),
+                             ("d", params.P.shape[1], config.d),
+                             ("d_a", params.W_u.shape[1], config.d_a),
+                             ("users", params.P.shape[0], M),
+                             ("items", params.Q.shape[0], N),
+                             ("d_x", params.W_u.shape[0], d_x),
+                             ("d_y", params.W_v.shape[0], d_y)):
+        if have != want:
+            raise ValueError(f"checkpoint has {name}={have}, but this run has {name}={want}")
 
 
 def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None,
@@ -391,11 +396,9 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
 
     Raises:
         ValueError: when ``config.norm_mode`` is not the normalization the
-            dataset's graph was built with.
+            dataset's graph was built with, or when a dimension of the
+            ``resume_from`` checkpoint differs from the config or the dataset.
     """
-    from .data import save_checkpoint  # local import to avoid a cycle
-    from .evaluate import rank_and_score
-
     config.validate()
     graph = dataset.graph_train
     if config.norm_mode != graph.norm_mode:
@@ -410,6 +413,7 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     rng = np.random.default_rng(config.seed_sampling)
     if resume_from is not None:
         params = resume_from.params
+        _check_resume(params, config, M, N, d_x, d_y)
         X = resume_from.X.copy()
         Y = resume_from.Y.copy()
         pdict = params.as_dict()
@@ -463,7 +467,7 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} (non-finite loss){hint}")
             grads = gradients(trace, batch, user_table, item_table, params,
-                              config, graph, X, Y, heads)
+                              config, graph, heads)
             adam_step(pdict, grads, opt, config.learning_rate)
             if per_batch:
                 X, Y = _refresh_attributes(trace, params, X, Y, user_table, item_table)

@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from graphrec import build_graph, make_toy_dataset
-from graphrec.attributes import AttributeSchema, apply_update, encode, mask
+from graphrec.attributes import (AttributeSchema, apply_update, encode, init_missing,
+                                 mask)
 from graphrec.data import load_checkpoint, save_checkpoint, split
 from graphrec.evaluate import (attribute_metrics, bpr_baseline, evaluate_model,
-                               label_propagation_metrics,
-                               majority_class_accuracy, user_topn_metrics)
-from graphrec.model import forward, init_params, normalize_logits
-from graphrec.train import TrainConfig, gradients, sample_triples, total_loss, train
+                               label_propagation_metrics, majority_class_accuracy)
+from graphrec.model import attribute_block, forward, init_params, normalize_logits
+from graphrec.train import TrainConfig, gradients, total_loss, train
 
-from conftest import small_attr_tables
-from test_evaluate import naive_user_metrics
+from conftest import pair_batch, small_attr_tables
+from test_evaluate import naive_user_metrics, one_user_metrics
 
 
 def check(label, passed, detail):
@@ -37,23 +37,25 @@ def check(label, passed, detail):
 
 def test_criterion_1_gradient_correctness():
     """M=8, N=10, d=4, d_a=3, K=2, gamma=0.5, both attribute sides; central
-    finite differences with h=1e-4; max relative error < 1e-4."""
+    finite differences with h=1e-4; max relative error < 1e-4. The analytic
+    gradients come from the forward that training runs, with the propagated
+    attribute block, on a batch drawn from the training pairs as training
+    draws one."""
     rng = np.random.default_rng(0)
     M, N, d, d_a, K = 8, 10, 4, 3, 2
-    g = build_graph(rng.integers(0, [M, N], size=(35, 2)), M, N)
+    pairs = rng.integers(0, [M, N], size=(35, 2))
+    g = build_graph(pairs, M, N)
     user_table, item_table = small_attr_tables(rng)
     d_x = user_table.schema.total_dim
     d_y = item_table.schema.total_dim
     config = TrainConfig(d=d, d_a=d_a, K=K, gamma=0.5, lam=0.01).validate()
     params = init_params(M, N, d, d_a, d_x, d_y, K=K, seed=1, init_std=0.1)
-    from graphrec.attributes import init_missing
     X = init_missing(user_table, fallback=0.5)
     Y = init_missing(item_table, fallback=0.5)
-    batch = sample_triples(g, 16, rng)
+    batch = pair_batch(g, pairs, 16, rng)
 
-    trace = forward(params, g, X, Y)
-    analytic = gradients(trace, batch, user_table, item_table, params, config,
-                         g, X, Y)
+    trace = forward(params, g, X, Y, attribute_block(g, X, Y, K))
+    analytic = gradients(trace, batch, user_table, item_table, params, config, g)
     h = 1e-4
     worst = 0.0
     worst_name = ""
@@ -80,6 +82,9 @@ def test_criterion_1_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2a_forward_dense_oracle():
+    """Both forwards (the one-shot one and training's, with the propagated
+    attribute block) against ``(A H_k) W_k`` layer by layer from an
+    ``H_0 = [[P, X W_u], [Q, Y W_v]]`` built here."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
@@ -91,17 +96,20 @@ def test_criterion_2a_forward_dense_oracle():
         p = init_params(M, N, 3, 2, 4, 3, K=2, seed=int(rng.integers(10**6)),
                         init_std=0.3)
         X, Y = rng.normal(size=(M, 4)), rng.normal(size=(N, 3))
-        trace = forward(p, g, X, Y)
         A = np.eye(M + N) + g.S.toarray()
-        H = trace.h0
+        H = np.vstack([np.hstack([p.P, X @ p.W_u]), np.hstack([p.Q, Y @ p.W_v])])
         for Wk in p.W:
             H = (A @ H) @ Wk
-        worst = max(worst, float(np.abs(trace.final - H).max()))
+        for block in (None, attribute_block(g, X, Y, 2)):
+            trace = forward(p, g, X, Y, block)
+            worst = max(worst, float(np.abs(trace.final - H).max()))
     check("2a forward-dense-oracle", worst <= 1e-12,
-          f"max abs error {worst:.3e} over 50 graphs with M+N <= 20, tolerance 1e-12")
+          f"max abs error {worst:.3e} over 50 graphs with M+N <= 20 and both "
+          "forwards, tolerance 1e-12")
 
 
 def test_criterion_2b_ranking_metric_oracle():
+    """rank_and_score on one user against an explicit sort of the candidates."""
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(1000):
@@ -113,7 +121,7 @@ def test_criterion_2b_ranking_metric_oracle():
         train_items = perm[:n_train]
         test_items = np.sort(perm[n_train:n_train + n_test])
         n = int(rng.integers(1, 20))
-        hr, ndcg, _ = user_topn_metrics(s, train_items, test_items, [n])
+        hr, ndcg = one_user_metrics(s, train_items, test_items, [n])
         hr0, ndcg0 = naive_user_metrics(s, train_items, test_items, n)
         worst = max(worst, abs(hr[n] - hr0), abs(ndcg[n] - ndcg0))
     check("2b ranking-metric-oracle", worst <= 1e-12,

@@ -5,11 +5,10 @@ import graphrec.evaluate as evaluate
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing, mask
 from graphrec.data import Dataset
-from graphrec.evaluate import (HR_MODES, EvalReport, attribute_metrics, average_precision,
-                               bpr_baseline, default_bins, evaluate_model,
-                               label_propagation, label_propagation_metrics,
-                               majority_class_accuracy, rank_and_score,
-                               sparsity_groups, user_topn_metrics)
+from graphrec.evaluate import (HR_MODES, EvalReport, attribute_metrics, bpr_baseline,
+                               default_bins, evaluate_model, label_propagation,
+                               label_propagation_metrics, majority_class_accuracy,
+                               rank_and_score, sparsity_groups)
 from graphrec.model import ForwardTrace, forward, init_params
 from graphrec.train import TrainConfig
 
@@ -26,6 +25,19 @@ def naive_user_metrics(scores, train_items, target_items, n):
     return hr, dcg / idcg
 
 
+def one_user_metrics(scores, train_items, target_items, n_list):
+    """(HR map, NDCG map) of one user from rank_and_score: the user's
+    embedding is [1] and each item's is its score, so the user scores item i
+    as ``scores[i]``; ``train_items`` are the user's edges in the graph."""
+    scores = np.asarray(scores, dtype=float)
+    pairs = np.array([(0, i) for i in train_items], dtype=np.int64).reshape(-1, 2)
+    ds = Dataset(graph_train=build_graph(pairs, 1, len(scores)), train_pairs=pairs,
+                 val_items={}, test_items={0: np.asarray(target_items)},
+                 user_attrs=None, item_attrs=None, user_ids=["u0"], item_ids=[])
+    trace = ForwardTrace(final=np.vstack([[[1.0]], scores[:, None]]), num_users=1)
+    return rank_and_score(trace, ds, n_list)
+
+
 def scores_placing(num_items, placement):
     """Scores where item i gets rank placement[i] (1 = best)."""
     s = np.zeros(num_items)
@@ -37,7 +49,7 @@ def scores_placing(num_items, placement):
 class TestUserMetrics:
     def test_single_item_rank_one(self):
         s = scores_placing(20, {3: 1})
-        hr, ndcg, _ = user_topn_metrics(s, [], [3], [10])
+        hr, ndcg = one_user_metrics(s, [], [3], [10])
         assert hr[10] == 1.0
         assert ndcg[10] == 1.0
 
@@ -45,7 +57,7 @@ class TestUserMetrics:
         s = np.zeros(20)
         s[[7, 8]] = [5.0, 4.0]
         s[3] = 3.0
-        hr, ndcg, _ = user_topn_metrics(s, [], [3], [10])
+        hr, ndcg = one_user_metrics(s, [], [3], [10])
         assert hr[10] == 1.0
         assert ndcg[10] == pytest.approx(1.0 / np.log2(4.0))
         assert ndcg[10] == pytest.approx(0.5)
@@ -55,7 +67,7 @@ class TestUserMetrics:
         s = np.zeros(30)
         s[2] = 20.0
         s[np.arange(10, 22)] = np.linspace(19, 8, 12)
-        hr, ndcg, _ = user_topn_metrics(s, [], [2, 25], [10])
+        hr, ndcg = one_user_metrics(s, [], [2, 25], [10])
         assert hr[10] == 0.5
         expected = 1.0 / (1.0 + 1.0 / np.log2(3.0))
         assert ndcg[10] == pytest.approx(expected)
@@ -65,7 +77,7 @@ class TestUserMetrics:
         s = np.zeros(5)
         s[0] = 10.0  # best score, but a training item
         s[1] = 5.0
-        hr, _, _ = user_topn_metrics(s, [0], [1], [1])
+        hr, _ = one_user_metrics(s, [0], [1], [1])
         assert hr[1] == 1.0
 
     def test_hr_monotone_in_n(self):
@@ -74,7 +86,7 @@ class TestUserMetrics:
             s = rng.normal(size=40)
             targets = rng.choice(40, size=5, replace=False)
             ns = [1, 5, 10, 20, 40]
-            hr, _, _ = user_topn_metrics(s, [], targets, ns)
+            hr, _ = one_user_metrics(s, [], targets, ns)
             for a, b in zip(ns, ns[1:]):
                 assert hr[a] <= hr[b]
 
@@ -87,7 +99,7 @@ class TestUserMetrics:
             s = rng.normal(size=40)
             target = [int(rng.integers(40))]
             ns = [1, 5, 10, 20, 40]
-            _, ndcg, _ = user_topn_metrics(s, [], target, ns)
+            _, ndcg = one_user_metrics(s, [], target, ns)
             for a, b in zip(ns, ns[1:]):
                 assert ndcg[a] <= ndcg[b] + 1e-15
 
@@ -96,17 +108,17 @@ class TestUserMetrics:
         for _ in range(100):
             s = rng.normal(size=15)
             targets = rng.choice(15, size=3, replace=False)
-            _, ndcg, _ = user_topn_metrics(s, [], targets, [10])
+            _, ndcg = one_user_metrics(s, [], targets, [10])
             order = np.argsort(-s, kind="stable")
             all_on_top = set(targets) == set(order[:3].tolist())
             assert (abs(ndcg[10] - 1.0) < 1e-12) == all_on_top
 
     def test_tie_break_ascending_index(self):
         s = np.ones(6)  # all tied: ranking must be 0,1,2,...
-        _, _, hits = user_topn_metrics(s, [], [1], [2])
-        assert hits[2] == 1
-        _, _, hits = user_topn_metrics(s, [], [4], [2])
-        assert hits[2] == 0
+        hr, _ = one_user_metrics(s, [], [1], [2])
+        assert hr[2] == 1.0
+        hr, _ = one_user_metrics(s, [], [4], [2])
+        assert hr[2] == 0.0
 
     def test_brute_force_oracle_thousand_users(self):
         rng = np.random.default_rng(2)
@@ -119,7 +131,7 @@ class TestUserMetrics:
             n_test = int(rng.integers(1, num_items - n_train))
             test = np.sort(perm[n_train:n_train + n_test])
             n = int(rng.integers(1, 15))
-            hr, ndcg, _ = user_topn_metrics(s, train, test, [n])
+            hr, ndcg = one_user_metrics(s, train, test, [n])
             hr0, ndcg0 = naive_user_metrics(s, train, test, n)
             assert abs(hr[n] - hr0) <= 1e-12
             assert abs(ndcg[n] - ndcg0) <= 1e-12
@@ -173,6 +185,18 @@ class TestRankAndScore:
         with pytest.raises(ValueError, match="hr_mode"):
             rank_and_score(trace, ds, [10], hr_mode="median")
 
+    def test_bad_target(self, toy_dataset):
+        # a misspelt target is rejected, not read as "val"
+        ds = toy_dataset
+        p = init_params(50, 60, 4, 2, ds.user_attrs.schema.total_dim,
+                        ds.item_attrs.schema.total_dim, K=1, seed=0)
+        X, Y = init_missing(ds.user_attrs), init_missing(ds.item_attrs)
+        trace = forward(p, ds.graph_train, X, Y)
+        with pytest.raises(ValueError, match="target must be one of.*'tset'"):
+            rank_and_score(trace, ds, [10], target="tset")
+        with pytest.raises(ValueError, match="target must be one of.*'Test'"):
+            evaluate_model(p, X, Y, ds, target="Test")
+
     def test_blocked_brute_force_oracle(self, monkeypatch):
         # several user blocks and candidate chunks, integer scores (ties),
         # a user trained on every item, cutoffs below and at/above N
@@ -188,7 +212,7 @@ class TestRankAndScore:
             cand = np.setdiff1d(np.arange(N), trained[a])
             k = int(rng.integers(1, len(cand) + 1))
             test[a] = np.sort(rng.choice(cand, size=k, replace=False))
-        ds = Dataset(graph_train=g, train_pairs=g.edges, val_items={}, test_items=test,
+        ds = Dataset(graph_train=g, train_pairs=np.array(pairs), val_items={}, test_items=test,
                      user_attrs=None, item_attrs=None, user_ids=[], item_ids=[])
         trace = ForwardTrace(final=rng.integers(-2, 3, size=(M + N, 2)).astype(float),
                              num_users=M)
@@ -215,18 +239,27 @@ class TestRankAndScore:
 
 
 class TestAveragePrecision:
+    @staticmethod
+    def one_entity_map(truth, scores):
+        """MAP from attribute_metrics over one masked entity with one
+        multi-label field: that entity's AP, or None without a true label."""
+        schema = AttributeSchema([("m", "multi", [str(j) for j in range(len(truth))])])
+        t = encode([{"m": list(np.flatnonzero(truth))}], schema)
+        t.masked.append((0, 0))
+        return attribute_metrics(np.array([scores], dtype=float), t)["m"]["value"]
+
     def test_perfect(self):
         # truth dims {1,3}, predictions rank them 1st and 2nd
-        ap = average_precision([0, 1, 0, 1], [0.1, 0.9, 0.2, 0.8])
+        ap = self.one_entity_map([0, 1, 0, 1], [0.1, 0.9, 0.2, 0.8])
         assert ap == 1.0
 
     def test_half(self):
         # truth dims ranked 2nd and 4th -> (1/2 + 2/4) / 2
-        ap = average_precision([0, 1, 0, 1], [0.9, 0.8, 0.7, 0.6])
+        ap = self.one_entity_map([0, 1, 0, 1], [0.9, 0.8, 0.7, 0.6])
         assert ap == 0.5
 
     def test_no_true_labels(self):
-        assert average_precision([0, 0, 0], [0.3, 0.2, 0.1]) is None
+        assert self.one_entity_map([0, 0, 0], [0.3, 0.2, 0.1]) is None
 
 
 class TestAttributeMetrics:
@@ -374,7 +407,7 @@ class TestLabelPropagation:
         t.masked.extend([(3, 0), (4, 0)])
         lp = label_propagation(g, t, "f", iterations=10**5, tol=1e-14)
 
-        P = build_graph(g.edges, M, N, "row").S.toarray()
+        P = build_graph(pairs, M, N, "row").S.toarray()
         clamped = np.array([0, 1, 2])  # observed user rows
         free = np.array([r for r in range(M + N) if r not in clamped])
         F_obs = t.values[:3, :2]

@@ -3,7 +3,7 @@ import pytest
 
 from graphrec import build_graph, propagate
 
-from conftest import random_bipartite
+from conftest import random_bipartite, random_pairs
 
 
 class TestBuildGraph:
@@ -37,18 +37,18 @@ class TestBuildGraph:
         g1 = build_graph([(0, 0), (0, 0)], 1, 1, "symmetric")
         g2 = build_graph([(0, 0)], 1, 1, "symmetric")
         assert (g1.S != g2.S).nnz == 0
-        assert len(g1.edges) == 1
+        assert g1.S.nnz == 2 and "edges=1" in repr(g1)
 
     def test_interaction_storage_symmetry(self):
-        # the user and item blocks of S both hold exactly the edges, and the
-        # accessors decode the user rows into sorted items and degrees
+        # the user and item blocks of S both hold exactly the input pairs,
+        # and the accessors decode the user rows into sorted items and degrees
         rng = np.random.default_rng(5)
         for norm_mode in ("symmetric", "row"):
             for _ in range(10):
-                g = random_bipartite(rng, norm_mode=norm_mode)
-                M = g.num_users
-                R = np.zeros((M, g.num_items), dtype=bool)
-                R[g.edges[:, 0], g.edges[:, 1]] = True
+                pairs, M, N = random_pairs(rng)
+                g = build_graph(pairs, M, N, norm_mode)
+                R = np.zeros((M, N), dtype=bool)
+                R[pairs[:, 0], pairs[:, 1]] = True
                 pattern = g.S.toarray() != 0
                 assert np.array_equal(pattern[:M, M:], R)
                 assert np.array_equal(pattern[M:, :M], R.T)

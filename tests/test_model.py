@@ -5,7 +5,7 @@ from graphrec import build_graph
 from graphrec.attributes import AttributeSchema
 from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
                             fuse, infer_attributes, init_params, normalize_logits,
-                            predict_rating, score_all)
+                            predict_rating)
 
 from conftest import random_bipartite
 
@@ -61,16 +61,18 @@ class TestForward:
         rng = np.random.default_rng(2)
         X, Y = rng.random((2, 2)), rng.random((2, 2))
         t = forward(p, g, X, Y)
-        assert np.allclose(t.final, t.h0)
+        assert np.allclose(t.final, fuse(p, X, Y))
 
     def test_one_layer_smoothing(self):
         # single edge, identity weight: each node adds its neighbor's input
         g = build_graph([(0, 0)], 1, 1)
         p = params_for(1, 1, 1, 1, 1, 1, K=1)
         p.W[0][:] = np.eye(2)
-        t = forward(p, g, np.array([[0.0]]), np.array([[0.0]]))
-        assert np.allclose(t.final[0], t.h0[0] + t.h0[1])
-        assert np.allclose(t.final[1], t.h0[1] + t.h0[0])
+        X, Y = np.array([[0.0]]), np.array([[0.0]])
+        t = forward(p, g, X, Y)
+        h0 = fuse(p, X, Y)
+        assert np.allclose(t.final[0], h0[0] + h0[1])
+        assert np.allclose(t.final[1], h0[1] + h0[0])
 
     @staticmethod
     def dense_layers(p, g, X, Y):
@@ -107,7 +109,7 @@ class TestForward:
                     want = self.dense_layers(p, g, X, Y)
                     plain = forward(p, g, X, Y)
                     cached = forward(p, g, X, Y, attribute_block(g, X, Y, K))
-                    assert plain.block is None and cached.h0 is None
+                    assert plain.block is None
                     assert np.abs(plain.final - want).max() <= 1e-12
                     assert np.abs(cached.final - want).max() <= 1e-12
                     assert np.abs(cached.z - plain.z).max() <= 1e-12
@@ -137,7 +139,6 @@ class TestForward:
         p2.Q *= 2.0
         t2 = forward(p2, two_user_graph, 2.0 * X, 2.0 * Y)
         assert np.allclose(t2.final, 2.0 * t1.final)
-        assert np.allclose(score_all(t2), 4.0 * score_all(t1))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_raises(self, two_user_graph):
@@ -174,12 +175,10 @@ class TestPredict:
         rng = np.random.default_rng(5)
         U, V = rng.normal(size=(6, 34)), rng.normal(size=(9, 34))
         t = self.make_trace(U, V)
-        S = score_all(t)
         for a in range(6):
             for i in range(9):
                 assert predict_rating(t, a, i) == pytest.approx(
                     np.dot(U[a], V[i]), abs=1e-12)
-                assert S[a, i] == pytest.approx(np.dot(U[a], V[i]), abs=1e-12)
 
     def test_index_errors(self):
         t = self.make_trace(np.zeros((2, 3)), np.zeros((4, 3)))

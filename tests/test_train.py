@@ -11,10 +11,9 @@ from graphrec.data import load_checkpoint
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
 from graphrec.train import (AdamState, TrainConfig, TrainingDivergedError,
                             TripleBatch, adam_step, attribute_loss, bpr_loss,
-                            gradients, sample_negatives, sample_triples,
-                            total_loss, train)
+                            gradients, sample_negatives, total_loss, train)
 
-from conftest import small_attr_tables
+from conftest import pair_batch, small_attr_tables
 
 
 def rejection_oracle(graph, users, rng):
@@ -52,8 +51,7 @@ class TestSampling:
     def test_single_candidate(self):
         g = build_graph([(0, 0)], 1, 2)
         rng = np.random.default_rng(0)
-        b = sample_triples(g, 100, rng)
-        assert np.all(b.users == 0) and np.all(b.pos == 0) and np.all(b.neg == 1)
+        assert np.all(sample_negatives(g, np.zeros(100, dtype=np.int64), rng) == 1)
 
     def test_uniform_frequency(self):
         g = build_graph([(0, 0)], 1, 3)
@@ -64,13 +62,16 @@ class TestSampling:
         assert abs(freq1 - 0.5) <= 0.05
 
     def test_triples_valid(self, toy_dataset):
+        # one epoch of training pairs in one batch: every positive is an edge
+        # of the graph and no negative is
         g = toy_dataset.graph_train
         rng = np.random.default_rng(2)
         M = g.num_users
         trained = g.S[:M, M:].toarray() != 0
-        for a, i, j in sample_triples(g, 500, rng):
-            assert trained[a, i]
-            assert not trained[a, j]
+        pairs = toy_dataset.train_pairs
+        batch = pair_batch(g, pairs, len(pairs), rng)
+        assert trained[batch.users, batch.pos].all()
+        assert not trained[batch.users, batch.neg].any()
 
     def test_matches_per_row_rejection(self, toy_dataset):
         # users 0-2 have every item but one and redraw often; the negatives
@@ -167,8 +168,8 @@ class TestGradients:
         g, config, p, X, Y = self.bpr_mf_setup()
         a, i, j = 0, 2, 1
         batch = TripleBatch(np.array([a]), np.array([i]), np.array([j]))
-        trace = forward(p, g, X, Y)
-        grads = gradients(trace, batch, None, None, p, config, g, X, Y)
+        trace = forward(p, g, X, Y, attribute_block(g, X, Y, 0))
+        grads = gradients(trace, batch, None, None, p, config, g)
         diff = p.P[a] @ (p.Q[i] - p.Q[j])
         s = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-diff)
         expect_pa = -s * (p.Q[i] - p.Q[j]) + 2 * config.lam * p.P[a]
@@ -180,16 +181,16 @@ class TestGradients:
     def test_finite_difference_oracle_small(self):
         rng = np.random.default_rng(9)
         M, N = 8, 10
-        g = build_graph(rng.integers(0, [M, N], size=(30, 2)), M, N)
+        pairs = rng.integers(0, [M, N], size=(30, 2))
+        g = build_graph(pairs, M, N)
         user_table, item_table = small_attr_tables(rng)
         config = TrainConfig(d=3, d_a=2, K=1, gamma=0.7, lam=0.01).validate()
         p = init_params(M, N, 3, 2, 5, 5, K=1, seed=10, init_std=0.1)
-        from graphrec.attributes import init_missing
         X = init_missing(user_table, fallback=0.5)
         Y = init_missing(item_table, fallback=0.5)
-        batch = sample_triples(g, 16, rng)
-        trace = forward(p, g, X, Y)
-        grads = gradients(trace, batch, user_table, item_table, p, config, g, X, Y)
+        batch = pair_batch(g, pairs, 16, rng)
+        trace = forward(p, g, X, Y, attribute_block(g, X, Y, 1))
+        grads = gradients(trace, batch, user_table, item_table, p, config, g)
         h = 1e-5
         for name, arr in p.as_dict().items():
             flat = arr.ravel()
@@ -211,7 +212,8 @@ class TestGradients:
         # must apply S^T; both attribute sides feed the objective
         rng = np.random.default_rng(20 + K)
         M, N = 8, 10
-        g = build_graph(rng.integers(0, [M, N], size=(30, 2)), M, N, "row")
+        pairs = rng.integers(0, [M, N], size=(30, 2))
+        g = build_graph(pairs, M, N, "row")
         assert abs(g.S - g.S.T).max() > 0.1
         user_table, item_table = small_attr_tables(rng)
         config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01,
@@ -219,15 +221,13 @@ class TestGradients:
         p = init_params(M, N, 3, 2, 5, 5, K=K, seed=30 + K, init_std=0.1)
         X = init_missing(user_table, fallback=0.5)
         Y = init_missing(item_table, fallback=0.5)
-        batch = sample_triples(g, 16, rng)
-        grads = gradients(forward(p, g, X, Y), batch, user_table, item_table, p,
-                          config, g, X, Y)
-        cached = gradients(forward(p, g, X, Y, attribute_block(g, X, Y, K)), batch,
-                           user_table, item_table, p, config, g, X, Y)
+        batch = pair_batch(g, pairs, 16, rng)
+        with pytest.raises(ValueError, match="attribute_block"):
+            gradients(forward(p, g, X, Y), batch, user_table, item_table, p, config, g)
+        grads = gradients(forward(p, g, X, Y, attribute_block(g, X, Y, K)), batch,
+                          user_table, item_table, p, config, g)
         h = 1e-5
         for name, arr in p.as_dict().items():
-            assert np.abs(cached[name] - grads[name]).max() <= \
-                1e-12 * max(1.0, np.abs(grads[name]).max()), name
             flat = arr.ravel()
             for idx in range(flat.size):
                 orig = flat[idx]
@@ -244,16 +244,17 @@ class TestGradients:
     def test_zero_observed_attributes_zero_head_grads(self):
         rng = np.random.default_rng(11)
         M, N = 8, 10
-        g = build_graph(rng.integers(0, [M, N], size=(30, 2)), M, N)
+        pairs = rng.integers(0, [M, N], size=(30, 2))
+        g = build_graph(pairs, M, N)
         user_table, item_table = small_attr_tables(rng)
         user_table.indicator[:] = 0.0
         item_table.indicator[:] = 0.0
         config = TrainConfig(d=3, d_a=2, K=1, gamma=1.0).validate()
         p = init_params(M, N, 3, 2, 5, 5, K=1, seed=12, init_std=0.1)
         X, Y = rng.random((M, 5)), rng.random((N, 5))
-        batch = sample_triples(g, 8, rng)
-        trace = forward(p, g, X, Y)
-        grads = gradients(trace, batch, user_table, item_table, p, config, g, X, Y)
+        batch = pair_batch(g, pairs, 8, rng)
+        trace = forward(p, g, X, Y, attribute_block(g, X, Y, 1))
+        grads = gradients(trace, batch, user_table, item_table, p, config, g)
         assert np.all(grads["W_x"] == 0.0)
         assert np.all(grads["W_y"] == 0.0)
 
@@ -366,6 +367,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="'symmetric'.*'row'"):
             train(row_data, cfg)
         assert len(train(row_data, replace(cfg, norm_mode="row")).log) == 1
+
+    def test_resume_rejects_mismatched_checkpoint(self, toy_dataset, tmp_path):
+        cfg = self.small_config(max_epochs=1)
+        ckpt = str(tmp_path / "ckpt.bin")
+        train(toy_dataset, cfg, checkpoint_path=ckpt)
+        more = replace(cfg, max_epochs=2)
+        for change, message in (({"K": 2}, "K=1, .* K=2"), ({"d": 7}, "d=6, .* d=7"),
+                                ({"d_a": 2}, "d_a=3, .* d_a=2")):
+            with pytest.raises(ValueError, match=message):
+                train(toy_dataset, replace(more, **change), resume_from=load_checkpoint(ckpt))
+        with pytest.raises(ValueError, match="d_x=5, .* d_x=0"):
+            train(replace(toy_dataset, user_attrs=None), more,
+                  resume_from=load_checkpoint(ckpt))
+        assert [e.epoch for e in train(toy_dataset, more,
+                                       resume_from=load_checkpoint(ckpt)).log] == [2]
 
     def checked_steps(self, monkeypatch, dataset):
         """Make every forward inside train() check itself against an uncached
