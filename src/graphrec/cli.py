@@ -4,6 +4,10 @@ Commands: prepare-data, train, evaluate, sweep, infer-attributes. Settings
 resolve as defaults < config file < flags, and every run echoes its fully
 resolved configuration into the output directory before any computation, so
 a run can be reproduced from the echoed file alone.
+
+Settings have two declarations: ``PREP_DEFAULTS`` for building and scoring
+a dataset, and ``TrainConfig`` for training. Every flag is generated from
+them: the setting ``min_user_interactions`` is ``--min-user-interactions``.
 """
 
 from __future__ import annotations
@@ -17,22 +21,34 @@ import numpy as np
 from . import data as dataio
 from .attributes import load_attributes, load_schema, mask
 from .data import load_checkpoint, load_dataset, save_dataset, split
-from .evaluate import evaluate_model, label_propagation_metrics
+from .evaluate import HR_MODES, evaluate_model, label_propagation_metrics
+from .graph import NORM_MODES
 from .model import forward, infer_attributes
-from .train import TrainConfig, train
+from .train import CADENCES, TrainConfig, train
 
+# Data preparation and report settings; build_dataset reads all but
+# ``dataset`` (a frozen bundle from prepare-data) and ``hr_mode``.
 PREP_DEFAULTS = {
+    "dataset": None,
     "interactions": None,
     "user_attrs": None,
     "user_schema": None,
     "item_attrs": None,
     "item_schema": None,
-    "dataset": None,
     "min_user_interactions": 5,
     "min_rating": None,
     "ratios": "0.8,0.1,0.1",
+    "norm_mode": "symmetric",
+    "alpha": 0.9,                # attribute mask rate
     "hr_mode": "user-mean",
+    "seed_masking": 2,
+    "seed_split": 3,
 }
+# A flag's type is its default's type, a string for a None default, unless
+# named here; a flag's choices are named here.
+FLAG_TYPES = {"min_rating": float}
+FLAG_CHOICES = {"norm_mode": NORM_MODES, "hr_mode": HR_MODES,
+                "attr_update_cadence": CADENCES}
 
 
 def parse_value(raw):
@@ -85,10 +101,6 @@ def echo_config(settings, outdir):
         for key in sorted(settings):
             fh.write(f"{key}={settings[key] if settings[key] is not None else 'none'}\n")
     return path
-
-
-def train_config(settings):
-    return TrainConfig.from_dict(settings).validate()
 
 
 def build_dataset(settings):
@@ -150,7 +162,11 @@ def cmd_prepare_data(args):
 def _run_training(settings, outdir, quiet=False):
     echo_config(settings, outdir)
     dataset = resolve_dataset(settings)
-    config = train_config(settings)
+    config = TrainConfig.from_dict(settings).validate()
+    # the graph owns its normalisation; a bundle's must be the one echoed
+    if dataset.graph_train.norm_mode != settings["norm_mode"]:
+        raise ValueError(f"--norm-mode {settings['norm_mode']!r} does not match the "
+                         f"dataset's norm_mode {dataset.graph_train.norm_mode!r}")
     checkpoint = os.path.join(outdir, "checkpoint.bin")
     log_lines = []
 
@@ -182,19 +198,23 @@ def cmd_train(args):
     return 0
 
 
+def _load_checkpoint_for(path, dataset):
+    """The checkpoint at ``path``. Raises ValueError naming the first node
+    count (users, items) that differs from the dataset's, with both counts."""
+    ckpt = load_checkpoint(path)
+    for name, have, want in (("users", ckpt.params.P.shape[0], dataset.num_users),
+                             ("items", ckpt.params.Q.shape[0], dataset.num_items)):
+        if have != want:
+            raise ValueError(f"checkpoint has {name}={have}, but the dataset has {name}={want}")
+    return ckpt
+
+
 def cmd_evaluate(args):
     settings = resolve_settings(args)
     echo_config(settings, args.out)
     dataset = resolve_dataset(settings)
-    ckpt = load_checkpoint(args.checkpoint)
-    params = ckpt.params
-    if params.P.shape[0] != dataset.num_users or params.Q.shape[0] != dataset.num_items:
-        raise ValueError(
-            f"checkpoint was trained on {params.P.shape[0]} users / "
-            f"{params.Q.shape[0]} items but the dataset has "
-            f"{dataset.num_users} / {dataset.num_items}"
-        )
-    report = evaluate_model(params, ckpt.X, ckpt.Y, dataset,
+    ckpt = _load_checkpoint_for(args.checkpoint, dataset)
+    report = evaluate_model(ckpt.params, ckpt.X, ckpt.Y, dataset,
                             hr_mode=settings["hr_mode"])
     report.write(os.path.join(args.out, "report_test"))
     for line in report.to_lines():
@@ -273,10 +293,8 @@ def cmd_infer_attributes(args):
     settings = resolve_settings(args)
     echo_config(settings, args.out)
     dataset = resolve_dataset(settings)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint_for(args.checkpoint, dataset)
     params = ckpt.params
-    if params.P.shape[0] != dataset.num_users or params.Q.shape[0] != dataset.num_items:
-        raise ValueError("checkpoint/dataset dimension mismatch")
     trace = forward(params, dataset.graph_train, ckpt.X, ckpt.Y)
 
     out_path = os.path.join(args.out, "predictions.tsv")
@@ -325,38 +343,23 @@ def cmd_lp_baseline(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_flags(p, declaration):
+    for key, default in declaration.items():
+        p.add_argument(f"--{key.replace('_', '-')}", choices=FLAG_CHOICES.get(key),
+                       type=FLAG_TYPES.get(key, str if default is None else type(default)))
+
+
 def _add_common(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dataset", help="frozen dataset bundle from prepare-data")
-    p.add_argument("--interactions")
-    p.add_argument("--user-attrs", dest="user_attrs")
-    p.add_argument("--user-schema", dest="user_schema")
-    p.add_argument("--item-attrs", dest="item_attrs")
-    p.add_argument("--item-schema", dest="item_schema")
-    p.add_argument("--min-user-interactions", dest="min_user_interactions", type=int)
-    p.add_argument("--min-rating", dest="min_rating", type=float)
-    p.add_argument("--ratios")
-    p.add_argument("--norm-mode", dest="norm_mode", choices=["symmetric", "row"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--hr-mode", dest="hr_mode", choices=["user-mean", "global"])
-    for name in ("seed_init", "seed_sampling", "seed_masking", "seed_split"):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
+    _add_flags(p, PREP_DEFAULTS)
+    # every command takes the training seeds, so one config file serves all
+    _add_flags(p, {k: v for k, v in TrainConfig().to_dict().items() if k.startswith("seed_")})
 
 
 def _add_train_flags(p):
-    p.add_argument("--d", type=int)
-    p.add_argument("--d-a", dest="d_a", type=int)
-    p.add_argument("--K", dest="K", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--attr-update-cadence", dest="attr_update_cadence",
-                   choices=["per-epoch", "per-batch"])
-    p.add_argument("--early-stop-patience", dest="early_stop_patience", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--init-std", dest="init_std", type=float)
+    _add_flags(p, {k: v for k, v in TrainConfig().to_dict().items()
+                   if not k.startswith("seed_")})
     p.add_argument("--quiet", action="store_true")
 
 

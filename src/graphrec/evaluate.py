@@ -18,6 +18,7 @@ from .model import forward, infer_attributes
 
 HR_MODES = ("user-mean", "global")
 TARGETS = ("test", "val")
+SPARSITY_GROUPS = 5  # user groups by training-interaction count in a report
 DEFAULT_TOPN = (10, 20, 30, 40, 50)
 # Users scored per block of full-itemset ranking: a block's score matrix is
 # this many rows of N floats (about 3.8 MB at ML-1M width). Larger blocks
@@ -205,10 +206,11 @@ def majority_class_accuracy(table, field_name):
 # Sparsity groups
 # ---------------------------------------------------------------------------
 
-def default_bins(dataset, n_groups=5):
-    """Half-open interaction-count ranges with roughly equal user counts."""
+def default_bins(dataset):
+    """Half-open interaction-count ranges with roughly equal user counts, at
+    most ``SPARSITY_GROUPS`` of them."""
     counts = dataset.graph_train.user_degrees()
-    qs = np.quantile(counts, np.linspace(0, 1, n_groups + 1))
+    qs = np.quantile(counts, np.linspace(0, 1, SPARSITY_GROUPS + 1))
     edges = sorted(set(int(np.floor(q)) for q in qs))
     bins = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     if bins:
@@ -280,7 +282,7 @@ class EvalReport:
             lines.append(f"note={note}")
         return lines
 
-    def to_table(self, sep="\t"):
+    def to_table(self):
         ns = sorted(self.hr)
         rows = [["metric"] + [f"N={n}" for n in ns],
                 ["HR"] + [f"{self.hr[n]:.4f}" for n in ns],
@@ -291,7 +293,7 @@ class EvalReport:
             for name, info in self.per_field.items():
                 val = "absent" if info["value"] is None else f"{info['value']:.4f}"
                 rows.append([name, info["metric"], val, str(info.get("count", 0))])
-        return "\n".join(sep.join(r) for r in rows) + "\n"
+        return "\n".join("\t".join(r) for r in rows) + "\n"
 
     def write(self, prefix):
         with open(f"{prefix}.txt", "w") as fh:

@@ -21,12 +21,14 @@ import numpy as np
 from .attributes import apply_update, init_missing
 from .data import save_checkpoint
 from .evaluate import rank_and_score
-from .graph import NORM_MODES
 from .model import ModelParams, attribute_block, forward, infer_attributes, init_params
 
 PROB_EPS = 1e-7  # clamp for logs inside the cross entropy
 
 CADENCES = ("per-epoch", "per-batch")
+
+# Adam moment decay rates and the denominator's guard (Kingma & Ba defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -35,7 +37,9 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters and seeds for one training run."""
+    """Hyperparameters and seeds for one training run. Data preparation
+    (mask rate, graph normalisation, masking and split seeds) is set where
+    the dataset is built, not here."""
 
     d: int = 32
     d_a: int = 16
@@ -44,16 +48,12 @@ class TrainConfig:
     gamma: float = 0.0           # task balance weight on the attribute loss
     learning_rate: float = 0.001
     batch_size: int = 1024
-    alpha: float = 0.9           # attribute mask rate (data preparation)
-    norm_mode: str = "symmetric"
     attr_update_cadence: str = "per-epoch"
     early_stop_patience: int = 5
     max_epochs: int = 100
     init_std: float = 0.01
     seed_init: int = 0
     seed_sampling: int = 1
-    seed_masking: int = 2
-    seed_split: int = 3
 
     def validate(self):
         if self.d <= 0 or self.d_a < 0:
@@ -66,12 +66,8 @@ class TrainConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
             raise ValueError("learning_rate, batch_size, max_epochs must be positive")
-        if not 0 <= self.alpha < 1:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.attr_update_cadence not in CADENCES:
             raise ValueError(f"attr_update_cadence must be one of {CADENCES}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
         return self
 
     def to_dict(self):
@@ -86,10 +82,7 @@ class TrainConfig:
 class AdamState:
     """First/second moments per parameter plus the shared step counter."""
 
-    def __init__(self, params_dict, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params_dict):
         self.step = 0
         self.m = {k: np.zeros_like(v) for k, v in params_dict.items()}
         self.v = {k: np.zeros_like(v) for k, v in params_dict.items()}
@@ -108,7 +101,7 @@ def adam_step(params_dict, grads, state, learning_rate):
     """Standard bias-corrected Adam update, applied in place."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params_dict.items():
@@ -121,7 +114,7 @@ def adam_step(params_dict, grads, state, learning_rate):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        update = learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if not np.isfinite(update).all():
             raise FloatingPointError(f"non-finite Adam update for parameter {name}")
         p -= update
@@ -213,17 +206,15 @@ def head_predictions(trace, params, user_table, item_table):
                  for side, table in (("user", user_table), ("item", item_table)))
 
 
-def batch_losses(trace, batch, user_table, item_table, params, config, heads=None):
+def batch_losses(trace, batch, user_table, item_table, params, config, heads):
     """(ranking loss, attribute loss) for one forward pass and batch.
-    ``heads`` are the pass's :func:`head_predictions`, computed when absent."""
+    ``heads`` are the pass's :func:`head_predictions`."""
     U = trace.user_embeddings
     V = trace.item_embeddings
     u = U[batch.users]
     diff_pos = (u * V[batch.pos]).sum(axis=1)
     diff_neg = (u * V[batch.neg]).sum(axis=1)
     loss_r = bpr_loss(diff_pos, diff_neg, params, config.lam)
-    if heads is None:
-        heads = head_predictions(trace, params, user_table, item_table)
     loss_a = 0.0
     for pred, table in zip(heads, (user_table, item_table)):
         if pred is not None:
@@ -235,11 +226,12 @@ def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
     """Full objective L_r + gamma * L_a from scratch (used by the
     finite-difference oracle in the tests)."""
     trace = forward(params, graph, X, Y)
-    loss_r, loss_a = batch_losses(trace, batch, user_table, item_table, params, config)
+    heads = head_predictions(trace, params, user_table, item_table)
+    loss_r, loss_a = batch_losses(trace, batch, user_table, item_table, params, config, heads)
     return loss_r + config.gamma * loss_a
 
 
-def gradients(trace, batch, user_table, item_table, params, config, graph, heads=None):
+def gradients(trace, batch, user_table, item_table, params, config, graph, heads):
     """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
 
     With ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``, the gradient G of
@@ -247,8 +239,8 @@ def gradients(trace, batch, user_table, item_table, params, config, graph, heads
     ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from ``(A^T)^K`` applied
     to the first d columns of ``G (W_1 ... W_K)^T``, and W_u, W_v from the
     attribute block ``A^K [[X, 0], [0, Y]]`` the forward was given
-    (``trace.block``). ``heads`` are the pass's :func:`head_predictions`,
-    computed when absent.
+    (``trace.block``). ``heads`` are the pass's :func:`head_predictions`.
+    Finiteness is checked once, where :func:`adam_step` reads the gradients.
 
     Raises:
         ValueError: when the trace holds no block, i.e. the forward ran
@@ -278,8 +270,6 @@ def gradients(trace, batch, user_table, item_table, params, config, graph, heads
     gamma = config.gamma
     if gamma == 0:
         heads = (None, None)
-    elif heads is None:
-        heads = head_predictions(trace, params, user_table, item_table)
     for name, rows, emb, W_head, table, pred in (
             ("W_x", slice(None, M), U, params.W_x, user_table, heads[0]),
             ("W_y", slice(M, None), V, params.W_y, item_table, heads[1])):
@@ -311,10 +301,6 @@ def gradients(trace, batch, user_table, item_table, params, config, graph, heads
     d_x = params.W_u.shape[0]
     grads["W_u"] = g_proj[:d_x]
     grads["W_v"] = g_proj[d_x:]
-
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name}")
     return grads
 
 
@@ -395,15 +381,13 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     therefore propagates only the free embeddings.
 
     Raises:
-        ValueError: when ``config.norm_mode`` is not the normalization the
-            dataset's graph was built with, or when a dimension of the
-            ``resume_from`` checkpoint differs from the config or the dataset.
+        ValueError: when a dimension of the ``resume_from`` checkpoint differs
+            from the config or the dataset.
+        TrainingDivergedError: when a loss, gradient or Adam update of a step
+            is non-finite; the message names the epoch.
     """
     config.validate()
     graph = dataset.graph_train
-    if config.norm_mode != graph.norm_mode:
-        raise ValueError(f"config norm_mode {config.norm_mode!r} does not match the "
-                         f"dataset graph's norm_mode {graph.norm_mode!r}")
     M, N = graph.num_users, graph.num_items
     user_table = dataset.user_attrs
     item_table = dataset.item_attrs
@@ -453,22 +437,20 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
             pos = pairs[sel, 1]
             batch = TripleBatch(users, pos, sample_negatives(graph, users, rng))
 
-            hint = (f"; last good checkpoint: {checkpoint_path}"
-                    if checkpoint_path else "")
             try:
                 trace = forward(params, graph, X, Y, block)
                 heads = head_predictions(trace, params, user_table, item_table)
                 loss_r, loss_a = batch_losses(trace, batch, user_table, item_table,
                                               params, config, heads)
+                if not np.isfinite(loss_r + loss_a):
+                    raise FloatingPointError("non-finite loss")
+                grads = gradients(trace, batch, user_table, item_table, params,
+                                  config, graph, heads)
+                adam_step(pdict, grads, opt, config.learning_rate)
             except FloatingPointError as exc:
+                hint = f"; last good checkpoint: {checkpoint_path}" if checkpoint_path else ""
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} ({exc}){hint}") from exc
-            if not np.isfinite(loss_r + loss_a):
-                raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch} (non-finite loss){hint}")
-            grads = gradients(trace, batch, user_table, item_table, params,
-                              config, graph, heads)
-            adam_step(pdict, grads, opt, config.learning_rate)
             if per_batch:
                 X, Y = _refresh_attributes(trace, params, X, Y, user_table, item_table)
                 block = attribute_block(graph, X, Y, config.K)

@@ -20,7 +20,7 @@ from graphrec.data import load_checkpoint, save_checkpoint, split
 from graphrec.evaluate import (attribute_metrics, bpr_baseline, evaluate_model,
                                label_propagation_metrics, majority_class_accuracy)
 from graphrec.model import attribute_block, forward, init_params, normalize_logits
-from graphrec.train import TrainConfig, gradients, total_loss, train
+from graphrec.train import TrainConfig, gradients, head_predictions, total_loss, train
 
 from conftest import pair_batch, small_attr_tables
 from test_evaluate import naive_user_metrics, one_user_metrics
@@ -55,7 +55,8 @@ def test_criterion_1_gradient_correctness():
     batch = pair_batch(g, pairs, 16, rng)
 
     trace = forward(params, g, X, Y, attribute_block(g, X, Y, K))
-    analytic = gradients(trace, batch, user_table, item_table, params, config, g)
+    heads = head_predictions(trace, params, user_table, item_table)
+    analytic = gradients(trace, batch, user_table, item_table, params, config, g, heads)
     h = 1e-4
     worst = 0.0
     worst_name = ""
@@ -272,7 +273,7 @@ def ml1m_runs():
 
     dataset = make_ml1m_dataset(directory, alpha=0.9)
     base = TrainConfig(d=32, d_a=16, K=2, lam=0.01, learning_rate=0.001,
-                       batch_size=1024, alpha=0.9, early_stop_patience=5,
+                       batch_size=1024, early_stop_patience=5,
                        max_epochs=100)
 
     def run(config):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphrec.cli as cli
-from graphrec.cli import main, read_config_file
+from graphrec.cli import build_parser, echo_config, main, read_config_file, resolve_settings
 from graphrec.data import load_dataset
 from graphrec.toy import write_toy_files
 
@@ -116,13 +116,20 @@ class TestPrepareAndEvaluate:
         run = tmp_path / "run"
         main(["train", "--out", str(run), "--dataset", str(prep / "dataset.bin")]
              + train_flags())
-        other = tmp_path / "otherdata"
-        files = write_toy_files(other, num_users=12, num_items=10, seed=3)
-        rc = main(["evaluate", "--out", str(tmp_path / "ev"),
-                   "--interactions", str(files["interactions"]),
-                   "--checkpoint", str(run / "checkpoint.bin")])
-        assert rc == 1
-        assert "users" in capsys.readouterr().err
+        files = write_toy_files(tmp_path / "otherdata", num_users=12, num_items=10, seed=3)
+        other = tmp_path / "other"
+        main(["prepare-data", "--out", str(other), "--interactions", str(files["interactions"])])
+        have = load_dataset(prep / "dataset.bin").num_users
+        want = load_dataset(other / "dataset.bin").num_users
+        # both commands that read a checkpoint name the dimension and both counts
+        for command in ("evaluate", "infer-attributes"):
+            capsys.readouterr()
+            rc = main([command, "--out", str(tmp_path / command),
+                       "--interactions", str(files["interactions"]),
+                       "--checkpoint", str(run / "checkpoint.bin")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"checkpoint has users={have}, but the dataset has users={want}" in err
 
 
 class TestInferAttributes:
@@ -205,3 +212,48 @@ class TestLpBaseline:
         capped_keys, capped_err = run()
         assert capped_keys == keys
         assert "warning: label propagation for group stopped at the 2-sweep cap" in capped_err
+
+
+# Every subcommand's option strings and choices, as the hand-written parser
+# declared them before the flags were generated from the two declarations.
+COMMON_FLAGS = ["--config", "--out", "--dataset", "--interactions", "--user-attrs",
+                "--user-schema", "--item-attrs", "--item-schema", "--min-user-interactions",
+                "--min-rating", "--ratios", "--norm-mode", "--alpha", "--hr-mode",
+                "--seed-init", "--seed-sampling", "--seed-masking", "--seed-split"]
+TRAIN_FLAGS = ["--d", "--d-a", "--K", "--lam", "--gamma", "--learning-rate", "--batch-size",
+               "--attr-update-cadence", "--early-stop-patience", "--max-epochs",
+               "--init-std", "--quiet"]
+SURFACE = {
+    "prepare-data": COMMON_FLAGS,
+    "train": COMMON_FLAGS + TRAIN_FLAGS,
+    "evaluate": COMMON_FLAGS + ["--checkpoint"],
+    "sweep": COMMON_FLAGS + TRAIN_FLAGS + ["--grid-k", "--grid-gamma"],
+    "infer-attributes": COMMON_FLAGS + ["--checkpoint"],
+    "lp-baseline": COMMON_FLAGS,
+}
+CHOICES = {"--norm-mode": ["symmetric", "row"], "--hr-mode": ["user-mean", "global"],
+           "--attr-update-cadence": ["per-epoch", "per-batch"]}
+REQUIRED = {"--out", "--checkpoint"}
+
+
+class TestSurface:
+    def test_option_strings_and_choices(self):
+        subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+        assert sorted(subs) == sorted(SURFACE)
+        for name, sub in subs.items():
+            actions = [a for a in sub._actions if "--help" not in a.option_strings]
+            flags = [f for a in actions for f in a.option_strings]
+            assert sorted(flags) == sorted(SURFACE[name]), name
+            for a in actions:
+                flag = a.option_strings[0]
+                assert (list(a.choices) if a.choices else None) == CHOICES.get(flag), flag
+                assert a.required == (flag in REQUIRED), flag
+
+    def test_flags_echo_typed_values(self, tmp_path):
+        args = build_parser().parse_args(
+            ["train", "--out", str(tmp_path), "--min-rating", "4", "--lam", "1",
+             "--norm-mode", "row", "--learning-rate", "1e-3", "--seed-split", "7"])
+        lines = open(echo_config(resolve_settings(args), tmp_path)).read().splitlines()
+        for line in ("min_rating=4.0", "lam=1.0", "norm_mode=row",
+                     "learning_rate=0.001", "seed_split=7", "alpha=0.9"):
+            assert line in lines

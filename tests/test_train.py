@@ -5,13 +5,14 @@ import pytest
 
 from dataclasses import replace
 
-from graphrec import build_graph, make_toy_dataset
+from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing
 from graphrec.data import load_checkpoint
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
 from graphrec.train import (AdamState, TrainConfig, TrainingDivergedError,
                             TripleBatch, adam_step, attribute_loss, bpr_loss,
-                            gradients, sample_negatives, total_loss, train)
+                            gradients, head_predictions, sample_negatives, total_loss,
+                            train)
 
 from conftest import pair_batch, small_attr_tables
 
@@ -34,9 +35,9 @@ class TestConfig:
         TrainConfig().validate()
 
     def test_rejected_values(self):
-        for kwargs in ({"K": 5}, {"K": -1}, {"alpha": 1.0}, {"gamma": -0.1},
+        for kwargs in ({"K": 5}, {"K": -1}, {"gamma": -0.1},
                        {"lam": -1.0}, {"attr_update_cadence": "never"},
-                       {"batch_size": 0}, {"norm_mode": "rows"}):
+                       {"batch_size": 0}):
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs).validate()
 
@@ -169,7 +170,7 @@ class TestGradients:
         a, i, j = 0, 2, 1
         batch = TripleBatch(np.array([a]), np.array([i]), np.array([j]))
         trace = forward(p, g, X, Y, attribute_block(g, X, Y, 0))
-        grads = gradients(trace, batch, None, None, p, config, g)
+        grads = gradients(trace, batch, None, None, p, config, g, (None, None))
         diff = p.P[a] @ (p.Q[i] - p.Q[j])
         s = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-diff)
         expect_pa = -s * (p.Q[i] - p.Q[j]) + 2 * config.lam * p.P[a]
@@ -190,7 +191,8 @@ class TestGradients:
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
         trace = forward(p, g, X, Y, attribute_block(g, X, Y, 1))
-        grads = gradients(trace, batch, user_table, item_table, p, config, g)
+        grads = gradients(trace, batch, user_table, item_table, p, config, g,
+                          head_predictions(trace, p, user_table, item_table))
         h = 1e-5
         for name, arr in p.as_dict().items():
             flat = arr.ravel()
@@ -216,16 +218,17 @@ class TestGradients:
         g = build_graph(pairs, M, N, "row")
         assert abs(g.S - g.S.T).max() > 0.1
         user_table, item_table = small_attr_tables(rng)
-        config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01,
-                             norm_mode="row").validate()
+        config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01).validate()
         p = init_params(M, N, 3, 2, 5, 5, K=K, seed=30 + K, init_std=0.1)
         X = init_missing(user_table, fallback=0.5)
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
         with pytest.raises(ValueError, match="attribute_block"):
-            gradients(forward(p, g, X, Y), batch, user_table, item_table, p, config, g)
-        grads = gradients(forward(p, g, X, Y, attribute_block(g, X, Y, K)), batch,
-                          user_table, item_table, p, config, g)
+            gradients(forward(p, g, X, Y), batch, user_table, item_table, p, config, g,
+                      (None, None))
+        trace = forward(p, g, X, Y, attribute_block(g, X, Y, K))
+        grads = gradients(trace, batch, user_table, item_table, p, config, g,
+                          head_predictions(trace, p, user_table, item_table))
         h = 1e-5
         for name, arr in p.as_dict().items():
             flat = arr.ravel()
@@ -254,7 +257,8 @@ class TestGradients:
         X, Y = rng.random((M, 5)), rng.random((N, 5))
         batch = pair_batch(g, pairs, 8, rng)
         trace = forward(p, g, X, Y, attribute_block(g, X, Y, 1))
-        grads = gradients(trace, batch, user_table, item_table, p, config, g)
+        grads = gradients(trace, batch, user_table, item_table, p, config, g,
+                          head_predictions(trace, p, user_table, item_table))
         assert np.all(grads["W_x"] == 0.0)
         assert np.all(grads["W_y"] == 0.0)
 
@@ -359,15 +363,6 @@ class TestTrainLoop:
             assert np.array_equal(arr, r2.final_params.as_dict()[name])
         assert np.array_equal(r1.final_X, r2.final_X)
 
-    def test_norm_mode_must_match_graph(self, toy_dataset):
-        cfg = self.small_config(max_epochs=1)
-        with pytest.raises(ValueError, match="'row'.*'symmetric'"):
-            train(toy_dataset, replace(cfg, norm_mode="row"))
-        row_data = make_toy_dataset(seed=0, norm_mode="row")
-        with pytest.raises(ValueError, match="'symmetric'.*'row'"):
-            train(row_data, cfg)
-        assert len(train(row_data, replace(cfg, norm_mode="row")).log) == 1
-
     def test_resume_rejects_mismatched_checkpoint(self, toy_dataset, tmp_path):
         cfg = self.small_config(max_epochs=1)
         ckpt = str(tmp_path / "ckpt.bin")
@@ -438,3 +433,21 @@ class TestTrainLoop:
         cfg = self.small_config(d_a=0, K=0, gamma=0.0, learning_rate=1e155)
         with pytest.raises(TrainingDivergedError, match="diverged"):
             train(stripped, cfg)
+
+    def test_non_finite_gradient_is_divergence(self, toy_dataset, monkeypatch, tmp_path):
+        # a NaN that first appears in a gradient is caught by adam_step and
+        # reported like a non-finite loss: with the epoch and the checkpoint
+        mod = sys.modules["graphrec.train"]
+        real = mod.gradients
+
+        def nan_in_W_u(*args):
+            grads = real(*args)
+            grads["W_u"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(mod, "gradients", nan_in_W_u)
+        ckpt = str(tmp_path / "ckpt.bin")
+        with pytest.raises(TrainingDivergedError,
+                           match=r"epoch 1 \(non-finite gradient for parameter W_u\)"
+                                 r"; last good checkpoint: .*ckpt\.bin"):
+            train(toy_dataset, self.small_config(), checkpoint_path=ckpt)
