@@ -95,6 +95,13 @@ class AttributeTable:
     def num_entities(self):
         return self.values.shape[0]
 
+    def take(self, entities):
+        """The table of the entities ``entities`` alone, numbered in that
+        order. ``masked`` is left empty: its entity numbers are the full
+        table's."""
+        return AttributeTable(self.schema, self.side, self.values[entities],
+                              self.indicator[entities], self.ground_truth[entities])
+
 
 def encode(raw_records, schema, side="user"):
     """Encode per-entity field assignments into an :class:`AttributeTable`.

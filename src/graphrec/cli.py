@@ -78,7 +78,8 @@ def read_config_file(path):
 
 
 def resolve_settings(args):
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags. A config-file value of a
+    setting with choices must be one of them, as its flag's must."""
     settings = dict(PREP_DEFAULTS)
     settings.update(TrainConfig().to_dict())
     if getattr(args, "config", None):
@@ -91,6 +92,9 @@ def resolve_settings(args):
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
+    for key, choices in FLAG_CHOICES.items():
+        if settings[key] not in choices:
+            raise ValueError(f"{key} must be one of {choices}, got {settings[key]!r}")
     return settings
 
 

@@ -9,7 +9,9 @@ weights. The attribute half of ``A^K H_0`` is ``A^K [[X, 0], [0, Y]]``
 times the stacked projections ``[W_u; W_v]``; that propagated block
 (:func:`attribute_block`) changes only when X and Y do, so a caller that
 keeps it passes it to :func:`forward`, which then propagates only the free
-embeddings ``[P; Q]`` (width d, not d + d_a). Rating scores are inner
+embeddings ``[P; Q]`` (width d, not d + d_a). Every map after the
+propagation is row by row, so a forward asked for a few rows (``rows``)
+computes the final embeddings of those rows alone. Rating scores are inner
 products of final user/item embeddings; attribute heads map final
 embeddings to per-field probabilities (softmax per single-label field,
 elementwise logistic per multi-label dimension).
@@ -95,6 +97,9 @@ class ForwardTrace:
     (``final = z @ W_1 ... W_K``).
     block: the propagated attribute block ``A^K [[X, 0], [0, Y]]`` the
     forward used, or None when it propagated the fused input.
+    rows: None when final, z and block hold every node; otherwise the node
+    ids (users 0..M-1, items M..M+N-1) of their rows, in that order. Such a
+    trace has no per-side embedding tables.
 
     A trace made only to hold embeddings (for ranking or the heads) needs
     ``final`` and ``num_users`` alone.
@@ -104,14 +109,25 @@ class ForwardTrace:
     num_users: int
     z: np.ndarray = None
     block: np.ndarray = None
+    rows: np.ndarray = None
 
     @property
     def user_embeddings(self):
-        return self.final[: self.num_users]
+        return self._every_row()[: self.num_users]
 
     @property
     def item_embeddings(self):
-        return self.final[self.num_users:]
+        return self._every_row()[self.num_users:]
+
+    def _every_row(self):
+        if self.rows is not None:
+            raise ValueError("the trace holds only some rows; it has no per-side embeddings")
+        return self.final
+
+    def take(self, rows):
+        """The trace of the nodes ``rows`` alone, from a trace of every node."""
+        return ForwardTrace(self.final[rows], self.num_users, self.z[rows],
+                            None if self.block is None else self.block[rows], rows)
 
 
 def fuse(params, X, Y):
@@ -149,20 +165,28 @@ def attribute_block(graph, X, Y, K):
     return propagate_k(graph, B, K)
 
 
-def forward(params, graph, X, Y, block=None):
+def forward(params, graph, X, Y, block=None, rows=None):
     """Output embeddings of the K layers, in collapsed form.
 
     Without ``block`` the fused input is propagated at width d + d_a. With
     ``block = attribute_block(graph, X, Y, K)`` (the caller keeps it current
     with X and Y) only ``[P; Q]`` is propagated, at width d, and the
     attribute half of ``A^K H_0`` is ``block @ [W_u; W_v]``.
+
+    With ``rows`` (node ids) the propagation still runs over every node, but
+    ``z``, the block and ``final`` are taken for those rows only, in that
+    order; the trace records them as ``trace.rows``.
     """
     K = params.num_layers
     if block is None:
         z = propagate_k(graph, fuse(params, X, Y), K)
     else:
-        free = propagate_k(graph, np.vstack([params.P, params.Q]), K)
-        z = np.hstack([free, block @ np.vstack([params.W_u, params.W_v])])
+        z = propagate_k(graph, np.vstack([params.P, params.Q]), K)
+    if rows is not None:
+        z = z[rows]
+        block = None if block is None else block[rows]
+    if block is not None:
+        z = np.hstack([z, block @ np.vstack([params.W_u, params.W_v])])
     final = z @ functools.reduce(np.matmul, params.W) if K else z
     if K and not np.isfinite(final).all():
         h = z
@@ -171,7 +195,7 @@ def forward(params, graph, X, Y, block=None):
             if not np.isfinite(h).all():
                 break
         raise FloatingPointError(f"non-finite activations after layer {k + 1}")
-    return ForwardTrace(final=final, num_users=graph.num_users, z=z, block=block)
+    return ForwardTrace(final=final, num_users=graph.num_users, z=z, block=block, rows=rows)
 
 
 def predict_rating(trace, a, i):

@@ -9,6 +9,11 @@ the softmax/logistic heads, the collapsed linear propagation
 inputs through ``(A^T)^K``), the fusion concatenation, and the attribute
 projections. Parameters are updated with Adam; missing attribute entries
 are refreshed from the model's own predictions between steps.
+
+The model is linear, so a step's dense work is exact on the rows its
+objective reads (:class:`StepRows`): the batch's users and items, and the
+users and items with an observed attribute entry. Only the two sparse
+passes, ``A^K [P; Q]`` forward and ``(A^T)^K`` backward, cover every node.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .attributes import apply_update, init_missing
 from .data import save_checkpoint
 from .evaluate import rank_and_score
-from .model import ModelParams, attribute_block, forward, infer_attributes, init_params
+from .model import (ForwardTrace, ModelParams, attribute_block, forward, infer_attributes,
+                    init_params)
 
 PROB_EPS = 1e-7  # clamp for logs inside the cross entropy
 
@@ -29,6 +36,9 @@ CADENCES = ("per-epoch", "per-batch")
 
 # Adam moment decay rates and the denominator's guard (Kingma & Ba defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Elements of a parameter an Adam update takes at a time: a block of each of
+# its six operands (128 KB apiece) stays in cache over the update's passes.
+ADAM_BLOCK = 16384
 
 
 class TrainingDivergedError(RuntimeError):
@@ -80,12 +90,14 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments per parameter plus the shared step counter."""
+    """First/second moments per parameter plus the shared step counter, and
+    two scratch blocks that hold a step's update."""
 
     def __init__(self, params_dict):
         self.step = 0
         self.m = {k: np.zeros_like(v) for k, v in params_dict.items()}
         self.v = {k: np.zeros_like(v) for k, v in params_dict.items()}
+        self.scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def moments_dict(self):
         return {k: (self.m[k], self.v[k]) for k in self.m}
@@ -98,7 +110,19 @@ class AdamState:
 
 
 def adam_step(params_dict, grads, state, learning_rate):
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place.
+
+    The update ``lr * (m / c1) / (sqrt(v / c2) + eps)`` is evaluated in that
+    order in the state's scratch blocks, ``ADAM_BLOCK`` elements of a
+    parameter at a time, allocating nothing. A non-finite update raises
+    before its block is applied; the blocks before it are already applied.
+
+    Raises:
+        FloatingPointError: on a non-finite gradient or update, naming the
+            parameter.
+        ValueError: for a parameter that is not C-contiguous, which the
+            update could not write through a flat view.
+    """
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -108,16 +132,23 @@ def adam_step(params_dict, grads, state, learning_rate):
         g = grads[name]
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if not np.isfinite(update).all():
-            raise FloatingPointError(f"non-finite Adam update for parameter {name}")
-        p -= update
+        if not p.flags.c_contiguous:
+            raise ValueError(f"parameter {name} is not C-contiguous")
+        flat = [a.reshape(-1) for a in (p, g, state.m[name], state.v[name])]
+        for lo in range(0, p.size, ADAM_BLOCK):
+            p_b, g_b, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            update, denom = (a[:len(p_b)] for a in state.scratch)
+            m *= b1
+            m += np.multiply(g_b, 1.0 - b1, out=update)
+            v *= b2
+            v += np.multiply(np.multiply(g_b, 1.0 - b2, out=update), g_b, out=update)
+            np.sqrt(np.divide(v, c2, out=denom), out=denom)
+            denom += ADAM_EPS
+            np.multiply(np.divide(m, c1, out=update), learning_rate, out=update)
+            update /= denom
+            if not np.isfinite(update).all():
+                raise FloatingPointError(f"non-finite Adam update for parameter {name}")
+            p_b -= update
 
 
 @dataclass
@@ -206,81 +237,145 @@ def head_predictions(trace, params, user_table, item_table):
                  for side, table in (("user", user_table), ("item", item_table)))
 
 
-def batch_losses(trace, batch, user_table, item_table, params, config, heads):
-    """(ranking loss, attribute loss) for one forward pass and batch.
-    ``heads`` are the pass's :func:`head_predictions`."""
-    U = trace.user_embeddings
-    V = trace.item_embeddings
-    u = U[batch.users]
-    diff_pos = (u * V[batch.pos]).sum(axis=1)
-    diff_neg = (u * V[batch.neg]).sum(axis=1)
+def scatter_rows(index, values, num_rows):
+    """``out[r]``, the sum of ``values[k]`` over every k with ``index[k] == r``,
+    from one sparse one-hot product. Each row adds its terms to zero in k
+    order, as ``np.add.at`` does, so the two agree bit for bit."""
+    n = len(index)
+    one_hot = sp.csc_matrix((np.ones(n), index, np.arange(n + 1)), shape=(num_rows, n))
+    return one_hot @ values
+
+
+class StepRows:
+    """The rows of the final embeddings a training step reads.
+
+    The attribute loss reads the users and items with an observed entry;
+    those never change, so they are found once per run. :meth:`of` adds a
+    batch's users, positives and negatives. A step's rows are node ids
+    (users 0..M-1, items M..M+N-1): the observed users, then the observed
+    items, then the batch's other nodes, so the heads read the leading
+    ``sides[0]`` and ``sides[1]`` rows of a step trace. ``tables`` are the
+    attribute tables cut to the observed entities, None for a side without
+    attributes.
+    """
+
+    def __init__(self, graph, user_table, item_table):
+        self.num_users = graph.num_users
+        self.num_nodes = graph.num_nodes
+        observed, self.tables, self.sides = [], [], []
+        start = 0
+        for offset, table in ((0, user_table), (graph.num_users, item_table)):
+            if _side_width(table):
+                ids = np.flatnonzero(table.indicator.any(axis=1))
+                self.tables.append(table.take(ids))
+            else:
+                ids = np.zeros(0, dtype=np.int64)
+                self.tables.append(None)
+            observed.append(offset + ids)
+            self.sides.append(slice(start, start + len(ids)))
+            start += len(ids)
+        self.observed = np.concatenate(observed)
+
+    def of(self, batch):
+        """(nodes, local): the node ids of the step rows of ``batch``, and
+        the batch's triples as positions in them."""
+        M = self.num_users
+        extra = np.zeros(self.num_nodes, dtype=bool)
+        extra[batch.users] = True
+        extra[M + batch.pos] = True
+        extra[M + batch.neg] = True
+        extra[self.observed] = False
+        nodes = np.concatenate([self.observed, np.flatnonzero(extra)])
+        at = np.empty(self.num_nodes, dtype=np.int64)
+        at[nodes] = np.arange(len(nodes))
+        return nodes, TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg])
+
+    def heads(self, trace, params):
+        """:func:`head_predictions` on the observed rows of a step trace."""
+        users, items = self.sides
+        observed = ForwardTrace(final=trace.final[:items.stop], num_users=users.stop)
+        return head_predictions(observed, params, *self.tables)
+
+
+def batch_losses(trace, batch, rows, params, config, heads):
+    """(ranking loss, attribute loss) of one step. ``trace`` holds the step
+    rows of ``rows`` (:class:`StepRows`), ``batch`` indexes them, and
+    ``heads`` are ``rows.heads(trace, params)``."""
+    final = trace.final
+    u = final[batch.users]
+    diff_pos = (u * final[batch.pos]).sum(axis=1)
+    diff_neg = (u * final[batch.neg]).sum(axis=1)
     loss_r = bpr_loss(diff_pos, diff_neg, params, config.lam)
     loss_a = 0.0
-    for pred, table in zip(heads, (user_table, item_table)):
+    for pred, table in zip(heads, rows.tables):
         if pred is not None:
             loss_a += attribute_loss(pred, table)
     return loss_r, loss_a
 
 
 def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
-    """Full objective L_r + gamma * L_a from scratch (used by the
+    """Full objective L_r + gamma * L_a from scratch, on every row (the
     finite-difference oracle in the tests)."""
     trace = forward(params, graph, X, Y)
+    U, V = trace.user_embeddings, trace.item_embeddings
+    u = U[batch.users]
+    loss_r = bpr_loss((u * V[batch.pos]).sum(axis=1), (u * V[batch.neg]).sum(axis=1),
+                      params, config.lam)
     heads = head_predictions(trace, params, user_table, item_table)
-    loss_r, loss_a = batch_losses(trace, batch, user_table, item_table, params, config, heads)
+    loss_a = sum(attribute_loss(pred, table)
+                 for pred, table in zip(heads, (user_table, item_table)) if pred is not None)
     return loss_r + config.gamma * loss_a
 
 
-def gradients(trace, batch, user_table, item_table, params, config, graph, heads):
+def gradients(trace, batch, rows, params, config, graph, heads):
     """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
 
-    With ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``, the gradient G of
-    ``final`` gives every layer weight from ``C = z^T G`` as
-    ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from ``(A^T)^K`` applied
-    to the first d columns of ``G (W_1 ... W_K)^T``, and W_u, W_v from the
-    attribute block ``A^K [[X, 0], [0, Y]]`` the forward was given
-    (``trace.block``). ``heads`` are the pass's :func:`head_predictions`.
+    ``trace`` is the step's forward, restricted to the step rows of ``rows``
+    (:class:`StepRows`); ``batch`` indexes them and ``heads`` are
+    ``rows.heads(trace, params)``. With ``final = z @ W_1 ... W_K`` and
+    ``z = A^K H_0``, the gradient G of ``final`` is zero off the step rows,
+    so G holds those rows only. It gives every layer weight from
+    ``C = z^T G`` as ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from
+    ``(A^T)^K`` applied, over every node, to the first d columns of
+    ``G (W_1 ... W_K)^T``, and W_u, W_v from the rows of the attribute block
+    ``A^K [[X, 0], [0, Y]]`` the forward was given (``trace.block``).
     Finiteness is checked once, where :func:`adam_step` reads the gradients.
 
     Raises:
-        ValueError: when the trace holds no block, i.e. the forward ran
-            without ``attribute_block(graph, X, Y, K)``.
+        ValueError: when the trace holds no block or every row, i.e. it is
+            not the forward of :func:`train_step`.
     """
-    if trace.block is None:
-        raise ValueError("gradients need a forward trace built with "
-                         "attribute_block(graph, X, Y, K)")
+    if trace.block is None or trace.rows is None:
+        raise ValueError("gradients need the step's forward: built with "
+                         "attribute_block(graph, X, Y, K), on the step rows")
     M = graph.num_users
     d = params.P.shape[1]
-    U = trace.user_embeddings
-    V = trace.item_embeddings
+    final = trace.final
 
-    u = U[batch.users]
-    vi = V[batch.pos]
-    vj = V[batch.neg]
+    u = final[batch.users]
+    vi = final[batch.pos]
+    vj = final[batch.neg]
     diff = ((vi - vj) * u).sum(axis=1)
     s = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-(r_ai - r_aj))
-
-    D = U.shape[1]
-    G = np.zeros((graph.num_nodes, D))
-    np.add.at(G[:M], batch.users, -s[:, None] * (vi - vj))
-    np.add.at(G[M:], batch.pos, -s[:, None] * u)
-    np.add.at(G[M:], batch.neg, s[:, None] * u)
+    G = scatter_rows(np.concatenate([batch.users, batch.pos, batch.neg]),
+                     np.vstack([-s[:, None] * (vi - vj), -s[:, None] * u, s[:, None] * u]),
+                     len(final))
 
     grads = {}
     gamma = config.gamma
     if gamma == 0:
         heads = (None, None)
-    for name, rows, emb, W_head, table, pred in (
-            ("W_x", slice(None, M), U, params.W_x, user_table, heads[0]),
-            ("W_y", slice(M, None), V, params.W_y, item_table, heads[1])):
+    for name, W_head, table, pred, side in zip(("W_x", "W_y"), (params.W_x, params.W_y),
+                                               rows.tables, heads, rows.sides):
         if pred is not None:
             gl = _attr_logit_grad(pred, table)
-            grads[name] = gamma * (emb.T @ gl)
-            G[rows] += gamma * (gl @ W_head.T)
+            grads[name] = gamma * (final[side].T @ gl)
+            G[side] += gamma * (gl @ W_head.T)
         else:
             grads[name] = np.zeros_like(W_head)
 
     # prefix[k] = W_1 ... W_k; the layer weights' gradients walk the suffix down
+    D = final.shape[1]
     prefix = [np.eye(D)]
     for Wk in params.W:
         prefix.append(prefix[-1] @ Wk)
@@ -291,9 +386,10 @@ def gradients(trace, batch, user_table, item_table, params, config, graph, heads
         suffix = params.W[k] @ suffix
 
     W_all = prefix[-1]
-    g_free = G @ W_all[:d].T
+    g_free = np.zeros((graph.num_nodes, d))
+    g_free[trace.rows] = G @ W_all[:d].T
     for _ in range(params.num_layers):
-        g_free = g_free + graph.St @ g_free
+        g_free += graph.St @ g_free
     grads["P"] = g_free[:M] + 2.0 * config.lam * params.P
     grads["Q"] = g_free[M:] + 2.0 * config.lam * params.Q
 
@@ -302,6 +398,32 @@ def gradients(trace, batch, user_table, item_table, params, config, graph, heads
     grads["W_u"] = g_proj[:d_x]
     grads["W_v"] = g_proj[d_x:]
     return grads
+
+
+def train_step(params, graph, X, Y, block, batch, rows, config):
+    """Forward, losses and gradients of one training step.
+
+    The forward's dense work, the heads, the losses and the gradient run on
+    the step rows of ``batch`` (``rows``, a :class:`StepRows`). Under the
+    per-batch cadence the forward builds every row instead, because the
+    attribute write-back that follows the step reads them all; the rest of
+    the step still reads the step rows alone.
+
+    Returns:
+        (trace, loss_r, loss_a, grads): ``trace`` is the step's forward.
+
+    Raises:
+        FloatingPointError: when a loss is non-finite.
+    """
+    nodes, local = rows.of(batch)
+    every_row = config.attr_update_cadence == "per-batch"
+    trace = forward(params, graph, X, Y, block, None if every_row else nodes)
+    step = trace.take(nodes) if every_row else trace
+    heads = rows.heads(step, params)
+    loss_r, loss_a = batch_losses(step, local, rows, params, config, heads)
+    if not np.isfinite(loss_r + loss_a):
+        raise FloatingPointError("non-finite loss")
+    return trace, loss_r, loss_a, gradients(step, local, rows, params, config, graph, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +500,15 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     steps and rebuilt whenever X and Y change: at the start (fresh or
     resumed), and after every write-back (each step under the per-batch
     cadence, each epoch under the per-epoch one). Every forward of the loop
-    therefore propagates only the free embeddings.
+    therefore propagates only the free embeddings. Each step is one
+    :func:`train_step`, whose dense work reads only the step rows.
 
     Raises:
         ValueError: when a dimension of the ``resume_from`` checkpoint differs
             from the config or the dataset.
         TrainingDivergedError: when a loss, gradient or Adam update of a step
-            is non-finite; the message names the epoch.
+            is non-finite; the message names the epoch, and the checkpoint
+            once this run has written one or was resumed from one.
     """
     config.validate()
     graph = dataset.graph_train
@@ -419,6 +543,9 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     pairs = dataset.train_pairs
     per_batch = config.attr_update_cadence == "per-batch"
     block = attribute_block(graph, X, Y, config.K)
+    rows = StepRows(graph, user_table, item_table)
+    # the divergence message names the checkpoint once one exists
+    saved = resume_from is not None
 
     log = []
     best_hr = -np.inf
@@ -438,17 +565,12 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
             batch = TripleBatch(users, pos, sample_negatives(graph, users, rng))
 
             try:
-                trace = forward(params, graph, X, Y, block)
-                heads = head_predictions(trace, params, user_table, item_table)
-                loss_r, loss_a = batch_losses(trace, batch, user_table, item_table,
-                                              params, config, heads)
-                if not np.isfinite(loss_r + loss_a):
-                    raise FloatingPointError("non-finite loss")
-                grads = gradients(trace, batch, user_table, item_table, params,
-                                  config, graph, heads)
+                trace, loss_r, loss_a, grads = train_step(params, graph, X, Y, block, batch,
+                                                          rows, config)
                 adam_step(pdict, grads, opt, config.learning_rate)
             except FloatingPointError as exc:
-                hint = f"; last good checkpoint: {checkpoint_path}" if checkpoint_path else ""
+                hint = (f"; last good checkpoint: {checkpoint_path}"
+                        if checkpoint_path and saved else "")
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} ({exc}){hint}") from exc
             if per_batch:
@@ -483,6 +605,7 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
             save_checkpoint(checkpoint_path, params, X, Y, config.to_dict(),
                             moments=opt.moments_dict(), adam_step=opt.step,
                             rng_state=rng.bit_generator.state, epoch=epoch)
+            saved = True
 
         if val_hr > best_hr:
             best_hr = val_hr

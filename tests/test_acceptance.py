@@ -20,7 +20,7 @@ from graphrec.data import load_checkpoint, save_checkpoint, split
 from graphrec.evaluate import (attribute_metrics, bpr_baseline, evaluate_model,
                                label_propagation_metrics, majority_class_accuracy)
 from graphrec.model import attribute_block, forward, init_params, normalize_logits
-from graphrec.train import TrainConfig, gradients, head_predictions, total_loss, train
+from graphrec.train import StepRows, TrainConfig, total_loss, train, train_step
 
 from conftest import pair_batch, small_attr_tables
 from test_evaluate import naive_user_metrics, one_user_metrics
@@ -38,9 +38,9 @@ def check(label, passed, detail):
 def test_criterion_1_gradient_correctness():
     """M=8, N=10, d=4, d_a=3, K=2, gamma=0.5, both attribute sides; central
     finite differences with h=1e-4; max relative error < 1e-4. The analytic
-    gradients come from the forward that training runs, with the propagated
-    attribute block, on a batch drawn from the training pairs as training
-    draws one."""
+    gradients come from the step that training runs (``train_step``: the
+    propagated attribute block, dense work on the step rows), on a batch
+    drawn from the training pairs as training draws one."""
     rng = np.random.default_rng(0)
     M, N, d, d_a, K = 8, 10, 4, 3, 2
     pairs = rng.integers(0, [M, N], size=(35, 2))
@@ -54,9 +54,9 @@ def test_criterion_1_gradient_correctness():
     Y = init_missing(item_table, fallback=0.5)
     batch = pair_batch(g, pairs, 16, rng)
 
-    trace = forward(params, g, X, Y, attribute_block(g, X, Y, K))
-    heads = head_predictions(trace, params, user_table, item_table)
-    analytic = gradients(trace, batch, user_table, item_table, params, config, g, heads)
+    rows = StepRows(g, user_table, item_table)
+    analytic = train_step(params, g, X, Y, attribute_block(g, X, Y, K), batch, rows,
+                          config)[3]
     h = 1e-4
     worst = 0.0
     worst_name = ""

@@ -70,6 +70,20 @@ class TestTrainCommand:
         assert rc == 0
         assert (a / "report_test.txt").read_bytes() == (b / "report_test.txt").read_bytes()
 
+    @pytest.mark.parametrize("key, value", [("hr_mode", "globl"), ("norm_mode", "rows"),
+                                            ("attr_update_cadence", "never")])
+    def test_config_file_choices_checked_before_training(self, toy_files, tmp_path, capsys,
+                                                         key, value):
+        config = tmp_path / "c.txt"
+        config.write_text(f"{key}={value}\nmax_epochs=3\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--out", str(out), "--config", str(config)]
+                  + data_flags(toy_files) + ["--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be one of" in err and repr(value) in err
+        assert not (out / "checkpoint.bin").exists()
+
 
 class TestPrepareAndEvaluate:
     def test_prepare_then_train_then_evaluate(self, toy_files, tmp_path, capsys):

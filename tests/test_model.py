@@ -113,6 +113,12 @@ class TestForward:
                     assert np.abs(plain.final - want).max() <= 1e-12
                     assert np.abs(cached.final - want).max() <= 1e-12
                     assert np.abs(cached.z - plain.z).max() <= 1e-12
+                    # a training step's forward: some rows, in any order
+                    rows = rng.permutation(M + N)[:int(rng.integers(1, M + N + 1))]
+                    some = forward(p, g, X, Y, attribute_block(g, X, Y, K), rows)
+                    assert np.abs(some.final - want[rows]).max() <= 1e-12
+                    assert np.array_equal(some.rows, rows)
+                    assert np.array_equal(cached.take(rows).final, cached.final[rows])
 
     def test_attribute_block_layout(self):
         # A^K [[X, 0], [0, Y]]: the dense operator applied to the block
@@ -139,6 +145,16 @@ class TestForward:
         p2.Q *= 2.0
         t2 = forward(p2, two_user_graph, 2.0 * X, 2.0 * Y)
         assert np.allclose(t2.final, 2.0 * t1.final)
+
+    def test_some_rows_have_no_side_tables(self, two_user_graph):
+        p = params_for(2, 1, 2, 1, 1, 1, K=1)
+        X, Y = np.ones((2, 1)), np.ones((1, 1))
+        t = forward(p, two_user_graph, X, Y, attribute_block(two_user_graph, X, Y, 1),
+                    np.array([2, 0]))
+        assert t.final.shape == (2, 3)
+        for side in ("user_embeddings", "item_embeddings"):
+            with pytest.raises(ValueError, match="only some rows"):
+                getattr(t, side)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_raises(self, two_user_graph):

@@ -9,10 +9,10 @@ from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing
 from graphrec.data import load_checkpoint
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
-from graphrec.train import (AdamState, TrainConfig, TrainingDivergedError,
-                            TripleBatch, adam_step, attribute_loss, bpr_loss,
-                            gradients, head_predictions, sample_negatives, total_loss,
-                            train)
+from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, AdamState,
+                            StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
+                            adam_step, attribute_loss, bpr_loss, gradients,
+                            sample_negatives, scatter_rows, total_loss, train, train_step)
 
 from conftest import pair_batch, small_attr_tables
 
@@ -157,6 +157,37 @@ class TestAttributeLoss:
         assert np.isfinite(loss)
 
 
+def step_gradients(p, g, X, Y, batch, user_table, item_table, config):
+    """The gradients of one training step, on the path train() runs."""
+    rows = StepRows(g, user_table, item_table)
+    block = attribute_block(g, X, Y, config.K)
+    return train_step(p, g, X, Y, block, batch, rows, config)[3]
+
+
+def assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
+                                      rng, per_param=None):
+    """Central differences of total_loss (every row, from scratch) against
+    the step's analytic gradients, at relative error < 1e-4. ``per_param``
+    entries of each parameter are checked, all when None."""
+    grads = step_gradients(p, g, X, Y, batch, user_table, item_table, config)
+    h = 1e-5
+    for name, arr in p.as_dict().items():
+        flat = arr.ravel()
+        idxs = (range(flat.size) if per_param is None else
+                rng.choice(flat.size, size=min(per_param, flat.size), replace=False))
+        for idx in idxs:
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = total_loss(p, g, X, Y, batch, user_table, item_table, config)
+            flat[idx] = orig - h
+            dn = total_loss(p, g, X, Y, batch, user_table, item_table, config)
+            flat[idx] = orig
+            fd = (up - dn) / (2 * h)
+            an = grads[name].ravel()[idx]
+            rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-4)
+            assert rel < 1e-4, f"{name}[{idx}]: analytic {an}, fd {fd}"
+
+
 class TestGradients:
     def bpr_mf_setup(self):
         g = build_graph([(0, 0), (0, 2), (1, 1)], 2, 3)
@@ -169,8 +200,7 @@ class TestGradients:
         g, config, p, X, Y = self.bpr_mf_setup()
         a, i, j = 0, 2, 1
         batch = TripleBatch(np.array([a]), np.array([i]), np.array([j]))
-        trace = forward(p, g, X, Y, attribute_block(g, X, Y, 0))
-        grads = gradients(trace, batch, None, None, p, config, g, (None, None))
+        grads = step_gradients(p, g, X, Y, batch, None, None, config)
         diff = p.P[a] @ (p.Q[i] - p.Q[j])
         s = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-diff)
         expect_pa = -s * (p.Q[i] - p.Q[j]) + 2 * config.lam * p.P[a]
@@ -178,6 +208,7 @@ class TestGradients:
         assert np.allclose(grads["P"][1], 2 * config.lam * p.P[1], atol=1e-12)
         assert np.allclose(grads["Q"][i], -s * p.P[a] + 2 * config.lam * p.Q[i])
         assert np.allclose(grads["Q"][j], s * p.P[a] + 2 * config.lam * p.Q[j])
+        assert np.allclose(grads["Q"][0], 2 * config.lam * p.Q[0], atol=1e-12)
 
     def test_finite_difference_oracle_small(self):
         rng = np.random.default_rng(9)
@@ -190,23 +221,8 @@ class TestGradients:
         X = init_missing(user_table, fallback=0.5)
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
-        trace = forward(p, g, X, Y, attribute_block(g, X, Y, 1))
-        grads = gradients(trace, batch, user_table, item_table, p, config, g,
-                          head_predictions(trace, p, user_table, item_table))
-        h = 1e-5
-        for name, arr in p.as_dict().items():
-            flat = arr.ravel()
-            for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
-                orig = flat[idx]
-                flat[idx] = orig + h
-                up = total_loss(p, g, X, Y, batch, user_table, item_table, config)
-                flat[idx] = orig - h
-                dn = total_loss(p, g, X, Y, batch, user_table, item_table, config)
-                flat[idx] = orig
-                fd = (up - dn) / (2 * h)
-                an = grads[name].ravel()[idx]
-                rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-4)
-                assert rel < 1e-4, f"{name}[{idx}]: analytic {an}, fd {fd}"
+        assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
+                                          rng, per_param=6)
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_finite_difference_row_normalized(self, K):
@@ -224,25 +240,39 @@ class TestGradients:
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
         with pytest.raises(ValueError, match="attribute_block"):
-            gradients(forward(p, g, X, Y), batch, user_table, item_table, p, config, g,
-                      (None, None))
-        trace = forward(p, g, X, Y, attribute_block(g, X, Y, K))
-        grads = gradients(trace, batch, user_table, item_table, p, config, g,
-                          head_predictions(trace, p, user_table, item_table))
-        h = 1e-5
-        for name, arr in p.as_dict().items():
-            flat = arr.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + h
-                up = total_loss(p, g, X, Y, batch, user_table, item_table, config)
-                flat[idx] = orig - h
-                dn = total_loss(p, g, X, Y, batch, user_table, item_table, config)
-                flat[idx] = orig
-                fd = (up - dn) / (2 * h)
-                an = grads[name].ravel()[idx]
-                rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-4)
-                assert rel < 1e-4, f"{name}[{idx}]: analytic {an}, fd {fd}"
+            gradients(forward(p, g, X, Y), batch, StepRows(g, user_table, item_table), p,
+                      config, g, (None, None))
+        assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
+                                          rng)
+
+    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
+    def test_finite_difference_strict_step_rows(self, norm_mode, cadence):
+        # users 0-2 and items 0-3 hold no observed attribute and are in no
+        # triple, so the step's dense work skips them; their gradients come
+        # only through the propagation and the L2 term
+        rng = np.random.default_rng(40)
+        M, N = 8, 10
+        pairs = rng.integers(0, [M, N], size=(40, 2))
+        g = build_graph(pairs, M, N, norm_mode)
+        user_table, item_table = small_attr_tables(rng)
+        user_table.indicator[:3] = 0.0
+        item_table.indicator[:4] = 0.0
+        config = TrainConfig(d=3, d_a=2, K=2, gamma=0.7, lam=0.01,
+                             attr_update_cadence=cadence).validate()
+        p = init_params(M, N, 3, 2, 5, 5, K=2, seed=41, init_std=0.1)
+        X = init_missing(user_table, fallback=0.5)
+        Y = init_missing(item_table, fallback=0.5)
+        keep = (pairs[:, 0] >= 3) & (pairs[:, 1] >= 4)
+        batch = TripleBatch(pairs[keep, 0][:6], pairs[keep, 1][:6],
+                            np.array([4, 5, 9, 6, 7, 8]))
+        nodes, _ = StepRows(g, user_table, item_table).of(batch)
+        skipped = [0, 1, 2] + [M + i for i in range(4)]
+        assert not np.isin(skipped, nodes).any()
+        # every skipped node still reaches the objective through the graph
+        assert np.diff(g.S.indptr)[skipped].min() > 0
+        assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
+                                          rng)
 
     def test_zero_observed_attributes_zero_head_grads(self):
         rng = np.random.default_rng(11)
@@ -256,11 +286,19 @@ class TestGradients:
         p = init_params(M, N, 3, 2, 5, 5, K=1, seed=12, init_std=0.1)
         X, Y = rng.random((M, 5)), rng.random((N, 5))
         batch = pair_batch(g, pairs, 8, rng)
-        trace = forward(p, g, X, Y, attribute_block(g, X, Y, 1))
-        grads = gradients(trace, batch, user_table, item_table, p, config, g,
-                          head_predictions(trace, p, user_table, item_table))
+        grads = step_gradients(p, g, X, Y, batch, user_table, item_table, config)
         assert np.all(grads["W_x"] == 0.0)
         assert np.all(grads["W_y"] == 0.0)
+
+    def test_scatter_rows_equals_add_at_bitwise(self):
+        # repeated indices add in order from zero in both
+        rng = np.random.default_rng(15)
+        for n, k in ((7, 40), (50, 3000), (1, 5)):
+            index = rng.integers(0, n, size=k)
+            values = rng.normal(size=(k, 6)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
+            want = np.zeros((n, 6))
+            np.add.at(want, index, values)
+            assert np.array_equal(scatter_rows(index, values, n), want)
 
 
 class TestAdam:
@@ -291,11 +329,43 @@ class TestAdam:
         assert np.array_equal(p1["a"], p2["a"])
         assert np.array_equal(p1["b"], p2["b"])
 
+    def test_matches_textbook_formula_bitwise(self):
+        # "a" spans three blocks of the blocked update, the last one partial
+        rng = np.random.default_rng(16)
+        params = {"a": rng.normal(size=(ADAM_BLOCK + 5, 2)), "b": rng.normal(size=7)}
+        want = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        state = AdamState(params)
+        for t in range(1, 21):
+            grads = {k: rng.normal(size=x.shape) * 10.0 ** rng.integers(-6, 4)
+                     for k, x in params.items()}
+            adam_step(params, grads, state, 0.01)
+            c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+            for k, g in grads.items():
+                m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+                v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g * g
+                want[k] -= 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + ADAM_EPS)
+                assert np.array_equal(params[k], want[k]), (t, k)
+
     def test_non_finite_gradient_named(self):
         params = {"W_u": np.zeros(2)}
         state = AdamState(params)
         with pytest.raises(FloatingPointError, match="W_u"):
             adam_step(params, {"W_u": np.array([np.nan, 0.0])}, state, 0.01)
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = {"W_1": np.zeros((4, 4))[:, :2]}
+        with pytest.raises(ValueError, match="W_1 is not C-contiguous"):
+            adam_step(params, {"W_1": np.ones((4, 2))}, AdamState(params), 0.01)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_update_named(self):
+        # a finite gradient whose update overflows
+        params = {"P": np.zeros(2), "W_v": np.zeros(2)}
+        state = AdamState(params)
+        with pytest.raises(FloatingPointError, match="non-finite Adam update for parameter W_v"):
+            adam_step(params, {"P": np.zeros(2), "W_v": np.array([10.0, 0.0])}, state, 1e308)
 
 
 class TestTrainLoop:
@@ -379,19 +449,22 @@ class TestTrainLoop:
                                        resume_from=load_checkpoint(ckpt)).log] == [2]
 
     def checked_steps(self, monkeypatch, dataset):
-        """Make every forward inside train() check itself against an uncached
-        forward on the same params, X and Y, and every write-back check that
-        it reads the heads at the parameters of that moment."""
+        """Make every forward inside train() check the rows it computed
+        against an uncached forward of every row on the same params, X and
+        Y, and every write-back check that it reads the heads at the
+        parameters of that moment."""
         mod = sys.modules["graphrec.train"]
         real_forward, real_update = mod.forward, mod.apply_update
-        seen = {"errors": [], "cached": 0, "updates": 0}
+        seen = {"errors": [], "cached": 0, "updates": 0, "restricted": 0}
 
-        def checked_forward(params, graph, X, Y, block=None):
-            trace = real_forward(params, graph, X, Y, block)
+        def checked_forward(params, graph, X, Y, block=None, rows=None):
+            trace = real_forward(params, graph, X, Y, block, rows)
             ref = real_forward(params, graph, X, Y)
-            seen["errors"].append(max(np.abs(trace.final - ref.final).max(),
-                                      np.abs(trace.z - ref.z).max()))
+            at = slice(None) if rows is None else rows
+            seen["errors"].append(max(np.abs(trace.final - ref.final[at]).max(),
+                                      np.abs(trace.z - ref.z[at]).max()))
             seen["cached"] += block is not None
+            seen["restricted"] += rows is not None
             seen["trace"], seen["params"] = trace, params
             return trace
 
@@ -415,6 +488,7 @@ class TestTrainLoop:
         steps = -(-len(toy_dataset.train_pairs) // cfg.batch_size)
         forwards = 2 * steps + (4 if cadence == "per-epoch" else 2)
         assert seen["cached"] == len(seen["errors"]) == forwards
+        assert seen["restricted"] == (2 * steps if cadence == "per-epoch" else 0)
         assert seen["updates"] == 2 * (2 * steps if cadence == "per-batch" else 2)
         assert max(seen["errors"]) <= 1e-12
 
@@ -434,20 +508,116 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="diverged"):
             train(stripped, cfg)
 
-    def test_non_finite_gradient_is_divergence(self, toy_dataset, monkeypatch, tmp_path):
-        # a NaN that first appears in a gradient is caught by adam_step and
-        # reported like a non-finite loss: with the epoch and the checkpoint
-        mod = sys.modules["graphrec.train"]
-        real = mod.gradients
+    def nan_gradient_after(self, monkeypatch, calls):
+        """Make gradients() put a NaN into W_u from call ``calls + 1`` on."""
+        count = [0]
 
         def nan_in_W_u(*args):
-            grads = real(*args)
-            grads["W_u"][0, 0] = np.nan
+            grads = gradients(*args)
+            count[0] += 1
+            if count[0] > calls:
+                grads["W_u"][0, 0] = np.nan
             return grads
 
-        monkeypatch.setattr(mod, "gradients", nan_in_W_u)
-        ckpt = str(tmp_path / "ckpt.bin")
+        monkeypatch.setattr(sys.modules["graphrec.train"], "gradients", nan_in_W_u)
+
+    def test_non_finite_gradient_is_divergence(self, toy_dataset, monkeypatch, tmp_path):
+        # a NaN that first appears in a gradient is caught by adam_step and
+        # reported like a non-finite loss, with the epoch; in epoch 1 of a
+        # fresh run no checkpoint exists yet, so none is named
+        self.nan_gradient_after(monkeypatch, 0)
+        ckpt = tmp_path / "ckpt.bin"
         with pytest.raises(TrainingDivergedError,
-                           match=r"epoch 1 \(non-finite gradient for parameter W_u\)"
-                                 r"; last good checkpoint: .*ckpt\.bin"):
-            train(toy_dataset, self.small_config(), checkpoint_path=ckpt)
+                           match=r"epoch 1 \(non-finite gradient for parameter W_u\)$"):
+            train(toy_dataset, self.small_config(), checkpoint_path=str(ckpt))
+        assert not ckpt.exists()
+
+    def test_divergence_names_written_checkpoint(self, toy_dataset, monkeypatch, tmp_path):
+        # after this run wrote a checkpoint, or when it resumed from one
+        cfg = self.small_config()
+        steps = -(-len(toy_dataset.train_pairs) // cfg.batch_size)
+        ckpt = str(tmp_path / "ckpt.bin")
+        hint = (r"epoch 2 \(non-finite gradient for parameter W_u\)"
+                r"; last good checkpoint: .*ckpt\.bin$")
+        self.nan_gradient_after(monkeypatch, steps)
+        with pytest.raises(TrainingDivergedError, match=hint):
+            train(toy_dataset, cfg, checkpoint_path=ckpt)
+        self.nan_gradient_after(monkeypatch, 0)
+        with pytest.raises(TrainingDivergedError, match=hint):
+            train(toy_dataset, cfg, checkpoint_path=ckpt, resume_from=load_checkpoint(ckpt))
+
+    def test_step_work_restricted_to_step_rows(self, toy_dataset, monkeypatch):
+        # per-epoch cadence: each step runs 2K sparse products, all of width
+        # d (K forward on S, K backward on S^T); width-(d_x + d_y) products
+        # run only where the attribute block is rebuilt (at the start and
+        # after each write-back); the step's final embeddings have one row
+        # per step row, fewer than M + N
+        mod = sys.modules["graphrec.train"]
+        graph = toy_dataset.graph_train
+        M, N = graph.num_users, graph.num_items
+        cfg = self.small_config(K=2, batch_size=16, max_epochs=2)
+        tables = (toy_dataset.user_attrs, toy_dataset.item_attrs)
+        d_xy = sum(t.schema.total_dim for t in tables)
+        observed = np.concatenate([offset + np.flatnonzero(t.indicator.any(axis=1))
+                                   for offset, t in zip((0, M), tables)])
+        events = []
+
+        class Counting:
+            def __init__(self, op, name):
+                self.op, self.name = op, name
+
+            def __matmul__(self, H):
+                events.append((self.name, H.shape[1]))
+                return self.op @ H
+
+            def __getitem__(self, key):
+                return self.op[key]
+
+            def __getattr__(self, attr):
+                return getattr(self.op, attr)
+
+        real_step, real_update = mod.train_step, mod.apply_update
+        step_rows = []
+
+        def marked_step(params, graph, X, Y, block, batch, rows, config):
+            events.append(("step", None))
+            out = real_step(params, graph, X, Y, block, batch, rows, config)
+            events.append(("end", None))
+            want = np.unique(np.concatenate([batch.users, M + batch.pos, M + batch.neg,
+                                             observed]))
+            trace = out[0]
+            assert np.array_equal(np.sort(trace.rows), want)
+            assert trace.final.shape[0] == trace.z.shape[0] == len(want)
+            step_rows.append(len(want))
+            return out
+
+        def marked_update(*args):
+            events.append(("write-back", None))
+            return real_update(*args)
+
+        monkeypatch.setattr(graph, "S", Counting(graph.S, "S"))
+        monkeypatch.setattr(graph, "St", Counting(graph.St, "St"))
+        monkeypatch.setattr(mod, "train_step", marked_step)
+        monkeypatch.setattr(mod, "apply_update", marked_update)
+        train(toy_dataset, cfg, val_metric_fn=lambda epoch, trace: (0.0, 0.0))
+
+        steps = 2 * -(-len(toy_dataset.train_pairs) // cfg.batch_size)
+        assert len(step_rows) == steps and max(step_rows) < M + N
+        inside, wide, since_write_back = None, 0, True
+        for name, width in events:
+            if name == "step":
+                inside, since_write_back = [], False
+            elif name == "end":
+                assert sorted(inside) == [("S", cfg.d)] * cfg.K + [("St", cfg.d)] * cfg.K
+                inside = None
+            elif name == "write-back":
+                since_write_back = True
+            elif inside is not None:
+                inside.append((name, width))
+            elif width == d_xy:
+                assert since_write_back, "attribute block rebuilt without a write-back"
+                wide += 1
+            else:
+                assert (name, width) == ("S", cfg.d)
+        # the block at the start and after each epoch's write-back
+        assert wide == cfg.K * (1 + cfg.max_epochs)
