@@ -4,10 +4,14 @@ The graph is built once from a list of (user, item) interaction pairs and is
 immutable afterwards. The propagation operator ``S`` is an (M+N) x (M+N)
 sparse matrix whose only nonzero blocks are user->item and item->user; one
 propagation step computes ``H + S @ H`` (self term plus normalized neighbor
-aggregation).
+aggregation). A step can also be restricted to some nodes (:class:`NodeRows`):
+forward, to produce only their rows; transposed, from a gradient that is zero
+off them. Both read only the rows of ``S`` at those nodes.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,13 +25,19 @@ class BipartiteGraph:
     Attributes:
         num_users: M.
         num_items: N.
-        S: (M+N) x (M+N) CSR propagation operator (normalized adjacency, no self loops).
+        S: (M+N) x (M+N) CSR propagation operator (normalized adjacency, no self
+            loops), with sorted column indices in every row: a ``S`` given
+            unsorted is sorted here. :meth:`has_edges` searches its user rows,
+            and a restricted transposed step (:func:`propagate_back`) adds its
+            terms in the order a full product over ``St`` does.
         St: S transposed, as CSR: S itself under symmetric normalization,
             a copy built once under row normalization (backward passes apply it).
         norm_mode: "symmetric" (D^-1/2 A D^-1/2) or "row" (D^-1 A).
     """
 
     def __init__(self, num_users, num_items, S, norm_mode):
+        if not S.has_sorted_indices:
+            S = S.sorted_indices()
         self.num_users = num_users
         self.num_items = num_items
         self.S = S
@@ -44,9 +54,28 @@ class BipartiteGraph:
 
     def items_of(self, users):
         """(indptr, items): ``items[indptr[r]:indptr[r + 1]]`` are the items of
-        ``users[r]``, read from its row of S and not necessarily sorted."""
+        ``users[r]`` in ascending order, read from its row of S."""
         rows = self.S[users]
         return rows.indptr, rows.indices - self.num_users
+
+    def has_edges(self, users, items):
+        """For each r, whether user ``users[r]`` interacts with item
+        ``items[r]``: a binary search in each user's sorted row of S,
+        vectorised over r."""
+        indptr, cols = self.S.indptr, self.S.indices
+        users = np.asarray(users)
+        targets = self.num_users + np.asarray(items)
+        lo, end = indptr[users], indptr[users + 1]
+        hi = end.copy()
+        # a search over n entries ends after n.bit_length() halvings
+        for _ in range(int((end - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            right = (lo < hi) & (cols[np.minimum(mid, len(cols) - 1)] < targets)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        found = lo < end
+        found[found] = cols[lo[found]] == targets[found]
+        return found
 
     def __repr__(self):
         return (f"BipartiteGraph(M={self.num_users}, N={self.num_items}, "
@@ -95,15 +124,70 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     return BipartiteGraph(M, N, S, norm_mode)
 
 
-def propagate(graph, H):
+class NodeRows:
+    """Some nodes of a graph, and the rows of S at them, sliced once.
+
+    ids: distinct node ids (users 0..M-1, items M..M+N-1), in the caller's
+        order; restricted steps return their rows in this order.
+    ascending: the positions in ``ids`` that sort them, so
+        ``ids[ascending]`` is ascending.
+    S: ``graph.S[ids[ascending]]``, the rows of S at the nodes in ascending
+        node order, sliced on first use. The rows of ``St`` are sorted too,
+        so a transposed step through this slice adds each output's terms in
+        ascending node order, as a full product over ``St`` does: the
+        restricted steps are bit-identical to the full ones on the rows they
+        keep.
+    """
+
+    def __init__(self, graph, ids):
+        self.graph = graph
+        self.ids = np.asarray(ids)
+        self.ascending = np.argsort(self.ids)
+
+    @functools.cached_property
+    def S(self):
+        return self.graph.S[self.ids[self.ascending]]
+
+
+def propagate(graph, H, rows=None):
     """One propagation step: ``H + S @ H``.
 
     ``H`` must have M+N rows. Degree-zero nodes pass their row through
-    unchanged. The output is freshly allocated.
+    unchanged. The output is freshly allocated. With ``rows`` (a
+    :class:`NodeRows`) only the rows at ``rows.ids`` are computed, in that
+    order, from the slice ``rows.S``: ``H[R] + S[R] @ H``.
     """
     H = np.asarray(H)
     if H.shape[0] != graph.num_nodes:
         raise ValueError(
             f"H has {H.shape[0]} rows, expected M+N={graph.num_nodes}"
         )
-    return H + graph.S @ H
+    if rows is None:
+        out = graph.S @ H
+        out += H
+        return out
+    step = rows.S @ H
+    step += H[rows.ids[rows.ascending]]
+    out = np.empty_like(step)
+    out[rows.ascending] = step
+    return out
+
+
+def propagate_back(graph, G, K, rows):
+    """``(A^T)^K g`` with ``A = I + S``, every node's row, for the gradient
+    ``g`` that holds ``G`` on the nodes ``rows`` (a :class:`NodeRows`, in
+    its ``ids`` order) and zero elsewhere.
+
+    The first step reads only the slice ``rows.S``: ``A^T g = g + S[R]^T G``
+    (``S^T = St`` in both normalizations). The other K - 1 steps apply
+    ``St`` over every node.
+    """
+    if K == 0:
+        out = np.zeros((graph.num_nodes, G.shape[1]))
+        out[rows.ids] = G
+        return out
+    out = rows.S.T @ G[rows.ascending]
+    out[rows.ids] += G
+    for _ in range(K - 1):
+        out += graph.St @ out
+    return out

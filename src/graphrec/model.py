@@ -11,10 +11,11 @@ times the stacked projections ``[W_u; W_v]``; that propagated block
 keeps it passes it to :func:`forward`, which then propagates only the free
 embeddings ``[P; Q]`` (width d, not d + d_a). Every map after the
 propagation is row by row, so a forward asked for a few rows (``rows``)
-computes the final embeddings of those rows alone. Rating scores are inner
-products of final user/item embeddings; attribute heads map final
-embeddings to per-field probabilities (softmax per single-label field,
-elementwise logistic per multi-label dimension).
+computes the final embeddings of those rows alone, and its last propagation
+step reads only the rows of S at them. Rating scores are inner products of
+final user/item embeddings; attribute heads map final embeddings to
+per-field probabilities (softmax per single-label field, elementwise
+logistic per multi-label dimension).
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class ForwardTrace:
     (``final = z @ W_1 ... W_K``).
     block: the propagated attribute block ``A^K [[X, 0], [0, Y]]`` the
     forward used, or None when it propagated the fused input.
-    rows: None when final, z and block hold every node; otherwise the node
-    ids (users 0..M-1, items M..M+N-1) of their rows, in that order. Such a
-    trace has no per-side embedding tables.
+    rows: None when final, z and block hold every node; otherwise the
+    :class:`graph.NodeRows` of their rows, which are in the order of
+    ``rows.ids`` (users 0..M-1, items M..M+N-1). Such a trace has no
+    per-side embedding tables.
 
     A trace made only to hold embeddings (for ranking or the heads) needs
     ``final`` and ``num_users`` alone.
@@ -125,9 +127,11 @@ class ForwardTrace:
         return self.final
 
     def take(self, rows):
-        """The trace of the nodes ``rows`` alone, from a trace of every node."""
-        return ForwardTrace(self.final[rows], self.num_users, self.z[rows],
-                            None if self.block is None else self.block[rows], rows)
+        """The trace of the nodes ``rows`` (a :class:`graph.NodeRows`) alone,
+        from a trace of every node."""
+        ids = rows.ids
+        return ForwardTrace(self.final[ids], self.num_users, self.z[ids],
+                            None if self.block is None else self.block[ids], rows)
 
 
 def fuse(params, X, Y):
@@ -145,10 +149,15 @@ def fuse(params, X, Y):
     return np.vstack([users, items])
 
 
-def propagate_k(graph, H, K):
-    """``A^K H`` with ``A = I + S``: K propagation steps."""
-    for _ in range(K):
-        H = propagate(graph, H)
+def propagate_k(graph, H, K, rows=None):
+    """``A^K H`` with ``A = I + S``: K propagation steps. With ``rows`` (a
+    :class:`graph.NodeRows`) only the rows at ``rows.ids``, in that order:
+    the first K - 1 steps cover every node and the last one those rows
+    alone."""
+    if rows is not None and K == 0:
+        return H[rows.ids]
+    for k in range(K):
+        H = propagate(graph, H, rows if k == K - 1 else None)
     return H
 
 
@@ -173,18 +182,17 @@ def forward(params, graph, X, Y, block=None, rows=None):
     with X and Y) only ``[P; Q]`` is propagated, at width d, and the
     attribute half of ``A^K H_0`` is ``block @ [W_u; W_v]``.
 
-    With ``rows`` (node ids) the propagation still runs over every node, but
-    ``z``, the block and ``final`` are taken for those rows only, in that
-    order; the trace records them as ``trace.rows``.
+    With ``rows`` (a :class:`graph.NodeRows`) ``z``, the block and
+    ``final`` are computed for the rows at ``rows.ids`` only, in that order:
+    the first K - 1 propagation steps still cover every node, the last one
+    reads only the slice ``rows.S``. The trace records them as
+    ``trace.rows``.
     """
     K = params.num_layers
-    if block is None:
-        z = propagate_k(graph, fuse(params, X, Y), K)
-    else:
-        z = propagate_k(graph, np.vstack([params.P, params.Q]), K)
-    if rows is not None:
-        z = z[rows]
-        block = None if block is None else block[rows]
+    H = fuse(params, X, Y) if block is None else np.vstack([params.P, params.Q])
+    z = propagate_k(graph, H, K, rows)
+    if rows is not None and block is not None:
+        block = block[rows.ids]
     if block is not None:
         z = np.hstack([z, block @ np.vstack([params.W_u, params.W_v])])
     final = z @ functools.reduce(np.matmul, params.W) if K else z

@@ -12,8 +12,14 @@ are refreshed from the model's own predictions between steps.
 
 The model is linear, so a step's dense work is exact on the rows its
 objective reads (:class:`StepRows`): the batch's users and items, and the
-users and items with an observed attribute entry. Only the two sparse
-passes, ``A^K [P; Q]`` forward and ``(A^T)^K`` backward, cover every node.
+users and items with an observed attribute entry. The two sparse passes,
+``A^K [P; Q]`` forward and ``(A^T)^K`` backward, read ``S_R``, the rows of S
+at the step rows, sliced once per step: the last forward step builds only
+the step rows, and the first backward step starts from a gradient that is
+zero off them, so it is ``S_R^T`` applied to their rows. The other K - 1
+steps of each pass cover every node. Under the per-batch cadence the forward
+builds every row, because the write-back after the step reads them all;
+only the first backward step reads ``S_R``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import scipy.sparse as sp
 from .attributes import apply_update, init_missing
 from .data import save_checkpoint
 from .evaluate import rank_and_score
+from .graph import NodeRows, propagate_back
 from .model import (ForwardTrace, ModelParams, attribute_block, forward, infer_attributes,
                     init_params)
 
@@ -165,18 +172,19 @@ class TripleBatch:
 
 def sample_negatives(graph, users, rng):
     """One uniformly random non-interacted item per user, by rejection. Only
-    rows whose draw is one of the user's items draw again, row by row."""
-    N = graph.num_items
-    indptr, items = graph.items_of(users)
-    full = np.diff(indptr) >= N
+    rows whose draw is one of the user's items draw again, row by row. Every
+    draw is tested by a binary search in the user's sorted row of S."""
+    M, N = graph.num_users, graph.num_items
+    full = graph.user_degrees()[users] >= N
     if full.any():
         raise ValueError(f"user {users[np.argmax(full)]} interacts with every item; "
                          "cannot sample a negative")
     neg = rng.integers(0, N, size=len(users))
-    owner = np.repeat(np.arange(len(users)), np.diff(indptr))
-    for r in owner[items == neg[owner]]:
-        own = items[indptr[r]:indptr[r + 1]]
-        while neg[r] in own:
+    indptr, cols = graph.S.indptr, graph.S.indices
+    for r in np.flatnonzero(graph.has_edges(users, neg)):
+        own = cols[indptr[users[r]]:indptr[users[r] + 1]]
+        # own is sorted, and non-empty since the first draw hit
+        while own[min(own.searchsorted(M + neg[r]), len(own) - 1)] == M + neg[r]:
             neg[r] = rng.integers(0, N)
     return neg
 
@@ -336,8 +344,9 @@ def gradients(trace, batch, rows, params, config, graph, heads):
     ``z = A^K H_0``, the gradient G of ``final`` is zero off the step rows,
     so G holds those rows only. It gives every layer weight from
     ``C = z^T G`` as ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from
-    ``(A^T)^K`` applied, over every node, to the first d columns of
-    ``G (W_1 ... W_K)^T``, and W_u, W_v from the rows of the attribute block
+    ``(A^T)^K`` applied to the first d columns of ``G (W_1 ... W_K)^T`` (the
+    first step through the slice ``trace.rows.S``, :func:`propagate_back`),
+    and W_u, W_v from the rows of the attribute block
     ``A^K [[X, 0], [0, Y]]`` the forward was given (``trace.block``).
     Finiteness is checked once, where :func:`adam_step` reads the gradients.
 
@@ -386,10 +395,7 @@ def gradients(trace, batch, rows, params, config, graph, heads):
         suffix = params.W[k] @ suffix
 
     W_all = prefix[-1]
-    g_free = np.zeros((graph.num_nodes, d))
-    g_free[trace.rows] = G @ W_all[:d].T
-    for _ in range(params.num_layers):
-        g_free += graph.St @ g_free
+    g_free = propagate_back(graph, G @ W_all[:d].T, params.num_layers, trace.rows)
     grads["P"] = g_free[:M] + 2.0 * config.lam * params.P
     grads["Q"] = g_free[M:] + 2.0 * config.lam * params.Q
 
@@ -404,10 +410,12 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
     """Forward, losses and gradients of one training step.
 
     The forward's dense work, the heads, the losses and the gradient run on
-    the step rows of ``batch`` (``rows``, a :class:`StepRows`). Under the
-    per-batch cadence the forward builds every row instead, because the
-    attribute write-back that follows the step reads them all; the rest of
-    the step still reads the step rows alone.
+    the step rows of ``batch`` (``rows``, a :class:`StepRows`), and the rows
+    of S at them are sliced once (a :class:`NodeRows`) for the last forward
+    and the first backward propagation step. Under the per-batch cadence the
+    forward builds every row instead, because the attribute write-back that
+    follows the step reads them all; the rest of the step still reads the
+    step rows alone.
 
     Returns:
         (trace, loss_r, loss_a, grads): ``trace`` is the step's forward.
@@ -416,9 +424,10 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
         FloatingPointError: when a loss is non-finite.
     """
     nodes, local = rows.of(batch)
+    cut = NodeRows(graph, nodes)
     every_row = config.attr_update_cadence == "per-batch"
-    trace = forward(params, graph, X, Y, block, None if every_row else nodes)
-    step = trace.take(nodes) if every_row else trace
+    trace = forward(params, graph, X, Y, block, None if every_row else cut)
+    step = trace.take(cut) if every_row else trace
     heads = rows.heads(step, params)
     loss_r, loss_a = batch_losses(step, local, rows, params, config, heads)
     if not np.isfinite(loss_r + loss_a):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphrec import build_graph, propagate
+from graphrec.graph import BipartiteGraph, NodeRows, propagate_back
 
 from conftest import random_bipartite, random_pairs
 
@@ -57,7 +59,28 @@ class TestBuildGraph:
                 indptr, items = g.items_of(users)
                 for r, a in enumerate(users):
                     own = items[indptr[r]:indptr[r + 1]]
-                    assert np.array_equal(np.sort(own), np.flatnonzero(R[a]))
+                    assert np.array_equal(own, np.flatnonzero(R[a]))
+                every_user, every_item = np.divmod(np.arange(M * N), N)
+                assert np.array_equal(g.has_edges(every_user, every_item), R.ravel())
+
+    def test_unsorted_operator_sorted_on_construction(self):
+        # a CSR S whose rows list their columns in descending order: the graph
+        # sorts it, keeping every value, and its searches read the sorted rows
+        g = build_graph([(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)], 3, 3, "row")
+        S = g.S
+        rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+        order = np.lexsort((-S.indices, rows))
+        unsorted = sp.csr_matrix((S.data[order], S.indices[order], S.indptr), shape=S.shape)
+        assert not unsorted.has_sorted_indices
+        h = BipartiteGraph(3, 3, unsorted, "row")
+        assert h.S.has_sorted_indices
+        for r in range(h.num_nodes):
+            assert np.all(np.diff(h.S.indices[h.S.indptr[r]:h.S.indptr[r + 1]]) > 0)
+        assert np.array_equal(h.S.toarray(), S.toarray())
+        assert np.array_equal(h.St.toarray(), S.toarray().T)
+        users, items = np.divmod(np.arange(9), 3)
+        assert h.has_edges(users, items).tolist() == [True, False, True, False, True, True,
+                                                      True, False, False]
 
     def test_diagonal_blocks_are_zero(self):
         rng = np.random.default_rng(6)
@@ -107,12 +130,25 @@ class TestPropagate:
         assert np.allclose(propagate(g, H), np.ones((2, 2)))
 
     def test_matches_dense_oracle(self):
+        # the full step, the step restricted to some nodes (in their order),
+        # and K transposed steps from a gradient held on those nodes
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            g = random_bipartite(rng)
-            H = rng.normal(size=(g.num_nodes, 3))
-            dense = (np.eye(g.num_nodes) + g.S.toarray()) @ H
-            assert np.abs(propagate(g, H) - dense).max() <= 1e-12
+        for norm_mode in ("symmetric", "row"):
+            for _ in range(25):
+                g = random_bipartite(rng, norm_mode=norm_mode)
+                A = np.eye(g.num_nodes) + g.S.toarray()
+                H = rng.normal(size=(g.num_nodes, 3))
+                dense = A @ H
+                assert np.abs(propagate(g, H) - dense).max() <= 1e-12
+                ids = rng.permutation(g.num_nodes)[:int(rng.integers(1, g.num_nodes + 1))]
+                rows = NodeRows(g, ids)
+                assert np.array_equal(propagate(g, H, rows), propagate(g, H)[ids])
+                G = rng.normal(size=(len(ids), 3))
+                g_full = np.zeros((g.num_nodes, 3))
+                g_full[ids] = G
+                for K in range(4):
+                    want = np.linalg.matrix_power(A.T, K) @ g_full
+                    assert np.abs(propagate_back(g, G, K, rows) - want).max() <= 1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(12)

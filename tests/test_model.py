@@ -3,6 +3,7 @@ import pytest
 
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema
+from graphrec.graph import NodeRows
 from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
                             fuse, infer_attributes, init_params, normalize_logits,
                             predict_rating)
@@ -113,12 +114,15 @@ class TestForward:
                     assert np.abs(plain.final - want).max() <= 1e-12
                     assert np.abs(cached.final - want).max() <= 1e-12
                     assert np.abs(cached.z - plain.z).max() <= 1e-12
-                    # a training step's forward: some rows, in any order
-                    rows = rng.permutation(M + N)[:int(rng.integers(1, M + N + 1))]
+                    # a training step's forward: some rows, in any order,
+                    # the last step through the rows of S at them
+                    ids = rng.permutation(M + N)[:int(rng.integers(1, M + N + 1))]
+                    rows = NodeRows(g, ids)
                     some = forward(p, g, X, Y, attribute_block(g, X, Y, K), rows)
-                    assert np.abs(some.final - want[rows]).max() <= 1e-12
-                    assert np.array_equal(some.rows, rows)
-                    assert np.array_equal(cached.take(rows).final, cached.final[rows])
+                    assert np.abs(some.final - want[ids]).max() <= 1e-12
+                    assert some.rows is rows
+                    assert np.array_equal(some.z[:, :3], cached.z[ids, :3])
+                    assert np.array_equal(cached.take(rows).final, cached.final[ids])
 
     def test_attribute_block_layout(self):
         # A^K [[X, 0], [0, Y]]: the dense operator applied to the block
@@ -150,7 +154,7 @@ class TestForward:
         p = params_for(2, 1, 2, 1, 1, 1, K=1)
         X, Y = np.ones((2, 1)), np.ones((1, 1))
         t = forward(p, two_user_graph, X, Y, attribute_block(two_user_graph, X, Y, 1),
-                    np.array([2, 0]))
+                    NodeRows(two_user_graph, np.array([2, 0])))
         assert t.final.shape == (2, 3)
         for side in ("user_embeddings", "item_embeddings"):
             with pytest.raises(ValueError, match="only some rows"):

@@ -8,6 +8,7 @@ from dataclasses import replace
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing
 from graphrec.data import load_checkpoint
+from graphrec.graph import NodeRows
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
 from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, AdamState,
                             StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
@@ -250,7 +251,9 @@ class TestGradients:
     def test_finite_difference_strict_step_rows(self, norm_mode, cadence):
         # users 0-2 and items 0-3 hold no observed attribute and are in no
         # triple, so the step's dense work skips them; their gradients come
-        # only through the propagation and the L2 term
+        # only through the propagation and the L2 term. At K = 1 both sparse
+        # passes read only the rows of S at the step rows; at K = 3 a middle
+        # step of each pass covers every node
         rng = np.random.default_rng(40)
         M, N = 8, 10
         pairs = rng.integers(0, [M, N], size=(40, 2))
@@ -258,9 +261,6 @@ class TestGradients:
         user_table, item_table = small_attr_tables(rng)
         user_table.indicator[:3] = 0.0
         item_table.indicator[:4] = 0.0
-        config = TrainConfig(d=3, d_a=2, K=2, gamma=0.7, lam=0.01,
-                             attr_update_cadence=cadence).validate()
-        p = init_params(M, N, 3, 2, 5, 5, K=2, seed=41, init_std=0.1)
         X = init_missing(user_table, fallback=0.5)
         Y = init_missing(item_table, fallback=0.5)
         keep = (pairs[:, 0] >= 3) & (pairs[:, 1] >= 4)
@@ -271,8 +271,64 @@ class TestGradients:
         assert not np.isin(skipped, nodes).any()
         # every skipped node still reaches the objective through the graph
         assert np.diff(g.S.indptr)[skipped].min() > 0
-        assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
-                                          rng)
+        for K in (1, 2, 3):
+            config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01,
+                                 attr_update_cadence=cadence).validate()
+            p = init_params(M, N, 3, 2, 5, 5, K=K, seed=41, init_std=0.1)
+            assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table,
+                                              config, rng)
+
+    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_restricted_steps_bit_identical(self, K, cadence, norm_mode, monkeypatch):
+        # train_step runs the last forward step and the first backward step on
+        # the rows of S at the step rows; run every step in full over S and
+        # S^T instead and the step's z, final and every gradient keep their
+        # bits. Item N - 1 has no training edge and is a negative, so its row
+        # of the slice is empty
+        rng = np.random.default_rng(50 + K)
+        M, N = 8, 10
+        pairs = rng.integers(0, [M, N - 1], size=(40, 2))
+        g = build_graph(pairs, M, N, norm_mode)
+        user_table, item_table = small_attr_tables(rng)
+        config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01,
+                             attr_update_cadence=cadence).validate()
+        p = init_params(M, N, 3, 2, 5, 5, K=K, seed=51, init_std=0.1)
+        X = init_missing(user_table, fallback=0.5)
+        Y = init_missing(item_table, fallback=0.5)
+        batch = pair_batch(g, pairs, 12, rng)
+        batch.neg[0] = N - 1
+        rows = StepRows(g, user_table, item_table)
+        block = attribute_block(g, X, Y, K)
+        assert NodeRows(g, [M + N - 1]).S.nnz == 0
+        got = train_step(p, g, X, Y, block, batch, rows, config)
+
+        def every_step_in_full(graph, H, K, rows=None):
+            for _ in range(K):
+                H = H + graph.S @ H
+            return H if rows is None else H[rows.ids]
+
+        def every_back_step_in_full(graph, G, K, rows):
+            g_free = np.zeros((graph.num_nodes, G.shape[1]))
+            g_free[rows.ids] = G
+            for _ in range(K):
+                g_free += graph.St @ g_free
+            return g_free
+
+        monkeypatch.setattr(sys.modules["graphrec.model"], "propagate_k", every_step_in_full)
+        monkeypatch.setattr(sys.modules["graphrec.train"], "propagate_back",
+                            every_back_step_in_full)
+        want = train_step(p, g, X, Y, block, batch, rows, config)
+        if cadence == "per-epoch":
+            assert M + N - 1 in got[0].rows.ids
+            assert np.array_equal(got[0].rows.ids, want[0].rows.ids)
+        assert np.array_equal(got[0].z, want[0].z)
+        assert np.array_equal(got[0].final, want[0].final)
+        assert got[1:3] == want[1:3]
+        assert got[3].keys() == want[3].keys()
+        for name, grad in got[3].items():
+            assert np.array_equal(grad, want[3][name]), name
 
     def test_zero_observed_attributes_zero_head_grads(self):
         rng = np.random.default_rng(11)
@@ -460,7 +516,7 @@ class TestTrainLoop:
         def checked_forward(params, graph, X, Y, block=None, rows=None):
             trace = real_forward(params, graph, X, Y, block, rows)
             ref = real_forward(params, graph, X, Y)
-            at = slice(None) if rows is None else rows
+            at = slice(None) if rows is None else rows.ids
             seen["errors"].append(max(np.abs(trace.final - ref.final[at]).max(),
                                       np.abs(trace.z - ref.z[at]).max()))
             seen["cached"] += block is not None
@@ -547,15 +603,18 @@ class TestTrainLoop:
             train(toy_dataset, cfg, checkpoint_path=ckpt, resume_from=load_checkpoint(ckpt))
 
     def test_step_work_restricted_to_step_rows(self, toy_dataset, monkeypatch):
-        # per-epoch cadence: each step runs 2K sparse products, all of width
-        # d (K forward on S, K backward on S^T); width-(d_x + d_y) products
-        # run only where the attribute block is rebuilt (at the start and
-        # after each write-back); the step's final embeddings have one row
-        # per step row, fewer than M + N
+        # each step slices the rows of S at its step rows once (S_R, fewer
+        # nonzeros than S) and runs 2K sparse products, all of width d. Under
+        # the per-epoch cadence: K - 1 forward on S, the last forward step on
+        # S_R, the first backward step on S_R^T and K - 1 backward on S^T.
+        # Under the per-batch cadence the forward runs all K steps on S, and
+        # the backward is the same. Width-(d_x + d_y) products run only where
+        # the attribute block is rebuilt (at the start and after each
+        # write-back); a per-epoch step's final embeddings have one row per
+        # step row, fewer than M + N
         mod = sys.modules["graphrec.train"]
         graph = toy_dataset.graph_train
         M, N = graph.num_users, graph.num_items
-        cfg = self.small_config(K=2, batch_size=16, max_epochs=2)
         tables = (toy_dataset.user_attrs, toy_dataset.item_attrs)
         d_xy = sum(t.schema.total_dim for t in tables)
         observed = np.concatenate([offset + np.flatnonzero(t.indicator.any(axis=1))
@@ -571,7 +630,13 @@ class TestTrainLoop:
                 return self.op @ H
 
             def __getitem__(self, key):
-                return self.op[key]
+                part = self.op[key]
+                events.append(("slice", part.nnz))
+                return Counting(part, "S_R")
+
+            @property
+            def T(self):
+                return Counting(self.op.T, self.name + "^T")
 
             def __getattr__(self, attr):
                 return getattr(self.op, attr)
@@ -586,8 +651,11 @@ class TestTrainLoop:
             want = np.unique(np.concatenate([batch.users, M + batch.pos, M + batch.neg,
                                              observed]))
             trace = out[0]
-            assert np.array_equal(np.sort(trace.rows), want)
-            assert trace.final.shape[0] == trace.z.shape[0] == len(want)
+            if config.attr_update_cadence == "per-epoch":
+                assert np.array_equal(np.sort(trace.rows.ids), want)
+                assert trace.final.shape[0] == trace.z.shape[0] == len(want)
+            else:
+                assert trace.rows is None and trace.final.shape[0] == M + N
             step_rows.append(len(want))
             return out
 
@@ -595,29 +663,43 @@ class TestTrainLoop:
             events.append(("write-back", None))
             return real_update(*args)
 
+        nnz = graph.S.nnz
         monkeypatch.setattr(graph, "S", Counting(graph.S, "S"))
         monkeypatch.setattr(graph, "St", Counting(graph.St, "St"))
         monkeypatch.setattr(mod, "train_step", marked_step)
         monkeypatch.setattr(mod, "apply_update", marked_update)
-        train(toy_dataset, cfg, val_metric_fn=lambda epoch, trace: (0.0, 0.0))
+        for cadence in ("per-epoch", "per-batch"):
+            for K in (1, 2, 3):
+                cfg = self.small_config(K=K, batch_size=16, max_epochs=2,
+                                        attr_update_cadence=cadence)
+                events.clear()
+                step_rows.clear()
+                train(toy_dataset, cfg, val_metric_fn=lambda epoch, trace: (0.0, 0.0))
 
-        steps = 2 * -(-len(toy_dataset.train_pairs) // cfg.batch_size)
-        assert len(step_rows) == steps and max(step_rows) < M + N
-        inside, wide, since_write_back = None, 0, True
-        for name, width in events:
-            if name == "step":
-                inside, since_write_back = [], False
-            elif name == "end":
-                assert sorted(inside) == [("S", cfg.d)] * cfg.K + [("St", cfg.d)] * cfg.K
-                inside = None
-            elif name == "write-back":
-                since_write_back = True
-            elif inside is not None:
-                inside.append((name, width))
-            elif width == d_xy:
-                assert since_write_back, "attribute block rebuilt without a write-back"
-                wide += 1
-            else:
-                assert (name, width) == ("S", cfg.d)
-        # the block at the start and after each epoch's write-back
-        assert wide == cfg.K * (1 + cfg.max_epochs)
+                steps = 2 * -(-len(toy_dataset.train_pairs) // cfg.batch_size)
+                assert len(step_rows) == steps and max(step_rows) < M + N
+                d = cfg.d
+                forward = ([("S", d)] * K if cadence == "per-batch"
+                           else [("S", d)] * (K - 1) + [("S_R", d)])
+                backward = [("S_R^T", d)] + [("St", d)] * (K - 1)
+                inside, wide, since_write_back = None, 0, True
+                for name, width in events:
+                    if name == "step":
+                        inside, since_write_back = [], False
+                    elif name == "end":
+                        slices = [w for n, w in inside if n == "slice"]
+                        assert len(slices) == 1 and slices[0] < nnz
+                        assert [e for e in inside if e[0] != "slice"] == forward + backward
+                        inside = None
+                    elif name == "write-back":
+                        since_write_back = True
+                    elif inside is not None:
+                        inside.append((name, width))
+                    elif width == d_xy:
+                        assert since_write_back, "attribute block rebuilt without a write-back"
+                        wide += 1
+                    else:
+                        assert (name, width) == ("S", d)
+                # the block at the start and after each write-back
+                rebuilds = steps if cadence == "per-batch" else cfg.max_epochs
+                assert wide == K * (1 + rebuilds)
