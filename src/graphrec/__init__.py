@@ -11,9 +11,9 @@ from .evaluate import (EvalReport, attribute_metrics, bpr_baseline,
                        sparsity_groups)
 from .graph import BipartiteGraph, build_graph, propagate
 from .model import (ForwardTrace, ModelParams, forward, fuse, infer_attributes,
-                    init_params, predict_rating)
+                    init_params)
 from .train import (AdamState, TrainConfig, TrainResult, adam_step,
-                    attribute_loss, bpr_loss, gradients, total_loss, train)
+                    attribute_loss, bpr_loss, gradients, train)
 from .toy import make_toy_dataset, write_toy_files
 
 __version__ = "0.1.0"

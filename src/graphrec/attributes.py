@@ -142,7 +142,9 @@ def mask(table, alpha, seed):
     For each field independently (seeded per field, deterministic), a
     uniformly random floor(alpha * num_entities)-size subset of entities has
     its indicator and values zeroed over the field's block. ground_truth is
-    untouched; the deleted (entity, field) pairs become ``masked``.
+    untouched. The deleted (entity, field) pairs that were observed are
+    appended to ``masked`` field by field, entities ascending; a chosen
+    entity whose field was already missing is not listed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -152,15 +154,12 @@ def mask(table, alpha, seed):
     E = table.num_entities
     n_del = int(np.floor(alpha * E))
     for f_idx, f in enumerate(table.schema):
-        if n_del == 0:
-            continue
         rng = np.random.default_rng([int(seed), f_idx])
-        chosen = rng.choice(E, size=n_del, replace=False)
-        for e in np.sort(chosen):
-            if indicator[e, f.offset] == 1.0:
-                masked.append((int(e), f_idx))
-            values[e, f.block] = 0.0
-            indicator[e, f.block] = 0.0
+        chosen = np.sort(rng.choice(E, size=n_del, replace=False))
+        observed = chosen[indicator[chosen, f.offset] == 1.0]
+        masked.extend(zip(observed.tolist(), [f_idx] * len(observed)))
+        values[chosen, f.block] = 0.0
+        indicator[chosen, f.block] = 0.0
     return AttributeTable(
         table.schema, table.side, values, indicator, table.ground_truth.copy(), masked
     )

@@ -1,7 +1,7 @@
 """Dataset loading, the seeded train/val/test split, and binary persistence.
 
-Interaction files are delimiter-separated (tab, comma, or "::",
-auto-detected) with columns user_id, item_id[, rating[, timestamp]].
+Interaction files are delimiter-separated (tab, comma, or "::", detected
+from the first data line) with columns user_id, item_id[, rating[, timestamp]].
 Checkpoints and dataset bundles use a single binary container: magic +
 JSON header + raw little-endian arrays + a SHA-256 trailer, so loads are
 bit-exact and corruption is detected.
@@ -50,76 +50,105 @@ class Dataset:
         return self.graph_train.num_items
 
 
-def _detect_delimiter(line):
-    if "::" in line:
-        return "::"
-    if "\t" in line:
-        return "\t"
-    if "," in line:
-        return ","
-    return None  # whitespace
+_DELIMITERS = ("::", "\t", ",")  # detection order; none found: runs of whitespace
 
 
-def load_interactions(path, min_user_interactions=5, keep=None, delimiter=None):
+def _next_field(rows, sep):
+    """Each row's first field, stripped, and the left-stripped rest after it."""
+    field, _, rest = np.strings.partition(rows, sep)
+    return np.strings.strip(field), np.strings.lstrip(rest)
+
+
+def _parse_rows(path, rows, lineno, sep, keep):
+    """(users, items) of the stripped data lines ``rows``, numbered
+    ``lineno``, that ``keep`` passes; raises naming the first bad line."""
+    mixed = np.zeros(len(rows), dtype=bool)  # the line would detect another delimiter
+    for d in _DELIMITERS[:_DELIMITERS.index(sep) + 1 if sep else None]:
+        mixed |= (np.strings.find(rows, d) >= 0) != (d == sep)
+    if sep is None:  # str.split() separates at all whitespace (none lies above U+3000)
+        codepoints = rows.view(np.uint32)
+        codepoints[np.isin(codepoints, [c for c in range(0x3001) if chr(c).isspace()])] = ord(" ")
+        sep = " "
+    users, rest = _next_field(rows, sep)
+    items, rest = _next_field(rest, sep)
+    malformed = mixed | (users == "") | (items == "")
+    unparsable, passed = False, slice(None)
+    if keep is not None:
+        field, rest = _next_field(rest, sep)
+        malformed |= (field == "") & (np.strings.strip(np.strings.replace(rest, sep, "")) != "")
+        text, rating = np.unique(field, return_inverse=True)
+        parsed, kept = np.ones((2, len(text)), dtype=bool)  # "": no rating column
+        for k, t in enumerate(text.tolist()):
+            try:
+                value = float(t) if t else None
+            except ValueError:
+                parsed[k] = False
+            else:
+                kept[k] = value is None or bool(keep(value))
+        unparsable, passed = ~parsed[rating], kept[rating]
+    if (malformed | unparsable).any():
+        r = int(np.argmax(malformed | unparsable))
+        raise ValueError(f"{path}:{lineno[r]}: " + (
+            f"expected user_id, item_id[, rating], none empty, split at {sep!r} as on the first"
+            " data line" if malformed[r] else f"unparsable rating {str(text[rating[r]])!r}"))
+    return users[passed], items[passed]
+
+
+def _first_seen(codes, labels):
+    """Dense ids numbering ``codes`` in order of first appearance, and the
+    ``labels`` of the codes in that order."""
+    first = np.full(len(labels), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    order = np.argsort(first)
+    seen = order[:np.count_nonzero(first < len(codes))]
+    return np.argsort(order)[codes], labels[seen].tolist()
+
+
+def load_interactions(path, min_user_interactions=5, keep=None):
     """Load (user, item) pairs, filter sparse users, densify ids.
 
-    ``keep`` is an optional predicate on the rating column (e.g.
-    ``lambda r: r == 5``); rows without a rating column pass unconditionally.
-    Repeated (user, item) rows are kept once, at their first occurrence.
-    Users with fewer than ``min_user_interactions`` distinct items are
-    dropped and the surviving ids re-densified in first-seen order.
+    Blank lines and lines starting with ``#`` are skipped; fields are
+    stripped. The first data line's delimiter ("::", tab, comma, else runs
+    of whitespace) holds for the whole file: a line that would detect
+    another one, or has an empty user, item or rating field, is an error.
+    ``keep`` is an optional predicate on the rating column (e.g. ``lambda r:
+    r == 5``), called once per distinct rating text in each ~1 MB block of
+    lines; rows without a rating column pass unconditionally. Repeated
+    (user, item) rows are kept once, at their first occurrence. Users with
+    fewer than ``min_user_interactions`` distinct items are dropped and the
+    surviving ids, kept as strings, densified in first-seen order.
 
     Returns (pairs, user_ids, item_ids) where pairs is an (E, 2) int array of
     dense indices.
     """
-    rows = []
+    parsed, sep, offset = [], None, 0
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            sep = delimiter if delimiter is not None else _detect_delimiter(line)
-            parts = line.split(sep) if sep else line.split()
-            parts = [p for p in (q.strip() for q in parts) if p]
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected at least user_id, item_id")
-            uid, iid = parts[0], parts[1]
-            if keep is not None and len(parts) >= 3:
-                try:
-                    rating = float(parts[2])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: unparsable rating {parts[2]!r}") from None
-                if not keep(rating):
-                    continue
-            rows.append((uid, iid))
-    if not rows:
+        for block in iter(lambda: fh.readlines(1 << 20), []):  # no array holds the file
+            if "\x00" in "".join(block):  # an array of str drops trailing NULs
+                k = next(k for k, line in enumerate(block) if "\x00" in line)
+                raise ValueError(f"{path}:{offset + k + 1}: NUL character")
+            lines = np.strings.strip(np.array(block))
+            lineno = np.flatnonzero((lines != "") & ~np.strings.startswith(lines, "#"))
+            if lineno.size:
+                if not parsed:
+                    sep = next((d for d in _DELIMITERS if d in lines[lineno[0]]), None)
+                parsed.append(_parse_rows(path, lines[lineno], lineno + offset + 1, sep, keep))
+            offset += len(block)
+    users, items = map(np.concatenate, zip(*parsed)) if parsed else ([], [])
+    if not len(users):
         raise ValueError(f"{path}: no interactions after filtering")
+    user_labels, user_codes = np.unique(users, return_inverse=True)
+    item_labels, item_codes = np.unique(items, return_inverse=True)
     # a pair on several rows is one interaction; split() would otherwise
     # put copies of it in training and in a holdout set
-    rows = list(dict.fromkeys(rows))
-
-    counts = {}
-    for uid, _ in rows:
-        counts[uid] = counts.get(uid, 0) + 1
-    kept = [(u, i) for u, i in rows if counts[u] >= min_user_interactions]
-    if not kept:
-        raise ValueError(
-            f"{path}: no users with >= {min_user_interactions} interactions"
-        )
-
-    user_index, item_index = {}, {}
-    user_ids, item_ids = [], []
-    pairs = np.empty((len(kept), 2), dtype=np.int64)
-    for r, (uid, iid) in enumerate(kept):
-        if uid not in user_index:
-            user_index[uid] = len(user_ids)
-            user_ids.append(uid)
-        if iid not in item_index:
-            item_index[iid] = len(item_ids)
-            item_ids.append(iid)
-        pairs[r, 0] = user_index[uid]
-        pairs[r, 1] = item_index[iid]
-    return pairs, user_ids, item_ids
+    first = np.sort(np.unique(user_codes * len(item_labels) + item_codes,
+                              return_index=True)[1])
+    kept = first[np.bincount(user_codes[first])[user_codes[first]] >= min_user_interactions]
+    if not kept.size:
+        raise ValueError(f"{path}: no users with >= {min_user_interactions} interactions")
+    user_dense, user_ids = _first_seen(user_codes[kept], user_labels)
+    item_dense, item_ids = _first_seen(item_codes[kept], item_labels)
+    return np.stack([user_dense, item_dense], axis=1).astype(np.int64), user_ids, item_ids
 
 
 def _group_by_user(pairs):

@@ -65,8 +65,7 @@ def make_ml1m_dataset(directory, alpha=0.9, ratios=(0.8, 0.1, 0.1),
                       norm_mode="symmetric"):
     """Load, mask, and split the MovieLens-1M files under ``directory``."""
     pairs, user_ids, item_ids = load_interactions(
-        os.path.join(directory, "ratings.dat"),
-        min_user_interactions=min_user_interactions, delimiter="::")
+        os.path.join(directory, "ratings.dat"), min_user_interactions=min_user_interactions)
     user_attrs = mask(
         encode(load_user_records(os.path.join(directory, "users.dat"), user_ids),
                USER_SCHEMA, side="user"),

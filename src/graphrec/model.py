@@ -64,11 +64,6 @@ class ModelParams:
                            self.W_v.copy(), [w.copy() for w in self.W],
                            self.W_x.copy(), self.W_y.copy())
 
-    def check_finite(self):
-        for name, arr in self.as_dict().items():
-            if not np.isfinite(arr).all():
-                raise FloatingPointError(f"non-finite values in parameter {name}")
-
     @property
     def num_layers(self):
         return len(self.W)
@@ -204,16 +199,6 @@ def forward(params, graph, X, Y, block=None, rows=None):
                 break
         raise FloatingPointError(f"non-finite activations after layer {k + 1}")
     return ForwardTrace(final=final, num_users=graph.num_users, z=z, block=block, rows=rows)
-
-
-def predict_rating(trace, a, i):
-    """Inner-product preference score of user a for item i."""
-    if not 0 <= a < trace.num_users:
-        raise IndexError(f"user index {a} out of range")
-    V = trace.item_embeddings
-    if not 0 <= i < V.shape[0]:
-        raise IndexError(f"item index {i} out of range")
-    return float(trace.user_embeddings[a] @ V[i])
 
 
 def normalize_logits(logits, schema):

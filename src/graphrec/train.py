@@ -321,20 +321,6 @@ def batch_losses(trace, batch, rows, params, config, heads):
     return loss_r, loss_a
 
 
-def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
-    """Full objective L_r + gamma * L_a from scratch, on every row (the
-    finite-difference oracle in the tests)."""
-    trace = forward(params, graph, X, Y)
-    U, V = trace.user_embeddings, trace.item_embeddings
-    u = U[batch.users]
-    loss_r = bpr_loss((u * V[batch.pos]).sum(axis=1), (u * V[batch.neg]).sum(axis=1),
-                      params, config.lam)
-    heads = head_predictions(trace, params, user_table, item_table)
-    loss_a = sum(attribute_loss(pred, table)
-                 for pred, table in zip(heads, (user_table, item_table)) if pred is not None)
-    return loss_r + config.gamma * loss_a
-
-
 def gradients(trace, batch, rows, params, config, graph, heads):
     """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
 

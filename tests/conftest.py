@@ -3,7 +3,9 @@ import pytest
 
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
-from graphrec.train import TripleBatch, sample_negatives
+from graphrec.model import forward
+from graphrec.train import (TripleBatch, attribute_loss, bpr_loss, head_predictions,
+                            sample_negatives)
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +58,27 @@ def small_attr_tables(rng, num_users=8, num_items=10, mask_alpha=0.4, seed=7):
     user_table = mask(encode(user_records, user_schema, "user"), mask_alpha, seed)
     item_table = mask(encode(item_records, item_schema, "item"), mask_alpha, seed + 1)
     return user_table, item_table
+
+
+def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
+    """Full objective L_r + gamma * L_a, recomputed on every row (the
+    finite-difference oracle)."""
+    trace = forward(params, graph, X, Y)
+    U, V = trace.user_embeddings, trace.item_embeddings
+    u = U[batch.users]
+    loss_r = bpr_loss((u * V[batch.pos]).sum(axis=1), (u * V[batch.neg]).sum(axis=1),
+                      params, config.lam)
+    heads = head_predictions(trace, params, user_table, item_table)
+    loss_a = sum(attribute_loss(pred, table)
+                 for pred, table in zip(heads, (user_table, item_table)) if pred is not None)
+    return loss_r + config.gamma * loss_a
+
+
+def predict_rating(trace, a, i):
+    """Inner-product preference score of user a for item i."""
+    if not 0 <= a < trace.num_users:
+        raise IndexError(f"user index {a} out of range")
+    V = trace.item_embeddings
+    if not 0 <= i < V.shape[0]:
+        raise IndexError(f"item index {i} out of range")
+    return float(trace.user_embeddings[a] @ V[i])

@@ -20,9 +20,9 @@ from graphrec.data import load_checkpoint, save_checkpoint, split
 from graphrec.evaluate import (attribute_metrics, bpr_baseline, evaluate_model,
                                label_propagation_metrics, majority_class_accuracy)
 from graphrec.model import attribute_block, forward, init_params, normalize_logits
-from graphrec.train import StepRows, TrainConfig, total_loss, train, train_step
+from graphrec.train import StepRows, TrainConfig, train, train_step
 
-from conftest import pair_batch, small_attr_tables
+from conftest import pair_batch, small_attr_tables, total_loss
 from test_evaluate import naive_user_metrics, one_user_metrics
 
 

@@ -122,6 +122,28 @@ class TestMask:
             with pytest.raises(ValueError, match="alpha"):
                 mask(t, bad, seed=0)
 
+    def test_pinned_seed(self):
+        # seed 0 chooses entities 2, 3, 4, 5, 7 for f and 3, 5, 6, 7, 9 for g;
+        # f is already missing for 2 and 7, g for 5
+        s = AttributeSchema([("f", "single", ["a", "b", "c"]), ("g", "multi", ["x", "y"])])
+        records = [{"f": e % 3, "g": [e % 2]} for e in range(10)]
+        for e, name in ((2, "f"), (7, "f"), (5, "g")):
+            del records[e][name]
+        t = encode(records, s)
+        before = (t.values.copy(), t.indicator.copy(), t.ground_truth.copy())
+        m = mask(t, 0.5, seed=0)
+        # field-major, entities ascending; chosen but already missing: not listed
+        assert m.masked == [(3, 0), (4, 0), (5, 0), (3, 1), (6, 1), (7, 1), (9, 1)]
+        values, indicator = before[0].copy(), before[1].copy()
+        for rows, f in (([2, 3, 4, 5, 7], s["f"]), ([3, 5, 6, 7, 9], s["g"])):
+            values[rows, f.block] = 0.0
+            indicator[rows, f.block] = 0.0
+        assert np.array_equal(m.values, values)
+        assert np.array_equal(m.indicator, indicator)
+        assert np.array_equal(m.ground_truth, before[2])
+        for arr, old in zip((t.values, t.indicator, t.ground_truth), before):
+            assert np.array_equal(arr, old)
+
 
 class TestInitMissing:
     def test_all_observed_passthrough(self):

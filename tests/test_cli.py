@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,44 @@ class TestPrepareAndEvaluate:
             assert rc == 1
             err = capsys.readouterr().err
             assert f"checkpoint has users={have}, but the dataset has users={want}" in err
+
+
+def messy_toy_files(toy_files, directory):
+    """The toy files with interactions written as exports come: ratings 1 to
+    5, comments, blank lines, padded fields, CRLF endings, and a sixth of
+    the pairs repeated at the end, some above a rating threshold only there.
+    Every fifth user has no attribute line, so masking meets fields that
+    were never observed."""
+    files = dict(toy_files, interactions=directory / "interactions.tsv",
+                 user_attrs=directory / "user_attrs.tsv")
+    with open(toy_files["interactions"]) as fh:
+        pairs = [line.split("\t")[:2] for line in fh]
+    lines, repeats = ["# user\titem\trating", ""], ["# again"]
+    for k, (u, i) in enumerate(pairs):
+        rating = 1 + 7 * k % 5
+        lines.append(f" {u} \t{i}\t {rating}" if k % 4 == 0 else f"{u}\t{i}\t{rating}")
+        if k % 6 == 0:
+            repeats.append(f"{u}\t{i}\t{1 + 3 * (k % 12 == 0)}")
+        if k % 10 == 9:
+            lines.append("   ")
+    lines += repeats
+    files["interactions"].write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    with open(toy_files["user_attrs"]) as fh:
+        kept = [line for k, line in enumerate(fh) if k % 5]
+    files["user_attrs"].write_text("".join(kept))
+    return files
+
+
+class TestPrepareData:
+    def test_bundle_bytes_pinned(self, toy_files, tmp_path):
+        # the digest the bundle had when the loader and the mask ran per-line
+        # Python loops: any row read or masked differently changes it
+        files = messy_toy_files(toy_files, tmp_path)
+        prep = tmp_path / "prep"
+        assert main(["prepare-data", "--out", str(prep), "--min-rating", "3",
+                     "--min-user-interactions", "6"] + data_flags(files)) == 0
+        digest = hashlib.sha256((prep / "dataset.bin").read_bytes()).hexdigest()
+        assert digest == "1856595532c4c94158b081f43d09d74de9719b002b2d2aec3ca8b6a3ad267ea7"
 
 
 class TestInferAttributes:

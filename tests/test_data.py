@@ -98,6 +98,58 @@ class TestLoadInteractions:
         with pytest.raises(ValueError, match=">= 5"):
             load_interactions(p, min_user_interactions=5)
 
+    @pytest.mark.parametrize("sep", ["\t", ",", "::", " "])
+    def test_messy_file(self, tmp_path, sep):
+        # CRLF endings, a comment holding every delimiter (detection skips
+        # it), blank and blank-looking lines, spaces around fields, an id
+        # holding "#", repeated pairs, "01" beside "1"
+        lines = ["# user\titem,rating::time", "", f"  u1 {sep} item#1 {sep} 5 ",
+                 f"u2{sep}i2{sep}3", "   ", f"u1 {sep}item#1{sep}4", f"01{sep}1",
+                 f"1{sep}1{sep}2", f"u2{sep}item#1", f"u2{sep}i2{sep}1"]
+        p = tmp_path / "messy.txt"
+        p.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        pairs, users, items = load_interactions(p, min_user_interactions=1)
+        assert users == ["u1", "u2", "01", "1"]
+        assert items == ["item#1", "i2", "1"]
+        assert pairs.tolist() == [[0, 0], [1, 1], [2, 2], [3, 2], [1, 0]]
+
+    def test_keep_counts_the_first_kept_row(self, tmp_path):
+        # a row without a rating passes; a pair's rows count from the first
+        # that keep passes
+        p = tmp_path / "r.csv"
+        write_lines(p, ["A,X,1", "A,Y,4", "A,Z", "A,X,5", "B,Y,2"])
+        pairs, users, items = load_interactions(p, min_user_interactions=1,
+                                                keep=lambda r: r >= 4)
+        assert (users, items) == (["A"], ["Y", "Z", "X"])
+        assert pairs.tolist() == [[0, 0], [0, 1], [0, 2]]
+
+    def test_item_first_seen_in_dropped_user(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        write_lines(p, ["drop\tX", "keep\tY", "keep\tX", "keep\tY"])
+        pairs, users, items = load_interactions(p, min_user_interactions=2)
+        assert (users, items) == (["keep"], ["Y", "X"])
+        assert pairs.tolist() == [[0, 0], [0, 1]]
+
+    @pytest.mark.parametrize("lines, keep, match", [
+        (["# c", "", "A\ti0\t5", "A\ti1\tfive"], True, ":4: unparsable rating 'five'"),
+        (["# c", "", "A\ti0", "justonefield"], False, ":4: expected user_id, item_id"),
+        (["A,i0", "B\ti1,5"], False, ":2: .*split at ',' as on the first"),  # tab outranks ,
+        (["A,i0", "A,,i1"], False, ":2: .*none empty"),
+        (["A,i0,5", "A,i1,,5"], True, ":2: .*none empty"),
+        (["A,i0", "A,i1\x00"], False, ":2: NUL"),
+    ])
+    def test_bad_line_named(self, tmp_path, lines, keep, match):
+        p = tmp_path / "bad.txt"
+        write_lines(p, lines)
+        with pytest.raises(ValueError, match=match):
+            load_interactions(p, min_user_interactions=1, keep=(lambda r: r > 0) if keep else None)
+
+    def test_trailing_empty_fields_are_no_rating(self, tmp_path):
+        p = tmp_path / "r.csv"
+        write_lines(p, ["A,X,,", "A,Y,1,"])
+        pairs, _, items = load_interactions(p, min_user_interactions=1, keep=lambda r: r > 2)
+        assert items == ["X"]
+
 
 class TestSplit:
     def test_exact_proportions(self):

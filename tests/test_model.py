@@ -5,10 +5,9 @@ from graphrec import build_graph
 from graphrec.attributes import AttributeSchema
 from graphrec.graph import NodeRows
 from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
-                            fuse, infer_attributes, init_params, normalize_logits,
-                            predict_rating)
+                            fuse, infer_attributes, init_params, normalize_logits)
 
-from conftest import random_bipartite
+from conftest import predict_rating, random_bipartite
 
 
 def params_for(M, N, d, d_a, d_x, d_y, K, seed=0, std=0.1):
@@ -283,9 +282,3 @@ class TestParams:
             assert np.array_equal(arr, b.as_dict()[name])
         # layer weights start near the identity
         assert np.abs(a.W[0] - np.eye(5)).max() < 0.1
-
-    def test_check_finite(self):
-        p = params_for(2, 2, 2, 1, 1, 1, K=1)
-        p.Q[0, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="Q"):
-            p.check_finite()

@@ -13,9 +13,9 @@ from graphrec.model import attribute_block, forward, infer_attributes, init_para
 from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, AdamState,
                             StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
                             adam_step, attribute_loss, bpr_loss, gradients,
-                            sample_negatives, scatter_rows, total_loss, train, train_step)
+                            sample_negatives, scatter_rows, train, train_step)
 
-from conftest import pair_batch, small_attr_tables
+from conftest import pair_batch, small_attr_tables, total_loss
 
 
 def rejection_oracle(graph, users, rng):
