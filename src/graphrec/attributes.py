@@ -95,6 +95,14 @@ class AttributeTable:
     def num_entities(self):
         return self.values.shape[0]
 
+    def masked_entities(self, name):
+        """The entities of the ``masked`` pairs of field ``name``, an int64
+        array in the list's order."""
+        f_idx = self.schema.fields.index(self.schema[name])
+        # one pass over the tuples: converting the list to an array first
+        # walks it too, and costs about three times as much
+        return np.array([e for e, i in self.masked if i == f_idx], dtype=np.int64)
+
     def take(self, entities):
         """The table of the entities ``entities`` alone, numbered in that
         order. ``masked`` is left empty: its entity numbers are the full

@@ -166,11 +166,8 @@ def attribute_metrics(predicted, table):
     masked entities are reported as None.
     """
     results = {}
-    by_field = {}
-    for e, f_idx in table.masked:
-        by_field.setdefault(f_idx, []).append(e)
-    for f_idx, f in enumerate(table.schema):
-        entities = by_field.get(f_idx, [])
+    for f in table.schema:
+        entities = table.masked_entities(f.name)
         aps = _average_precisions(table.ground_truth[entities, f.block],
                                   predicted[entities, f.block])
         if f.kind == "single":
@@ -194,9 +191,8 @@ def majority_class_accuracy(table, field_name):
         raise ValueError(f"field {field_name!r} has no observed entities")
     counts = table.values[observed][:, blk].sum(axis=0)
     majority = int(np.argmax(counts))
-    masked_entities = [e for e, f_idx in table.masked
-                       if table.schema.fields[f_idx].name == field_name]
-    if not masked_entities:
+    masked_entities = table.masked_entities(field_name)
+    if not len(masked_entities):
         raise ValueError(f"field {field_name!r} has no masked entities")
     truth = np.argmax(table.ground_truth[masked_entities][:, blk], axis=1)
     return float(np.mean(truth == majority))
@@ -357,56 +353,95 @@ class PropagationResult:
     converged: bool            # False when the sweep cap stopped propagation
 
 
+def _half_operators(graph):
+    """The two off-diagonal blocks of the row-normalised operator D^-1 A:
+    ``(users <- items, items <- users)``, of shapes (M, N) and (N, M), and
+    every node's degree. A user row of ``S`` holds only item columns and an
+    item row only user columns, so each block is a slice of the CSR arrays of
+    ``S`` with 1/deg per row and the column offset removed."""
+    S, M, N = graph.S, graph.num_users, graph.num_items
+    indptr, cols = S.indptr, S.indices
+    deg = np.diff(indptr)
+    weights = np.repeat(1.0 / np.maximum(deg, 1), deg)
+    split = indptr[M]
+    to_users = sp.csr_matrix((weights[:split], cols[:split] - M, indptr[:M + 1]),
+                             shape=(M, N))
+    to_items = sp.csr_matrix((weights[split:], cols[split:], indptr[M:] - split),
+                             shape=(N, M))
+    return to_users, to_items, deg
+
+
 def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
     """Neighbor-averaging label propagation for one field.
 
     Every node (both sides of the bipartite graph) carries a distribution
-    over the field's categories. Each sweep replaces it with the
-    degree-normalized average of its neighbors' distributions; entities with
-    the field observed are clamped back to their true block every sweep.
-    Propagation stops once no entry moves by ``tol`` (``converged``) or after
-    ``iterations`` sweeps. Disconnected masked entities fall back to the
-    global observed mean and are flagged.
-    """
-    f = table.schema[field_name]
-    blk = f.block
-    M = graph.num_users
-    side_offset = 0 if table.side == "user" else M
+    over the field's categories, and a sweep replaces it with the
+    degree-normalized average of its neighbors' distributions (``D^-1 A``).
+    Entities with the field observed are clamped to their true block, and
+    isolated nodes keep their value. Propagation stops once no entry moves by
+    ``tol`` (``converged``) or after ``iterations`` sweeps. Disconnected
+    masked entities fall back to the global observed mean and are flagged.
 
+    The graph is bipartite, so a full sweep moves each side from the other
+    side's previous values: it carries two chains, near (the table's side)
+    -> far -> near and far -> near -> far. The far side starts at the
+    observed mean, and a row of ``D^-1 A`` maps mean rows to the mean, so
+    the second chain is the first one sweep later, up to rounding. The loop
+    therefore runs one chain: odd sweeps move the far side from the near
+    side, even sweeps move the near side from the far side and clamp it.
+    Each sweep multiplies one off-diagonal block of ``D^-1 A`` (one nonzero
+    per edge) over one side, and its change is that of the side it moved.
+    The sweep count and the predictions, the near side's latest rows, are
+    those of the full sweep up to rounding.
+
+    Raises:
+        ValueError: for ``iterations`` below 1, a ``tol`` that is not
+            positive (NaN included), or a field with no observed entity.
+    """
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    f = table.schema[field_name]
     observed = table.indicator[:, f.offset] == 1
     if not observed.any():
         raise ValueError(f"field {field_name!r} has no observed entities")
-    truth = table.values[:, blk]
-    mean = truth[observed].mean(axis=0)
+    truth = table.values[observed, f.block]
+    mean = truth.mean(axis=0)
+    clamped = np.flatnonzero(observed)
 
-    # row-normalized operator D^-1 A: the pattern of S with 1/deg per row
-    S = graph.S
-    deg = np.diff(S.indptr)
-    P = sp.csr_matrix((np.repeat(1.0 / np.maximum(deg, 1), deg), S.indices, S.indptr),
-                      shape=S.shape)
-    F = np.tile(mean, (graph.num_nodes, 1))
-    rows = side_offset + np.flatnonzero(observed)
-    F[rows] = truth[observed]
-    isolated = deg == 0
+    to_users, to_items, deg = _half_operators(graph)
+    M = graph.num_users
+    if table.side == "user":
+        to_near, to_far, near_deg, far_deg = to_users, to_items, deg[:M], deg[M:]
+    else:
+        to_near, to_far, near_deg, far_deg = to_items, to_users, deg[M:], deg[:M]
+    near_isolated, far_isolated = near_deg == 0, far_deg == 0
+    near = np.tile(mean, (len(near_deg), 1))
+    near[clamped] = truth
+    far = np.tile(mean, (len(far_deg), 1))
 
-    it = 0
     converged = False
     for it in range(1, iterations + 1):
-        F_new = P @ F
-        F_new[rows] = truth[observed]
-        F_new[isolated] = F[isolated]
-        delta = np.abs(F_new - F).max()
-        F = F_new
+        # the change is taken in the buffer of the side's previous values
+        if it % 2:
+            moved = to_far @ near
+            moved[far_isolated] = mean
+            delta = np.abs(np.subtract(moved, far, out=far), out=far).max()
+            far = moved
+        else:
+            moved = to_near @ far
+            moved[clamped] = truth
+            moved[near_isolated] = near[near_isolated]
+            delta = np.abs(np.subtract(moved, near, out=near), out=near).max()
+            near = moved
         if delta < tol:
             converged = True
             break
 
-    masked_entities = np.array(
-        sorted(e for e, f_idx in table.masked if table.schema.fields[f_idx] is f),
-        dtype=np.int64,
-    )
-    preds = F[side_offset + masked_entities].copy()
-    fallback = isolated[side_offset + masked_entities]
+    masked_entities = np.sort(table.masked_entities(field_name))
+    preds = near[masked_entities]
+    fallback = near_isolated[masked_entities]
     preds[fallback] = mean
     return PropagationResult(masked_entities, preds, fallback, it, converged)
 

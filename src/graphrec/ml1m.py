@@ -29,34 +29,64 @@ ITEM_SCHEMA = AttributeSchema([
 ])
 
 
+def _codes(field):
+    """Category name -> index for one schema field."""
+    return {c: k for k, c in enumerate(field.categories)}
+
+
+_GENDER_CODES, _AGE_CODES, _OCCUPATION_CODES = map(_codes, USER_SCHEMA)
+_GENRE_CODES = _codes(ITEM_SCHEMA["genres"])
+
+
 def load_user_records(path, user_ids):
-    """One record per dense user index; users absent from the file get {}."""
+    """One record per dense user index; users absent from the file get {}.
+
+    Raises:
+        ValueError: naming ``path:line`` for a line with fewer than four
+            fields or an unknown gender, age or occupation.
+    """
     by_id = {}
     with open(path, encoding="latin-1") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            uid, gender, age, occupation = line.split("::")[:4]
-            by_id[uid] = {
-                "gender": ["M", "F"].index(gender),
-                "age": AGE_BRACKETS.index(age),
-                "occupation": OCCUPATIONS.index(occupation),
-            }
+            parts = line.split("::")
+            if len(parts) < 4:
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 f"UserID::Gender::Age::Occupation, got {line!r}")
+            uid, gender, age, occupation = parts[:4]
+            try:
+                by_id[uid] = {"gender": _GENDER_CODES[gender], "age": _AGE_CODES[age],
+                              "occupation": _OCCUPATION_CODES[occupation]}
+            except KeyError:
+                name, value = next((f.name, v) for f, v in zip(USER_SCHEMA, parts[1:4])
+                                   if v not in f.categories)
+                raise ValueError(f"{path}:{lineno}: unknown {name} {value!r}") from None
     return [by_id.get(uid, {}) for uid in user_ids]
 
 
 def load_item_records(path, item_ids):
-    """One record per dense item index with the movie's genre index list."""
+    """One record per dense item index with the movie's genre index list.
+
+    Raises:
+        ValueError: naming ``path:line`` for a line with fewer than three
+            fields or a genre outside :data:`GENRES`.
+    """
     by_id = {}
     with open(path, encoding="latin-1") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            mid, _, genres = line.split("::")[:3]
-            idxs = [GENRES.index(g) for g in genres.split("|") if g in GENRES]
-            by_id[mid] = {"genres": idxs}
+            parts = line.split("::")
+            if len(parts) < 3:
+                raise ValueError(f"{path}:{lineno}: expected MovieID::Title::Genres, "
+                                 f"got {line!r}")
+            try:
+                by_id[parts[0]] = {"genres": [_GENRE_CODES[g] for g in parts[2].split("|")]}
+            except KeyError as err:
+                raise ValueError(f"{path}:{lineno}: unknown genre {err.args[0]!r}") from None
     return [by_id.get(mid, {}) for mid in item_ids]
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
+from graphrec.evaluate import PropagationResult
 from graphrec.model import forward
 from graphrec.train import (TripleBatch, attribute_loss, bpr_loss, head_predictions,
                             sample_negatives)
@@ -82,3 +84,46 @@ def predict_rating(trace, a, i):
     if not 0 <= i < V.shape[0]:
         raise IndexError(f"item index {i} out of range")
     return float(trace.user_embeddings[a] @ V[i])
+
+
+def label_propagation_full_sweep(graph, table, field_name, iterations, tol):
+    """Label propagation by full Jacobi sweeps ``F <- D^-1 A F`` over every
+    node of both sides (the reference for ``evaluate.label_propagation``):
+    observed rows clamped and isolated rows kept each sweep, stopping once
+    no entry moves by ``tol``."""
+    f = table.schema[field_name]
+    blk = f.block
+    M = graph.num_users
+    side_offset = 0 if table.side == "user" else M
+
+    observed = table.indicator[:, f.offset] == 1
+    truth = table.values[:, blk]
+    mean = truth[observed].mean(axis=0)
+
+    S = graph.S
+    deg = np.diff(S.indptr)
+    P = sp.csr_matrix((np.repeat(1.0 / np.maximum(deg, 1), deg), S.indices, S.indptr),
+                      shape=S.shape)
+    F = np.tile(mean, (graph.num_nodes, 1))
+    rows = side_offset + np.flatnonzero(observed)
+    F[rows] = truth[observed]
+    isolated = deg == 0
+
+    converged = False
+    for it in range(1, iterations + 1):
+        F_new = P @ F
+        F_new[rows] = truth[observed]
+        F_new[isolated] = F[isolated]
+        delta = np.abs(F_new - F).max()
+        F = F_new
+        if delta < tol:
+            converged = True
+            break
+
+    f_idx = table.schema.fields.index(f)
+    masked_entities = np.array(sorted(e for e, i in table.masked if i == f_idx),
+                               dtype=np.int64)
+    preds = F[side_offset + masked_entities].copy()
+    fallback = isolated[side_offset + masked_entities]
+    preds[fallback] = mean
+    return PropagationResult(masked_entities, preds, fallback, it, converged)

@@ -144,6 +144,15 @@ class TestMask:
         for arr, old in zip((t.values, t.indicator, t.ground_truth), before):
             assert np.array_equal(arr, old)
 
+    def test_masked_entities_of_a_field(self):
+        s = AttributeSchema([("f", "single", ["a", "b"]), ("g", "multi", ["x"])])
+        t = encode([{"f": 0}] * 6, s)
+        assert t.masked_entities("f").dtype == np.int64 and len(t.masked_entities("f")) == 0
+        t.masked.extend([(4, 1), (3, 0), (0, 1), (1, 0), (5, 1)])
+        # in the list's order, not sorted
+        assert t.masked_entities("f").tolist() == [3, 1]
+        assert t.masked_entities("g").tolist() == [4, 0, 5]
+
 
 class TestInitMissing:
     def test_all_observed_passthrough(self):

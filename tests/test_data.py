@@ -362,6 +362,24 @@ class TestMovieLensFormat:
         assert ds.item_attrs.schema.fields[0].kind == "multi"
         assert len(ds.user_attrs.masked) > 0
 
+    @pytest.mark.parametrize("name, line, error", [
+        ("users.dat", "2::M::25", "expected UserID::Gender::Age::Occupation"),
+        ("users.dat", "2::X::25::3::55117", "unknown gender 'X'"),
+        ("users.dat", "2::F::26::3::55117", "unknown age '26'"),
+        ("users.dat", "2::F::25::21::55117", "unknown occupation '21'"),
+        ("movies.dat", "2::Film 2 (1992)", "expected MovieID::Title::Genres"),
+        ("movies.dat", "2::Film 2 (1992)::Comedy|Cartoon", "unknown genre 'Cartoon'"),
+        ("movies.dat", "2::Film 2 (1992)::Cartoon", "unknown genre 'Cartoon'"),
+    ])
+    def test_bad_record_line_named(self, tmp_path, name, line, error):
+        from graphrec.ml1m import load_item_records, load_user_records
+        good = {"users.dat": "1::M::18::0::55117", "movies.dat": "1::Film 1 (1991)::Drama"}
+        path = tmp_path / name
+        path.write_text(f"{good[name]}\n\n{line}\n", encoding="latin-1")
+        load = load_user_records if name == "users.dat" else load_item_records
+        with pytest.raises(ValueError, match=f"{name}:3: {error}"):
+            load(path, ["1", "2"])
+
 
 class TestDatasetBundle:
     def test_round_trip(self, tmp_path):

@@ -12,6 +12,8 @@ from graphrec.evaluate import (HR_MODES, EvalReport, attribute_metrics, bpr_base
 from graphrec.model import ForwardTrace, forward, init_params
 from graphrec.train import TrainConfig
 
+from conftest import label_propagation_full_sweep, small_attr_tables
+
 
 def naive_user_metrics(scores, train_items, target_items, n):
     """Independent brute-force oracle: explicit candidate sort, direct formulas."""
@@ -449,6 +451,89 @@ class TestLabelPropagation:
         lp = label_propagation(g, t, "group")
         assert lp.converged
         assert lp.iterations < 1000
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 1000])
+    def test_half_chain_matches_full_sweep(self, toy_dataset, cap):
+        rng = np.random.default_rng(7)
+        user_table, item_table = small_attr_tables(rng)
+        # users 0-6 and items 0-8 all have edges; user 7 and item 9 are
+        # isolated, and masked
+        pairs = [(i % 7, i) for i in range(9)] + [
+            (u, i) for u in range(7) for i in range(9) if rng.random() < 0.3]
+        small = build_graph(pairs, 8, 10)
+        assert {(7, 0), (7, 1)} <= set(user_table.masked) and (9, 0) in item_table.masked
+        cases = [(g, t) for g, tables in ((small, (user_table, item_table)),
+                                          (toy_dataset.graph_train,
+                                           (toy_dataset.user_attrs, toy_dataset.item_attrs)))
+                 for t in tables]
+        # every connected user observed: the users never move, so the full
+        # sweep stops at sweep 2, or at sweep 1 when they share one label;
+        # only the isolated rows keeping their value lets the chain stop there
+        schema = AttributeSchema([("f", "single", ["a", "b"])])
+        for labels in ([0, 1, 1, 0, 1, 0, 0], [1] * 7):
+            still = encode([{"f": c} for c in labels] + [{}], schema, "user")
+            still.masked.append((7, 0))
+            cases.append((small, still))
+        kinds, fallback_sides, stops = set(), set(), set()
+        for graph, table in cases:
+            for f in table.schema:
+                got = label_propagation(graph, table, f.name, iterations=cap)
+                want = label_propagation_full_sweep(graph, table, f.name, cap, 1e-6)
+                assert (got.iterations, got.converged) == (want.iterations, want.converged)
+                assert np.array_equal(got.entities, want.entities)
+                assert np.array_equal(got.fallback, want.fallback)
+                assert np.abs(got.predictions - want.predictions).max() <= 1e-12
+                kinds.add(f.kind)
+                stops.add(got.iterations)
+                if got.fallback.any():
+                    fallback_sides.add(table.side)
+        assert kinds == {"single", "multi"} and fallback_sides == {"user", "item"}
+        assert {1, min(cap, 2)} <= stops
+
+    def test_each_sweep_multiplies_one_block(self, toy_dataset, monkeypatch):
+        # odd sweeps move the far side, even sweeps the near side, each with
+        # one product on an off-diagonal block of D^-1 A (one nonzero per
+        # edge); S itself is never multiplied
+        graph = toy_dataset.graph_train
+        edges = graph.S.nnz // 2
+        events = []
+
+        class Counting:
+            def __init__(self, op, name):
+                self.op, self.name = op, name
+
+            def __matmul__(self, H):
+                events.append((self.name, self.op.nnz))
+                return self.op @ H
+
+            def __getattr__(self, attr):
+                return getattr(self.op, attr)
+
+        real = evaluate._half_operators
+
+        def counted(g):
+            to_users, to_items, deg = real(g)
+            return Counting(to_users, "users"), Counting(to_items, "items"), deg
+
+        monkeypatch.setattr(evaluate, "_half_operators", counted)
+        monkeypatch.setattr(graph, "S", Counting(graph.S, "S"))
+        for table in (toy_dataset.user_attrs, toy_dataset.item_attrs):
+            near = table.side + "s"
+            far = "items" if near == "users" else "users"
+            for f in table.schema:
+                events.clear()
+                lp = label_propagation(graph, table, f.name)
+                assert lp.converged and lp.iterations > 2
+                assert events == [(far if t % 2 else near, edges)
+                                  for t in range(1, lp.iterations + 1)]
+
+    @pytest.mark.parametrize("name, value", [("iterations", 0), ("iterations", -1),
+                                             ("tol", 0.0), ("tol", -1e-6),
+                                             ("tol", float("nan"))])
+    def test_rejects_arguments_that_cannot_work(self, toy_dataset, name, value):
+        with pytest.raises(ValueError, match=name):
+            label_propagation(toy_dataset.graph_train, toy_dataset.user_attrs, "group",
+                              **{name: value})
 
     def test_metrics_report_convergence(self, toy_dataset):
         g, t = toy_dataset.graph_train, toy_dataset.user_attrs
