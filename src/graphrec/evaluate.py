@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import forward, infer_attributes
 
@@ -353,24 +352,6 @@ class PropagationResult:
     converged: bool            # False when the sweep cap stopped propagation
 
 
-def _half_operators(graph):
-    """The two off-diagonal blocks of the row-normalised operator D^-1 A:
-    ``(users <- items, items <- users)``, of shapes (M, N) and (N, M), and
-    every node's degree. A user row of ``S`` holds only item columns and an
-    item row only user columns, so each block is a slice of the CSR arrays of
-    ``S`` with 1/deg per row and the column offset removed."""
-    S, M, N = graph.S, graph.num_users, graph.num_items
-    indptr, cols = S.indptr, S.indices
-    deg = np.diff(indptr)
-    weights = np.repeat(1.0 / np.maximum(deg, 1), deg)
-    split = indptr[M]
-    to_users = sp.csr_matrix((weights[:split], cols[:split] - M, indptr[:M + 1]),
-                             shape=(M, N))
-    to_items = sp.csr_matrix((weights[split:], cols[split:], indptr[M:] - split),
-                             shape=(N, M))
-    return to_users, to_items, deg
-
-
 def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
     """Neighbor-averaging label propagation for one field.
 
@@ -389,8 +370,9 @@ def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
     the second chain is the first one sweep later, up to rounding. The loop
     therefore runs one chain: odd sweeps move the far side from the near
     side, even sweeps move the near side from the far side and clamp it.
-    Each sweep multiplies one off-diagonal block of ``D^-1 A`` (one nonzero
-    per edge) over one side, and its change is that of the side it moved.
+    Each sweep multiplies one off-diagonal block of ``D^-1 A``
+    (:meth:`graph.BipartiteGraph.split`, one nonzero per edge) over one
+    side, and its change is that of the side it moved.
     The sweep count and the predictions, the near side's latest rows, are
     those of the full sweep up to rounding.
 
@@ -410,7 +392,9 @@ def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
     mean = truth.mean(axis=0)
     clamped = np.flatnonzero(observed)
 
-    to_users, to_items, deg = _half_operators(graph)
+    # the off-diagonal blocks of D^-1 A: 1/deg on every nonzero of a row
+    deg = np.diff(graph.S.indptr)
+    to_users, to_items = graph.split(np.repeat(1.0 / np.maximum(deg, 1), deg))
     M = graph.num_users
     if table.side == "user":
         to_near, to_far, near_deg, far_deg = to_users, to_items, deg[:M], deg[M:]

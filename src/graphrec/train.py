@@ -83,6 +83,10 @@ class TrainConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
             raise ValueError("learning_rate, batch_size, max_epochs must be positive")
+        if self.early_stop_patience < 0:
+            raise ValueError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
+        if self.init_std < 0:
+            raise ValueError(f"init_std must be >= 0, got {self.init_std}")
         if self.attr_update_cadence not in CADENCES:
             raise ValueError(f"attr_update_cadence must be one of {CADENCES}")
         return self
@@ -171,21 +175,36 @@ class TripleBatch:
 
 
 def sample_negatives(graph, users, rng):
-    """One uniformly random non-interacted item per user, by rejection. Only
-    rows whose draw is one of the user's items draw again, row by row. Every
-    draw is tested by a binary search in the user's sorted row of S."""
-    M, N = graph.num_users, graph.num_items
+    """One uniformly random non-interacted item per user, by per-row
+    rejection sampling, with the random stream of a loop that draws every
+    row once and then redraws each row whose draw is one of its user's
+    items, row after row, until it is not.
+
+    The first draw is one vectorised call. The redraws run in rounds: while
+    ``w`` rows wait, one call draws ``w`` values (numpy's Generator gives the
+    same values, and leaves the same state, as ``w`` scalar calls), and the
+    values are handed out in order: the first waiting row takes values until
+    one is not its user's, then the next row. Each waiting row needs at least
+    one more value, so a round never draws a value the loop would not.
+    Every draw is tested in the graph's packed membership bitmap
+    (:attr:`graph.BipartiteGraph.item_bitmap`).
+    """
+    N = graph.num_items
     full = graph.user_degrees()[users] >= N
     if full.any():
         raise ValueError(f"user {users[np.argmax(full)]} interacts with every item; "
                          "cannot sample a negative")
     neg = rng.integers(0, N, size=len(users))
-    indptr, cols = graph.S.indptr, graph.S.indices
-    for r in np.flatnonzero(graph.has_edges(users, neg)):
-        own = cols[indptr[users[r]]:indptr[users[r] + 1]]
-        # own is sorted, and non-empty since the first draw hit
-        while own[min(own.searchsorted(M + neg[r]), len(own) - 1)] == M + neg[r]:
-            neg[r] = rng.integers(0, N)
+    waiting = np.flatnonzero(graph.has_edges(users, neg)).tolist()
+    bitmap = graph.item_bitmap
+    while waiting:
+        owners = users[waiting].tolist()
+        k = 0
+        for item in rng.integers(0, N, size=len(waiting)).tolist():
+            if not bitmap[owners[k], item >> 3] >> (item & 7) & 1:
+                neg[waiting[k]] = item
+                k += 1
+        waiting = waiting[k:]
     return neg
 
 

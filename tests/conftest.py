@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
 from graphrec.evaluate import PropagationResult
-from graphrec.model import forward
+from graphrec.model import forward, propagate_k
 from graphrec.train import (TripleBatch, attribute_loss, bpr_loss, head_predictions,
                             sample_negatives)
 
@@ -33,6 +33,16 @@ def random_pairs(rng, max_users=10, max_items=10):
 def random_bipartite(rng, max_users=10, max_items=10, norm_mode="symmetric"):
     pairs, M, N = random_pairs(rng, max_users, max_items)
     return build_graph(pairs, M, N, norm_mode)
+
+
+def attribute_block_stacked(graph, X, Y, K):
+    """``A^K [[X, 0], [0, Y]]`` by K full propagation steps on the stacked
+    block (the reference for ``model.attribute_block``)."""
+    M, d_x = X.shape
+    B = np.zeros((M + Y.shape[0], d_x + Y.shape[1]))
+    B[:M, :d_x] = X
+    B[M:, d_x:] = Y
+    return propagate_k(graph, B, K)
 
 
 def pair_batch(graph, pairs, size, rng):

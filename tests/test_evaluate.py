@@ -492,8 +492,8 @@ class TestLabelPropagation:
 
     def test_each_sweep_multiplies_one_block(self, toy_dataset, monkeypatch):
         # odd sweeps move the far side, even sweeps the near side, each with
-        # one product on an off-diagonal block of D^-1 A (one nonzero per
-        # edge); S itself is never multiplied
+        # one product on an off-diagonal block of D^-1 A (graph.split, one
+        # nonzero per edge); S itself is never multiplied
         graph = toy_dataset.graph_train
         edges = graph.S.nnz // 2
         events = []
@@ -509,13 +509,13 @@ class TestLabelPropagation:
             def __getattr__(self, attr):
                 return getattr(self.op, attr)
 
-        real = evaluate._half_operators
+        real = graph.split
 
-        def counted(g):
-            to_users, to_items, deg = real(g)
-            return Counting(to_users, "users"), Counting(to_items, "items"), deg
+        def counted(values):
+            to_users, to_items = real(values)
+            return Counting(to_users, "users"), Counting(to_items, "items")
 
-        monkeypatch.setattr(evaluate, "_half_operators", counted)
+        monkeypatch.setattr(graph, "split", counted)
         monkeypatch.setattr(graph, "S", Counting(graph.S, "S"))
         for table in (toy_dataset.user_attrs, toy_dataset.item_attrs):
             near = table.side + "s"

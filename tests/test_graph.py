@@ -42,8 +42,10 @@ class TestBuildGraph:
         assert g1.S.nnz == 2 and "edges=1" in repr(g1)
 
     def test_interaction_storage_symmetry(self):
-        # the user and item blocks of S both hold exactly the input pairs,
-        # and the accessors decode the user rows into sorted items and degrees
+        # the user and item blocks of S both hold exactly the input pairs, its
+        # off-diagonal blocks (with S's values or any others) are those
+        # quadrants, and the accessors decode the user rows into sorted
+        # items and degrees
         rng = np.random.default_rng(5)
         for norm_mode in ("symmetric", "row"):
             for _ in range(10):
@@ -51,9 +53,16 @@ class TestBuildGraph:
                 g = build_graph(pairs, M, N, norm_mode)
                 R = np.zeros((M, N), dtype=bool)
                 R[pairs[:, 0], pairs[:, 1]] = True
-                pattern = g.S.toarray() != 0
+                S = g.S.toarray()
+                pattern = S != 0
                 assert np.array_equal(pattern[:M, M:], R)
                 assert np.array_equal(pattern[M:, :M], R.T)
+                to_users, to_items = g.blocks
+                assert np.array_equal(to_users.toarray(), S[:M, M:])
+                assert np.array_equal(to_items.toarray(), S[M:, :M])
+                ones = g.split(np.ones(g.S.nnz))
+                assert np.array_equal(ones[0].toarray(), R)
+                assert np.array_equal(ones[1].toarray(), R.T)
                 assert np.array_equal(g.user_degrees(), R.sum(axis=1))
                 users = np.concatenate([np.arange(M), [M - 1, 0]])
                 indptr, items = g.items_of(users)
@@ -63,9 +72,30 @@ class TestBuildGraph:
                 every_user, every_item = np.divmod(np.arange(M * N), N)
                 assert np.array_equal(g.has_edges(every_user, every_item), R.ravel())
 
+    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("N", [1, 7, 8, 9, 17])
+    def test_has_edges_matches_dense_adjacency(self, N, norm_mode):
+        # the packed bitmap at item counts on both sides of byte boundaries,
+        # with users that have no item: one bit per pair, the last byte of
+        # a row padded with zero bits
+        rng = np.random.default_rng(N)
+        M = 6
+        R = rng.random((M, N)) < 0.5
+        R[[1, 4]] = False
+        g = build_graph(np.argwhere(R), M, N, norm_mode)
+        assert g.item_bitmap.shape == (M, -(-N // 8))
+        assert np.array_equal(np.unpackbits(g.item_bitmap, axis=1, count=N,
+                                            bitorder="little"), R)
+        every_user, every_item = np.divmod(np.arange(M * N), N)
+        assert np.array_equal(g.has_edges(every_user, every_item), R.ravel())
+        users = rng.integers(0, M, size=50)
+        items = rng.integers(0, N, size=50)
+        assert np.array_equal(g.has_edges(users, items), R[users, items])
+
     def test_unsorted_operator_sorted_on_construction(self):
         # a CSR S whose rows list their columns in descending order: the graph
-        # sorts it, keeping every value, and its searches read the sorted rows
+        # sorts it, keeping every value, and its edge tests read the sorted
+        # rows
         g = build_graph([(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)], 3, 3, "row")
         S = g.S
         rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))

@@ -7,7 +7,7 @@ from graphrec.graph import NodeRows
 from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
                             fuse, infer_attributes, init_params, normalize_logits)
 
-from conftest import predict_rating, random_bipartite
+from conftest import attribute_block_stacked, predict_rating, random_bipartite
 
 
 def params_for(M, N, d, d_a, d_x, d_y, K, seed=0, std=0.1):
@@ -136,6 +136,26 @@ class TestForward:
         B0[M:, 2:] = Y
         assert np.array_equal(attribute_block(g, X, Y, 0), B0)
         assert np.abs(attribute_block(g, X, Y, 3) - A @ A @ A @ B0).max() <= 1e-12
+
+    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    def test_attribute_block_matches_stacked_steps(self, norm_mode):
+        # the one-sided hops through the two off-diagonal blocks of S equal
+        # K full steps on the stacked block bit for bit, K = 0..4, on graphs
+        # with isolated users and items and with empty attribute sides
+        rng = np.random.default_rng(15)
+        isolated_users = isolated_items = False
+        for _ in range(60):
+            g = random_bipartite(rng, norm_mode=norm_mode)
+            M, N = g.num_users, g.num_items
+            lonely = np.diff(g.S.indptr) == 0
+            isolated_users |= lonely[:M].any()
+            isolated_items |= lonely[M:].any()
+            d_x, d_y = rng.integers(0, 4, size=2)
+            X, Y = rng.normal(size=(M, d_x)), rng.normal(size=(N, d_y))
+            for K in range(5):
+                assert np.array_equal(attribute_block(g, X, Y, K),
+                                      attribute_block_stacked(g, X, Y, K))
+        assert isolated_users and isolated_items
 
     def test_linear_in_inputs(self, two_user_graph):
         # scaling every input matrix scales all outputs by the same factor

@@ -42,6 +42,15 @@ class TestConfig:
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("name, value", [("early_stop_patience", -1),
+                                             ("init_std", -0.01)])
+    def test_rejects_negative_patience_and_init_std(self, name, value):
+        # a patience of -1 would stop at the first epoch that does not
+        # improve, and a negative init_std fails inside numpy later
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value}).validate()
+        TrainConfig(**{name: 0}).validate()
+
     def test_dict_round_trip_ignores_unknown(self):
         c = TrainConfig(d=8, gamma=0.4)
         d = c.to_dict()
@@ -76,19 +85,32 @@ class TestSampling:
         assert not trained[batch.users, batch.neg].any()
 
     def test_matches_per_row_rejection(self, toy_dataset):
-        # users 0-2 have every item but one and redraw often; the negatives
-        # and the generator state afterwards equal the per-row loop's
+        # users 0-2 have every item but one, so most of their rows hit again
+        # after a redraw and the redraws run many rounds; the negatives and
+        # the generator state afterwards equal the per-row loop's
         N = 12
         dense = build_graph([(a, i) for a in range(3) for i in range(N) if i != 2 * a]
                             + [(3, 0), (4, 5)], 5, N, "row")
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
         for g in (toy_dataset.graph_train, dense):
             users = np.random.default_rng(0).integers(0, g.num_users, size=2000)
             for seed in range(3):
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = sample_negatives(g, users, got_rng)
+                counting = CountingRng(got_rng)
+                got = sample_negatives(g, users, counting)
                 want = rejection_oracle(g, users, want_rng)
                 assert np.array_equal(got, want)
                 assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
+                if g is dense:
+                    assert counting.calls > 10
 
     def test_degenerate_user(self):
         g = build_graph([(0, 0), (0, 1)], 1, 2)
@@ -608,15 +630,18 @@ class TestTrainLoop:
         # the per-epoch cadence: K - 1 forward on S, the last forward step on
         # S_R, the first backward step on S_R^T and K - 1 backward on S^T.
         # Under the per-batch cadence the forward runs all K steps on S, and
-        # the backward is the same. Width-(d_x + d_y) products run only where
-        # the attribute block is rebuilt (at the start and after each
-        # write-back); a per-epoch step's final embeddings have one row per
-        # step row, fewer than M + N
+        # the backward is the same. The attribute block is rebuilt only at
+        # the start and after each write-back, through the off-diagonal
+        # blocks of S alone: per side one product at hop 1 (far side), one
+        # at hop 2 (near side) and two at each later hop, at that side's
+        # width. Outside the steps S is multiplied at width d only. A
+        # per-epoch step's final embeddings have one row per step row, fewer
+        # than M + N
         mod = sys.modules["graphrec.train"]
         graph = toy_dataset.graph_train
         M, N = graph.num_users, graph.num_items
         tables = (toy_dataset.user_attrs, toy_dataset.item_attrs)
-        d_xy = sum(t.schema.total_dim for t in tables)
+        d_x, d_y = (t.schema.total_dim for t in tables)
         observed = np.concatenate([offset + np.flatnonzero(t.indicator.any(axis=1))
                                    for offset, t in zip((0, M), tables)])
         events = []
@@ -663,9 +688,22 @@ class TestTrainLoop:
             events.append(("write-back", None))
             return real_update(*args)
 
+        def rebuild(K):
+            products = []
+            for width, near, far in ((d_x, "to_users", "to_items"),
+                                     (d_y, "to_items", "to_users")):
+                hops = [[far], [near]] + [[near, far]] * (K - 2)
+                products += [(name, width) for hop in hops[:K] for name in hop]
+            return products
+
+        assert rebuild(2) == [("to_items", d_x), ("to_users", d_x),
+                              ("to_users", d_y), ("to_items", d_y)]
         nnz = graph.S.nnz
         monkeypatch.setattr(graph, "S", Counting(graph.S, "S"))
         monkeypatch.setattr(graph, "St", Counting(graph.St, "St"))
+        monkeypatch.setattr(graph, "blocks", tuple(Counting(block, name) for block, name
+                                                   in zip(graph.blocks,
+                                                          ("to_users", "to_items"))))
         monkeypatch.setattr(mod, "train_step", marked_step)
         monkeypatch.setattr(mod, "apply_update", marked_update)
         for cadence in ("per-epoch", "per-batch"):
@@ -682,7 +720,7 @@ class TestTrainLoop:
                 forward = ([("S", d)] * K if cadence == "per-batch"
                            else [("S", d)] * (K - 1) + [("S_R", d)])
                 backward = [("S_R^T", d)] + [("St", d)] * (K - 1)
-                inside, wide, since_write_back = None, 0, True
+                inside, block_products, since_write_back = None, [], True
                 for name, width in events:
                     if name == "step":
                         inside, since_write_back = [], False
@@ -695,11 +733,11 @@ class TestTrainLoop:
                         since_write_back = True
                     elif inside is not None:
                         inside.append((name, width))
-                    elif width == d_xy:
+                    elif name.startswith("to_"):
                         assert since_write_back, "attribute block rebuilt without a write-back"
-                        wide += 1
+                        block_products.append((name, width))
                     else:
                         assert (name, width) == ("S", d)
                 # the block at the start and after each write-back
                 rebuilds = steps if cadence == "per-batch" else cfg.max_epochs
-                assert wide == K * (1 + rebuilds)
+                assert block_products == rebuild(K) * (1 + rebuilds)
