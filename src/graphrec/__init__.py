@@ -10,8 +10,7 @@ from .evaluate import (EvalReport, attribute_metrics, bpr_baseline,
                        evaluate_model, label_propagation, rank_and_score,
                        sparsity_groups)
 from .graph import BipartiteGraph, build_graph, propagate
-from .model import (ForwardTrace, ModelParams, forward, fuse, infer_attributes,
-                    init_params)
+from .model import ForwardTrace, ModelParams, forward, infer_attributes, init_params
 from .train import (AdamState, TrainConfig, TrainResult, adam_step,
                     attribute_loss, bpr_loss, gradients, train)
 from .toy import make_toy_dataset, write_toy_files

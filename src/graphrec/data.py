@@ -170,7 +170,8 @@ def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
     so the holdouts stay balanced.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    # ``not r > 0`` so that a NaN ratio is rejected too
+    if len(ratios) != 3 or not all(r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three positives summing to 1, got {ratios}")
     n = len(pairs)
     rng = np.random.default_rng(seed)

@@ -5,18 +5,19 @@ projected attribute vector (dim d_a). K propagation layers apply
 ``H_{k+1} = (H_k + S @ H_k) @ W_k`` with no nonlinearity anywhere, so the
 output collapses to ``H_K = A^K H_0 (W_1 ... W_K)`` with ``A = I + S``: the
 forward propagates once and multiplies by one D x D product of the layer
-weights. The attribute half of ``A^K H_0`` is ``A^K [[X, 0], [0, Y]]``
-times the stacked projections ``[W_u; W_v]``; that propagated block
-(:func:`attribute_block`, built side by side through the off-diagonal
-blocks of S) changes only when X and Y do, so a caller that
-keeps it passes it to :func:`forward`, which then propagates only the free
-embeddings ``[P; Q]`` (width d, not d + d_a). Every map after the
-propagation is row by row, so a forward asked for a few rows (``rows``)
-computes the final embeddings of those rows alone, and its last propagation
-step reads only the rows of S at them. Rating scores are inner products of
-final user/item embeddings; attribute heads map final embeddings to
-per-field probabilities (softmax per single-label field, elementwise
-logistic per multi-label dimension).
+weights. By linearity, ``A^K [P, X W_u]`` is ``[A^K P, (A^K X) W_u]``: the
+forward propagates only the free embeddings ``[P; Q]`` (width d), and takes
+the attribute half of ``A^K H_0`` as the propagated attribute block
+``A^K [[X, 0], [0, Y]]`` (:func:`attribute_block`, built side by side
+through the off-diagonal blocks of S) times the stacked projections
+``[W_u; W_v]``. The block changes only when X and Y do, so a caller that
+keeps it (training) passes it to :func:`forward`; otherwise the forward
+builds it. Every map after the propagation is row by row, so a forward
+asked for a few rows (``rows``) computes the final embeddings of those rows
+alone, and its last propagation step reads only the rows of S at them.
+Rating scores are inner products of final user/item embeddings; attribute
+heads map final embeddings to per-field probabilities (softmax per
+single-label field, elementwise logistic per multi-label dimension).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import propagate
+from .graph import NodeRows, propagate
 
 
 @dataclass
@@ -92,8 +93,8 @@ class ForwardTrace:
     final: ((M+N) x D) output embeddings, users first, D = d + d_a.
     z: ``A^K H_0``, the propagated input before the layer weights
     (``final = z @ W_1 ... W_K``).
-    block: the propagated attribute block ``A^K [[X, 0], [0, Y]]`` the
-    forward used, or None when it propagated the fused input.
+    block: the rows of the propagated attribute block
+    ``A^K [[X, 0], [0, Y]]`` the forward used.
     rows: None when final, z and block hold every node; otherwise the
     :class:`graph.NodeRows` of their rows, which are in the order of
     ``rows.ids`` (users 0..M-1, items M..M+N-1). Such a trace has no
@@ -107,7 +108,7 @@ class ForwardTrace:
     num_users: int
     z: np.ndarray = None
     block: np.ndarray = None
-    rows: np.ndarray = None
+    rows: NodeRows = None
 
     @property
     def user_embeddings(self):
@@ -126,23 +127,8 @@ class ForwardTrace:
         """The trace of the nodes ``rows`` (a :class:`graph.NodeRows`) alone,
         from a trace of every node."""
         ids = rows.ids
-        return ForwardTrace(self.final[ids], self.num_users, self.z[ids],
-                            None if self.block is None else self.block[ids], rows)
-
-
-def fuse(params, X, Y):
-    """Concatenate free embeddings with projected attributes: rows [p_a, x_a W_u]."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    if X.shape != (params.P.shape[0], params.W_u.shape[0]):
-        raise ValueError(f"user attribute matrix has shape {X.shape}, "
-                         f"expected {(params.P.shape[0], params.W_u.shape[0])}")
-    if Y.shape != (params.Q.shape[0], params.W_v.shape[0]):
-        raise ValueError(f"item attribute matrix has shape {Y.shape}, "
-                         f"expected {(params.Q.shape[0], params.W_v.shape[0])}")
-    users = np.hstack([params.P, X @ params.W_u])
-    items = np.hstack([params.Q, Y @ params.W_v])
-    return np.vstack([users, items])
+        return ForwardTrace(self.final[ids], self.num_users, self.z[ids], self.block[ids],
+                            rows)
 
 
 def propagate_k(graph, H, K, rows=None):
@@ -199,24 +185,36 @@ def attribute_block(graph, X, Y, K):
 def forward(params, graph, X, Y, block=None, rows=None):
     """Output embeddings of the K layers, in collapsed form.
 
-    Without ``block`` the fused input is propagated at width d + d_a. With
-    ``block = attribute_block(graph, X, Y, K)`` (the caller keeps it current
-    with X and Y) only ``[P; Q]`` is propagated, at width d, and the
-    attribute half of ``A^K H_0`` is ``block @ [W_u; W_v]``.
+    Only ``[P; Q]`` is propagated, at width d; the attribute half of
+    ``A^K H_0`` is ``block @ [W_u; W_v]``, with ``block =
+    attribute_block(graph, X, Y, K)``. A caller that keeps the block
+    current with X and Y passes it; without one the forward builds it.
 
     With ``rows`` (a :class:`graph.NodeRows`) ``z``, the block and
     ``final`` are computed for the rows at ``rows.ids`` only, in that order:
     the first K - 1 propagation steps still cover every node, the last one
     reads only the slice ``rows.S``. The trace records them as
     ``trace.rows``.
+
+    Raises:
+        ValueError: when X or Y does not match P and W_u, or Q and W_v.
+        FloatingPointError: on non-finite output, naming its first layer.
     """
+    X = np.asarray(X)
+    Y = np.asarray(Y)
+    if X.shape != (params.P.shape[0], params.W_u.shape[0]):
+        raise ValueError(f"user attribute matrix has shape {X.shape}, "
+                         f"expected {(params.P.shape[0], params.W_u.shape[0])}")
+    if Y.shape != (params.Q.shape[0], params.W_v.shape[0]):
+        raise ValueError(f"item attribute matrix has shape {Y.shape}, "
+                         f"expected {(params.Q.shape[0], params.W_v.shape[0])}")
     K = params.num_layers
-    H = fuse(params, X, Y) if block is None else np.vstack([params.P, params.Q])
-    z = propagate_k(graph, H, K, rows)
-    if rows is not None and block is not None:
+    if block is None:
+        block = attribute_block(graph, X, Y, K)
+    z = propagate_k(graph, np.vstack([params.P, params.Q]), K, rows)
+    if rows is not None:
         block = block[rows.ids]
-    if block is not None:
-        z = np.hstack([z, block @ np.vstack([params.W_u, params.W_v])])
+    z = np.hstack([z, block @ np.vstack([params.W_u, params.W_v])])
     final = z @ functools.reduce(np.matmul, params.W) if K else z
     if K and not np.isfinite(final).all():
         h = z

@@ -6,9 +6,9 @@ free embeddings, and L_a is cross entropy over observed attribute entries
 only. Gradients are exact and computed by hand: through the inner product,
 the softmax/logistic heads, the collapsed linear propagation
 ``A^K H_0 W_1 ... W_K`` (every layer weight from one D x D product, the
-inputs through ``(A^T)^K``), the fusion concatenation, and the attribute
-projections. Parameters are updated with Adam; missing attribute entries
-are refreshed from the model's own predictions between steps.
+inputs through ``(A^T)^K``), and the attribute projections. Parameters are
+updated with Adam; missing attribute entries are refreshed from the model's
+own predictions between steps.
 
 The model is linear, so a step's dense work is exact on the rows its
 objective reads (:class:`StepRows`): the batch's users and items, and the
@@ -24,6 +24,7 @@ only the first backward step reads ``S_R``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -77,16 +78,16 @@ class TrainConfig:
             raise ValueError(f"d must be positive and d_a non-negative, got {self.d}, {self.d_a}")
         if not 0 <= self.K <= 4:
             raise ValueError(f"K must be in 0..4, got {self.K}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
-            raise ValueError("learning_rate, batch_size, max_epochs must be positive")
+        # written so that NaN fails each comparison
+        for name in ("gamma", "lam", "init_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.batch_size <= 0 or self.max_epochs <= 0:
+            raise ValueError("batch_size, max_epochs must be positive")
         if self.early_stop_patience < 0:
             raise ValueError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
-        if self.init_std < 0:
-            raise ValueError(f"init_std must be >= 0, got {self.init_std}")
         if self.attr_update_cadence not in CADENCES:
             raise ValueError(f"attr_update_cadence must be one of {CADENCES}")
         return self
@@ -287,8 +288,7 @@ class StepRows:
     """
 
     def __init__(self, graph, user_table, item_table):
-        self.num_users = graph.num_users
-        self.num_nodes = graph.num_nodes
+        self.graph = graph
         observed, self.tables, self.sides = [], [], []
         start = 0
         for offset, table in ((0, user_table), (graph.num_users, item_table)):
@@ -304,18 +304,20 @@ class StepRows:
         self.observed = np.concatenate(observed)
 
     def of(self, batch):
-        """(nodes, local): the node ids of the step rows of ``batch``, and
-        the batch's triples as positions in them."""
-        M = self.num_users
-        extra = np.zeros(self.num_nodes, dtype=bool)
+        """(cut, local): the step rows of ``batch`` as a
+        :class:`graph.NodeRows` of the graph, and the batch's triples as
+        positions in them."""
+        M, num_nodes = self.graph.num_users, self.graph.num_nodes
+        extra = np.zeros(num_nodes, dtype=bool)
         extra[batch.users] = True
         extra[M + batch.pos] = True
         extra[M + batch.neg] = True
         extra[self.observed] = False
         nodes = np.concatenate([self.observed, np.flatnonzero(extra)])
-        at = np.empty(self.num_nodes, dtype=np.int64)
+        at = np.empty(num_nodes, dtype=np.int64)
         at[nodes] = np.arange(len(nodes))
-        return nodes, TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg])
+        return (NodeRows(self.graph, nodes),
+                TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg]))
 
     def heads(self, trace, params):
         """:func:`head_predictions` on the observed rows of a step trace."""
@@ -352,16 +354,15 @@ def gradients(trace, batch, rows, params, config, graph, heads):
     ``(A^T)^K`` applied to the first d columns of ``G (W_1 ... W_K)^T`` (the
     first step through the slice ``trace.rows.S``, :func:`propagate_back`),
     and W_u, W_v from the rows of the attribute block
-    ``A^K [[X, 0], [0, Y]]`` the forward was given (``trace.block``).
+    ``A^K [[X, 0], [0, Y]]`` the forward used (``trace.block``).
     Finiteness is checked once, where :func:`adam_step` reads the gradients.
 
     Raises:
-        ValueError: when the trace holds no block or every row, i.e. it is
-            not the forward of :func:`train_step`.
+        ValueError: when the trace holds every row, i.e. it is not the
+            forward of :func:`train_step`.
     """
-    if trace.block is None or trace.rows is None:
-        raise ValueError("gradients need the step's forward: built with "
-                         "attribute_block(graph, X, Y, K), on the step rows")
+    if trace.rows is None:
+        raise ValueError("gradients need the step's forward, on the step rows")
     M = graph.num_users
     d = params.P.shape[1]
     final = trace.final
@@ -415,12 +416,12 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
     """Forward, losses and gradients of one training step.
 
     The forward's dense work, the heads, the losses and the gradient run on
-    the step rows of ``batch`` (``rows``, a :class:`StepRows`), and the rows
-    of S at them are sliced once (a :class:`NodeRows`) for the last forward
-    and the first backward propagation step. Under the per-batch cadence the
-    forward builds every row instead, because the attribute write-back that
-    follows the step reads them all; the rest of the step still reads the
-    step rows alone.
+    the step rows of ``batch`` (``rows.of``), whose :class:`graph.NodeRows`
+    slices the rows of S at them once for the last forward and the first
+    backward propagation step. Under the per-batch cadence the forward
+    builds every row instead, because the attribute write-back that follows
+    the step reads them all; the rest of the step still reads the step rows
+    alone.
 
     Returns:
         (trace, loss_r, loss_a, grads): ``trace`` is the step's forward.
@@ -428,8 +429,7 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
     Raises:
         FloatingPointError: when a loss is non-finite.
     """
-    nodes, local = rows.of(batch)
-    cut = NodeRows(graph, nodes)
+    cut, local = rows.of(batch)
     every_row = config.attr_update_cadence == "per-batch"
     trace = forward(params, graph, X, Y, block, None if every_row else cut)
     step = trace.take(cut) if every_row else trace
@@ -513,8 +513,8 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is kept between
     steps and rebuilt whenever X and Y change: at the start (fresh or
     resumed), and after every write-back (each step under the per-batch
-    cadence, each epoch under the per-epoch one). Every forward of the loop
-    therefore propagates only the free embeddings. Each step is one
+    cadence, each epoch under the per-epoch one), and every forward of the
+    loop is given it rather than building its own. Each step is one
     :func:`train_step`, whose dense work reads only the step rows.
 
     Raises:

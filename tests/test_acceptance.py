@@ -83,9 +83,9 @@ def test_criterion_1_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2a_forward_dense_oracle():
-    """Both forwards (the one-shot one and training's, with the propagated
-    attribute block) against ``(A H_k) W_k`` layer by layer from an
-    ``H_0 = [[P, X W_u], [Q, Y W_v]]`` built here."""
+    """The forward, building the propagated attribute block itself and
+    given it as training gives it, against ``(A H_k) W_k`` layer by layer
+    from an ``H_0 = [[P, X W_u], [Q, Y W_v]]`` built here."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
@@ -105,8 +105,8 @@ def test_criterion_2a_forward_dense_oracle():
             trace = forward(p, g, X, Y, block)
             worst = max(worst, float(np.abs(trace.final - H).max()))
     check("2a forward-dense-oracle", worst <= 1e-12,
-          f"max abs error {worst:.3e} over 50 graphs with M+N <= 20 and both "
-          "forwards, tolerance 1e-12")
+          f"max abs error {worst:.3e} over 50 graphs with M+N <= 20, with and "
+          "without a given block, tolerance 1e-12")
 
 
 def test_criterion_2b_ranking_metric_oracle():

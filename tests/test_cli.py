@@ -56,6 +56,13 @@ class TestTrainCommand:
         assert rc == 1
         assert "/no/such/file.tsv" in capsys.readouterr().err
 
+    def test_nan_setting_rejected(self, toy_files, tmp_path, capsys):
+        rc = main(["train", "--out", str(tmp_path / "x")] + data_flags(toy_files)
+                  + train_flags() + ["--gamma", "nan"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "gamma" in err and "diverged" not in err
+
     def test_no_dataset_given(self, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path / "x")] + train_flags())
         assert rc == 1

@@ -225,6 +225,11 @@ class TestSplit:
         with pytest.raises(ValueError, match="ratios"):
             split([(0, 0)], 1, 1, ratios=(0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("ratios", [(np.nan, 0.5, 0.5), (0.8, np.nan, 0.1)])
+    def test_nan_ratio(self, ratios):
+        with pytest.raises(ValueError, match="three positives summing to 1"):
+            split([(0, 0)], 1, 1, ratios=ratios)
+
 
 class TestContainer:
     def test_round_trip_bitwise(self, tmp_path):

@@ -5,7 +5,7 @@ from graphrec import build_graph
 from graphrec.attributes import AttributeSchema
 from graphrec.graph import NodeRows
 from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
-                            fuse, infer_attributes, init_params, normalize_logits)
+                            infer_attributes, init_params, normalize_logits)
 
 from conftest import attribute_block_stacked, predict_rating, random_bipartite
 
@@ -14,22 +14,29 @@ def params_for(M, N, d, d_a, d_x, d_y, K, seed=0, std=0.1):
     return init_params(M, N, d, d_a, d_x, d_y, K=K, seed=seed, init_std=std)
 
 
-class TestFuse:
-    def test_hand_case(self):
+def fused_input(p, X, Y):
+    """``H_0 = [[P, X W_u], [Q, Y W_v]]``, the dense oracle's input."""
+    return np.vstack([np.hstack([p.P, X @ p.W_u]), np.hstack([p.Q, Y @ p.W_v])])
+
+
+class TestForward:
+    def test_zero_layers_hand_case(self):
+        g = build_graph([(0, 0)], 1, 1)
         p = params_for(1, 1, 1, 1, 1, 1, K=0)
         p.P[:] = [[2.0]]
         p.W_u[:] = [[3.0]]
         p.Q[:] = [[5.0]]
         p.W_v[:] = [[-1.0]]
-        h0 = fuse(p, np.array([[1.0]]), np.array([[2.0]]))
-        assert h0.tolist() == [[2.0, 3.0], [5.0, -2.0]]
+        t = forward(p, g, np.array([[1.0]]), np.array([[2.0]]))
+        assert t.final.tolist() == [[2.0, 3.0], [5.0, -2.0]]
 
-    def test_layout(self):
+    def test_zero_layers_layout(self):
         rng = np.random.default_rng(0)
+        g = build_graph([(0, 0), (1, 2), (2, 3)], 3, 4)
         p = params_for(3, 4, 2, 3, 5, 4, K=0)
         X = rng.random((3, 5))
         Y = rng.random((4, 4))
-        h0 = fuse(p, X, Y)
+        h0 = forward(p, g, X, Y).final
         assert h0.shape == (7, 5)
         assert np.array_equal(h0[:3, :2], p.P)
         assert np.array_equal(h0[3:, :2], p.Q)
@@ -37,20 +44,19 @@ class TestFuse:
         assert np.allclose(h0[3:, 2:], Y @ p.W_v)
 
     def test_shape_mismatch(self):
+        g = build_graph([], 3, 4)
         p = params_for(3, 4, 2, 3, 5, 4, K=0)
         with pytest.raises(ValueError, match="user attribute"):
-            fuse(p, np.zeros((3, 6)), np.zeros((4, 4)))
+            forward(p, g, np.zeros((3, 6)), np.zeros((4, 4)))
         with pytest.raises(ValueError, match="item attribute"):
-            fuse(p, np.zeros((3, 5)), np.zeros((5, 4)))
+            forward(p, g, np.zeros((3, 5)), np.zeros((5, 4)))
 
-
-class TestForward:
     def test_zero_layers_is_fusion(self, two_user_graph):
         rng = np.random.default_rng(1)
         p = params_for(2, 1, 2, 2, 3, 3, K=0)
         X, Y = rng.random((2, 3)), rng.random((1, 3))
         t = forward(p, two_user_graph, X, Y)
-        assert np.array_equal(t.final, fuse(p, X, Y))
+        assert np.array_equal(t.final, fused_input(p, X, Y))
         cached = forward(p, two_user_graph, X, Y, attribute_block(two_user_graph, X, Y, 0))
         assert np.array_equal(cached.final, t.final)
 
@@ -61,7 +67,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         X, Y = rng.random((2, 2)), rng.random((2, 2))
         t = forward(p, g, X, Y)
-        assert np.allclose(t.final, fuse(p, X, Y))
+        assert np.allclose(t.final, fused_input(p, X, Y))
 
     def test_one_layer_smoothing(self):
         # single edge, identity weight: each node adds its neighbor's input
@@ -70,7 +76,7 @@ class TestForward:
         p.W[0][:] = np.eye(2)
         X, Y = np.array([[0.0]]), np.array([[0.0]])
         t = forward(p, g, X, Y)
-        h0 = fuse(p, X, Y)
+        h0 = fused_input(p, X, Y)
         assert np.allclose(t.final[0], h0[0] + h0[1])
         assert np.allclose(t.final[1], h0[1] + h0[0])
 
@@ -78,7 +84,7 @@ class TestForward:
     def dense_layers(p, g, X, Y):
         """Layer-by-layer forward with a dense operator: (A h_k) W_k."""
         A = np.eye(g.num_nodes) + g.S.toarray()
-        h = fuse(p, X, Y)
+        h = fused_input(p, X, Y)
         for Wk in p.W:
             h = (A @ h) @ Wk
         return h
@@ -95,9 +101,9 @@ class TestForward:
             assert np.abs(t.final - self.dense_layers(p, g, X, Y)).max() <= 1e-12
 
     def test_dense_oracle_both_paths(self):
-        # the uncached forward and the forward from the propagated attribute
-        # block both match the layer-by-layer dense oracle, K = 0..4, under
-        # both normalizations
+        # the forward that builds the propagated attribute block and the
+        # forward given one both match the layer-by-layer dense oracle,
+        # K = 0..4, under both normalizations
         rng = np.random.default_rng(13)
         for norm_mode in ("symmetric", "row"):
             for K in range(5):
@@ -109,7 +115,7 @@ class TestForward:
                     want = self.dense_layers(p, g, X, Y)
                     plain = forward(p, g, X, Y)
                     cached = forward(p, g, X, Y, attribute_block(g, X, Y, K))
-                    assert plain.block is None
+                    assert np.array_equal(plain.block, attribute_block(g, X, Y, K))
                     assert np.abs(plain.final - want).max() <= 1e-12
                     assert np.abs(cached.final - want).max() <= 1e-12
                     assert np.abs(cached.z - plain.z).max() <= 1e-12
@@ -122,6 +128,22 @@ class TestForward:
                     assert some.rows is rows
                     assert np.array_equal(some.z[:, :3], cached.z[ids, :3])
                     assert np.array_equal(cached.take(rows).final, cached.final[ids])
+
+    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    def test_forward_without_block_is_bitwise_the_block_forward(self, norm_mode):
+        # a one-shot forward computes the same bits as training's forward
+        # from a kept block, K = 0..4
+        rng = np.random.default_rng(16)
+        for K in range(5):
+            for _ in range(8):
+                g = random_bipartite(rng, norm_mode=norm_mode)
+                M, N = g.num_users, g.num_items
+                p = params_for(M, N, 3, 2, 4, 3, K=K, seed=int(rng.integers(10**6)))
+                X, Y = rng.normal(size=(M, 4)), rng.normal(size=(N, 3))
+                plain = forward(p, g, X, Y)
+                kept = forward(p, g, X, Y, attribute_block(g, X, Y, K))
+                assert np.array_equal(plain.final, kept.final)
+                assert np.array_equal(plain.z, kept.z)
 
     def test_attribute_block_layout(self):
         # A^K [[X, 0], [0, Y]]: the dense operator applied to the block

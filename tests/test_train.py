@@ -8,6 +8,7 @@ from dataclasses import replace
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing
 from graphrec.data import load_checkpoint
+from graphrec.evaluate import evaluate_model
 from graphrec.graph import NodeRows
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
 from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, AdamState,
@@ -50,6 +51,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value}).validate()
         TrainConfig(**{name: 0}).validate()
+
+    @pytest.mark.parametrize("name", ["gamma", "lam", "learning_rate", "init_std"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, value):
+        # NaN passed every sign test, and training then reported divergence
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value}).validate()
 
     def test_dict_round_trip_ignores_unknown(self):
         c = TrainConfig(d=8, gamma=0.4)
@@ -262,7 +270,7 @@ class TestGradients:
         X = init_missing(user_table, fallback=0.5)
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
-        with pytest.raises(ValueError, match="attribute_block"):
+        with pytest.raises(ValueError, match="step rows"):
             gradients(forward(p, g, X, Y), batch, StepRows(g, user_table, item_table), p,
                       config, g, (None, None))
         assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
@@ -288,9 +296,9 @@ class TestGradients:
         keep = (pairs[:, 0] >= 3) & (pairs[:, 1] >= 4)
         batch = TripleBatch(pairs[keep, 0][:6], pairs[keep, 1][:6],
                             np.array([4, 5, 9, 6, 7, 8]))
-        nodes, _ = StepRows(g, user_table, item_table).of(batch)
+        cut, _ = StepRows(g, user_table, item_table).of(batch)
         skipped = [0, 1, 2] + [M + i for i in range(4)]
-        assert not np.isin(skipped, nodes).any()
+        assert not np.isin(skipped, cut.ids).any()
         # every skipped node still reaches the objective through the graph
         assert np.diff(g.S.indptr)[skipped].min() > 0
         for K in (1, 2, 3):
@@ -577,6 +585,13 @@ class TestTrainLoop:
         assert [e.epoch for e in resumed.log] == [3]
         assert len(seen["errors"]) == forwards // 2
         assert max(seen["errors"]) <= 1e-12
+
+    def test_one_shot_val_hr_is_best_val_hr(self, toy_dataset):
+        # evaluate_model's forward computes the bits of train()'s validation
+        # pass on the best snapshot
+        res = train(toy_dataset, self.small_config(K=2))
+        report = evaluate_model(res.params, res.X, res.Y, toy_dataset, target="val")
+        assert report.hr[10] == res.best_val_hr
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
