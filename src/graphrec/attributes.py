@@ -118,15 +118,15 @@ def encode(raw_records, schema, side="user"):
     a category index (single-label) or an iterable of category indices
     (multi-label). Fields absent from a record stay unobserved.
     """
-    E = len(raw_records)
-    D = schema.total_dim
-    values = np.zeros((E, D))
-    indicator = np.zeros((E, D))
+    # one pass collects the (entity, column) cells set to 1 and the observed
+    # (entity, field) pairs; each table is then filled by one assignment
+    fields = {f.name: (k, f) for k, f in enumerate(schema)}
+    rows, cols, pair_rows, pair_fields = [], [], [], []
     for e, record in enumerate(raw_records):
         for name, assignment in record.items():
-            if name not in schema:
+            if name not in fields:
                 raise ValueError(f"entity {e}: unknown field {name!r}")
-            f = schema[name]
+            k, f = fields[name]
             if f.kind == "single":
                 cats = [int(assignment)]
             else:
@@ -137,10 +137,15 @@ def encode(raw_records, schema, side="user"):
                         f"entity {e}, field {name!r}: category {c} out of range "
                         f"(cardinality {f.cardinality})"
                     )
-                values[e, f.offset + c] = 1.0
-            if f.kind == "single" and len(cats) != 1:
-                raise ValueError(f"entity {e}, field {name!r}: single-label needs one category")
-            indicator[e, f.block] = 1.0
+                rows.append(e)
+                cols.append(f.offset + c)
+            pair_rows.append(e)
+            pair_fields.append(k)
+    values = np.zeros((len(raw_records), schema.total_dim))
+    values[rows, cols] = 1.0
+    observed = np.zeros((len(raw_records), len(schema)))
+    observed[pair_rows, pair_fields] = 1.0
+    indicator = np.repeat(observed, [f.cardinality for f in schema], axis=1)
     return AttributeTable(schema, side, values, indicator, values.copy(), [])
 
 

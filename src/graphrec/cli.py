@@ -114,6 +114,8 @@ def build_dataset(settings):
     keep = None
     if settings["min_rating"] is not None:
         threshold = float(settings["min_rating"])
+        if np.isnan(threshold):  # a NaN threshold would drop every rating
+            raise ValueError(f"min_rating must be a number, got {settings['min_rating']!r}")
         keep = lambda r: r >= threshold
     pairs, user_ids, item_ids = dataio.load_interactions(
         settings["interactions"],

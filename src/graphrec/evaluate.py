@@ -9,6 +9,7 @@ item index so reports are reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,24 +58,67 @@ def _block_ranks(scores, rows, items, depth):
     """1-based ranks of targets (row ``rows[t]``, item ``items[t]``) within a
     block of score rows whose training items are already ``-inf``.
 
-    A target scoring below its row's ``depth``-th largest score has at least
-    ``depth`` items ahead of it; it is given rank ``depth + 1`` without
-    counting. The others are counted against their whole row, at most
-    ``_BLOCK_USERS`` rows at a time.
+    One partition finds each row's top ``depth`` scores. A target scoring
+    below the ``depth``-th largest has at least ``depth`` items ahead of it;
+    it is given rank ``depth + 1`` without counting. Every item scoring at
+    least as high as a target above it is among the top scores, so such a
+    target's rank is one plus the top scores above its own, when no other
+    item shares its score. The rest need the item order of a tie: a target
+    whose score another top item shares, a target tied with the ``depth``-th
+    score (tied items can fall on both sides of the partition), and every
+    target when ``depth`` reaches the row width. They are counted against
+    their whole row, ``_BLOCK_USERS`` targets at a time.
     """
     N = scores.shape[1]
     target_scores = scores[rows, items]
     ranks = np.full(len(rows), depth + 1, dtype=np.int64)
     if depth < N:
-        kth = np.partition(scores, N - depth, axis=1)[:, N - depth]
-        cand = np.flatnonzero(target_scores >= kth[rows])
+        top = np.partition(scores, N - depth, axis=1)[:, N - depth:]
+        kth = top[rows, 0]
+        inside = np.flatnonzero(target_scores > kth)
+        top_of, score = top[rows[inside]], target_scores[inside, None]
+        ranks[inside] = 1 + (top_of > score).sum(axis=1)
+        shared = (top_of == score).sum(axis=1) > 1
+        whole = np.concatenate([inside[shared], np.flatnonzero(target_scores == kth)])
     else:
-        cand = np.arange(len(rows))
-    for lo in range(0, len(cand), _BLOCK_USERS):
-        c = cand[lo:lo + _BLOCK_USERS]
+        whole = np.arange(len(rows))
+    for lo in range(0, len(whole), _BLOCK_USERS):
+        c = whole[lo:lo + _BLOCK_USERS]
         ranks[c] = 1 + _ahead(scores[rows[c]], np.arange(N), target_scores[c, None],
                               items[c, None]).sum(axis=1)
     return ranks
+
+
+def _check_cutoffs(n_list):
+    """Raise ValueError unless ``n_list`` holds at least one cut-off and each
+    is a positive integer (a ``bool`` is not one)."""
+    if len(n_list) == 0:
+        raise ValueError(f"n_list must hold at least one cut-off, got {n_list!r}")
+    for n in n_list:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"cut-offs must be positive integers, got {n!r}")
+
+
+class PerUserNDCG(Mapping):
+    """Per-user NDCG of one ranking pass, read-only: user -> {N: NDCG@N}.
+
+    It keeps the pass's arrays, ``users`` and their (users, len(n_list))
+    ``ndcg`` rows, so a caller reading them builds no per-user dict; a
+    user's dict is built when it is looked up.
+    """
+
+    def __init__(self, users, ndcg, n_list):
+        self.users, self.ndcg, self.n_list = users, ndcg, list(n_list)
+        self._row = dict(zip(users.tolist(), range(len(users))))
+
+    def __getitem__(self, user):
+        return dict(zip(self.n_list, self.ndcg[self._row[user]].tolist()))
+
+    def __iter__(self):
+        return iter(self.users.tolist())
+
+    def __len__(self):
+        return len(self.users)
 
 
 def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
@@ -84,9 +128,11 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     ``hr_mode`` selects the HR aggregation: "user-mean" averages per-user
     recall; "global" divides total hits by total target items. NDCG is always
     a per-user mean. Users whose candidate set is empty are skipped and
-    counted. With ``return_per_user`` the per-user NDCG maps (user -> {N:
-    NDCG@N}) and the skipped count are returned as well.
+    counted. With ``return_per_user`` the per-user NDCG (a
+    :class:`PerUserNDCG`, user -> {N: NDCG@N}) and the skipped count are
+    returned as well. ``n_list`` must hold positive integer cut-offs.
     """
+    _check_cutoffs(n_list)
     if hr_mode not in HR_MODES:
         raise ValueError(f"hr_mode must be one of {HR_MODES}")
     if target not in TARGETS:
@@ -130,9 +176,7 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     hr_map = {n: float(hr_all[k]) for k, n in enumerate(n_list)}
     ndcg_map = {n: float(ndcg_all[k]) for k, n in enumerate(n_list)}
     if return_per_user:
-        per_user_ndcg = {a: dict(zip(n_list, row))
-                         for a, row in zip(users.tolist(), ndcg.tolist())}
-        return hr_map, ndcg_map, per_user_ndcg, skipped
+        return hr_map, ndcg_map, PerUserNDCG(users, ndcg, n_list), skipped
     return hr_map, ndcg_map
 
 
@@ -222,26 +266,27 @@ def sparsity_groups(dataset, trace, bins):
     ``bins`` are disjoint half-open [lo, hi) ranges that must cover every
     evaluated user. Empty groups get count 0 and a None metric.
     """
-    _, _, per_user_ndcg, _ = rank_and_score(trace, dataset, [10],
-                                            return_per_user=True)
-    return _group_ndcg10(dataset, per_user_ndcg, bins)
+    _, _, per_user, _ = rank_and_score(trace, dataset, [10], return_per_user=True)
+    return _group_ndcg10(dataset, per_user, bins)
 
 
-def _group_ndcg10(dataset, per_user_ndcg, bins):
-    """Mean per-user NDCG@10 within each half-open training-count bin."""
-    degrees = dataset.graph_train.user_degrees()
-    counts = {a: int(degrees[a]) for a in per_user_ndcg}
+def _group_ndcg10(dataset, per_user, bins):
+    """Mean per-user NDCG@10 within each half-open training-count bin, from
+    a :class:`PerUserNDCG` holding N = 10."""
+    degrees = dataset.graph_train.user_degrees()[per_user.users]
+    ndcg10 = per_user.ndcg[:, per_user.n_list.index(10)]
     groups = []
-    assigned = set()
+    assigned = np.zeros(len(degrees), dtype=bool)
     for lo, hi in bins:
-        members = [a for a, c in counts.items() if lo <= c < hi]
-        assigned.update(members)
-        value = float(np.mean([per_user_ndcg[a][10] for a in members])) if members else None
-        groups.append({"range": (lo, hi), "count": len(members), "ndcg10": value})
-    missing = set(counts) - assigned
-    if missing:
-        a = next(iter(missing))
-        raise ValueError(f"bins do not cover user {a} with {counts[a]} training interactions")
+        members = (lo <= degrees) & (degrees < hi)
+        assigned |= members
+        count = int(members.sum())
+        value = float(np.mean(ndcg10[members])) if count else None
+        groups.append({"range": (lo, hi), "count": count, "ndcg10": value})
+    if not assigned.all():
+        r = int(np.argmin(assigned))
+        raise ValueError(f"bins do not cover user {per_user.users[r]} with {degrees[r]} "
+                         "training interactions")
     return groups
 
 
@@ -301,8 +346,9 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
                    hr_mode="user-mean", bins=None):
     """Full EvalReport for one model state: ranking metrics, per-field
     attribute metrics on the masked test pairs, and sparsity groups."""
-    trace = forward(params, dataset.graph_train, X, Y)
     n_list = list(n_list)
+    _check_cutoffs(n_list)
+    trace = forward(params, dataset.graph_train, X, Y)
     # the sparsity groups take their NDCG@10 from this one ranking pass
     hr, ndcg, per_user, skipped = rank_and_score(
         trace, dataset, n_list + [10], target=target, hr_mode=hr_mode,

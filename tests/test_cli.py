@@ -192,6 +192,19 @@ class TestPrepareData:
         digest = hashlib.sha256((prep / "dataset.bin").read_bytes()).hexdigest()
         assert digest == "1856595532c4c94158b081f43d09d74de9719b002b2d2aec3ca8b6a3ad267ea7"
 
+    def test_nan_min_rating_rejected(self, toy_files, tmp_path, capsys):
+        # a NaN threshold would drop every rating; it is named before any
+        # file is read, so a missing interactions file is not reached
+        rc = main(["prepare-data", "--out", str(tmp_path / "prep"), "--min-rating", "nan"]
+                  + data_flags(toy_files))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "min_rating" in err and "no interactions" not in err
+        rc = main(["prepare-data", "--out", str(tmp_path / "prep2"), "--min-rating", "nan",
+                   "--interactions", str(tmp_path / "missing.tsv")])
+        assert rc == 1
+        assert "min_rating" in capsys.readouterr().err
+
 
 class TestInferAttributes:
     def test_predictions_cover_masked_pairs(self, toy_files, tmp_path):

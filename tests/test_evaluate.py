@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,156 @@ class TestRankAndScore:
                     assert abs(ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
                     for (_, d), a in zip(oracle, users):
                         assert abs(per_user[a][n] - d) <= 1e-12
+
+    @pytest.mark.parametrize("n_list,named", [([], "[]"), ([10, 0], "0"), ([0], "0"),
+                                              ([2.5], "2.5"), ([-3], "-3"),
+                                              ([True], "True"), ([10, False], "False")])
+    def test_rejects_bad_cutoffs(self, toy_dataset, n_list, named):
+        ds = toy_dataset
+        p = init_params(ds.num_users, ds.num_items, 4, 2, ds.user_attrs.schema.total_dim,
+                        ds.item_attrs.schema.total_dim, K=1, seed=0)
+        X, Y = init_missing(ds.user_attrs), init_missing(ds.item_attrs)
+        trace = forward(p, ds.graph_train, X, Y)
+        with pytest.raises(ValueError, match=f"got {re.escape(named)}$"):
+            rank_and_score(trace, ds, n_list)
+        with pytest.raises(ValueError, match=f"got {re.escape(named)}$"):
+            evaluate_model(p, X, Y, ds, n_list=n_list)
+
+
+def scored_dataset(scores, trained, targets):
+    """A dataset and trace in which user a scores item i as ``scores[a, i]``:
+    the user embeddings are the identity and the item embeddings the score
+    columns. ``trained[a]`` are user a's training items."""
+    M, N = scores.shape
+    pairs = np.array([(a, i) for a in range(M) for i in trained[a]],
+                     dtype=np.int64).reshape(-1, 2)
+    ds = Dataset(graph_train=build_graph(pairs, M, N), train_pairs=pairs, val_items={},
+                 test_items=targets, user_attrs=None, item_attrs=None,
+                 user_ids=[], item_ids=[])
+    return ds, ForwardTrace(final=np.vstack([np.eye(M), scores.T]), num_users=M)
+
+
+def tie_heavy_case(seed, M, N, depth):
+    """Integer scores in a narrow range, so whole score levels straddle each
+    row's ``depth``-th candidate score. Every third user keeps fewer than
+    ``depth`` candidates; the others' targets include items tied with that
+    score and items above it."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 8, size=(M, N)).astype(float)
+    trained, targets = [], {}
+    for a in range(M):
+        perm = rng.permutation(N)
+        n_train = (N - int(rng.integers(1, depth)) if a % 3 == 0 and depth < N
+                   else int(rng.integers(0, N // 3)))
+        trained.append(np.sort(perm[:n_train]))
+        cand = perm[n_train:]
+        picks = list(rng.choice(cand, size=min(3, len(cand)), replace=False))
+        if len(cand) > depth:
+            s = scores[a, cand]
+            kth = np.sort(s)[::-1][depth - 1]
+            picks += list(rng.choice(cand[s == kth], size=2))
+            picks += list(rng.choice(cand[s >= kth], size=2))
+        targets[a] = np.unique(picks)
+    return scores, trained, targets
+
+
+def brute_ranks(scores, trained, targets):
+    """{(user, item): rank} by a stable sort of each user's candidates."""
+    ranks = {}
+    for a, items in targets.items():
+        cand = np.setdiff1d(np.arange(scores.shape[1]), trained[a])
+        order = cand[np.argsort(-scores[a, cand], kind="stable")]
+        where = {int(i): r + 1 for r, i in enumerate(order)}
+        ranks.update({(a, int(i)): where[int(i)] for i in items})
+    return ranks
+
+
+def masked_block(scores, trained):
+    block = scores.copy()
+    for a, items in enumerate(trained):
+        block[a, items] = -np.inf
+    return block
+
+
+class TestTopDepthRanks:
+    M, N = 30, 60
+
+    @pytest.mark.parametrize("seed,n_list", [(0, [1, 5, 10]), (1, [4, 12]), (2, [2, 25]),
+                                             (3, [3, 65])])
+    def test_tie_heavy_brute_force_oracle(self, monkeypatch, seed, n_list):
+        # N well above max(n_list), except the last case (depth >= N)
+        monkeypatch.setattr(evaluate, "_BLOCK_USERS", 4)
+        depth = max(n_list)
+        scores, trained, targets = tie_heavy_case(seed, self.M, self.N, depth)
+        block = masked_block(scores, trained)
+        if depth < self.N:
+            # the case holds what it is built for: targets tied with the
+            # depth-th score, levels straddling the partition, short rows
+            kth = np.sort(block, axis=1)[:, self.N - depth]
+            tied = [a for a, t in targets.items() if (scores[a, t] == kth[a]).any()]
+            straddle = [a for a in range(self.M)
+                        if (block[a] > kth[a]).sum() < depth < (block[a] >= kth[a]).sum()]
+            short = [a for a in range(self.M) if self.N - len(trained[a]) < depth]
+            assert tied and straddle and short
+
+        want = brute_ranks(scores, trained, targets)
+        rows = np.concatenate([np.full(len(t), a) for a, t in targets.items()])
+        items = np.concatenate(list(targets.values()))
+        got = evaluate._block_ranks(block, rows, items, depth)
+        # ranks beyond depth may be exact or depth + 1: both miss every cutoff
+        assert np.minimum(got, depth + 1).tolist() == [
+            min(want[a, i], depth + 1) for a, i in zip(rows.tolist(), items.tolist())]
+
+        ds, trace = scored_dataset(scores, trained, targets)
+        hr, ndcg, per_user, skipped = rank_and_score(trace, ds, n_list, return_per_user=True)
+        assert skipped == 0 and sorted(per_user) == list(range(self.M))
+        for n in n_list:
+            oracle = [naive_user_metrics(scores[a], trained[a], targets[a], n)
+                      for a in range(self.M)]
+            assert abs(hr[n] - np.mean([h for h, _ in oracle])) <= 1e-12
+            assert abs(ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
+            for a, (_, d) in enumerate(oracle):
+                assert abs(per_user[a][n] - d) <= 1e-12
+
+    @pytest.mark.parametrize("integer_scores", [False, True])
+    def test_whole_row_counts_only_for_ties(self, monkeypatch, integer_scores):
+        # a target is counted against its whole row only when the top scores
+        # cannot order it: tied with the depth-th score (or that item
+        # itself), or sharing its score with another item; or when depth
+        # reaches the row width
+        calls = []
+        real = evaluate._ahead
+
+        def recording(scores, items, target_score, target_item):
+            calls.append((len(target_score), scores.shape[1]))
+            return real(scores, items, target_score, target_item)
+        monkeypatch.setattr(evaluate, "_ahead", recording)
+        monkeypatch.setattr(evaluate, "_BLOCK_USERS", 4)
+        depth = 10
+        scores, trained, targets = tie_heavy_case(5, self.M, self.N, depth)
+        if not integer_scores:
+            scores = np.random.default_rng(5).permutation(
+                self.M * self.N).reshape(self.M, self.N) / 7.0
+        block = masked_block(scores, trained)
+        kth = np.sort(block, axis=1)[:, self.N - depth]
+        need, counted_in_top = 0, 0
+        for a, items in targets.items():
+            for s in scores[a, items]:
+                if s == kth[a] or (s > kth[a] and (block[a] == s).sum() > 1):
+                    need += 1
+                elif s > kth[a]:
+                    counted_in_top += 1
+        assert counted_in_top > 0 and (need > 0 or not integer_scores)
+
+        ds, trace = scored_dataset(scores, trained, targets)
+        rank_and_score(trace, ds, [1, depth])
+        assert all(width == self.N for _, width in calls)
+        assert sum(n for n, _ in calls) == need
+
+        calls.clear()
+        rank_and_score(trace, ds, [1, self.N])
+        assert all(width == self.N for _, width in calls)
+        assert sum(n for n, _ in calls) == sum(len(t) for t in targets.values())
 
 
 class TestAveragePrecision:
