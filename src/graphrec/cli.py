@@ -182,8 +182,6 @@ def _run_training(settings, outdir, quiet=False):
             print(line)
 
     result = train(dataset, config, log_fn=log_fn, checkpoint_path=checkpoint)
-    dataio.save_checkpoint(checkpoint, result.params, result.X, result.Y,
-                           config.to_dict(), epoch=result.best_epoch)
     with open(os.path.join(outdir, "train_log.txt"), "w") as fh:
         fh.write("\n".join(log_lines) + "\n")
 
@@ -205,23 +203,23 @@ def cmd_train(args):
 
 
 def _load_checkpoint_for(path, dataset):
-    """The checkpoint at ``path``. Raises ValueError naming the first node
-    count (users, items) that differs from the dataset's, with both counts."""
-    ckpt = load_checkpoint(path)
-    for name, have, want in (("users", ckpt.params.P.shape[0], dataset.num_users),
-                             ("items", ckpt.params.Q.shape[0], dataset.num_items)):
+    """(params, X, Y) of the best epoch of the checkpoint at ``path``. Raises
+    ValueError naming the first node count (users, items) that differs from
+    the dataset's, with both counts."""
+    params, X, Y = load_checkpoint(path).best
+    for name, have, want in (("users", params.P.shape[0], dataset.num_users),
+                             ("items", params.Q.shape[0], dataset.num_items)):
         if have != want:
             raise ValueError(f"checkpoint has {name}={have}, but the dataset has {name}={want}")
-    return ckpt
+    return params, X, Y
 
 
 def cmd_evaluate(args):
     settings = resolve_settings(args)
     echo_config(settings, args.out)
     dataset = resolve_dataset(settings)
-    ckpt = _load_checkpoint_for(args.checkpoint, dataset)
-    report = evaluate_model(ckpt.params, ckpt.X, ckpt.Y, dataset,
-                            hr_mode=settings["hr_mode"])
+    params, X, Y = _load_checkpoint_for(args.checkpoint, dataset)
+    report = evaluate_model(params, X, Y, dataset, hr_mode=settings["hr_mode"])
     report.write(os.path.join(args.out, "report_test"))
     for line in report.to_lines():
         print(line)
@@ -299,9 +297,8 @@ def cmd_infer_attributes(args):
     settings = resolve_settings(args)
     echo_config(settings, args.out)
     dataset = resolve_dataset(settings)
-    ckpt = _load_checkpoint_for(args.checkpoint, dataset)
-    params = ckpt.params
-    trace = forward(params, dataset.graph_train, ckpt.X, ckpt.Y)
+    params, X, Y = _load_checkpoint_for(args.checkpoint, dataset)
+    trace = forward(params, dataset.graph_train, X, Y)
 
     out_path = os.path.join(args.out, "predictions.tsv")
     n_rows = 0

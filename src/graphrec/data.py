@@ -12,9 +12,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -283,57 +284,92 @@ def load_container(path):
 
 
 @dataclass
-class Checkpoint:
+class EpochLog:
+    epoch: int
+    loss_r: float
+    loss_a: float
+    loss_total: float
+    val_hr: float
+    val_ndcg: float
+    seconds: float
+
+    def format(self):
+        return (f"epoch={self.epoch} loss_r={self.loss_r:.6f} loss_a={self.loss_a:.6f} "
+                f"loss={self.loss_total:.6f} val_hr@10={self.val_hr:.4f} "
+                f"val_ndcg@10={self.val_ndcg:.4f} time={self.seconds:.2f}s")
+
+
+@dataclass
+class TrainState:
+    """All one epoch of the training loop hands to the next, and all a
+    checkpoint holds: params, X and Y after ``epoch`` epochs; Adam's moments
+    by parameter name and step count; the sampler's generator; the log;
+    ``best``, the (params, X, Y) of ``best_epoch``, and its validation HR@10;
+    the evaluations since it; and whether the run has written a checkpoint.
+    """
+
     params: ModelParams
     X: np.ndarray
     Y: np.ndarray
-    config: dict
-    moments: dict | None  # name -> (m, v)
-    adam_step: int
-    rng_state: dict | None
-    epoch: int
+    m: dict
+    v: dict
+    step: int
+    rng: np.random.Generator
+    best: tuple
+    epoch: int = 0
+    log: list = field(default_factory=list)  # one EpochLog per epoch
+    best_hr: float = -math.inf
+    best_epoch: int = 0
+    evals_since_best: int = 0
+    saved: bool = False
 
 
-def save_checkpoint(path, params, X, Y, config, moments=None, adam_step=0,
-                    rng_state=None, epoch=0):
-    """Persist model parameters, the current attribute matrices, optimizer
-    moments, and the sampler state for bit-exact resume."""
-    arrays = dict(params.as_dict())
-    arrays["X"] = X
-    arrays["Y"] = Y
-    if moments is not None:
-        for name, (m, v) in moments.items():
-            arrays[f"m__{name}"] = m
-            arrays[f"v__{name}"] = v
-    meta = {
-        "kind": "checkpoint",
-        "K": params.num_layers,
-        "config": config,
-        "adam_step": int(adam_step),
-        "rng_state": rng_state,
-        "epoch": int(epoch),
-        "has_moments": moments is not None,
-    }
+# A version 1 checkpoint held parameters, X, Y and Adam's moments, without
+# the log, the best snapshot or the stopping counters.
+_CHECKPOINT_VERSION = 2
+_SCALARS = ("epoch", "step", "best_hr", "best_epoch", "evals_since_best", "saved")
+
+
+def save_checkpoint(path, state, config):
+    """Persist a :class:`TrainState` whole, with the run's config dict."""
+    best_params, best_X, best_Y = state.best
+    arrays = {"X": state.X, "Y": state.Y, "best.X": best_X, "best.Y": best_Y}
+    for prefix, named in (("", state.params.as_dict()), ("best.", best_params.as_dict()),
+                          ("m.", state.m), ("v.", state.v)):
+        arrays.update((prefix + name, a) for name, a in named.items())
+    meta = {"kind": "checkpoint", "version": _CHECKPOINT_VERSION,
+            "K": state.params.num_layers, "config": config,
+            "rng_state": state.rng.bit_generator.state,
+            "log": [asdict(entry) for entry in state.log],
+            **{name: getattr(state, name) for name in _SCALARS}}
     save_container(path, arrays, meta)
 
 
 def load_checkpoint(path):
+    """The :class:`TrainState` in a checkpoint.
+
+    Raises:
+        ValueError: for a file that is not a checkpoint, or a checkpoint of
+            an earlier version, which lacks the loop's state.
+    """
     arrays, meta = load_container(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint file")
-    K = meta["K"]
-    params = ModelParams.from_dict(arrays, K)
-    moments = None
-    if meta.get("has_moments"):
-        moments = {
-            name: (arrays[f"m__{name}"], arrays[f"v__{name}"])
-            for name in params.as_dict()
-        }
-    return Checkpoint(
-        params=params, X=arrays["X"], Y=arrays["Y"], config=meta["config"],
-        moments=moments, adam_step=meta["adam_step"],
-        rng_state=meta.get("rng_state"), epoch=meta.get("epoch", 0),
-    )
+    if meta.get("version") != _CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {meta.get('version', 1)} lacks the "
+                         f"training loop's state (this graphrec reads version "
+                         f"{_CHECKPOINT_VERSION}); train again")
+
+    def named(prefix):
+        return {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}
+
+    rng = np.random.default_rng()
+    rng.bit_generator.state = meta["rng_state"]
+    best = (ModelParams.from_dict(named("best."), meta["K"]), arrays["best.X"], arrays["best.Y"])
+    return TrainState(ModelParams.from_dict(arrays, meta["K"]), arrays["X"], arrays["Y"],
+                      named("m."), named("v."), rng=rng, best=best,
+                      log=[EpochLog(**entry) for entry in meta["log"]],
+                      **{name: meta[name] for name in _SCALARS})
 
 
 # ---------------------------------------------------------------------------

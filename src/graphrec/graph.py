@@ -122,22 +122,25 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     Rows of degree-zero nodes are all zero.
 
     Raises:
-        ValueError: on an out-of-range pair, empty user/item set, or an
-            unknown normalization mode.
+        ValueError: on a pair that is not two in-range integers, an empty
+            user/item set, or an unknown normalization mode.
     """
     if num_users <= 0 or num_items <= 0:
         raise ValueError(f"empty graph: num_users={num_users}, num_items={num_items}")
     if norm_mode not in NORM_MODES:
         raise ValueError(f"unknown norm_mode {norm_mode!r}, expected one of {NORM_MODES}")
 
-    pairs = np.asarray(interactions, dtype=np.int64).reshape(-1, 2)
-    bad = ((pairs[:, 0] < 0) | (pairs[:, 0] >= num_users)
-           | (pairs[:, 1] < 0) | (pairs[:, 1] >= num_items))
-    if bad.any():
-        u, i = pairs[np.argmax(bad)]
-        raise ValueError(f"interaction ({u}, {i}) out of range for M={num_users}, N={num_items}")
     M, N = num_users, num_items
-    keys = np.unique(pairs[:, 0] * N + pairs[:, 1])
+    given = np.asarray(interactions).reshape(-1, 2)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        pairs = given.astype(np.int64, copy=False)
+    bad = ((pairs != given) | (pairs < 0) | (pairs >= (M, N))).any(axis=1)
+    if bad.any():
+        raise ValueError(f"interaction {tuple(given[np.argmax(bad)].tolist())} is not a pair of "
+                         f"integers in range for M={M}, N={N}")
+    # np.unique would hash the keys, over 10x slower than this sort
+    keys = np.sort(pairs[:, 0] * N + pairs[:, 1])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     users, items = keys // N, M + keys % N
     # both directions of every edge
     rows = np.concatenate([users, items])

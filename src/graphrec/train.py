@@ -24,6 +24,7 @@ only the first backward step reads ``S_R``.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .attributes import apply_update, init_missing
-from .data import save_checkpoint
+from .data import EpochLog, TrainState, save_checkpoint
 from .evaluate import rank_and_score
 from .graph import NodeRows, propagate_back
 from .model import (ForwardTrace, ModelParams, attribute_block, forward, infer_attributes,
@@ -101,33 +102,15 @@ class TrainConfig:
         return cls(**{k: v for k, v in d.items() if k in known})
 
 
-class AdamState:
-    """First/second moments per parameter plus the shared step counter, and
-    two scratch blocks that hold a step's update."""
-
-    def __init__(self, params_dict):
-        self.step = 0
-        self.m = {k: np.zeros_like(v) for k, v in params_dict.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params_dict.items()}
-        self.scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
-
-    def moments_dict(self):
-        return {k: (self.m[k], self.v[k]) for k in self.m}
-
-    def load_moments(self, moments, step):
-        for k, (m, v) in moments.items():
-            self.m[k] = m.copy()
-            self.v[k] = v.copy()
-        self.step = int(step)
-
-
 def adam_step(params_dict, grads, state, learning_rate):
-    """Standard bias-corrected Adam update, applied in place.
+    """Standard bias-corrected Adam update, applied in place to the
+    parameters and to the moments ``state.m``, ``state.v`` (by parameter
+    name) and the step count ``state.step`` of a :class:`data.TrainState`.
 
     The update ``lr * (m / c1) / (sqrt(v / c2) + eps)`` is evaluated in that
-    order in the state's scratch blocks, ``ADAM_BLOCK`` elements of a
-    parameter at a time, allocating nothing. A non-finite update raises
-    before its block is applied; the blocks before it are already applied.
+    order in two scratch blocks, ``ADAM_BLOCK`` elements of a parameter at a
+    time. A non-finite update raises before its block is applied; the
+    blocks before it are already applied.
 
     Raises:
         FloatingPointError: on a non-finite gradient or update, naming the
@@ -140,6 +123,7 @@ def adam_step(params_dict, grads, state, learning_rate):
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
+    scratch = np.empty((2, ADAM_BLOCK))
     for name, p in params_dict.items():
         g = grads[name]
         if not np.isfinite(g).all():
@@ -149,7 +133,7 @@ def adam_step(params_dict, grads, state, learning_rate):
         flat = [a.reshape(-1) for a in (p, g, state.m[name], state.v[name])]
         for lo in range(0, p.size, ADAM_BLOCK):
             p_b, g_b, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
-            update, denom = (a[:len(p_b)] for a in state.scratch)
+            update, denom = scratch[:, :len(p_b)]
             m *= b1
             m += np.multiply(g_b, 1.0 - b1, out=update)
             v *= b2
@@ -245,11 +229,6 @@ def attribute_loss(predicted, table):
             total -= float((A[:, blk] * (x[:, blk] * np.log(p[:, blk])
                                          + (1.0 - x[:, blk]) * np.log(1.0 - p[:, blk]))).sum())
     return total
-
-
-def _attr_logit_grad(predicted, table):
-    # softmax-CE and sigmoid-BCE share the gradient (p - x) on observed entries
-    return table.indicator * (predicted - table.values)
 
 
 def _side_width(table):
@@ -383,7 +362,8 @@ def gradients(trace, batch, rows, params, config, graph, heads):
     for name, W_head, table, pred, side in zip(("W_x", "W_y"), (params.W_x, params.W_y),
                                                rows.tables, heads, rows.sides):
         if pred is not None:
-            gl = _attr_logit_grad(pred, table)
+            # softmax-CE and sigmoid-BCE share the gradient (p - x) on observed entries
+            gl = table.indicator * (pred - table.values)
             grads[name] = gamma * (final[side].T @ gl)
             G[side] += gamma * (gl @ W_head.T)
         else:
@@ -445,22 +425,6 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EpochLog:
-    epoch: int
-    loss_r: float
-    loss_a: float
-    loss_total: float
-    val_hr: float
-    val_ndcg: float
-    seconds: float
-
-    def format(self):
-        return (f"epoch={self.epoch} loss_r={self.loss_r:.6f} loss_a={self.loss_a:.6f} "
-                f"loss={self.loss_total:.6f} val_hr@10={self.val_hr:.4f} "
-                f"val_ndcg@10={self.val_ndcg:.4f} time={self.seconds:.2f}s")
-
-
-@dataclass
 class TrainResult:
     params: ModelParams
     X: np.ndarray
@@ -497,6 +461,22 @@ def _check_resume(params, config, M, N, d_x, d_y):
             raise ValueError(f"checkpoint has {name}={have}, but this run has {name}={want}")
 
 
+def initial_state(dataset, config):
+    """The loop state of a fresh run of ``config`` on ``dataset``: zero Adam
+    moments, the sampler seeded, and the initial values as the best
+    snapshot."""
+    graph = dataset.graph_train
+    M, N = graph.num_users, graph.num_items
+    tables = (dataset.user_attrs, dataset.item_attrs)
+    params = init_params(M, N, config.d, config.d_a, *map(_side_width, tables), config.K,
+                         config.seed_init, config.init_std)
+    X, Y = (init_missing(t) if t is not None else np.zeros((n, 0)) for t, n in zip(tables, (M, N)))
+    zeros = {k: np.zeros_like(a) for k, a in params.as_dict().items()}
+    return TrainState(params, X, Y, zeros, copy.deepcopy(zeros), 0,
+                      np.random.default_rng(config.seed_sampling),
+                      (params.copy(), X.copy(), Y.copy()))
+
+
 def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None,
           resume_from=None):
     """Run the full alternating loop: batched parameter updates on the joint
@@ -507,8 +487,12 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     ``max_epochs``), and the best-validation snapshot is returned.
 
     ``val_metric_fn(epoch, trace) -> (hr, ndcg)`` can replace the built-in
-    validation pass (used by tests). ``checkpoint_path`` enables per-epoch
-    checkpointing for bit-exact resume via ``resume_from``.
+    validation pass (used by tests). The loop advances one
+    :class:`data.TrainState`: :func:`initial_state`, or a copy of
+    ``resume_from``. ``checkpoint_path`` writes it whole after every epoch,
+    so a run resumed from a checkpoint is the uninterrupted run: the same
+    epochs, log (the checkpoint's entries first), best epoch and parameters.
+    ``log_fn`` is called with this call's epochs only.
 
     The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is kept between
     steps and rebuilt whenever X and Y change: at the start (fresh or
@@ -518,7 +502,7 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     :func:`train_step`, whose dense work reads only the step rows.
 
     Raises:
-        ValueError: when a dimension of the ``resume_from`` checkpoint differs
+        ValueError: when a dimension of the ``resume_from`` state differs
             from the config or the dataset.
         TrainingDivergedError: when a loss, gradient or Adam update of a step
             is non-finite; the message names the epoch, and the checkpoint
@@ -526,80 +510,59 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     """
     config.validate()
     graph = dataset.graph_train
-    M, N = graph.num_users, graph.num_items
     user_table = dataset.user_attrs
     item_table = dataset.item_attrs
-    d_x = _side_width(user_table)
-    d_y = _side_width(item_table)
-
-    rng = np.random.default_rng(config.seed_sampling)
-    if resume_from is not None:
-        params = resume_from.params
-        _check_resume(params, config, M, N, d_x, d_y)
-        X = resume_from.X.copy()
-        Y = resume_from.Y.copy()
-        pdict = params.as_dict()
-        opt = AdamState(pdict)
-        if resume_from.moments is not None:
-            opt.load_moments(resume_from.moments, resume_from.adam_step)
-        if resume_from.rng_state is not None:
-            rng.bit_generator.state = resume_from.rng_state
-        start_epoch = resume_from.epoch
+    if resume_from is None:
+        state = initial_state(dataset, config)
     else:
-        params = init_params(M, N, config.d, config.d_a, d_x, d_y, config.K,
-                             config.seed_init, config.init_std)
-        X = init_missing(user_table) if user_table is not None else np.zeros((M, 0))
-        Y = init_missing(item_table) if item_table is not None else np.zeros((N, 0))
-        pdict = params.as_dict()
-        opt = AdamState(pdict)
-        start_epoch = 0
+        _check_resume(resume_from.params, config, graph.num_users, graph.num_items,
+                      _side_width(user_table), _side_width(item_table))
+        state = copy.deepcopy(resume_from)
 
+    params = state.params
+    pdict = params.as_dict()
     pairs = dataset.train_pairs
     per_batch = config.attr_update_cadence == "per-batch"
-    block = attribute_block(graph, X, Y, config.K)
+    block = attribute_block(graph, state.X, state.Y, config.K)
     rows = StepRows(graph, user_table, item_table)
-    # the divergence message names the checkpoint once one exists
-    saved = resume_from is not None
 
-    log = []
-    best_hr = -np.inf
-    best_epoch = -1
-    best = None
-    evals_since_best = 0
-
-    for epoch in range(start_epoch + 1, config.max_epochs + 1):
+    while (state.epoch < config.max_epochs
+           and state.evals_since_best <= config.early_stop_patience):
+        epoch = state.epoch + 1
         t0 = time.perf_counter()
-        perm = rng.permutation(len(pairs))
+        perm = state.rng.permutation(len(pairs))
         sum_r = sum_a = 0.0
         n_batches = 0
         for lo in range(0, len(pairs), config.batch_size):
             sel = perm[lo:lo + config.batch_size]
             users = pairs[sel, 0]
             pos = pairs[sel, 1]
-            batch = TripleBatch(users, pos, sample_negatives(graph, users, rng))
+            batch = TripleBatch(users, pos, sample_negatives(graph, users, state.rng))
 
             try:
-                trace, loss_r, loss_a, grads = train_step(params, graph, X, Y, block, batch,
-                                                          rows, config)
-                adam_step(pdict, grads, opt, config.learning_rate)
+                trace, loss_r, loss_a, grads = train_step(params, graph, state.X, state.Y,
+                                                          block, batch, rows, config)
+                adam_step(pdict, grads, state, config.learning_rate)
             except FloatingPointError as exc:
                 hint = (f"; last good checkpoint: {checkpoint_path}"
-                        if checkpoint_path and saved else "")
+                        if checkpoint_path and state.saved else "")
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} ({exc}){hint}") from exc
             if per_batch:
-                X, Y = _refresh_attributes(trace, params, X, Y, user_table, item_table)
-                block = attribute_block(graph, X, Y, config.K)
+                state.X, state.Y = _refresh_attributes(trace, params, state.X, state.Y,
+                                                       user_table, item_table)
+                block = attribute_block(graph, state.X, state.Y, config.K)
             sum_r += loss_r
             sum_a += loss_a
             n_batches += 1
 
         if not per_batch:
-            trace = forward(params, graph, X, Y, block)
-            X, Y = _refresh_attributes(trace, params, X, Y, user_table, item_table)
-            block = attribute_block(graph, X, Y, config.K)
+            trace = forward(params, graph, state.X, state.Y, block)
+            state.X, state.Y = _refresh_attributes(trace, params, state.X, state.Y,
+                                                   user_table, item_table)
+            block = attribute_block(graph, state.X, state.Y, config.K)
 
-        eval_trace = forward(params, graph, X, Y, block)
+        eval_trace = forward(params, graph, state.X, state.Y, block)
         if val_metric_fn is not None:
             val_hr, val_ndcg = val_metric_fn(epoch, eval_trace)
         elif dataset.val_items:
@@ -611,29 +574,21 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
         entry = EpochLog(epoch, sum_r / n_batches, sum_a / n_batches,
                          (sum_r + config.gamma * sum_a) / n_batches,
                          val_hr, val_ndcg, time.perf_counter() - t0)
-        log.append(entry)
+        state.epoch = epoch
+        state.log.append(entry)
         if log_fn is not None:
             log_fn(entry.format())
 
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, params, X, Y, config.to_dict(),
-                            moments=opt.moments_dict(), adam_step=opt.step,
-                            rng_state=rng.bit_generator.state, epoch=epoch)
-            saved = True
-
-        if val_hr > best_hr:
-            best_hr = val_hr
-            best_epoch = epoch
-            best = (params.copy(), X.copy(), Y.copy())
-            evals_since_best = 0
+        if val_hr > state.best_hr:
+            state.best_hr, state.best_epoch, state.evals_since_best = val_hr, epoch, 0
+            state.best = (params.copy(), state.X.copy(), state.Y.copy())
         else:
-            evals_since_best += 1
-            if evals_since_best > config.early_stop_patience:
-                break
+            state.evals_since_best += 1
+        if checkpoint_path is not None:
+            state.saved = True
+            save_checkpoint(checkpoint_path, state, config.to_dict())
 
-    if best is None:
-        best = (params.copy(), X.copy(), Y.copy())
-        best_epoch = start_epoch
-    return TrainResult(params=best[0], X=best[1], Y=best[2], log=log,
-                       best_epoch=best_epoch, best_val_hr=best_hr,
-                       final_params=params, final_X=X, final_Y=Y)
+    best_params, best_X, best_Y = state.best
+    return TrainResult(params=best_params, X=best_X, Y=best_Y, log=state.log,
+                       best_epoch=state.best_epoch, best_val_hr=state.best_hr,
+                       final_params=params, final_X=state.X, final_Y=state.Y)

@@ -20,7 +20,7 @@ from graphrec.data import load_checkpoint, save_checkpoint, split
 from graphrec.evaluate import (attribute_metrics, bpr_baseline, evaluate_model,
                                label_propagation_metrics, majority_class_accuracy)
 from graphrec.model import attribute_block, forward, init_params, normalize_logits
-from graphrec.train import StepRows, TrainConfig, train, train_step
+from graphrec.train import StepRows, TrainConfig, initial_state, train, train_step
 
 from conftest import pair_batch, small_attr_tables, total_loss
 from test_evaluate import naive_user_metrics, one_user_metrics
@@ -218,11 +218,10 @@ def test_criterion_3c_split_determinism_and_partition():
 
 
 def test_criterion_3d_checkpoint_round_trip(tmp_path):
-    params = init_params(6, 7, 4, 2, 5, 3, K=2, seed=7)
-    rng = np.random.default_rng(8)
-    X, Y = rng.random((6, 5)), rng.random((7, 3))
+    state = initial_state(make_toy_dataset(seed=0), TrainConfig(d=4, d_a=2, K=2, seed_init=7))
+    params, X, Y = state.params, state.X, state.Y
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, params, X, Y, {"d": 4}, epoch=3)
+    save_checkpoint(path, replace(state, epoch=3), {"d": 4})
     ck = load_checkpoint(path)
     ok = all(np.array_equal(ck.params.as_dict()[k], v)
              for k, v in params.as_dict().items())

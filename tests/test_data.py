@@ -1,15 +1,17 @@
+import copy
+import sys
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from graphrec import make_toy_dataset
-from graphrec.data import (load_checkpoint, load_container, load_dataset,
+from graphrec.data import (TrainState, load_checkpoint, load_container, load_dataset,
                            load_interactions, save_checkpoint, save_container,
                            save_dataset, split)
 from graphrec.evaluate import rank_and_score
-from graphrec.model import ForwardTrace, init_params
-from graphrec.train import TrainConfig, train
-
-from dataclasses import replace
+from graphrec.model import ForwardTrace, ModelParams, init_params
+from graphrec.train import TrainConfig, initial_state, train
 
 
 def write_lines(path, lines):
@@ -261,13 +263,32 @@ class TestContainer:
             load_container(path)
 
 
+def same(a, b):
+    """Bitwise equality through the values a TrainState holds."""
+    if isinstance(a, ModelParams):
+        a, b = a.as_dict(), b.as_dict()
+    if isinstance(a, np.random.Generator):
+        return a.bit_generator.state == b.bit_generator.state
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+def toy_state(epoch):
+    return replace(initial_state(make_toy_dataset(seed=0), TrainConfig(seed_init=epoch)),
+                   epoch=epoch)
+
+
 class TestCheckpoint:
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import builtins
 
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, init_params(4, 5, 3, 2, 4, 3, K=2, seed=1),
-                        np.zeros((4, 4)), np.zeros((5, 3)), {"a": 1}, epoch=1)
+        save_checkpoint(path, toy_state(1), {"a": 1})
         before = path.read_bytes()
         real_open = builtins.open
 
@@ -290,53 +311,86 @@ class TestCheckpoint:
             return HalfWriter(fh) if "w" in mode else fh
         monkeypatch.setattr(builtins, "open", failing_open)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, init_params(4, 5, 3, 2, 4, 3, K=2, seed=2),
-                            np.ones((4, 4)), np.ones((5, 3)), {"a": 2}, epoch=2)
+            save_checkpoint(path, toy_state(2), {"a": 2})
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
         assert load_checkpoint(path).epoch == 1
 
-    def test_round_trip_identity(self, tmp_path):
-        params = init_params(4, 5, 3, 2, 4, 3, K=2, seed=1)
-        rng = np.random.default_rng(2)
-        X = rng.random((4, 4))
-        Y = rng.random((5, 3))
-        path = tmp_path / "ckpt.bin"
-        moments = {k: (np.full_like(v, 0.5), np.full_like(v, 0.25))
-                   for k, v in params.as_dict().items()}
-        save_checkpoint(path, params, X, Y, {"d": 3}, moments=moments,
-                        adam_step=17, epoch=4)
-        ck = load_checkpoint(path)
-        for name, arr in params.as_dict().items():
-            assert np.array_equal(ck.params.as_dict()[name], arr)
-            m, v = ck.moments[name]
-            assert np.array_equal(m, moments[name][0])
-            assert np.array_equal(v, moments[name][1])
-        assert np.array_equal(ck.X, X)
-        assert np.array_equal(ck.Y, Y)
-        assert ck.adam_step == 17
-        assert ck.epoch == 4
-        assert ck.config == {"d": 3}
-
-    def test_resume_reproduces_trajectory(self, tmp_path):
+    def test_round_trip_identity(self, tmp_path, monkeypatch):
+        # every field of the loop state survives a checkpoint bit for bit. The
+        # run moves every field off its initial value, so a field the
+        # checkpoint does not carry fails here
         ds = make_toy_dataset(seed=0)
-        base = TrainConfig(d=6, d_a=3, K=1, gamma=0.1, batch_size=128,
-                           early_stop_patience=10**6)
-        full = train(ds, replace(base, max_epochs=8))
+        cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=4)
+        seq = [0.1, 0.2, 0.15, 0.15]
+        mod = sys.modules["graphrec.train"]
+        written = []
 
-        path = tmp_path / "mid.bin"
-        train(ds, replace(base, max_epochs=4), checkpoint_path=str(path))
-        resumed = train(ds, replace(base, max_epochs=8),
-                        resume_from=load_checkpoint(path))
+        def keep_copy(path, state, config):
+            written.append(copy.deepcopy(state))
+            save_checkpoint(path, state, config)
+        monkeypatch.setattr(mod, "save_checkpoint", keep_copy)
+        path = tmp_path / "ckpt.bin"
+        train(ds, cfg, val_metric_fn=lambda epoch, trace: (seq[epoch - 1], 0.0),
+              checkpoint_path=str(path))
+        state, loaded = written[-1], load_checkpoint(path)
+        fresh = initial_state(ds, cfg)
+        for f in fields(TrainState):
+            have = getattr(state, f.name)
+            assert not same(have, getattr(fresh, f.name)), f"{f.name} kept its initial value"
+            assert same(getattr(loaded, f.name), have), f"{f.name} changed in the checkpoint"
 
-        assert [e.epoch for e in resumed.log] == [5, 6, 7, 8]
-        for a, b in zip(full.log[4:], resumed.log):
-            assert a.loss_r == b.loss_r
-            assert a.loss_a == b.loss_a
-            assert a.val_hr == b.val_hr
-        for name, arr in full.final_params.as_dict().items():
-            assert np.array_equal(arr, resumed.final_params.as_dict()[name])
+    def test_refuses_a_checkpoint_without_the_loop_state(self, tmp_path):
+        # the earlier format: parameters, X, Y and Adam's moments only
+        params = init_params(4, 5, 3, 2, 4, 3, K=2, seed=1)
+        path = tmp_path / "old.bin"
+        save_container(path, dict(params.as_dict(), X=np.zeros((4, 4)), Y=np.zeros((5, 3))),
+                       {"kind": "checkpoint", "K": 2, "config": {}, "epoch": 3})
+        with pytest.raises(ValueError, match="checkpoint version 1 lacks the training loop"):
+            load_checkpoint(path)
+
+    def test_resume_reproduces_trajectory(self, tmp_path, monkeypatch):
+        # a run checkpointed after every epoch k, resumed from each: each
+        # resumed run is the uninterrupted one, with early stopping on and
+        # checkpoints after the best epoch among them
+        ds = make_toy_dataset(seed=0)
+        mod = sys.modules["graphrec.train"]
+
+        def untimed(log):
+            return [replace(entry, seconds=0.0) for entry in log]
+
+        for cadence in ("per-epoch", "per-batch"):
+            cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=30,
+                              early_stop_patience=2, attr_update_cadence=cadence)
+            monkeypatch.setattr(mod, "save_checkpoint", lambda path, state, config:
+                                save_checkpoint(f"{path}.{state.epoch}", state, config))
+            path = tmp_path / cadence
+            full = train(ds, cfg, checkpoint_path=str(path))
+            monkeypatch.undo()
+            assert full.best_epoch < len(full.log) - 1 < cfg.max_epochs - 1
+
+            for k in range(1, len(full.log) + 1):
+                resumed = train(ds, cfg, resume_from=load_checkpoint(f"{path}.{k}"))
+                assert untimed(resumed.log) == untimed(full.log), (cadence, k)
+                assert (resumed.best_epoch, resumed.best_val_hr) == (full.best_epoch,
+                                                                     full.best_val_hr)
+                for name in ("params", "X", "Y", "final_params", "final_X", "final_Y"):
+                    assert same(getattr(resumed, name), getattr(full, name)), (cadence, k, name)
+
+    def test_resume_at_or_past_the_cap(self, tmp_path):
+        # nothing is left to run: the checkpoint's best and log come back
+        ds = make_toy_dataset(seed=0)
+        cfg = TrainConfig(d=6, d_a=3, K=1, gamma=0.1, batch_size=128, max_epochs=3)
+        path = tmp_path / "ckpt.bin"
+        full = train(ds, cfg, val_metric_fn=lambda epoch, trace: ([0.3, 0.5, 0.4][epoch - 1], 0.0),
+                     checkpoint_path=str(path))
+        for cap in (3, 2):
+            resumed = train(ds, replace(cfg, max_epochs=cap), resume_from=load_checkpoint(path))
+            assert resumed.log == full.log
+            assert (resumed.best_epoch, resumed.best_val_hr) == (2, 0.5)
+            for name in ("params", "X", "Y", "final_params", "final_X", "final_Y"):
+                assert same(getattr(resumed, name), getattr(full, name)), (cap, name)
 
 
 class TestMovieLensFormat:

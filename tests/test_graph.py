@@ -137,6 +137,15 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
             build_graph([(0, 5)], 2, 3)
 
+    def test_non_integer_pair_named(self):
+        # a fractional or non-finite index is an error, not truncated to an edge
+        for pairs, named in (([(0, 1.7), (1, 0)], r"\(0\.0, 1\.7\)"),
+                             ([(1, 0), (np.nan, 1)], r"\(nan, 1\.0\)")):
+            with pytest.raises(ValueError, match=named + " is not a pair of integers"):
+                build_graph(pairs, 2, 2)
+        whole = build_graph(np.array([(0, 1.0), (1, 0.0)]), 2, 2)
+        assert (whole.S != build_graph([(0, 1), (1, 0)], 2, 2).S).nnz == 0
+
     def test_empty_graph_error(self):
         with pytest.raises(ValueError, match="empty graph"):
             build_graph([], 0, 3)

@@ -1,4 +1,5 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from graphrec.data import load_checkpoint
 from graphrec.evaluate import evaluate_model
 from graphrec.graph import NodeRows
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
-from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, AdamState,
+from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
                             StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
                             adam_step, attribute_loss, bpr_loss, gradients,
                             sample_negatives, scatter_rows, train, train_step)
@@ -387,17 +388,24 @@ class TestGradients:
             assert np.array_equal(scatter_rows(index, values, n), want)
 
 
+def adam_state(params):
+    """Zero moments and step count for a dict of parameters, the Adam part
+    of a fresh :class:`graphrec.data.TrainState`."""
+    return SimpleNamespace(step=0, m={k: np.zeros_like(a) for k, a in params.items()},
+                           v={k: np.zeros_like(a) for k, a in params.items()})
+
+
 class TestAdam:
     def test_one_step_magnitude(self):
         params = {"p": np.array([1.0])}
-        state = AdamState(params)
+        state = adam_state(params)
         adam_step(params, {"p": np.array([1.0])}, state, 0.001)
         assert params["p"][0] == pytest.approx(1.0 - 0.001, rel=1e-6)
         assert state.step == 1
 
     def test_zero_gradient_no_change(self):
         params = {"p": np.array([3.0, -2.0])}
-        state = AdamState(params)
+        state = adam_state(params)
         for _ in range(5):
             adam_step(params, {"p": np.zeros(2)}, state, 0.1)
         assert params["p"].tolist() == [3.0, -2.0]
@@ -406,7 +414,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(13)
             params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
-            state = AdamState(params)
+            state = adam_state(params)
             for _ in range(20):
                 grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
                 adam_step(params, grads, state, 0.01)
@@ -422,7 +430,7 @@ class TestAdam:
         want = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros_like(v) for k, v in params.items()}
         v = {k: np.zeros_like(x) for k, x in params.items()}
-        state = AdamState(params)
+        state = adam_state(params)
         for t in range(1, 21):
             grads = {k: rng.normal(size=x.shape) * 10.0 ** rng.integers(-6, 4)
                      for k, x in params.items()}
@@ -436,20 +444,20 @@ class TestAdam:
 
     def test_non_finite_gradient_named(self):
         params = {"W_u": np.zeros(2)}
-        state = AdamState(params)
+        state = adam_state(params)
         with pytest.raises(FloatingPointError, match="W_u"):
             adam_step(params, {"W_u": np.array([np.nan, 0.0])}, state, 0.01)
 
     def test_non_contiguous_parameter_rejected(self):
         params = {"W_1": np.zeros((4, 4))[:, :2]}
         with pytest.raises(ValueError, match="W_1 is not C-contiguous"):
-            adam_step(params, {"W_1": np.ones((4, 2))}, AdamState(params), 0.01)
+            adam_step(params, {"W_1": np.ones((4, 2))}, adam_state(params), 0.01)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_update_named(self):
         # a finite gradient whose update overflows
         params = {"P": np.zeros(2), "W_v": np.zeros(2)}
-        state = AdamState(params)
+        state = adam_state(params)
         with pytest.raises(FloatingPointError, match="non-finite Adam update for parameter W_v"):
             adam_step(params, {"P": np.zeros(2), "W_v": np.array([10.0, 0.0])}, state, 1e308)
 
@@ -531,8 +539,9 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="d_x=5, .* d_x=0"):
             train(replace(toy_dataset, user_attrs=None), more,
                   resume_from=load_checkpoint(ckpt))
+        # the resumed log is the whole run's: the checkpoint's epoch, then its own
         assert [e.epoch for e in train(toy_dataset, more,
-                                       resume_from=load_checkpoint(ckpt)).log] == [2]
+                                       resume_from=load_checkpoint(ckpt)).log] == [1, 2]
 
     def checked_steps(self, monkeypatch, dataset):
         """Make every forward inside train() check the rows it computed
@@ -582,7 +591,7 @@ class TestTrainLoop:
         seen["errors"].clear()
         resumed = train(toy_dataset, replace(cfg, max_epochs=3),
                         resume_from=load_checkpoint(str(ckpt)))
-        assert [e.epoch for e in resumed.log] == [3]
+        assert [e.epoch for e in resumed.log] == [1, 2, 3]
         assert len(seen["errors"]) == forwards // 2
         assert max(seen["errors"]) <= 1e-12
 
