@@ -13,6 +13,7 @@ them: the setting ``min_user_interactions`` is ``--min-user-interactions``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -24,7 +25,7 @@ from .data import load_checkpoint, load_dataset, save_dataset, split
 from .evaluate import HR_MODES, evaluate_model, label_propagation_metrics
 from .graph import NORM_MODES
 from .model import forward, infer_attributes
-from .train import CADENCES, TrainConfig, train
+from .train import CADENCES, TrainConfig, check_checkpoint, train
 
 # Data preparation and report settings; build_dataset reads all but
 # ``dataset`` (a frozen bundle from prepare-data) and ``hr_mode``.
@@ -98,12 +99,17 @@ def resolve_settings(args):
     return settings
 
 
+def config_text(settings):
+    """The text of the ``config.txt`` that echoes ``settings``."""
+    return "".join(f"{key}={settings[key] if settings[key] is not None else 'none'}\n"
+                   for key in sorted(settings))
+
+
 def echo_config(settings, outdir):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "config.txt")
     with open(path, "w") as fh:
-        for key in sorted(settings):
-            fh.write(f"{key}={settings[key] if settings[key] is not None else 'none'}\n")
+        fh.write(config_text(settings))
     return path
 
 
@@ -173,17 +179,10 @@ def _run_training(settings, outdir, quiet=False):
     if dataset.graph_train.norm_mode != settings["norm_mode"]:
         raise ValueError(f"--norm-mode {settings['norm_mode']!r} does not match the "
                          f"dataset's norm_mode {dataset.graph_train.norm_mode!r}")
-    checkpoint = os.path.join(outdir, "checkpoint.bin")
-    log_lines = []
-
-    def log_fn(line):
-        log_lines.append(line)
-        if not quiet:
-            print(line)
-
-    result = train(dataset, config, log_fn=log_fn, checkpoint_path=checkpoint)
+    result = train(dataset, config, log_fn=None if quiet else print,
+                   checkpoint_path=os.path.join(outdir, "checkpoint.bin"))
     with open(os.path.join(outdir, "train_log.txt"), "w") as fh:
-        fh.write("\n".join(log_lines) + "\n")
+        fh.write("".join(entry.format() + "\n" for entry in result.log))
 
     val_report = evaluate_model(result.params, result.X, result.Y, dataset,
                                 target="val", hr_mode=settings["hr_mode"])
@@ -202,23 +201,13 @@ def cmd_train(args):
     return 0
 
 
-def _load_checkpoint_for(path, dataset):
-    """(params, X, Y) of the best epoch of the checkpoint at ``path``. Raises
-    ValueError naming the first node count (users, items) that differs from
-    the dataset's, with both counts."""
-    params, X, Y = load_checkpoint(path).best
-    for name, have, want in (("users", params.P.shape[0], dataset.num_users),
-                             ("items", params.Q.shape[0], dataset.num_items)):
-        if have != want:
-            raise ValueError(f"checkpoint has {name}={have}, but the dataset has {name}={want}")
-    return params, X, Y
-
-
 def cmd_evaluate(args):
     settings = resolve_settings(args)
     echo_config(settings, args.out)
     dataset = resolve_dataset(settings)
-    params, X, Y = _load_checkpoint_for(args.checkpoint, dataset)
+    state = load_checkpoint(args.checkpoint)
+    check_checkpoint(state, dataset)
+    params, X, Y = state.best
     report = evaluate_model(params, X, Y, dataset, hr_mode=settings["hr_mode"])
     report.write(os.path.join(args.out, "report_test"))
     for line in report.to_lines():
@@ -244,12 +233,14 @@ def cmd_sweep(args):
             point = dict(settings, K=int(K), gamma=float(gamma))
             done_marker = os.path.join(sub, "report_test.txt")
             try:
-                if os.path.exists(done_marker) and os.path.exists(
-                        os.path.join(sub, "checkpoint.bin")):
+                if _finished_with(sub, point):
                     print(f"skipping completed point K={K} gamma={gamma}")
-                    report_lines = open(done_marker).read().splitlines()
-                    row = _summary_row_from_lines(K, gamma, report_lines)
+                    with open(done_marker) as fh:
+                        row = _summary_row_from_lines(K, gamma, fh.read().splitlines())
                 else:
+                    # a retrain that fails must not leave an older report behind
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(done_marker)
                     _, report = _run_training(point, sub, quiet=True)
                     row = _summary_row_from_lines(K, gamma, report.to_lines())
                 rows.append(row)
@@ -267,6 +258,18 @@ def cmd_sweep(args):
                 fh.write("\t".join(str(row.get(h, "absent")) for h in header) + "\n")
         _print_best(rows, field_names)
     return 1 if failures and not rows else 0
+
+
+def _finished_with(sub, point):
+    """Whether the sweep point directory ``sub`` holds a finished run of the
+    settings ``point``: a test report, and a ``config.txt`` that is, byte for
+    byte, the one ``point`` echoes."""
+    try:
+        with open(os.path.join(sub, "config.txt")) as fh:
+            echoed = fh.read()
+    except FileNotFoundError:
+        return False
+    return echoed == config_text(point) and os.path.exists(os.path.join(sub, "report_test.txt"))
 
 
 def _summary_row_from_lines(K, gamma, lines):
@@ -297,7 +300,9 @@ def cmd_infer_attributes(args):
     settings = resolve_settings(args)
     echo_config(settings, args.out)
     dataset = resolve_dataset(settings)
-    params, X, Y = _load_checkpoint_for(args.checkpoint, dataset)
+    state = load_checkpoint(args.checkpoint)
+    check_checkpoint(state, dataset)
+    params, X, Y = state.best
     trace = forward(params, dataset.graph_train, X, Y)
 
     out_path = os.path.join(args.out, "predictions.tsv")

@@ -228,25 +228,24 @@ def save_container(path, arrays, meta):
     """Write named arrays plus a JSON meta dict with a SHA-256 trailer.
 
     The bytes go to a sibling file that is then renamed over ``path``, so a
-    write that fails midway leaves the previous file whole."""
-    descriptors = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dt = arr.dtype.newbyteorder("<")
-        blob = arr.astype(dt, copy=False).tobytes()
-        descriptors.append({"name": name, "shape": list(arr.shape), "dtype": dt.str})
-        blobs.append(blob)
-    header = json.dumps(
-        {"format_version": _FORMAT_VERSION, "meta": meta, "arrays": descriptors}
-    ).encode()
-    payload = _MAGIC + struct.pack("<Q", len(header)) + header + b"".join(blobs)
-    digest = hashlib.sha256(payload).digest()
+    write that fails midway leaves the previous file whole. Each array is
+    written and hashed from its own memory (copied only when it is not
+    C-contiguous little-endian), so no copy of the file is held."""
+    arrays = {name: np.asarray(a) for name, a in arrays.items()}
+    arrays = {name: np.asarray(a, dtype=a.dtype.newbyteorder("<"), order="C")
+              for name, a in arrays.items()}
+    header = json.dumps({"format_version": _FORMAT_VERSION, "meta": meta, "arrays": [
+        {"name": name, "shape": list(a.shape), "dtype": a.dtype.str}
+        for name, a in arrays.items()]}).encode()
+    digest = hashlib.sha256()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(digest)
+            for part in (_MAGIC, struct.pack("<Q", len(header)), header,
+                         *(a.reshape(-1).view(np.uint8) for a in arrays.values())):
+                digest.update(part)
+                fh.write(part)
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -260,11 +259,11 @@ def load_container(path):
         data = fh.read()
     if len(data) < 44 or data[:4] != _MAGIC:
         raise ValueError(f"{path}: not a graphrec container")
-    payload, digest = data[:-32], data[-32:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = memoryview(data)[:-32]  # a view: slicing bytes would copy the file
+    if hashlib.sha256(payload).digest() != data[-32:]:
         raise ValueError(f"{path}: checksum mismatch (corrupt or truncated file)")
     (header_len,) = struct.unpack("<Q", payload[4:12])
-    header = json.loads(payload[12:12 + header_len].decode())
+    header = json.loads(bytes(payload[12:12 + header_len]))
     if header["format_version"] != _FORMAT_VERSION:
         raise ValueError(
             f"{path}: format version {header['format_version']} not supported"
@@ -273,11 +272,10 @@ def load_container(path):
     offset = 12 + header_len
     for desc in header["arrays"]:
         dt = np.dtype(desc["dtype"])
-        count = int(np.prod(desc["shape"])) if desc["shape"] else 1
-        nbytes = dt.itemsize * count
+        count = math.prod(desc["shape"])
         arr = np.frombuffer(payload, dtype=dt, count=count, offset=offset)
         arrays[desc["name"]] = arr.reshape(desc["shape"]).copy()
-        offset += nbytes
+        offset += dt.itemsize * count
     if offset != len(payload):
         raise ValueError(f"{path}: trailing bytes after declared arrays")
     return arrays, header["meta"]
@@ -303,9 +301,10 @@ class EpochLog:
 class TrainState:
     """All one epoch of the training loop hands to the next, and all a
     checkpoint holds: params, X and Y after ``epoch`` epochs; Adam's moments
-    by parameter name and step count; the sampler's generator; the log;
-    ``best``, the (params, X, Y) of ``best_epoch``, and its validation HR@10;
-    the evaluations since it; and whether the run has written a checkpoint.
+    by parameter name and step count; the sampler's generator; the
+    ``TrainConfig.to_dict()`` of the run; the log; ``best``, the (params, X,
+    Y) of ``best_epoch``, and its validation HR@10; the evaluations since it;
+    and whether the run has written a checkpoint.
     """
 
     params: ModelParams
@@ -316,6 +315,7 @@ class TrainState:
     step: int
     rng: np.random.Generator
     best: tuple
+    config: dict
     epoch: int = 0
     log: list = field(default_factory=list)  # one EpochLog per epoch
     best_hr: float = -math.inf
@@ -330,15 +330,15 @@ _CHECKPOINT_VERSION = 2
 _SCALARS = ("epoch", "step", "best_hr", "best_epoch", "evals_since_best", "saved")
 
 
-def save_checkpoint(path, state, config):
-    """Persist a :class:`TrainState` whole, with the run's config dict."""
+def save_checkpoint(path, state):
+    """Persist a :class:`TrainState` whole."""
     best_params, best_X, best_Y = state.best
     arrays = {"X": state.X, "Y": state.Y, "best.X": best_X, "best.Y": best_Y}
     for prefix, named in (("", state.params.as_dict()), ("best.", best_params.as_dict()),
                           ("m.", state.m), ("v.", state.v)):
         arrays.update((prefix + name, a) for name, a in named.items())
     meta = {"kind": "checkpoint", "version": _CHECKPOINT_VERSION,
-            "K": state.params.num_layers, "config": config,
+            "K": state.params.num_layers, "config": state.config,
             "rng_state": state.rng.bit_generator.state,
             "log": [asdict(entry) for entry in state.log],
             **{name: getattr(state, name) for name in _SCALARS}}
@@ -367,7 +367,7 @@ def load_checkpoint(path):
     rng.bit_generator.state = meta["rng_state"]
     best = (ModelParams.from_dict(named("best."), meta["K"]), arrays["best.X"], arrays["best.Y"])
     return TrainState(ModelParams.from_dict(arrays, meta["K"]), arrays["X"], arrays["Y"],
-                      named("m."), named("v."), rng=rng, best=best,
+                      named("m."), named("v."), rng=rng, best=best, config=meta["config"],
                       log=[EpochLog(**entry) for entry in meta["log"]],
                       **{name: meta[name] for name in _SCALARS})
 

@@ -9,7 +9,6 @@ item index so reports are reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,28 +98,6 @@ def _check_cutoffs(n_list):
             raise ValueError(f"cut-offs must be positive integers, got {n!r}")
 
 
-class PerUserNDCG(Mapping):
-    """Per-user NDCG of one ranking pass, read-only: user -> {N: NDCG@N}.
-
-    It keeps the pass's arrays, ``users`` and their (users, len(n_list))
-    ``ndcg`` rows, so a caller reading them builds no per-user dict; a
-    user's dict is built when it is looked up.
-    """
-
-    def __init__(self, users, ndcg, n_list):
-        self.users, self.ndcg, self.n_list = users, ndcg, list(n_list)
-        self._row = dict(zip(users.tolist(), range(len(users))))
-
-    def __getitem__(self, user):
-        return dict(zip(self.n_list, self.ndcg[self._row[user]].tolist()))
-
-    def __iter__(self):
-        return iter(self.users.tolist())
-
-    def __len__(self):
-        return len(self.users)
-
-
 def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
                    return_per_user=False):
     """Aggregate HR@N / NDCG@N over all users with at least one target item.
@@ -128,9 +105,10 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     ``hr_mode`` selects the HR aggregation: "user-mean" averages per-user
     recall; "global" divides total hits by total target items. NDCG is always
     a per-user mean. Users whose candidate set is empty are skipped and
-    counted. With ``return_per_user`` the per-user NDCG (a
-    :class:`PerUserNDCG`, user -> {N: NDCG@N}) and the skipped count are
-    returned as well. ``n_list`` must hold positive integer cut-offs.
+    counted. With ``return_per_user`` the per-user NDCG, as a pair of arrays
+    (the ranked users, in the order of the target dict, and their
+    (users, len(n_list)) NDCG@N rows), and the skipped count are returned as
+    well. ``n_list`` must hold positive integer cut-offs.
     """
     _check_cutoffs(n_list)
     if hr_mode not in HR_MODES:
@@ -176,7 +154,7 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     hr_map = {n: float(hr_all[k]) for k, n in enumerate(n_list)}
     ndcg_map = {n: float(ndcg_all[k]) for k, n in enumerate(n_list)}
     if return_per_user:
-        return hr_map, ndcg_map, PerUserNDCG(users, ndcg, n_list), skipped
+        return hr_map, ndcg_map, (users, ndcg), skipped
     return hr_map, ndcg_map
 
 
@@ -266,15 +244,14 @@ def sparsity_groups(dataset, trace, bins):
     ``bins`` are disjoint half-open [lo, hi) ranges that must cover every
     evaluated user. Empty groups get count 0 and a None metric.
     """
-    _, _, per_user, _ = rank_and_score(trace, dataset, [10], return_per_user=True)
-    return _group_ndcg10(dataset, per_user, bins)
+    _, _, (users, ndcg), _ = rank_and_score(trace, dataset, [10], return_per_user=True)
+    return _group_ndcg10(dataset, users, ndcg[:, -1], bins)
 
 
-def _group_ndcg10(dataset, per_user, bins):
-    """Mean per-user NDCG@10 within each half-open training-count bin, from
-    a :class:`PerUserNDCG` holding N = 10."""
-    degrees = dataset.graph_train.user_degrees()[per_user.users]
-    ndcg10 = per_user.ndcg[:, per_user.n_list.index(10)]
+def _group_ndcg10(dataset, users, ndcg10, bins):
+    """Mean NDCG@10 within each half-open training-count bin, from the
+    ranked ``users`` and their NDCG@10."""
+    degrees = dataset.graph_train.user_degrees()[users]
     groups = []
     assigned = np.zeros(len(degrees), dtype=bool)
     for lo, hi in bins:
@@ -285,7 +262,7 @@ def _group_ndcg10(dataset, per_user, bins):
         groups.append({"range": (lo, hi), "count": count, "ndcg10": value})
     if not assigned.all():
         r = int(np.argmin(assigned))
-        raise ValueError(f"bins do not cover user {per_user.users[r]} with {degrees[r]} "
+        raise ValueError(f"bins do not cover user {users[r]} with {degrees[r]} "
                          "training interactions")
     return groups
 
@@ -349,8 +326,8 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
     n_list = list(n_list)
     _check_cutoffs(n_list)
     trace = forward(params, dataset.graph_train, X, Y)
-    # the sparsity groups take their NDCG@10 from this one ranking pass
-    hr, ndcg, per_user, skipped = rank_and_score(
+    # the sparsity groups take NDCG@10, the last column, from this one ranking pass
+    hr, ndcg, (users, per_user), skipped = rank_and_score(
         trace, dataset, n_list + [10], target=target, hr_mode=hr_mode,
         return_per_user=True)
     hr = {n: hr[n] for n in n_list}
@@ -363,7 +340,7 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
         per_field.update(attribute_metrics(predicted, table))
     if bins is None:
         bins = default_bins(dataset)
-    groups = _group_ndcg10(dataset, per_user, bins) if target == "test" else []
+    groups = _group_ndcg10(dataset, users, per_user[:, -1], bins) if target == "test" else []
     notes = ["attribute metrics evaluated on all masked entities, including "
              "any without training interactions"]
     return EvalReport(hr=hr, ndcg=ndcg, per_field=per_field, groups=groups,

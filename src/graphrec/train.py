@@ -447,24 +447,35 @@ def _refresh_attributes(trace, params, X, Y, user_table, item_table):
     return X, Y
 
 
-def _check_resume(params, config, M, N, d_x, d_y):
-    """Raise ValueError at the first checkpoint dimension that differs from
-    the run's: its layer count, widths and node counts."""
-    for name, have, want in (("K", params.num_layers, config.K),
-                             ("d", params.P.shape[1], config.d),
-                             ("d_a", params.W_u.shape[1], config.d_a),
-                             ("users", params.P.shape[0], M),
-                             ("items", params.Q.shape[0], N),
-                             ("d_x", params.W_u.shape[0], d_x),
-                             ("d_y", params.W_v.shape[0], d_y)):
+# the settings a resumed run may change: they only decide where it stops
+RESUME_MAY_CHANGE = ("max_epochs", "early_stop_patience")
+
+
+def check_checkpoint(state, dataset, config=None):
+    """Raise ValueError unless the checkpoint ``state`` fits ``dataset``, naming
+    the first count that differs (users, items, d_x, d_y) and both values.
+    Given the ``config`` of a resume, also name the first setting other than
+    ``RESUME_MAY_CHANGE`` whose value differs from the checkpoint's config;
+    these cover the layer count and the widths."""
+    params = state.params
+    for name, have, want in (("users", params.P.shape[0], dataset.num_users),
+                             ("items", params.Q.shape[0], dataset.num_items),
+                             ("d_x", params.W_u.shape[0], _side_width(dataset.user_attrs)),
+                             ("d_y", params.W_v.shape[0], _side_width(dataset.item_attrs))):
         if have != want:
-            raise ValueError(f"checkpoint has {name}={have}, but this run has {name}={want}")
+            raise ValueError(f"checkpoint has {name}={have}, but the dataset has {name}={want}")
+    if config is None:
+        return
+    for name, want in config.to_dict().items():
+        have = state.config.get(name)
+        if name not in RESUME_MAY_CHANGE and have != want:
+            raise ValueError(f"checkpoint has {name}={have!r}, but this run has {name}={want!r}")
 
 
 def initial_state(dataset, config):
     """The loop state of a fresh run of ``config`` on ``dataset``: zero Adam
-    moments, the sampler seeded, and the initial values as the best
-    snapshot."""
+    moments, the sampler seeded, the initial values as the best snapshot,
+    and the config as a dict."""
     graph = dataset.graph_train
     M, N = graph.num_users, graph.num_items
     tables = (dataset.user_attrs, dataset.item_attrs)
@@ -474,7 +485,7 @@ def initial_state(dataset, config):
     zeros = {k: np.zeros_like(a) for k, a in params.as_dict().items()}
     return TrainState(params, X, Y, zeros, copy.deepcopy(zeros), 0,
                       np.random.default_rng(config.seed_sampling),
-                      (params.copy(), X.copy(), Y.copy()))
+                      (params.copy(), X.copy(), Y.copy()), config.to_dict())
 
 
 def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None,
@@ -489,10 +500,11 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     ``val_metric_fn(epoch, trace) -> (hr, ndcg)`` can replace the built-in
     validation pass (used by tests). The loop advances one
     :class:`data.TrainState`: :func:`initial_state`, or a copy of
-    ``resume_from``. ``checkpoint_path`` writes it whole after every epoch,
-    so a run resumed from a checkpoint is the uninterrupted run: the same
-    epochs, log (the checkpoint's entries first), best epoch and parameters.
-    ``log_fn`` is called with this call's epochs only.
+    ``resume_from`` that carries this call's config. ``checkpoint_path``
+    writes it whole after every epoch, so a run resumed from a checkpoint is
+    the uninterrupted run: the same epochs, log (the checkpoint's entries
+    first), best epoch and parameters. ``log_fn`` is called with this call's
+    epochs only.
 
     The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is kept between
     steps and rebuilt whenever X and Y change: at the start (fresh or
@@ -502,8 +514,9 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     :func:`train_step`, whose dense work reads only the step rows.
 
     Raises:
-        ValueError: when a dimension of the ``resume_from`` state differs
-            from the config or the dataset.
+        ValueError: when the ``resume_from`` state does not fit the dataset,
+            or was made with other settings than ``config`` in more than
+            ``RESUME_MAY_CHANGE`` (:func:`check_checkpoint`).
         TrainingDivergedError: when a loss, gradient or Adam update of a step
             is non-finite; the message names the epoch, and the checkpoint
             once this run has written one or was resumed from one.
@@ -515,9 +528,9 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     if resume_from is None:
         state = initial_state(dataset, config)
     else:
-        _check_resume(resume_from.params, config, graph.num_users, graph.num_items,
-                      _side_width(user_table), _side_width(item_table))
+        check_checkpoint(resume_from, dataset, config)
         state = copy.deepcopy(resume_from)
+        state.config = config.to_dict()
 
     params = state.params
     pdict = params.as_dict()
@@ -586,7 +599,7 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
             state.evals_since_best += 1
         if checkpoint_path is not None:
             state.saved = True
-            save_checkpoint(checkpoint_path, state, config.to_dict())
+            save_checkpoint(checkpoint_path, state)
 
     best_params, best_X, best_Y = state.best
     return TrainResult(params=best_params, X=best_X, Y=best_Y, log=state.log,

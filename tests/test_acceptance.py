@@ -221,7 +221,7 @@ def test_criterion_3d_checkpoint_round_trip(tmp_path):
     state = initial_state(make_toy_dataset(seed=0), TrainConfig(d=4, d_a=2, K=2, seed_init=7))
     params, X, Y = state.params, state.X, state.Y
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, replace(state, epoch=3), {"d": 4})
+    save_checkpoint(path, replace(state, epoch=3))
     ck = load_checkpoint(path)
     ok = all(np.array_equal(ck.params.as_dict()[k], v)
              for k, v in params.as_dict().items())

@@ -68,6 +68,15 @@ class TestTrainCommand:
         assert rc == 1
         assert "dataset" in capsys.readouterr().err
 
+    def test_config_file_errors(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("# settings\nd=6\nmax_epochs 3\n")
+        with pytest.raises(ValueError, match=r"c\.txt:3: expected key=value"):
+            read_config_file(config)
+        config.write_text("d=6\nmax_epoch=3\nlearning_rte=0.1\n")
+        assert main(["train", "--out", str(tmp_path / "x"), "--config", str(config)]) == 1
+        assert "unknown config keys: ['learning_rte', 'max_epoch']" in capsys.readouterr().err
+
     def test_config_echo_reproduces_run(self, toy_files, tmp_path):
         a = tmp_path / "a"
         assert run_train(toy_files, a) == 0
@@ -260,6 +269,28 @@ class TestSweep:
         assert printed.count("skipping completed point") == 2
         assert (out / "summary.tsv").read_text().splitlines() == summary
         assert "best ranking point" in printed
+
+        # a changed setting retrains every point, whose config then echoes it
+        assert main(args + ["--learning-rate", "0.5"]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        for sub in ("K0_gamma0.2", "K1_gamma0.2"):
+            assert read_config_file(out / sub / "config.txt")["learning_rate"] == 0.5
+
+        # a retrain that fails leaves no report, so no later sweep reuses one
+        assert main(args + ["--learning-rate", "nan"]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+        for sub in ("K0_gamma0.2", "K1_gamma0.2"):
+            assert not (out / sub / "report_test.txt").exists()
+
+    def test_failed_point_does_not_abort(self, toy_files, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
+                    + ["--grid-k", "1,9", "--grid-gamma", "0.2,0.5"]) == 0
+        err = capsys.readouterr().err
+        for gamma in ("0.2", "0.5"):
+            assert f"point K=9 gamma={gamma} failed: K must be in 0..4, got 9" in err
+        summary = (out / "summary.tsv").read_text().splitlines()
+        assert [line.split("\t")[:2] for line in summary[1:]] == [["1", "0.2"], ["1", "0.5"]]
 
 
 class TestLpBaseline:

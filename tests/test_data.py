@@ -1,5 +1,9 @@
 import copy
+import hashlib
+import json
+import struct
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -262,6 +266,88 @@ class TestContainer:
         with pytest.raises(ValueError, match="checksum|container"):
             load_container(path)
 
+    def test_bytes_equal_one_shot_build(self, tmp_path):
+        # arrays that are not C-contiguous or not little-endian are written
+        # as their little-endian C-order bytes
+        rng = np.random.default_rng(1)
+        arrays = {"a": rng.normal(size=(5, 3)), "b": np.arange(7, dtype=">i4"),
+                  "c": rng.normal(size=(6, 4))[:, 1:3], "d": np.zeros((0, 4)),
+                  "e": np.array([True, False]), "s": np.float64(2.5)}
+        path = tmp_path / "c.bin"
+        save_container(path, arrays, {"kind": "test"})
+        little = {k: a.astype(a.dtype.newbyteorder("<"))
+                  for k, a in zip(arrays, map(np.asarray, arrays.values()))}
+        header = {"format_version": 1, "meta": {"kind": "test"}, "arrays": [
+            {"name": k, "shape": list(a.shape), "dtype": a.dtype.str} for k, a in little.items()]}
+        body = b"".join(a.tobytes() for a in little.values())
+        assert path.read_bytes() == container_bytes(header, body)
+
+    def test_zero_d_and_bool_round_trip(self, tmp_path):
+        path = tmp_path / "c.bin"
+        arrays = {"s": np.float64(2.5), "i": np.array(7), "mask": np.array([[True, False]]),
+                  "flag": np.array(True)}
+        save_container(path, arrays, {})
+        loaded, _ = load_container(path)
+        for k, a in arrays.items():
+            assert loaded[k].shape == np.shape(a) and loaded[k].dtype == np.asarray(a).dtype, k
+            assert np.array_equal(loaded[k], a), k
+
+    def test_no_copy_of_the_file_held(self, tmp_path):
+        # saving holds no copy of the arrays' bytes; loading holds the file's
+        # bytes and the loaded arrays, nothing more
+        payload = np.random.default_rng(2).normal(size=(1 << 20,))  # 8 MiB
+        path = tmp_path / "c.bin"
+        tracemalloc.start()
+        try:
+            save_container(path, {"a": payload[: 1 << 19], "b": payload[1 << 19:]}, {})
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded, _ = load_container(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < payload.nbytes / 8
+        assert load_peak < 2.25 * payload.nbytes
+        assert np.array_equal(np.concatenate([loaded["a"], loaded["b"]]), payload)
+
+    def test_not_a_container(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(b"user\titem\n" * 10)
+        with pytest.raises(ValueError, match="not a graphrec container"):
+            load_container(path)
+
+    def test_unsupported_format_version(self, tmp_path):
+        path = tmp_path / "c.bin"
+        header = {"format_version": 2, "meta": {}, "arrays": []}
+        path.write_bytes(container_bytes(header, b""))
+        with pytest.raises(ValueError, match="format version 2 not supported"):
+            load_container(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "c.bin"
+        header = {"format_version": 1, "meta": {},
+                  "arrays": [{"name": "a", "shape": [3], "dtype": "<f8"}]}
+        path.write_bytes(container_bytes(header, np.zeros(4).tobytes()))
+        with pytest.raises(ValueError, match="trailing bytes after declared arrays"):
+            load_container(path)
+
+    def test_kind_checked(self, tmp_path):
+        bundle, ckpt = tmp_path / "ds.bin", tmp_path / "ckpt.bin"
+        save_dataset(bundle, make_toy_dataset(seed=0))
+        save_checkpoint(ckpt, toy_state(1))
+        with pytest.raises(ValueError, match="not a dataset bundle"):
+            load_dataset(ckpt)
+        with pytest.raises(ValueError, match="not a checkpoint file"):
+            load_checkpoint(bundle)
+
+
+def container_bytes(header, body):
+    """A container file built in one piece: magic, header length, JSON
+    header, array bytes, and the SHA-256 of all of them."""
+    header = json.dumps(header).encode()
+    payload = b"GRX1" + struct.pack("<Q", len(header)) + header + body
+    return payload + hashlib.sha256(payload).digest()
+
 
 def same(a, b):
     """Bitwise equality through the values a TrainState holds."""
@@ -288,7 +374,7 @@ class TestCheckpoint:
         import builtins
 
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, toy_state(1), {"a": 1})
+        save_checkpoint(path, toy_state(1))
         before = path.read_bytes()
         real_open = builtins.open
 
@@ -311,7 +397,7 @@ class TestCheckpoint:
             return HalfWriter(fh) if "w" in mode else fh
         monkeypatch.setattr(builtins, "open", failing_open)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, toy_state(2), {"a": 2})
+            save_checkpoint(path, toy_state(2))
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
@@ -319,17 +405,17 @@ class TestCheckpoint:
 
     def test_round_trip_identity(self, tmp_path, monkeypatch):
         # every field of the loop state survives a checkpoint bit for bit. The
-        # run moves every field off its initial value, so a field the
-        # checkpoint does not carry fails here
+        # run moves every field but its config off its initial value, so a
+        # field the checkpoint does not carry fails here
         ds = make_toy_dataset(seed=0)
         cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=4)
         seq = [0.1, 0.2, 0.15, 0.15]
         mod = sys.modules["graphrec.train"]
         written = []
 
-        def keep_copy(path, state, config):
+        def keep_copy(path, state):
             written.append(copy.deepcopy(state))
-            save_checkpoint(path, state, config)
+            save_checkpoint(path, state)
         monkeypatch.setattr(mod, "save_checkpoint", keep_copy)
         path = tmp_path / "ckpt.bin"
         train(ds, cfg, val_metric_fn=lambda epoch, trace: (seq[epoch - 1], 0.0),
@@ -338,7 +424,8 @@ class TestCheckpoint:
         fresh = initial_state(ds, cfg)
         for f in fields(TrainState):
             have = getattr(state, f.name)
-            assert not same(have, getattr(fresh, f.name)), f"{f.name} kept its initial value"
+            assert f.name == "config" or not same(have, getattr(fresh, f.name)), \
+                f"{f.name} kept its initial value"
             assert same(getattr(loaded, f.name), have), f"{f.name} changed in the checkpoint"
 
     def test_refuses_a_checkpoint_without_the_loop_state(self, tmp_path):
@@ -363,8 +450,8 @@ class TestCheckpoint:
         for cadence in ("per-epoch", "per-batch"):
             cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=30,
                               early_stop_patience=2, attr_update_cadence=cadence)
-            monkeypatch.setattr(mod, "save_checkpoint", lambda path, state, config:
-                                save_checkpoint(f"{path}.{state.epoch}", state, config))
+            monkeypatch.setattr(mod, "save_checkpoint", lambda path, state:
+                                save_checkpoint(f"{path}.{state.epoch}", state))
             path = tmp_path / cadence
             full = train(ds, cfg, checkpoint_path=str(path))
             monkeypatch.undo()
@@ -377,6 +464,27 @@ class TestCheckpoint:
                                                                      full.best_val_hr)
                 for name in ("params", "X", "Y", "final_params", "final_X", "final_Y"):
                     assert same(getattr(resumed, name), getattr(full, name)), (cadence, k, name)
+
+    def test_resume_may_change_where_the_run_stops(self, tmp_path):
+        # a run stopped at a lower cap under another patience, resumed with
+        # the settings of an uninterrupted run, is that run; the checkpoints
+        # it writes carry the settings it was resumed with
+        ds = make_toy_dataset(seed=0)
+        for cadence in ("per-epoch", "per-batch"):
+            cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=30,
+                              early_stop_patience=2, attr_update_cadence=cadence)
+            full = train(ds, cfg)
+            assert len(full.log) > 3
+            path = tmp_path / f"{cadence}.bin"
+            train(ds, replace(cfg, max_epochs=3, early_stop_patience=10**6),
+                  checkpoint_path=str(path))
+            resumed = train(ds, cfg, checkpoint_path=str(path), resume_from=load_checkpoint(path))
+            assert ([replace(entry, seconds=0.0) for entry in resumed.log]
+                    == [replace(entry, seconds=0.0) for entry in full.log]), cadence
+            assert (resumed.best_epoch, resumed.best_val_hr) == (full.best_epoch, full.best_val_hr)
+            for name in ("params", "X", "Y", "final_params", "final_X", "final_Y"):
+                assert same(getattr(resumed, name), getattr(full, name)), (cadence, name)
+            assert load_checkpoint(path).config == cfg.to_dict()
 
     def test_resume_at_or_past_the_cap(self, tmp_path):
         # nothing is left to run: the checkpoint's best and log come back
@@ -471,6 +579,9 @@ class TestDatasetBundle:
                 assert np.array_equal(got[u], want[u])
         trace = ForwardTrace(final=rng.normal(size=(M + N, 4)), num_users=M)
         for target in ("val", "test"):
-            want = rank_and_score(trace, ds, [1, 5, 10], target=target, return_per_user=True)
-            got = rank_and_score(trace, ds2, [1, 5, 10], target=target, return_per_user=True)
-            assert got == want
+            *want, (want_users, want_ndcg), want_skipped = rank_and_score(
+                trace, ds, [1, 5, 10], target=target, return_per_user=True)
+            *got, (users, ndcg), skipped = rank_and_score(
+                trace, ds2, [1, 5, 10], target=target, return_per_user=True)
+            assert (got, skipped) == (want, want_skipped)
+            assert np.array_equal(users, want_users) and np.array_equal(ndcg, want_ndcg)

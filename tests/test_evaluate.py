@@ -224,11 +224,11 @@ class TestRankAndScore:
         users = list(range(1, M))
         for n_list in ([1, 3], [2, N, N + 4]):
             for mode in HR_MODES:
-                hr, ndcg, per_user, skipped = rank_and_score(
+                hr, ndcg, (ranked, per_user), skipped = rank_and_score(
                     trace, ds, n_list, hr_mode=mode, return_per_user=True)
                 assert skipped == 1
-                assert sorted(per_user) == users
-                for n in n_list:
+                assert ranked.tolist() == users
+                for k, n in enumerate(n_list):
                     oracle = [naive_user_metrics(scores[a], trained[a], test[a], n)
                               for a in users]
                     if mode == "user-mean":
@@ -238,8 +238,8 @@ class TestRankAndScore:
                                 / sum(len(test[a]) for a in users))
                     assert abs(hr[n] - want) <= 1e-12
                     assert abs(ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
-                    for (_, d), a in zip(oracle, users):
-                        assert abs(per_user[a][n] - d) <= 1e-12
+                    for (_, d), got in zip(oracle, per_user[:, k]):
+                        assert abs(got - d) <= 1e-12
 
     @pytest.mark.parametrize("n_list,named", [([], "[]"), ([10, 0], "0"), ([0], "0"),
                                               ([2.5], "2.5"), ([-3], "-3"),
@@ -341,15 +341,16 @@ class TestTopDepthRanks:
             min(want[a, i], depth + 1) for a, i in zip(rows.tolist(), items.tolist())]
 
         ds, trace = scored_dataset(scores, trained, targets)
-        hr, ndcg, per_user, skipped = rank_and_score(trace, ds, n_list, return_per_user=True)
-        assert skipped == 0 and sorted(per_user) == list(range(self.M))
-        for n in n_list:
+        hr, ndcg, (ranked, per_user), skipped = rank_and_score(trace, ds, n_list,
+                                                               return_per_user=True)
+        assert skipped == 0 and ranked.tolist() == list(range(self.M))
+        for k, n in enumerate(n_list):
             oracle = [naive_user_metrics(scores[a], trained[a], targets[a], n)
                       for a in range(self.M)]
             assert abs(hr[n] - np.mean([h for h, _ in oracle])) <= 1e-12
             assert abs(ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
             for a, (_, d) in enumerate(oracle):
-                assert abs(per_user[a][n] - d) <= 1e-12
+                assert abs(per_user[a, k] - d) <= 1e-12
 
     @pytest.mark.parametrize("integer_scores", [False, True])
     def test_whole_row_counts_only_for_ties(self, monkeypatch, integer_scores):

@@ -1,3 +1,4 @@
+import re
 import sys
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from graphrec.data import load_checkpoint
 from graphrec.evaluate import evaluate_model
 from graphrec.graph import NodeRows
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
-from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
+from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, RESUME_MAY_CHANGE,
                             StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
                             adam_step, attribute_loss, bpr_loss, gradients,
                             sample_negatives, scatter_rows, train, train_step)
@@ -542,6 +543,23 @@ class TestTrainLoop:
         # the resumed log is the whole run's: the checkpoint's epoch, then its own
         assert [e.epoch for e in train(toy_dataset, more,
                                        resume_from=load_checkpoint(ckpt)).log] == [1, 2]
+
+    def test_resume_refuses_a_changed_setting(self, toy_dataset, tmp_path):
+        # a resume may change only where the run stops; every other setting
+        # is named with the checkpoint's value and this run's
+        cfg = self.small_config(max_epochs=1)
+        ckpt = str(tmp_path / "ckpt.bin")
+        train(toy_dataset, cfg, checkpoint_path=ckpt)
+        changed = dict(d=7, d_a=2, K=2, lam=0.02, gamma=3.0, learning_rate=0.5, batch_size=64,
+                       attr_update_cadence="per-batch", init_std=0.02, seed_init=5,
+                       seed_sampling=6)
+        assert set(changed) | set(RESUME_MAY_CHANGE) == set(cfg.to_dict())
+        for name, value in changed.items():
+            message = (f"checkpoint has {name}={getattr(cfg, name)!r}, "
+                       f"but this run has {name}={value!r}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                train(toy_dataset, replace(cfg, max_epochs=2, **{name: value}),
+                      resume_from=load_checkpoint(ckpt))
 
     def checked_steps(self, monkeypatch, dataset):
         """Make every forward inside train() check the rows it computed
