@@ -1,13 +1,15 @@
 """Command-line entry point.
 
-Commands: prepare-data, train, evaluate, sweep, infer-attributes. Settings
-resolve as defaults < config file < flags, and every run echoes its fully
-resolved configuration into the output directory before any computation, so
-a run can be reproduced from the echoed file alone.
+Commands: prepare-data, train, evaluate, sweep, infer-attributes,
+lp-baseline. Settings resolve as defaults < config file < flags, and every
+run echoes its fully resolved configuration into the output directory before
+any computation, so a run can be reproduced from the echoed file alone.
 
 Settings have two declarations: ``PREP_DEFAULTS`` for building and scoring
 a dataset, and ``TrainConfig`` for training. Every flag is generated from
 them: the setting ``min_user_interactions`` is ``--min-user-interactions``.
+A setting's text, from a config file, a flag or a sweep grid, is read by one
+function, ``parse_setting``, by the setting's declared type.
 """
 
 from __future__ import annotations
@@ -45,27 +47,31 @@ PREP_DEFAULTS = {
     "seed_masking": 2,
     "seed_split": 3,
 }
-# A flag's type is its default's type, a string for a None default, unless
+DEFAULTS = {**PREP_DEFAULTS, **TrainConfig().to_dict()}
+# A setting's type is its default's type, a string for a None default, unless
 # named here; a flag's choices are named here.
 FLAG_TYPES = {"min_rating": float}
 FLAG_CHOICES = {"norm_mode": NORM_MODES, "hr_mode": HR_MODES,
                 "attr_update_cadence": CADENCES}
 
 
-def parse_value(raw):
+def parse_setting(key, raw):
+    """The setting ``key`` written as ``raw`` (config file, flag or grid):
+    ``none`` or empty is None, else ``raw`` read by the setting's type."""
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
+    default = DEFAULTS[key]
+    kind = FLAG_TYPES.get(key, str if default is None else type(default))
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {raw!r}") from None
 
 
 def read_config_file(path):
-    out = {}
+    """The settings a flat ``key=value`` file holds, each parsed by its type."""
+    written = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -74,25 +80,23 @@ def read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, raw = line.split("=", 1)
-            out[key.strip()] = parse_value(raw)
-    return out
+            written[key.strip()] = raw
+    unknown = set(written) - set(DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return {key: parse_setting(key, raw) for key, raw in written.items()}
 
 
 def resolve_settings(args):
     """defaults < config file < explicit flags. A config-file value of a
     setting with choices must be one of them, as its flag's must."""
-    settings = dict(PREP_DEFAULTS)
-    settings.update(TrainConfig().to_dict())
+    settings = dict(DEFAULTS)
     if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
-        unknown = set(file_values) - set(settings)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_values)
+        settings.update(read_config_file(args.config))
     for key in settings:
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = val
+        raw = getattr(args, key, None)
+        if raw is not None:
+            settings[key] = parse_setting(key, raw)
     for key, choices in FLAG_CHOICES.items():
         if settings[key] not in choices:
             raise ValueError(f"{key} must be one of {choices}, got {settings[key]!r}")
@@ -115,20 +119,13 @@ def echo_config(settings, outdir):
 
 def build_dataset(settings):
     """Load raw files, filter, split, and mask into a Dataset."""
-    if settings["interactions"] is None:
-        raise ValueError("no dataset: give --dataset or --interactions")
-    keep = None
-    if settings["min_rating"] is not None:
-        threshold = float(settings["min_rating"])
-        if np.isnan(threshold):  # a NaN threshold would drop every rating
-            raise ValueError(f"min_rating must be a number, got {settings['min_rating']!r}")
-        keep = lambda r: r >= threshold
+    threshold = settings["min_rating"]
+    if threshold is not None and np.isnan(threshold):  # it would drop every rating
+        raise ValueError(f"min_rating must be a number, got {threshold!r}")
+    keep = None if threshold is None else lambda r: r >= threshold
     pairs, user_ids, item_ids = dataio.load_interactions(
-        settings["interactions"],
-        min_user_interactions=int(settings["min_user_interactions"]),
-        keep=keep,
-    )
-    num_users, num_items = len(user_ids), len(item_ids)
+        settings["interactions"], min_user_interactions=settings["min_user_interactions"],
+        keep=keep)
 
     def side_table(attr_key, schema_key, ids, side):
         if settings[attr_key] is None:
@@ -138,11 +135,11 @@ def build_dataset(settings):
         schema = load_schema(settings[schema_key])
         id_map = {eid: idx for idx, eid in enumerate(ids)}
         table = load_attributes(settings[attr_key], schema, len(ids), id_map, side=side)
-        return mask(table, float(settings["alpha"]), int(settings["seed_masking"]))
+        return mask(table, settings["alpha"], settings["seed_masking"])
 
-    ratios = tuple(float(r) for r in str(settings["ratios"]).split(","))
+    ratios = tuple(float(r) for r in settings["ratios"].split(","))
     return split(
-        pairs, num_users, num_items, ratios=ratios, seed=int(settings["seed_split"]),
+        pairs, len(user_ids), len(item_ids), ratios=ratios, seed=settings["seed_split"],
         norm_mode=settings["norm_mode"],
         user_attrs=side_table("user_attrs", "user_schema", user_ids, "user"),
         item_attrs=side_table("item_attrs", "item_schema", item_ids, "item"),
@@ -150,20 +147,44 @@ def build_dataset(settings):
     )
 
 
-def resolve_dataset(settings):
-    if settings["dataset"] is not None:
-        return load_dataset(settings["dataset"])
+def resolve_dataset(settings, from_raw=False):
+    """The dataset a command runs on: the bundle ``--dataset`` names, else
+    one built from the raw files (always, ``from_raw``). The graph owns its
+    normalisation, so a bundle's must be the ``--norm-mode`` echoed."""
+    if settings["dataset"] is not None and not from_raw:
+        dataset = load_dataset(settings["dataset"])
+        if dataset.graph_train.norm_mode != settings["norm_mode"]:
+            raise ValueError(f"--norm-mode {settings['norm_mode']!r} does not match the "
+                             f"dataset's norm_mode {dataset.graph_train.norm_mode!r}")
+        return dataset
+    if settings["interactions"] is None:
+        raise ValueError("prepare-data builds from raw files and needs --interactions"
+                         if from_raw else "no dataset: give --dataset or --interactions")
     return build_dataset(settings)
 
 
+def _at_most_once(build):
+    """``build`` run on the first call only: later calls give its value or error."""
+    outcome = []
+
+    def call():
+        if not outcome:
+            try:
+                outcome.append(build())
+            except Exception as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], Exception):
+            raise outcome[0]
+        return outcome[0]
+    return call
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: cmd(flags, echoed settings, load), where load() resolves the dataset
 # ---------------------------------------------------------------------------
 
-def cmd_prepare_data(args):
-    settings = resolve_settings(args)
-    echo_config(settings, args.out)
-    dataset = build_dataset(settings)
+def cmd_prepare_data(args, settings, load):
+    dataset = load()
     path = os.path.join(args.out, "dataset.bin")
     save_dataset(path, dataset)
     print(f"wrote {path}: {dataset.num_users} users, {dataset.num_items} items, "
@@ -171,40 +192,30 @@ def cmd_prepare_data(args):
     return 0
 
 
-def _run_training(settings, outdir, quiet=False):
-    echo_config(settings, outdir)
-    dataset = resolve_dataset(settings)
+def _run_training(settings, load, outdir, quiet=False):
     config = TrainConfig.from_dict(settings).validate()
-    # the graph owns its normalisation; a bundle's must be the one echoed
-    if dataset.graph_train.norm_mode != settings["norm_mode"]:
-        raise ValueError(f"--norm-mode {settings['norm_mode']!r} does not match the "
-                         f"dataset's norm_mode {dataset.graph_train.norm_mode!r}")
+    dataset = load()
     result = train(dataset, config, log_fn=None if quiet else print,
                    checkpoint_path=os.path.join(outdir, "checkpoint.bin"))
     with open(os.path.join(outdir, "train_log.txt"), "w") as fh:
         fh.write("".join(entry.format() + "\n" for entry in result.log))
 
-    val_report = evaluate_model(result.params, result.X, result.Y, dataset,
-                                target="val", hr_mode=settings["hr_mode"])
-    val_report.write(os.path.join(outdir, "report_val"))
-    test_report = evaluate_model(result.params, result.X, result.Y, dataset,
-                                 target="test", hr_mode=settings["hr_mode"])
-    test_report.write(os.path.join(outdir, "report_test"))
-    return result, test_report
+    for target in ("val", "test"):  # the test report is returned
+        report = evaluate_model(result.params, result.X, result.Y, dataset,
+                                target=target, hr_mode=settings["hr_mode"])
+        report.write(os.path.join(outdir, f"report_{target}"))
+    return result, report
 
 
-def cmd_train(args):
-    settings = resolve_settings(args)
-    result, report = _run_training(settings, args.out, quiet=args.quiet)
+def cmd_train(args, settings, load):
+    result, report = _run_training(settings, load, args.out, quiet=args.quiet)
     print(f"best epoch {result.best_epoch}, val HR@10 {result.best_val_hr:.4f}, "
           f"test HR@10 {report.hr[10]:.4f}")
     return 0
 
 
-def cmd_evaluate(args):
-    settings = resolve_settings(args)
-    echo_config(settings, args.out)
-    dataset = resolve_dataset(settings)
+def cmd_evaluate(args, settings, load):
+    dataset = load()
     state = load_checkpoint(args.checkpoint)
     check_checkpoint(state, dataset)
     params, X, Y = state.best
@@ -215,39 +226,33 @@ def cmd_evaluate(args):
     return 0
 
 
-def _parse_grid(raw):
-    return [parse_value(x) for x in str(raw).split(",")]
-
-
-def cmd_sweep(args):
-    settings = resolve_settings(args)
-    echo_config(settings, args.out)
-    grid_k = _parse_grid(args.grid_k) if args.grid_k else [settings["K"]]
-    grid_gamma = _parse_grid(args.grid_gamma) if args.grid_gamma else [settings["gamma"]]
-
-    rows = []
-    failures = 0
-    for K in grid_k:
-        for gamma in grid_gamma:
-            sub = os.path.join(args.out, f"K{K}_gamma{gamma}")
-            point = dict(settings, K=int(K), gamma=float(gamma))
-            done_marker = os.path.join(sub, "report_test.txt")
-            try:
-                if _finished_with(sub, point):
-                    print(f"skipping completed point K={K} gamma={gamma}")
-                    with open(done_marker) as fh:
-                        row = _summary_row_from_lines(K, gamma, fh.read().splitlines())
-                else:
-                    # a retrain that fails must not leave an older report behind
-                    with contextlib.suppress(FileNotFoundError):
-                        os.remove(done_marker)
-                    _, report = _run_training(point, sub, quiet=True)
-                    row = _summary_row_from_lines(K, gamma, report.to_lines())
-                rows.append(row)
-                print(f"K={K} gamma={gamma}: HR@10={row['hr10']} NDCG@10={row['ndcg10']}")
-            except Exception as exc:  # one failed point must not abort the sweep
-                failures += 1
-                print(f"point K={K} gamma={gamma} failed: {exc}", file=sys.stderr)
+def cmd_sweep(args, settings, load):
+    points = [dict(settings, K=K, gamma=gamma) for K in _grid("K", args.grid_k, settings)
+              for gamma in _grid("gamma", args.grid_gamma, settings)]
+    # invalid points fail first, before any data is read; the sort is stable
+    points.sort(key=_is_valid)
+    rows, failures = [], 0
+    for point in points:
+        K, gamma = point["K"], point["gamma"]
+        sub = os.path.join(args.out, f"K{K}_gamma{gamma}")
+        done_marker = os.path.join(sub, "report_test.txt")
+        try:
+            if _finished_with(sub, point):
+                print(f"skipping completed point K={K} gamma={gamma}")
+                with open(done_marker) as fh:
+                    row = _summary_row_from_lines(K, gamma, fh.read().splitlines())
+            else:
+                # a retrain that fails must not leave an older report behind
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(done_marker)
+                echo_config(point, sub)
+                _, report = _run_training(point, load, sub, quiet=True)
+                row = _summary_row_from_lines(K, gamma, report.to_lines())
+            rows.append(row)
+            print(f"K={K} gamma={gamma}: HR@10={row['hr10']} NDCG@10={row['ndcg10']}")
+        except Exception as exc:  # one failed point must not abort the sweep
+            failures += 1
+            print(f"point K={K} gamma={gamma} failed: {exc}", file=sys.stderr)
 
     if rows:
         field_names = sorted({k for row in rows for k in row if k.startswith("attr.")})
@@ -258,6 +263,20 @@ def cmd_sweep(args):
                 fh.write("\t".join(str(row.get(h, "absent")) for h in header) + "\n")
         _print_best(rows, field_names)
     return 1 if failures and not rows else 0
+
+
+def _is_valid(point):
+    try:
+        TrainConfig.from_dict(point).validate()
+        return True
+    except ValueError:
+        return False
+
+
+def _grid(key, raw, settings):
+    """The values of ``key`` a comma-separated grid ``raw`` names, each
+    parsed as the setting is; without a grid, the setting's one value."""
+    return [parse_setting(key, value) for value in raw.split(",")] if raw else [settings[key]]
 
 
 def _finished_with(sub, point):
@@ -296,10 +315,8 @@ def _print_best(rows, field_names):
             print(f"best {name}: K={best['K']} gamma={best['gamma']} value={best[name]}")
 
 
-def cmd_infer_attributes(args):
-    settings = resolve_settings(args)
-    echo_config(settings, args.out)
-    dataset = resolve_dataset(settings)
+def cmd_infer_attributes(args, settings, load):
+    dataset = load()
     state = load_checkpoint(args.checkpoint)
     check_checkpoint(state, dataset)
     params, X, Y = state.best
@@ -330,10 +347,8 @@ def cmd_infer_attributes(args):
     return 0
 
 
-def cmd_lp_baseline(args):
-    settings = resolve_settings(args)
-    echo_config(settings, args.out)
-    dataset = resolve_dataset(settings)
+def cmd_lp_baseline(args, settings, load):
+    dataset = load()
     for table in (dataset.user_attrs, dataset.item_attrs):
         if table is None:
             continue
@@ -351,26 +366,6 @@ def cmd_lp_baseline(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_flags(p, declaration):
-    for key, default in declaration.items():
-        p.add_argument(f"--{key.replace('_', '-')}", choices=FLAG_CHOICES.get(key),
-                       type=FLAG_TYPES.get(key, str if default is None else type(default)))
-
-
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_flags(p, PREP_DEFAULTS)
-    # every command takes the training seeds, so one config file serves all
-    _add_flags(p, {k: v for k, v in TrainConfig().to_dict().items() if k.startswith("seed_")})
-
-
-def _add_train_flags(p):
-    _add_flags(p, {k: v for k, v in TrainConfig().to_dict().items()
-                   if not k.startswith("seed_")})
-    p.add_argument("--quiet", action="store_true")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphrec",
@@ -378,45 +373,39 @@ def build_parser():
                     "attributed user-item bipartite graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare-data", help="filter, split, mask, freeze a dataset")
-    _add_common(p)
-    p.set_defaults(func=cmd_prepare_data)
-
-    p = sub.add_parser("train", help="train a model and write reports")
-    _add_common(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="grid sweep over K and/or gamma")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--grid-k", dest="grid_k", help="comma-separated K values")
-    p.add_argument("--grid-gamma", dest="grid_gamma", help="comma-separated gamma values")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("infer-attributes", help="export predictions for masked entries")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_infer_attributes)
-
-    p = sub.add_parser("lp-baseline", help="label propagation attribute baseline")
-    _add_common(p)
-    p.set_defaults(func=cmd_lp_baseline)
-
+    trains, reads_checkpoint = (cmd_train, cmd_sweep), (cmd_evaluate, cmd_infer_attributes)
+    for name, func, help_text in (
+            ("prepare-data", cmd_prepare_data, "filter, split, mask, freeze a dataset"),
+            ("train", cmd_train, "train a model and write reports"),
+            ("evaluate", cmd_evaluate, "evaluate a checkpoint"),
+            ("sweep", cmd_sweep, "grid sweep over K and/or gamma"),
+            ("infer-attributes", cmd_infer_attributes, "export predictions for masked entries"),
+            ("lp-baseline", cmd_lp_baseline, "label propagation attribute baseline")):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--out", required=True, help="output directory")
+        # every command takes the training seeds, so one config file serves all
+        for key in DEFAULTS:
+            if func in trains or key in PREP_DEFAULTS or key.startswith("seed_"):
+                p.add_argument(f"--{key.replace('_', '-')}", choices=FLAG_CHOICES.get(key))
+        if func in trains:
+            p.add_argument("--quiet", action="store_true")
+        if func in reads_checkpoint:
+            p.add_argument("--checkpoint", required=True)
+    sub.choices["sweep"].add_argument("--grid-k", help="comma-separated K values")
+    sub.choices["sweep"].add_argument("--grid-gamma", help="comma-separated gamma values")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        settings = resolve_settings(args)
+        echo_config(settings, args.out)
+        from_raw = args.func is cmd_prepare_data
+        return args.func(args, settings,
+                         _at_most_once(lambda: resolve_dataset(settings, from_raw)))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

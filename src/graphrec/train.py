@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +42,10 @@ from .model import (ForwardTrace, ModelParams, attribute_block, forward, infer_a
 PROB_EPS = 1e-7  # clamp for logs inside the cross entropy
 
 CADENCES = ("per-epoch", "per-batch")
+
+# what a TrainConfig field of each default type takes
+NUMBER_KINDS = {int: ("an integer", (int, np.integer)),
+                float: ("a number", (int, float, np.integer, np.floating))}
 
 # Adam moment decay rates and the denominator's guard (Kingma & Ba defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -75,6 +79,11 @@ class TrainConfig:
     seed_sampling: int = 1
 
     def validate(self):
+        # an int field takes integers only, a float field numbers; a bool is neither
+        for f in fields(self):
+            value, kind = getattr(self, f.name), NUMBER_KINDS.get(type(f.default))
+            if kind and (isinstance(value, bool) or not isinstance(value, kind[1])):
+                raise ValueError(f"{f.name} must be {kind[0]}, got {value!r}")
         if self.d <= 0 or self.d_a < 0:
             raise ValueError(f"d must be positive and d_a non-negative, got {self.d}, {self.d_a}")
         if not 0 <= self.K <= 4:

@@ -88,6 +88,30 @@ class TestTrainCommand:
         assert rc == 0
         assert (a / "report_test.txt").read_bytes() == (b / "report_test.txt").read_bytes()
 
+    @pytest.mark.parametrize("line, key", [("K=2.0", "K"),
+                                           ("min_user_interactions=5.5", "min_user_interactions")])
+    def test_config_values_typed_like_flags(self, toy_files, tmp_path, capsys, line, key):
+        # a config-file value is read by its setting's type, as a flag's is
+        config = tmp_path / "c.txt"
+        config.write_text(f"{line}\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--out", str(out), "--config", str(config)]
+                  + data_flags(toy_files) + ["--quiet"])
+        assert rc == 1
+        assert f"{key} must be of type int, got '{line.split('=')[1]}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_and_flags_echo_alike(self, toy_files, tmp_path):
+        config = tmp_path / "c.txt"
+        config.write_text("lam=1\nmin_rating=4\n")
+        a, b = tmp_path / "flags", tmp_path / "file"
+        assert main(["train", "--out", str(a), "--lam", "1", "--min-rating", "4"]
+                    + data_flags(toy_files) + train_flags()) == 0
+        assert main(["train", "--out", str(b), "--config", str(config)]
+                    + data_flags(toy_files) + train_flags()) == 0
+        assert (a / "config.txt").read_bytes() == (b / "config.txt").read_bytes()
+        assert "lam=1.0\n" in (b / "config.txt").read_text()
+
     @pytest.mark.parametrize("key, value", [("hr_mode", "globl"), ("norm_mode", "rows"),
                                             ("attr_update_cadence", "never")])
     def test_config_file_choices_checked_before_training(self, toy_files, tmp_path, capsys,
@@ -141,6 +165,16 @@ class TestPrepareAndEvaluate:
         rc = main(["train", "--out", str(run), "--norm-mode", "row"] + bundle + train_flags())
         assert rc == 0
         assert read_config_file(run / "config.txt")["norm_mode"] == "row"
+        # every command that reads a bundle holds it to the same rule
+        checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
+        for command, extra in (("evaluate", checkpoint), ("infer-attributes", checkpoint),
+                               ("lp-baseline", []), ("sweep", train_flags())):
+            capsys.readouterr()
+            assert main([command, "--out", str(tmp_path / command)] + bundle + extra) == 1
+            err = capsys.readouterr().err
+            assert "'symmetric'" in err and "'row'" in err, command
+            assert main([command, "--out", str(tmp_path / command), "--norm-mode", "row"]
+                        + bundle + extra) == 0, command
 
     def test_dimension_mismatch(self, toy_files, tmp_path, capsys):
         prep = tmp_path / "prep"
@@ -201,6 +235,16 @@ class TestPrepareData:
         digest = hashlib.sha256((prep / "dataset.bin").read_bytes()).hexdigest()
         assert digest == "1856595532c4c94158b081f43d09d74de9719b002b2d2aec3ca8b6a3ad267ea7"
 
+    def test_bundle_without_interactions(self, toy_files, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        assert main(["prepare-data", "--out", str(prep)] + data_flags(toy_files)) == 0
+        capsys.readouterr()
+        rc = main(["prepare-data", "--out", str(tmp_path / "again"),
+                   "--dataset", str(prep / "dataset.bin")])
+        assert rc == 1
+        assert "prepare-data builds from raw files and needs --interactions" in \
+            capsys.readouterr().err
+
     def test_nan_min_rating_rejected(self, toy_files, tmp_path, capsys):
         # a NaN threshold would drop every rating; it is named before any
         # file is read, so a missing interactions file is not reached
@@ -251,7 +295,7 @@ class TestInferAttributes:
 
 
 class TestSweep:
-    def test_grid_and_resume(self, toy_files, tmp_path, capsys):
+    def test_grid_and_resume(self, toy_files, tmp_path, capsys, monkeypatch):
         out = tmp_path / "sweep"
         args = (["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
                 + ["--grid-k", "0,1", "--grid-gamma", "0.2"])
@@ -261,10 +305,18 @@ class TestSweep:
         assert summary[0].startswith("K\tgamma\thr10\tndcg10")
         for sub in ("K0_gamma0.2", "K1_gamma0.2"):
             assert (out / sub / "report_test.txt").exists()
+        # the points share one dataset, and each reports as its own train run does
+        assert run_train(toy_files, tmp_path / "single") == 0
+        assert (out / "K1_gamma0.2" / "report_test.txt").read_bytes() == \
+            (tmp_path / "single" / "report_test.txt").read_bytes()
         capsys.readouterr()
 
-        # rerunning skips the completed points and reproduces the summary
+        # rerunning skips the completed points and reproduces the summary,
+        # reading no data
+        monkeypatch.setattr(cli, "build_dataset",
+                            lambda settings: pytest.fail("a reused point read data"))
         assert main(args) == 0
+        monkeypatch.undo()
         printed = capsys.readouterr().out
         assert printed.count("skipping completed point") == 2
         assert (out / "summary.tsv").read_text().splitlines() == summary
@@ -282,15 +334,33 @@ class TestSweep:
         for sub in ("K0_gamma0.2", "K1_gamma0.2"):
             assert not (out / sub / "report_test.txt").exists()
 
-    def test_failed_point_does_not_abort(self, toy_files, tmp_path, capsys):
+    def test_failed_point_does_not_abort(self, toy_files, tmp_path, capsys, monkeypatch):
+        # stderr as it stood at each dataset build
+        builds, real = [], cli.build_dataset
+        monkeypatch.setattr(cli, "build_dataset",
+                            lambda settings: builds.append(capsys.readouterr().err)
+                            or real(settings))
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
                     + ["--grid-k", "1,9", "--grid-gamma", "0.2,0.5"]) == 0
-        err = capsys.readouterr().err
+        # one build for the four points, after both K=9 points failed
+        assert len(builds) == 1
+        for gamma in ("0.2", "0.5"):
+            assert f"point K=9 gamma={gamma} failed" in builds[0]
+        err = builds[0] + capsys.readouterr().err
         for gamma in ("0.2", "0.5"):
             assert f"point K=9 gamma={gamma} failed: K must be in 0..4, got 9" in err
         summary = (out / "summary.tsv").read_text().splitlines()
         assert [line.split("\t")[:2] for line in summary[1:]] == [["1", "0.2"], ["1", "0.5"]]
+
+
+    def test_grid_values_typed_like_flags(self, toy_files, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
+                  + ["--grid-k", "1.5"])
+        assert rc == 1
+        assert "K must be of type int, got '1.5'" in capsys.readouterr().err
+        assert not (out / "K1.5_gamma0.2").exists() and not (out / "summary.tsv").exists()
 
 
 class TestLpBaseline:

@@ -41,9 +41,16 @@ class TestConfig:
     def test_rejected_values(self):
         for kwargs in ({"K": 5}, {"K": -1}, {"gamma": -0.1},
                        {"lam": -1.0}, {"attr_update_cadence": "never"},
-                       {"batch_size": 0}):
-            with pytest.raises(ValueError):
+                       {"batch_size": 0},
+                       # the integer fields take integers only, and a bool is none
+                       {"d": 8.0}, {"d_a": True}, {"K": 2.0}, {"batch_size": 64.5},
+                       {"early_stop_patience": "5"}, {"max_epochs": None},
+                       {"seed_init": 1.5}, {"seed_sampling": np.float64(1)},
+                       # the float fields take numbers only
+                       {"gamma": None}, {"lam": "0.1"}, {"learning_rate": False}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
                 TrainConfig(**kwargs).validate()
+        TrainConfig(K=np.int64(2), gamma=1, seed_init=np.int32(4)).validate()
 
     @pytest.mark.parametrize("name, value", [("early_stop_patience", -1),
                                              ("init_std", -0.01)])
