@@ -11,6 +11,7 @@ are kept as ``ground_truth`` for evaluation and are never visible to a model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 import numpy as np
 
@@ -159,8 +160,8 @@ def mask(table, alpha, seed):
     appended to ``masked`` field by field, entities ascending; a chosen
     entity whose field was already missing is not listed.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    check_alpha(alpha)
+    check_seed("seed", seed)
     values = table.values.copy()
     indicator = table.indicator.copy()
     masked = list(table.masked)
@@ -176,6 +177,18 @@ def mask(table, alpha, seed):
     return AttributeTable(
         table.schema, table.side, values, indicator, table.ground_truth.copy(), masked
     )
+
+
+def check_alpha(alpha):
+    """Refuse a mask rate outside [0, 1), NaN and None included."""
+    if alpha is None or not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+
+
+def check_seed(name, seed):
+    """Refuse a seed ``name`` that is not a non-negative integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def init_missing(table, fallback=None):
@@ -224,6 +237,16 @@ def apply_update(current, inferred, table):
 # multi-label values separated by "|". <sep> is tab or comma (auto-detected).
 # ---------------------------------------------------------------------------
 
+def read_lines(path, encoding=None):
+    """``(line number, stripped line)`` of every line of ``path`` that is
+    neither blank nor a ``#`` comment. For speed the lines are numbered and
+    blanks dropped in C, and comments looked for only if a ``#`` occurs."""
+    with open(path, encoding=encoding) as fh:
+        text = fh.read()
+    kept = filter(itemgetter(1), enumerate(map(str.strip, text.split("\n")), 1))
+    return [pair for pair in kept if pair[1][0] != "#"] if "#" in text else list(kept)
+
+
 def _detect_sep(line):
     return "\t" if "\t" in line else ","
 
@@ -231,16 +254,12 @@ def _detect_sep(line):
 def load_schema(path):
     """Read an ordered field-declaration file into an :class:`AttributeSchema`."""
     fields = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(_detect_sep(line))]
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected name, kind, categories")
-            name, kind, cats = parts
-            fields.append((name, kind, [c.strip() for c in cats.split("|")]))
+    for lineno, line in read_lines(path):
+        parts = [p.strip() for p in line.split(_detect_sep(line))]
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected name, kind, categories")
+        name, kind, cats = parts
+        fields.append((name, kind, [c.strip() for c in cats.split("|")]))
     if not fields:
         raise ValueError(f"{path}: empty schema file")
     return AttributeSchema(fields)
@@ -254,31 +273,25 @@ def load_attributes(path, schema, num_entities, id_map, side="user"):
     up in each field's vocabulary.
     """
     records = [dict() for _ in range(num_entities)]
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            sep = _detect_sep(line)
-            parts = [p.strip() for p in line.split(sep)]
-            ext_id = parts[0]
-            if ext_id not in id_map:
-                continue
-            e = id_map[ext_id]
-            for item in parts[1:]:
-                if "=" not in item:
-                    raise ValueError(f"{path}:{lineno}: expected field=value, got {item!r}")
-                name, raw = item.split("=", 1)
-                name = name.strip()
-                if name not in schema:
-                    raise ValueError(f"{path}:{lineno}: unknown field {name!r}")
-                f = schema[name]
-                vals = [v.strip() for v in raw.split("|")]
-                try:
-                    idxs = [f.categories.index(v) for v in vals]
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: field {name!r} has no category among {vals}"
-                    ) from None
-                records[e][name] = idxs[0] if f.kind == "single" else idxs
+    for lineno, line in read_lines(path):
+        parts = [p.strip() for p in line.split(_detect_sep(line))]
+        e = id_map.get(parts[0])
+        if e is None:
+            continue
+        for item in parts[1:]:
+            if "=" not in item:
+                raise ValueError(f"{path}:{lineno}: expected field=value, got {item!r}")
+            name, raw = item.split("=", 1)
+            name = name.strip()
+            if name not in schema:
+                raise ValueError(f"{path}:{lineno}: unknown field {name!r}")
+            f = schema[name]
+            vals = [v.strip() for v in raw.split("|")]
+            try:
+                idxs = [f.categories.index(v) for v in vals]
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: field {name!r} has no category among {vals}"
+                ) from None
+            records[e][name] = idxs[0] if f.kind == "single" else idxs
     return encode(records, schema, side=side)

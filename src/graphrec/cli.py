@@ -22,12 +22,18 @@ import sys
 import numpy as np
 
 from . import data as dataio
-from .attributes import load_attributes, load_schema, mask
-from .data import load_checkpoint, load_dataset, save_dataset, split
+from .attributes import check_alpha, check_seed, load_attributes, load_schema, mask, read_lines
+from .data import check_ratios, load_checkpoint, load_dataset, save_dataset, split
 from .evaluate import HR_MODES, evaluate_model, label_propagation_metrics
 from .graph import NORM_MODES
 from .model import forward, infer_attributes
 from .train import CADENCES, TrainConfig, check_checkpoint, train
+
+
+def numbers(raw):
+    """Comma-separated numbers, as a tuple of floats."""
+    return tuple(float(r) for r in raw.split(","))
+
 
 # Data preparation and report settings; build_dataset reads all but
 # ``dataset`` (a frozen bundle from prepare-data) and ``hr_mode``.
@@ -40,7 +46,7 @@ PREP_DEFAULTS = {
     "item_schema": None,
     "min_user_interactions": 5,
     "min_rating": None,
-    "ratios": "0.8,0.1,0.1",
+    "ratios": (0.8, 0.1, 0.1),   # train, validation, test
     "norm_mode": "symmetric",
     "alpha": 0.9,                # attribute mask rate
     "hr_mode": "user-mean",
@@ -50,7 +56,7 @@ PREP_DEFAULTS = {
 DEFAULTS = {**PREP_DEFAULTS, **TrainConfig().to_dict()}
 # A setting's type is its default's type, a string for a None default, unless
 # named here; a flag's choices are named here.
-FLAG_TYPES = {"min_rating": float}
+FLAG_TYPES = {"min_rating": float, "ratios": numbers}
 FLAG_CHOICES = {"norm_mode": NORM_MODES, "hr_mode": HR_MODES,
                 "attr_update_cadence": CADENCES}
 
@@ -72,15 +78,11 @@ def parse_setting(key, raw):
 def read_config_file(path):
     """The settings a flat ``key=value`` file holds, each parsed by its type."""
     written = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, raw = line.split("=", 1)
-            written[key.strip()] = raw
+    for lineno, line in read_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, raw = line.split("=", 1)
+        written[key.strip()] = raw
     unknown = set(written) - set(DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -89,7 +91,8 @@ def read_config_file(path):
 
 def resolve_settings(args):
     """defaults < config file < explicit flags. A config-file value of a
-    setting with choices must be one of them, as its flag's must."""
+    setting with choices must be one of them, as its flag's must, and the
+    data-preparation values are checked here, before any file is read."""
     settings = dict(DEFAULTS)
     if getattr(args, "config", None):
         settings.update(read_config_file(args.config))
@@ -100,13 +103,24 @@ def resolve_settings(args):
     for key, choices in FLAG_CHOICES.items():
         if settings[key] not in choices:
             raise ValueError(f"{key} must be one of {choices}, got {settings[key]!r}")
+    threshold = settings["min_rating"]
+    if threshold is not None and np.isnan(threshold):  # it would drop every rating
+        raise ValueError(f"min_rating must be a number, got {threshold!r}")
+    check_ratios(settings["ratios"])
+    check_alpha(settings["alpha"])
+    check_seed("seed_masking", settings["seed_masking"])
+    check_seed("seed_split", settings["seed_split"])
     return settings
+
+
+def _setting_text(value):  # None as none, a tuple (``ratios``) comma-joined
+    return ("none" if value is None
+            else ",".join(map(str, value)) if isinstance(value, tuple) else str(value))
 
 
 def config_text(settings):
     """The text of the ``config.txt`` that echoes ``settings``."""
-    return "".join(f"{key}={settings[key] if settings[key] is not None else 'none'}\n"
-                   for key in sorted(settings))
+    return "".join(f"{key}={_setting_text(settings[key])}\n" for key in sorted(settings))
 
 
 def echo_config(settings, outdir):
@@ -120,8 +134,6 @@ def echo_config(settings, outdir):
 def build_dataset(settings):
     """Load raw files, filter, split, and mask into a Dataset."""
     threshold = settings["min_rating"]
-    if threshold is not None and np.isnan(threshold):  # it would drop every rating
-        raise ValueError(f"min_rating must be a number, got {threshold!r}")
     keep = None if threshold is None else lambda r: r >= threshold
     pairs, user_ids, item_ids = dataio.load_interactions(
         settings["interactions"], min_user_interactions=settings["min_user_interactions"],
@@ -137,10 +149,9 @@ def build_dataset(settings):
         table = load_attributes(settings[attr_key], schema, len(ids), id_map, side=side)
         return mask(table, settings["alpha"], settings["seed_masking"])
 
-    ratios = tuple(float(r) for r in settings["ratios"].split(","))
     return split(
-        pairs, len(user_ids), len(item_ids), ratios=ratios, seed=settings["seed_split"],
-        norm_mode=settings["norm_mode"],
+        pairs, len(user_ids), len(item_ids), ratios=settings["ratios"],
+        seed=settings["seed_split"], norm_mode=settings["norm_mode"],
         user_attrs=side_table("user_attrs", "user_schema", user_ids, "user"),
         item_attrs=side_table("item_attrs", "item_schema", item_ids, "item"),
         user_ids=user_ids, item_ids=item_ids,

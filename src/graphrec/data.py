@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attributes import AttributeSchema, AttributeTable
+from .attributes import AttributeSchema, AttributeTable, check_seed
 from .graph import BipartiteGraph, build_graph
 from .model import ModelParams
 
@@ -160,6 +160,14 @@ def _group_by_user(pairs):
     return dict(zip(users.tolist(), np.split(pairs[:, 1], starts[1:])))
 
 
+def check_ratios(ratios):
+    """Refuse split ratios that are not three positives summing to 1."""
+    # ``not r > 0`` so that a NaN ratio is rejected too
+    if (ratios is None or len(ratios) != 3 or not all(r > 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise ValueError(f"ratios must be three positives summing to 1, got {ratios}")
+
+
 def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
           norm_mode="symmetric", user_attrs=None, item_attrs=None,
           user_ids=None, item_ids=None):
@@ -171,9 +179,8 @@ def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
     so the holdouts stay balanced.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    # ``not r > 0`` so that a NaN ratio is rejected too
-    if len(ratios) != 3 or not all(r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three positives summing to 1, got {ratios}")
+    check_ratios(ratios)
+    check_seed("seed", seed)
     n = len(pairs)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)

@@ -136,11 +136,12 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     depth = max(n_list)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     ranks = np.empty(len(items), dtype=np.int64)
+    indptr, seen = graph.items_of(users)
     for lo in range(0, len(users), _BLOCK_USERS):
         block = users[lo:lo + _BLOCK_USERS]
         scores = U[block] @ V.T
-        indptr, seen = graph.items_of(block)
-        scores[np.repeat(np.arange(len(block)), np.diff(indptr)), seen] = -np.inf
+        cuts = indptr[lo:lo + len(block) + 1]
+        scores[np.repeat(np.arange(len(block)), np.diff(cuts)), seen[cuts[0]:cuts[-1]]] = -np.inf
         t0, t1 = offsets[lo], offsets[lo + len(block)]
         rows = np.repeat(np.arange(len(block)), lengths[lo:lo + len(block)])
         ranks[t0:t1] = _block_ranks(scores, rows, items[t0:t1], depth)

@@ -1,16 +1,16 @@
 """MovieLens-1M loader: interactions plus user/item attribute tables.
 
 Expects the standard distribution files (ratings.dat, users.dat, movies.dat,
-"::"-separated, latin-1 encoded). User attributes are gender (single-label),
-age bracket (single-label) and occupation (single-label); item attributes are
-the 18 genre flags (multi-label).
+"::"-separated, latin-1 encoded, blank and ``#`` lines skipped). User
+attributes are gender, age bracket and occupation (single-label each); item
+attributes are the 18 genre flags (multi-label).
 """
 
 from __future__ import annotations
 
 import os
 
-from .attributes import AttributeSchema, encode, mask
+from .attributes import AttributeSchema, encode, mask, read_lines
 from .data import load_interactions, split
 
 AGE_BRACKETS = ["1", "18", "25", "35", "45", "50", "56"]
@@ -46,23 +46,18 @@ def load_user_records(path, user_ids):
             fields or an unknown gender, age or occupation.
     """
     by_id = {}
-    with open(path, encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("::")
+    for lineno, line in read_lines(path, encoding="latin-1"):
+        parts = line.split("::")
+        try:
+            by_id[parts[0]] = {"gender": _GENDER_CODES[parts[1]], "age": _AGE_CODES[parts[2]],
+                               "occupation": _OCCUPATION_CODES[parts[3]]}
+        except (IndexError, KeyError):
             if len(parts) < 4:
                 raise ValueError(f"{path}:{lineno}: expected "
-                                 f"UserID::Gender::Age::Occupation, got {line!r}")
-            uid, gender, age, occupation = parts[:4]
-            try:
-                by_id[uid] = {"gender": _GENDER_CODES[gender], "age": _AGE_CODES[age],
-                              "occupation": _OCCUPATION_CODES[occupation]}
-            except KeyError:
-                name, value = next((f.name, v) for f, v in zip(USER_SCHEMA, parts[1:4])
-                                   if v not in f.categories)
-                raise ValueError(f"{path}:{lineno}: unknown {name} {value!r}") from None
+                                 f"UserID::Gender::Age::Occupation, got {line!r}") from None
+            name, value = next((f.name, v) for f, v in zip(USER_SCHEMA, parts[1:4])
+                               if v not in f.categories)
+            raise ValueError(f"{path}:{lineno}: unknown {name} {value!r}") from None
     return [by_id.get(uid, {}) for uid in user_ids]
 
 
@@ -74,19 +69,15 @@ def load_item_records(path, item_ids):
             fields or a genre outside :data:`GENRES`.
     """
     by_id = {}
-    with open(path, encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("::")
+    for lineno, line in read_lines(path, encoding="latin-1"):
+        parts = line.split("::")
+        try:
+            by_id[parts[0]] = {"genres": [_GENRE_CODES[g] for g in parts[2].split("|")]}
+        except (IndexError, KeyError) as err:
             if len(parts) < 3:
                 raise ValueError(f"{path}:{lineno}: expected MovieID::Title::Genres, "
-                                 f"got {line!r}")
-            try:
-                by_id[parts[0]] = {"genres": [_GENRE_CODES[g] for g in parts[2].split("|")]}
-            except KeyError as err:
-                raise ValueError(f"{path}:{lineno}: unknown genre {err.args[0]!r}") from None
+                                 f"got {line!r}") from None
+            raise ValueError(f"{path}:{lineno}: unknown genre {err.args[0]!r}") from None
     return [by_id.get(mid, {}) for mid in item_ids]
 
 

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .attributes import apply_update, init_missing
+from .attributes import apply_update, check_seed, init_missing
 from .data import EpochLog, TrainState, save_checkpoint
 from .evaluate import rank_and_score
 from .graph import NodeRows, propagate_back
@@ -100,6 +100,8 @@ class TrainConfig:
             raise ValueError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
         if self.attr_update_cadence not in CADENCES:
             raise ValueError(f"attr_update_cadence must be one of {CADENCES}")
+        check_seed("seed_init", self.seed_init)
+        check_seed("seed_sampling", self.seed_sampling)
         return self
 
     def to_dict(self):

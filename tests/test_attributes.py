@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from graphrec.attributes import (AttributeSchema, apply_update, encode,
-                                 init_missing, load_attributes, load_schema, mask)
+from graphrec.attributes import (AttributeSchema, apply_update, encode, init_missing,
+                                 load_attributes, load_schema, mask, read_lines)
 from graphrec.toy import write_toy_files
 
 
@@ -121,6 +121,11 @@ class TestMask:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="alpha"):
                 mask(t, bad, seed=0)
+
+    def test_negative_seed_named(self):
+        t = encode([{"gender": 0}], schema_single_multi())
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            mask(t, 0.5, seed=-1)
 
     def test_pinned_seed(self):
         # seed 0 chooses entities 2, 3, 4, 5, 7 for f and 3, 5, 6, 7, 9 for g;
@@ -255,6 +260,11 @@ class TestFileFormats:
         schema = load_schema(sp)
         with pytest.raises(ValueError, match="color"):
             load_attributes(ap, schema, 1, {"e0": 0})
+
+    def test_read_lines_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"# header\r\n a=1 \r\n\r\n  # indented\nb=2\n   \n")
+        assert read_lines(path) == [(2, "a=1"), (5, "b=2")]
 
     def test_empty_schema(self, tmp_path):
         sp = tmp_path / "schema.tsv"

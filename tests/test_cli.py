@@ -245,6 +245,35 @@ class TestPrepareData:
         assert "prepare-data builds from raw files and needs --interactions" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--ratios", "0.8,abc", "ratios must be of type numbers, got '0.8,abc'"),
+        ("--ratios", "0.5,0.1", "ratios must be three positives summing to 1"),
+        ("--ratios", "0.5,0.6,-0.1", "ratios must be three positives summing to 1"),
+        ("--alpha", "1.5", "alpha must be in [0, 1), got 1.5"),
+        ("--seed-masking", "-1", "seed_masking must be a non-negative integer, got -1"),
+        ("--seed-split", "-3", "seed_split must be a non-negative integer, got -3"),
+        ("--min-rating", "nan", "min_rating must be a number, got nan"),
+    ])
+    def test_preparation_values_checked_before_any_read(self, toy_files, tmp_path, capsys,
+                                                        monkeypatch, flag, value, error):
+        monkeypatch.setattr(cli.dataio, "load_interactions",
+                            lambda *a, **k: pytest.fail("the interactions file was read"))
+        out = tmp_path / "prep"
+        assert main(["prepare-data", "--out", str(out)] + data_flags(toy_files)
+                    + [flag, value]) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ratios_echo_comma_joined(self, toy_files, tmp_path):
+        default, chosen = tmp_path / "default", tmp_path / "chosen"
+        assert main(["prepare-data", "--out", str(default)] + data_flags(toy_files)) == 0
+        assert "ratios=0.8,0.1,0.1" in (default / "config.txt").read_text().splitlines()
+        assert main(["prepare-data", "--out", str(chosen), "--ratios", "0.6, 0.2, 0.2"]
+                    + data_flags(toy_files)) == 0
+        assert read_config_file(chosen / "config.txt")["ratios"] == (0.6, 0.2, 0.2)
+        assert len(load_dataset(chosen / "dataset.bin").train_pairs) < \
+            len(load_dataset(default / "dataset.bin").train_pairs)
+
     def test_nan_min_rating_rejected(self, toy_files, tmp_path, capsys):
         # a NaN threshold would drop every rating; it is named before any
         # file is read, so a missing interactions file is not reached

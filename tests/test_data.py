@@ -236,6 +236,10 @@ class TestSplit:
         with pytest.raises(ValueError, match="three positives summing to 1"):
             split([(0, 0)], 1, 1, ratios=ratios)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            split([(0, 0)], 1, 1, seed=-3)
+
 
 class TestContainer:
     def test_round_trip_bitwise(self, tmp_path):
@@ -546,6 +550,20 @@ class TestMovieLensFormat:
         load = load_user_records if name == "users.dat" else load_item_records
         with pytest.raises(ValueError, match=f"{name}:3: {error}"):
             load(path, ["1", "2"])
+
+    @pytest.mark.parametrize("name, header, record, expected", [
+        ("users.dat", "UserID::Gender::Age::Occupation::Zip-code", "2::F::25::3::55117",
+         {"gender": 1, "age": 2, "occupation": 3}),
+        ("movies.dat", "MovieID::Title::Genres", "2::Film 2 (1992)::Comedy|Drama",
+         {"genres": [4, 7]}),
+    ])
+    def test_comment_lines_skipped(self, tmp_path, name, header, record, expected):
+        # a commented header reads as a bad record if it is not skipped
+        from graphrec.ml1m import load_item_records, load_user_records
+        path = tmp_path / name
+        path.write_text(f"# {header}\n{record}\n  # {header}\n", encoding="latin-1")
+        load = load_user_records if name == "users.dat" else load_item_records
+        assert load(path, ["2", "1"]) == [expected, {}]
 
 
 class TestDatasetBundle:

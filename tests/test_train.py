@@ -46,6 +46,8 @@ class TestConfig:
                        {"d": 8.0}, {"d_a": True}, {"K": 2.0}, {"batch_size": 64.5},
                        {"early_stop_patience": "5"}, {"max_epochs": None},
                        {"seed_init": 1.5}, {"seed_sampling": np.float64(1)},
+                       # a seed is a non-negative integer
+                       {"seed_init": -1}, {"seed_sampling": -1},
                        # the float fields take numbers only
                        {"gamma": None}, {"lam": "0.1"}, {"learning_rate": False}):
             with pytest.raises(ValueError, match=next(iter(kwargs))):
