@@ -48,6 +48,8 @@ class AttributeSchema:
                 raise ValueError(f"single-label field {name!r} needs >= 2 categories")
             if kind == "multi" and len(categories) < 1:
                 raise ValueError(f"multi-label field {name!r} needs >= 1 category")
+            if "" in categories or len(set(categories)) != len(categories):
+                raise ValueError(f"field {name!r}: categories must be distinct and non-empty")
             self.fields.append(Field(name, kind, categories, offset))
             offset += len(categories)
         self.total_dim = offset

@@ -82,7 +82,10 @@ def read_config_file(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, raw = line.split("=", 1)
-        written[key.strip()] = raw
+        key = key.strip()
+        if key in written:
+            raise ValueError(f"{path}:{lineno}: {key} is set twice")
+        written[key] = raw
     unknown = set(written) - set(DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -321,7 +321,7 @@ class EvalReport:
 
 
 def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
-                   hr_mode="user-mean", bins=None):
+                   hr_mode="user-mean"):
     """Full EvalReport for one model state: ranking metrics, per-field
     attribute metrics on the masked test pairs, and sparsity groups."""
     n_list = list(n_list)
@@ -339,9 +339,8 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
             continue
         predicted = infer_attributes(trace, params, side, table.schema)
         per_field.update(attribute_metrics(predicted, table))
-    if bins is None:
-        bins = default_bins(dataset)
-    groups = _group_ndcg10(dataset, users, per_user[:, -1], bins) if target == "test" else []
+    groups = (_group_ndcg10(dataset, users, per_user[:, -1], default_bins(dataset))
+              if target == "test" else [])
     notes = ["attribute metrics evaluated on all masked entities, including "
              "any without training interactions"]
     return EvalReport(hr=hr, ndcg=ndcg, per_field=per_field, groups=groups,

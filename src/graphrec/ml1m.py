@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import os
 
-from .attributes import AttributeSchema, encode, mask, read_lines
-from .data import load_interactions, split
+from .attributes import AttributeSchema, check_alpha, check_seed, encode, mask, read_lines
+from .data import check_ratios, load_interactions, split
 
 AGE_BRACKETS = ["1", "18", "25", "35", "45", "50", "56"]
 OCCUPATIONS = [str(k) for k in range(21)]
@@ -84,7 +84,11 @@ def load_item_records(path, item_ids):
 def make_ml1m_dataset(directory, alpha=0.9, ratios=(0.8, 0.1, 0.1),
                       seed_masking=2, seed_split=3, min_user_interactions=5,
                       norm_mode="symmetric"):
-    """Load, mask, and split the MovieLens-1M files under ``directory``."""
+    """Check the settings, then load, mask and split the MovieLens-1M files in ``directory``."""
+    check_alpha(alpha)
+    check_ratios(ratios)
+    check_seed("seed_masking", seed_masking)
+    check_seed("seed_split", seed_split)
     pairs, user_ids, item_ids = load_interactions(
         os.path.join(directory, "ratings.dat"), min_user_interactions=min_user_interactions)
     user_attrs = mask(

@@ -22,59 +22,59 @@ ITEM_SCHEMA = AttributeSchema([
     ("kind", "single", ["k0", "k1"]),
 ])
 
+MIN_PER_USER, MAX_PER_USER = 8, 14  # interactions per user, before the item-count cap
+IN_CLUSTER_PROB = 0.9  # chance an interaction stays in the user's cluster
+NOISE = 0.05  # chance an attribute names the other cluster
 
-def toy_interactions(num_users=50, num_items=60, seed=0, min_per_user=8,
-                     max_per_user=14, in_cluster_prob=0.9):
-    """Planted two-cluster interaction pairs; every user gets >= min_per_user."""
+
+def toy_interactions(num_users=50, num_items=60, seed=0):
+    """Planted two-cluster interaction pairs; every user gets >= MIN_PER_USER."""
     rng = np.random.default_rng(seed)
     pairs = []
     own = [np.arange(c, num_items, 2) for c in (0, 1)]
     for a in range(num_users):
         c = a % 2
-        n = min(int(rng.integers(min_per_user, max_per_user + 1)), num_items)
+        n = min(int(rng.integers(MIN_PER_USER, MAX_PER_USER + 1)), num_items)
         chosen = set()
         while len(chosen) < n:
-            pool = own[c] if rng.random() < in_cluster_prob else own[1 - c]
+            pool = own[c] if rng.random() < IN_CLUSTER_PROB else own[1 - c]
             chosen.add(int(rng.choice(pool)))
         pairs.extend((a, i) for i in sorted(chosen))
     return np.array(pairs, dtype=np.int64)
 
 
-def toy_user_records(num_users, seed=0, noise=0.05):
+def toy_user_records(num_users, seed=0):
     rng = np.random.default_rng([seed, 17])
     records = []
     for a in range(num_users):
         c = a % 2
-        group = c if rng.random() >= noise else 1 - c
+        group = c if rng.random() >= NOISE else 1 - c
         tags = {c} | ({2} if rng.random() < 0.5 else set())
         records.append({"group": group, "tags": sorted(tags)})
     return records
 
 
-def toy_item_records(num_items, seed=0, noise=0.05):
+def toy_item_records(num_items, seed=0):
     rng = np.random.default_rng([seed, 23])
     records = []
     for i in range(num_items):
         c = i % 2
-        kind = c if rng.random() >= noise else 1 - c
+        kind = c if rng.random() >= NOISE else 1 - c
         records.append({"kind": kind})
     return records
 
 
-def make_toy_dataset(num_users=50, num_items=60, seed=0, alpha=0.5,
-                     norm_mode="symmetric", with_item_attrs=True):
+def make_toy_dataset(num_users=50, num_items=60, seed=0, alpha=0.5, norm_mode="symmetric"):
     """A fully prepared toy Dataset: split interactions plus masked attributes."""
     pairs = toy_interactions(num_users, num_items, seed=seed)
     user_attrs = mask(
         encode(toy_user_records(num_users, seed), USER_SCHEMA, side="user"),
         alpha, seed + 1000,
     )
-    item_attrs = None
-    if with_item_attrs:
-        item_attrs = mask(
-            encode(toy_item_records(num_items, seed), ITEM_SCHEMA, side="item"),
-            alpha, seed + 2000,
-        )
+    item_attrs = mask(
+        encode(toy_item_records(num_items, seed), ITEM_SCHEMA, side="item"),
+        alpha, seed + 2000,
+    )
     return split(
         pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=seed + 3000,
         norm_mode=norm_mode, user_attrs=user_attrs, item_attrs=item_attrs,

@@ -8,7 +8,7 @@ the softmax/logistic heads, the collapsed linear propagation
 ``A^K H_0 W_1 ... W_K`` (every layer weight from one D x D product, the
 inputs through ``(A^T)^K``), and the attribute projections. Parameters are
 updated with Adam; missing attribute entries are refreshed from the model's
-own predictions between steps.
+own predictions after each step or each epoch (the cadence).
 
 The model is linear, so a step's dense work is exact on the rows its
 objective reads (:class:`StepRows`): the batch's users and items, and the
@@ -36,8 +36,8 @@ from .attributes import apply_update, check_seed, init_missing
 from .data import EpochLog, TrainState, save_checkpoint
 from .evaluate import rank_and_score
 from .graph import NodeRows, propagate_back
-from .model import (ForwardTrace, ModelParams, attribute_block, forward, infer_attributes,
-                    init_params)
+from .model import (ModelParams, attribute_block, forward, infer_attributes, init_params,
+                    normalize_logits)
 
 PROB_EPS = 1e-7  # clamp for logs inside the cross entropy
 
@@ -166,9 +166,6 @@ class TripleBatch:
     pos: np.ndarray
     neg: np.ndarray
 
-    def __len__(self):
-        return len(self.users)
-
 
 def sample_negatives(graph, users, rng):
     """One uniformly random non-interacted item per user, by per-row
@@ -246,15 +243,6 @@ def _side_width(table):
     return table.schema.total_dim if table is not None else 0
 
 
-def head_predictions(trace, params, user_table, item_table):
-    """(user, item) head probabilities of one forward pass, None for a side
-    without attributes. A training step computes them once; the loss and
-    its gradient read the same arrays."""
-    return tuple(infer_attributes(trace, params, side, table.schema)
-                 if _side_width(table) else None
-                 for side, table in (("user", user_table), ("item", item_table)))
-
-
 def scatter_rows(index, values, num_rows):
     """``out[r]``, the sum of ``values[k]`` over every k with ``index[k] == r``,
     from one sparse one-hot product. Each row adds its terms to zero in k
@@ -310,10 +298,13 @@ class StepRows:
                 TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg]))
 
     def heads(self, trace, params):
-        """:func:`head_predictions` on the observed rows of a step trace."""
-        users, items = self.sides
-        observed = ForwardTrace(final=trace.final[:items.stop], num_users=users.stop)
-        return head_predictions(observed, params, *self.tables)
+        """(user, item) head probabilities on the observed rows of a step
+        trace, None for a side without attributes. A training step computes
+        them once; the loss and its gradient read the same arrays."""
+        return tuple(normalize_logits(trace.final[side] @ W, table.schema)
+                     if table is not None else None
+                     for side, W, table in zip(self.sides, (params.W_x, params.W_y),
+                                               self.tables))
 
 
 def batch_losses(trace, batch, rows, params, config, heads):
@@ -448,14 +439,20 @@ class TrainResult:
     final_Y: np.ndarray = None
 
 
-def _refresh_attributes(trace, params, X, Y, user_table, item_table):
-    # the heads are evaluated afresh: after a step they read the updated W_x, W_y
-    pred_x, pred_y = head_predictions(trace, params, user_table, item_table)
-    if pred_x is not None:
-        X = apply_update(X, pred_x, user_table)
-    if pred_y is not None:
-        Y = apply_update(Y, pred_y, item_table)
-    return X, Y
+def _write_back(state, trace, dataset, K):
+    """Send the heads' predictions of ``trace`` back to the attributed graph:
+    write them into the missing slots of ``state.X`` and ``state.Y`` and
+    return the new attribute block ``A^K [[X, 0], [0, Y]]``. The heads are
+    evaluated afresh, so after a step they read the updated W_x, W_y."""
+    updated = []
+    for side, current, table in (("user", state.X, dataset.user_attrs),
+                                 ("item", state.Y, dataset.item_attrs)):
+        if _side_width(table):
+            pred = infer_attributes(trace, state.params, side, table.schema)
+            current = apply_update(current, pred, table)
+        updated.append(current)
+    state.X, state.Y = updated
+    return attribute_block(dataset.graph_train, state.X, state.Y, K)
 
 
 # the settings a resumed run may change: they only decide where it stops
@@ -517,11 +514,12 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     first), best epoch and parameters. ``log_fn`` is called with this call's
     epochs only.
 
-    The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is kept between
-    steps and rebuilt whenever X and Y change: at the start (fresh or
-    resumed), and after every write-back (each step under the per-batch
-    cadence, each epoch under the per-epoch one), and every forward of the
-    loop is given it rather than building its own. Each step is one
+    The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is built at the
+    start (fresh or resumed) and otherwise only by the write-back
+    (:func:`_write_back`), the one place X and Y change: after each step
+    under the per-batch cadence, on the step's forward, and after each epoch
+    under the per-epoch one, on a fresh forward. Every forward of the loop
+    is given the block rather than building its own. Each step is one
     :func:`train_step`, whose dense work reads only the step rows.
 
     Raises:
@@ -534,8 +532,6 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     """
     config.validate()
     graph = dataset.graph_train
-    user_table = dataset.user_attrs
-    item_table = dataset.item_attrs
     if resume_from is None:
         state = initial_state(dataset, config)
     else:
@@ -548,7 +544,7 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     pairs = dataset.train_pairs
     per_batch = config.attr_update_cadence == "per-batch"
     block = attribute_block(graph, state.X, state.Y, config.K)
-    rows = StepRows(graph, user_table, item_table)
+    rows = StepRows(graph, dataset.user_attrs, dataset.item_attrs)
 
     while (state.epoch < config.max_epochs
            and state.evals_since_best <= config.early_stop_patience):
@@ -573,18 +569,14 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch} ({exc}){hint}") from exc
             if per_batch:
-                state.X, state.Y = _refresh_attributes(trace, params, state.X, state.Y,
-                                                       user_table, item_table)
-                block = attribute_block(graph, state.X, state.Y, config.K)
+                block = _write_back(state, trace, dataset, config.K)
             sum_r += loss_r
             sum_a += loss_a
             n_batches += 1
 
         if not per_batch:
-            trace = forward(params, graph, state.X, state.Y, block)
-            state.X, state.Y = _refresh_attributes(trace, params, state.X, state.Y,
-                                                   user_table, item_table)
-            block = attribute_block(graph, state.X, state.Y, config.K)
+            block = _write_back(state, forward(params, graph, state.X, state.Y, block),
+                                dataset, config.K)
 
         eval_trace = forward(params, graph, state.X, state.Y, block)
         if val_metric_fn is not None:

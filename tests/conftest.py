@@ -5,9 +5,8 @@ import scipy.sparse as sp
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
 from graphrec.evaluate import PropagationResult
-from graphrec.model import forward, propagate_k
-from graphrec.train import (TripleBatch, attribute_loss, bpr_loss, head_predictions,
-                            sample_negatives)
+from graphrec.model import forward, infer_attributes, propagate_k
+from graphrec.train import TripleBatch, attribute_loss, bpr_loss, sample_negatives
 
 
 @pytest.fixture(scope="session")
@@ -80,9 +79,9 @@ def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
     u = U[batch.users]
     loss_r = bpr_loss((u * V[batch.pos]).sum(axis=1), (u * V[batch.neg]).sum(axis=1),
                       params, config.lam)
-    heads = head_predictions(trace, params, user_table, item_table)
-    loss_a = sum(attribute_loss(pred, table)
-                 for pred, table in zip(heads, (user_table, item_table)) if pred is not None)
+    loss_a = sum(attribute_loss(infer_attributes(trace, params, side, table.schema), table)
+                 for side, table in (("user", user_table), ("item", item_table))
+                 if table is not None)
     return loss_r + config.gamma * loss_a
 
 

@@ -30,6 +30,13 @@ class TestSchema:
         with pytest.raises(ValueError, match="duplicate"):
             AttributeSchema([("x", "single", ["a", "b"]), ("x", "single", ["c", "d"])])
 
+    @pytest.mark.parametrize("line, name", [("g\tsingle\ta|a", "g"), ("h\tmulti\tx||y", "h")])
+    def test_categories_distinct_and_non_empty(self, tmp_path, line, name):
+        path = tmp_path / "schema.tsv"
+        path.write_text(f"f\tsingle\ta|b\n{line}\n")
+        with pytest.raises(ValueError, match=f"field '{name}': categories must be distinct"):
+            load_schema(path)
+
     def test_dict_round_trip(self):
         s = schema_single_multi()
         s2 = AttributeSchema.from_dict(s.to_dict())

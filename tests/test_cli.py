@@ -73,6 +73,9 @@ class TestTrainCommand:
         config.write_text("# settings\nd=6\nmax_epochs 3\n")
         with pytest.raises(ValueError, match=r"c\.txt:3: expected key=value"):
             read_config_file(config)
+        config.write_text("K=2\nd=6\n K =3\n")
+        with pytest.raises(ValueError, match=r"c\.txt:3: K is set twice"):
+            read_config_file(config)
         config.write_text("d=6\nmax_epoch=3\nlearning_rte=0.1\n")
         assert main(["train", "--out", str(tmp_path / "x"), "--config", str(config)]) == 1
         assert "unknown config keys: ['learning_rte', 'max_epoch']" in capsys.readouterr().err

@@ -533,6 +533,17 @@ class TestMovieLensFormat:
         assert ds.item_attrs.schema.fields[0].kind == "multi"
         assert len(ds.user_attrs.masked) > 0
 
+    @pytest.mark.parametrize("setting, value", [
+        ("alpha", 1.5), ("ratios", (0.5, 0.1)), ("seed_split", -1), ("seed_masking", -2),
+    ])
+    def test_settings_checked_before_reading(self, tmp_path, monkeypatch, setting, value):
+        import graphrec.ml1m as ml1m
+        calls = []
+        monkeypatch.setattr(ml1m, "load_interactions", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=f"^{setting} must be"):
+            ml1m.make_ml1m_dataset(tmp_path, **{setting: value})
+        assert calls == []
+
     @pytest.mark.parametrize("name, line, error", [
         ("users.dat", "2::M::25", "expected UserID::Gender::Age::Occupation"),
         ("users.dat", "2::X::25::3::55117", "unknown gender 'X'"),
