@@ -44,7 +44,7 @@ assert main(["sweep", "--out", str(work / "sweep"), "--dataset", bundle,
              "--d", "8", "--d-a", "4", "--gamma", "0.1",
              "--batch-size", "512", "--max-epochs", "10",
              "--early-stop-patience", "999", "--quiet",
-             "--grid-k", "0,1,2"]) == 0
+             "--grid", "K=0,1,2"]) == 0
 print((work / "sweep" / "summary.tsv").read_text())
 
 # 5. Export per-entity predictions for every masked attribute slot.

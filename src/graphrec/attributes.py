@@ -272,14 +272,19 @@ def load_attributes(path, schema, num_entities, id_map, side="user"):
 
     ``id_map`` maps external entity ids to dense indices; lines for unknown
     entities (filtered out upstream) are skipped. Category values are looked
-    up in each field's vocabulary.
+    up in each field's vocabulary. An entity has one line, and a field one
+    value on it: a repeat raises ``ValueError`` naming both lines.
     """
     records = [dict() for _ in range(num_entities)]
+    first_line = {}
     for lineno, line in read_lines(path):
         parts = [p.strip() for p in line.split(_detect_sep(line))]
         e = id_map.get(parts[0])
         if e is None:
             continue
+        if first_line.setdefault(e, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: id {parts[0]!r} already given on line "
+                             f"{first_line[e]}")
         for item in parts[1:]:
             if "=" not in item:
                 raise ValueError(f"{path}:{lineno}: expected field=value, got {item!r}")
@@ -287,6 +292,9 @@ def load_attributes(path, schema, num_entities, id_map, side="user"):
             name = name.strip()
             if name not in schema:
                 raise ValueError(f"{path}:{lineno}: unknown field {name!r}")
+            if name in records[e]:  # the entity's one line gave it already
+                raise ValueError(f"{path}:{lineno}: field {name!r} already given on line "
+                                 f"{lineno}")
             f = schema[name]
             vals = [v.strip() for v in raw.split("|")]
             try:

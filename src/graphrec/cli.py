@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 
@@ -83,12 +84,11 @@ def read_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, raw = line.split("=", 1)
         key = key.strip()
+        if key not in DEFAULTS:
+            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
         if key in written:
             raise ValueError(f"{path}:{lineno}: {key} is set twice")
         written[key] = raw
-    unknown = set(written) - set(DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return {key: parse_setting(key, raw) for key, raw in written.items()}
 
 
@@ -241,42 +241,59 @@ def cmd_evaluate(args, settings, load):
 
 
 def cmd_sweep(args, settings, load):
-    points = [dict(settings, K=K, gamma=gamma) for K in _grid("K", args.grid_k, settings)
-              for gamma in _grid("gamma", args.grid_gamma, settings)]
+    keys, points = _grid_points(args.grid, settings)
     # invalid points fail first, before any data is read; the sort is stable
     points.sort(key=_is_valid)
     rows, failures = [], 0
     for point in points:
-        K, gamma = point["K"], point["gamma"]
-        sub = os.path.join(args.out, f"K{K}_gamma{gamma}")
+        name = " ".join(f"{key}={point[key]}" for key in keys)
+        sub = os.path.join(args.out, "_".join(f"{key}{point[key]}" for key in keys))
         done_marker = os.path.join(sub, "report_test.txt")
         try:
             if _finished_with(sub, point):
-                print(f"skipping completed point K={K} gamma={gamma}")
+                print(f"skipping completed point {name}")
                 with open(done_marker) as fh:
-                    row = _summary_row_from_lines(K, gamma, fh.read().splitlines())
+                    lines = fh.read().splitlines()
             else:
                 # a retrain that fails must not leave an older report behind
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(done_marker)
                 echo_config(point, sub)
                 _, report = _run_training(point, load, sub, quiet=True)
-                row = _summary_row_from_lines(K, gamma, report.to_lines())
-            rows.append(row)
-            print(f"K={K} gamma={gamma}: HR@10={row['hr10']} NDCG@10={row['ndcg10']}")
+                lines = report.to_lines()
+            row = {key: point[key] for key in keys} | _summary_row_from_lines(lines)
+            rows.append((name, row))
+            print(f"{name}: HR@10={row['hr10']} NDCG@10={row['ndcg10']}")
         except Exception as exc:  # one failed point must not abort the sweep
             failures += 1
-            print(f"point K={K} gamma={gamma} failed: {exc}", file=sys.stderr)
+            print(f"point {name} failed: {exc}", file=sys.stderr)
 
     if rows:
-        field_names = sorted({k for row in rows for k in row if k.startswith("attr.")})
-        header = ["K", "gamma", "hr10", "ndcg10"] + field_names
+        field_names = sorted({k for _, row in rows for k in row if k.startswith("attr.")})
+        header = keys + ["hr10", "ndcg10"] + field_names
         with open(os.path.join(args.out, "summary.tsv"), "w") as fh:
             fh.write("\t".join(header) + "\n")
-            for row in rows:
+            for _, row in rows:
                 fh.write("\t".join(str(row.get(h, "absent")) for h in header) + "\n")
         _print_best(rows, field_names)
     return 1 if failures and not rows else 0
+
+
+def _grid_points(specs, settings):
+    """The keys a sweep varies, in ``TrainConfig`` field order, and its
+    points: ``settings`` with each combination of the values ``specs`` name.
+    A spec is ``KEY=v1,v2``, each value parsed as the setting is. Only a
+    training setting may vary: the sweep builds one dataset from ``settings``."""
+    grid = {}
+    for spec in specs:
+        key, has_values, raw = spec.partition("=")
+        if not has_values or key not in TrainConfig.__dataclass_fields__ or key in grid:
+            raise ValueError(f"--grid {spec!r}: expected KEY=v1,v2, with KEY a training "
+                             "setting named once")
+        grid[key] = [parse_setting(key, value) for value in raw.split(",")]
+    keys = [key for key in TrainConfig.__dataclass_fields__ if key in grid]
+    return keys, [dict(settings, **dict(zip(keys, values)))
+                  for values in itertools.product(*(grid[key] for key in keys))]
 
 
 def _is_valid(point):
@@ -285,12 +302,6 @@ def _is_valid(point):
         return True
     except ValueError:
         return False
-
-
-def _grid(key, raw, settings):
-    """The values of ``key`` a comma-separated grid ``raw`` names, each
-    parsed as the setting is; without a grid, the setting's one value."""
-    return [parse_setting(key, value) for value in raw.split(",")] if raw else [settings[key]]
 
 
 def _finished_with(sub, point):
@@ -305,8 +316,8 @@ def _finished_with(sub, point):
     return echoed == config_text(point) and os.path.exists(os.path.join(sub, "report_test.txt"))
 
 
-def _summary_row_from_lines(K, gamma, lines):
-    row = {"K": K, "gamma": gamma}
+def _summary_row_from_lines(lines):
+    row = {}
     for line in lines:
         if line.startswith("hr.10="):
             row["hr10"] = float(line.split("=")[1])
@@ -318,15 +329,14 @@ def _summary_row_from_lines(K, gamma, lines):
     return row
 
 
-def _print_best(rows, field_names):
-    best_rank = max(rows, key=lambda r: r.get("hr10", -1))
-    print(f"best ranking point: K={best_rank['K']} gamma={best_rank['gamma']} "
-          f"HR@10={best_rank['hr10']}")
-    for name in field_names:
-        scored = [r for r in rows if r.get(name) is not None]
+def _print_best(rows, field_names):  # rows: (point name, summary row) pairs
+    name, best = max(rows, key=lambda r: r[1].get("hr10", -1))
+    print(f"best ranking point: {name} HR@10={best['hr10']}")
+    for field in field_names:
+        scored = [(name, row) for name, row in rows if row.get(field) is not None]
         if scored:
-            best = max(scored, key=lambda r: r[name])
-            print(f"best {name}: K={best['K']} gamma={best['gamma']} value={best[name]}")
+            name, best = max(scored, key=lambda r: r[1][field])
+            print(f"best {field}: {name} value={best[field]}")
 
 
 def cmd_infer_attributes(args, settings, load):
@@ -392,7 +402,7 @@ def build_parser():
             ("prepare-data", cmd_prepare_data, "filter, split, mask, freeze a dataset"),
             ("train", cmd_train, "train a model and write reports"),
             ("evaluate", cmd_evaluate, "evaluate a checkpoint"),
-            ("sweep", cmd_sweep, "grid sweep over K and/or gamma"),
+            ("sweep", cmd_sweep, "grid sweep over training settings"),
             ("infer-attributes", cmd_infer_attributes, "export predictions for masked entries"),
             ("lp-baseline", cmd_lp_baseline, "label propagation attribute baseline")):
         p = sub.add_parser(name, help=help_text)
@@ -407,8 +417,8 @@ def build_parser():
             p.add_argument("--quiet", action="store_true")
         if func in reads_checkpoint:
             p.add_argument("--checkpoint", required=True)
-    sub.choices["sweep"].add_argument("--grid-k", help="comma-separated K values")
-    sub.choices["sweep"].add_argument("--grid-gamma", help="comma-separated gamma values")
+    sub.choices["sweep"].add_argument("--grid", action="append", required=True,
+                                      help="KEY=v1,v2: a training setting's values; repeatable")
     return parser
 
 

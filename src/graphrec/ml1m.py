@@ -43,11 +43,15 @@ def load_user_records(path, user_ids):
 
     Raises:
         ValueError: naming ``path:line`` for a line with fewer than four
-            fields or an unknown gender, age or occupation.
+            fields, an unknown gender, age or occupation, or a repeated
+            UserID, with the line that first gave it.
     """
-    by_id = {}
+    by_id, first_line = {}, {}
     for lineno, line in read_lines(path, encoding="latin-1"):
         parts = line.split("::")
+        if first_line.setdefault(parts[0], lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: UserID {parts[0]!r} already given on line "
+                             f"{first_line[parts[0]]}")
         try:
             by_id[parts[0]] = {"gender": _GENDER_CODES[parts[1]], "age": _AGE_CODES[parts[2]],
                                "occupation": _OCCUPATION_CODES[parts[3]]}
@@ -66,11 +70,15 @@ def load_item_records(path, item_ids):
 
     Raises:
         ValueError: naming ``path:line`` for a line with fewer than three
-            fields or a genre outside :data:`GENRES`.
+            fields, a genre outside :data:`GENRES`, or a repeated MovieID,
+            with the line that first gave it.
     """
-    by_id = {}
+    by_id, first_line = {}, {}
     for lineno, line in read_lines(path, encoding="latin-1"):
         parts = line.split("::")
+        if first_line.setdefault(parts[0], lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: MovieID {parts[0]!r} already given on line "
+                             f"{first_line[parts[0]]}")
         try:
             by_id[parts[0]] = {"genres": [_GENRE_CODES[g] for g in parts[2].split("|")]}
         except (IndexError, KeyError) as err:

@@ -268,6 +268,21 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="color"):
             load_attributes(ap, schema, 1, {"e0": 0})
 
+    @pytest.mark.parametrize("lines, error", [
+        (["u1\tgroup=g0\tgroup=g1"], "attrs.tsv:3: field 'group' already given on line 3"),
+        (["u2\tgroup=g0", "u1\tgroup=g0", "u2\tgroup=g1"],
+         "attrs.tsv:5: id 'u2' already given on line 3"),
+    ])
+    def test_repeated_record_names_both_lines(self, tmp_path, lines, error):
+        sp = tmp_path / "schema.tsv"
+        sp.write_text("group\tsingle\tg0|g1\n")
+        ap = tmp_path / "attrs.tsv"
+        # u9 is not in id_map, so its repeated line is skipped
+        ap.write_text("\n".join(["u9\tgroup=g0", "u9\tgroup=g1"] + lines) + "\n")
+        id_map = {"u1": 0, "u2": 1}
+        with pytest.raises(ValueError, match=error):
+            load_attributes(ap, load_schema(sp), 2, id_map)
+
     def test_read_lines_skips_blank_and_comment_lines(self, tmp_path):
         path = tmp_path / "lines.txt"
         path.write_bytes(b"# header\r\n a=1 \r\n\r\n  # indented\nb=2\n   \n")

@@ -78,7 +78,7 @@ class TestTrainCommand:
             read_config_file(config)
         config.write_text("d=6\nmax_epoch=3\nlearning_rte=0.1\n")
         assert main(["train", "--out", str(tmp_path / "x"), "--config", str(config)]) == 1
-        assert "unknown config keys: ['learning_rte', 'max_epoch']" in capsys.readouterr().err
+        assert "c.txt:2: unknown setting 'max_epoch'" in capsys.readouterr().err
 
     def test_config_echo_reproduces_run(self, toy_files, tmp_path):
         a = tmp_path / "a"
@@ -171,7 +171,7 @@ class TestPrepareAndEvaluate:
         # every command that reads a bundle holds it to the same rule
         checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
         for command, extra in (("evaluate", checkpoint), ("infer-attributes", checkpoint),
-                               ("lp-baseline", []), ("sweep", train_flags())):
+                               ("lp-baseline", []), ("sweep", train_flags() + ["--grid", "K=1"])):
             capsys.readouterr()
             assert main([command, "--out", str(tmp_path / command)] + bundle + extra) == 1
             err = capsys.readouterr().err
@@ -330,7 +330,7 @@ class TestSweep:
     def test_grid_and_resume(self, toy_files, tmp_path, capsys, monkeypatch):
         out = tmp_path / "sweep"
         args = (["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
-                + ["--grid-k", "0,1", "--grid-gamma", "0.2"])
+                + ["--grid", "K=0,1", "--grid", "gamma=0.2"])
         assert main(args) == 0
         summary = (out / "summary.tsv").read_text().splitlines()
         assert len(summary) == 3  # header + 2 grid points
@@ -374,7 +374,7 @@ class TestSweep:
                             or real(settings))
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
-                    + ["--grid-k", "1,9", "--grid-gamma", "0.2,0.5"]) == 0
+                    + ["--grid", "K=1,9", "--grid", "gamma=0.2,0.5"]) == 0
         # one build for the four points, after both K=9 points failed
         assert len(builds) == 1
         for gamma in ("0.2", "0.5"):
@@ -389,10 +389,41 @@ class TestSweep:
     def test_grid_values_typed_like_flags(self, toy_files, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main(["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
-                  + ["--grid-k", "1.5"])
+                  + ["--grid", "K=1.5"])
         assert rc == 1
         assert "K must be of type int, got '1.5'" in capsys.readouterr().err
-        assert not (out / "K1.5_gamma0.2").exists() and not (out / "summary.tsv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt"]
+
+    def test_grid_over_any_training_setting(self, toy_files, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
+                    + ["--grid", "seed_init=0,1"]) == 0
+        summary = (out / "summary.tsv").read_text().splitlines()
+        assert summary[0].startswith("seed_init\thr10\tndcg10\t")
+        assert [line.split("\t")[0] for line in summary[1:]] == ["0", "1"]
+        for seed in ("0", "1"):
+            single = tmp_path / f"single{seed}"
+            assert main(["train", "--out", str(single), "--seed-init", seed]
+                        + data_flags(toy_files) + train_flags()) == 0
+            assert (out / f"seed_init{seed}" / "report_test.txt").read_bytes() == \
+                (single / "report_test.txt").read_bytes()
+
+    @pytest.mark.parametrize("specs, refused", [
+        (["alpha=0.5"], "alpha=0.5"),          # a data setting: one dataset serves every point
+        (["K=1", "gamma=0.1", "K=2"], "K=2"),  # a key named twice
+        (["K"], "K"),                          # no values
+        (["depth=1,2"], "depth=1,2"),          # not a setting
+    ])
+    def test_grid_spec_refused_before_any_read(self, toy_files, tmp_path, capsys, monkeypatch,
+                                               specs, refused):
+        monkeypatch.setattr(cli, "build_dataset",
+                            lambda settings: pytest.fail("a refused grid read data"))
+        out = tmp_path / "sweep"
+        grid = [flag for spec in specs for flag in ("--grid", spec)]
+        assert main(["sweep", "--out", str(out)] + data_flags(toy_files) + train_flags()
+                    + grid) == 1
+        assert f"--grid {refused!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt"]
 
 
 class TestLpBaseline:
@@ -434,13 +465,25 @@ SURFACE = {
     "prepare-data": COMMON_FLAGS,
     "train": COMMON_FLAGS + TRAIN_FLAGS,
     "evaluate": COMMON_FLAGS + ["--checkpoint"],
-    "sweep": COMMON_FLAGS + TRAIN_FLAGS + ["--grid-k", "--grid-gamma"],
+    "sweep": COMMON_FLAGS + TRAIN_FLAGS + ["--grid"],
     "infer-attributes": COMMON_FLAGS + ["--checkpoint"],
     "lp-baseline": COMMON_FLAGS,
 }
 CHOICES = {"--norm-mode": ["symmetric", "row"], "--hr-mode": ["user-mean", "global"],
            "--attr-update-cadence": ["per-epoch", "per-batch"]}
-REQUIRED = {"--out", "--checkpoint"}
+REQUIRED = {"--out", "--checkpoint", "--grid"}
+
+# One value of each setting's type other than its default.
+OTHER_VALUES = {
+    "dataset": "prep/dataset.bin", "interactions": "raw/ratings.dat",
+    "user_attrs": "raw/users.tsv", "user_schema": "raw/users_schema.tsv",
+    "item_attrs": "raw/items.tsv", "item_schema": "raw/items_schema.tsv",
+    "min_user_interactions": 10, "min_rating": 3.5, "ratios": (0.7, 0.2, 0.1),
+    "norm_mode": "row", "alpha": 0.5, "hr_mode": "global", "seed_masking": 7, "seed_split": 8,
+    "d": 8, "d_a": 0, "K": 0, "lam": 0.5, "gamma": 0.1, "learning_rate": 0.01,
+    "batch_size": 64, "attr_update_cadence": "per-batch", "early_stop_patience": 0,
+    "max_epochs": 3, "init_std": 0.1, "seed_init": 5, "seed_sampling": 6,
+}
 
 
 class TestSurface:
@@ -464,3 +507,13 @@ class TestSurface:
         for line in ("min_rating=4.0", "lam=1.0", "norm_mode=row",
                      "learning_rate=0.001", "seed_split=7", "alpha=0.9"):
             assert line in lines
+
+    @pytest.mark.parametrize("key", sorted(cli.DEFAULTS))
+    def test_every_setting_echoes_back(self, tmp_path, key):
+        # a sweep reuses a point by its config.txt bytes, which must read back
+        # as the settings that wrote them: the default and one other value
+        for value in (cli.DEFAULTS[key], OTHER_VALUES[key]):
+            settings = dict(cli.DEFAULTS, **{key: value})
+            read = read_config_file(echo_config(settings, tmp_path))
+            assert read == settings and cli.config_text(read) == cli.config_text(settings)
+

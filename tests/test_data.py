@@ -552,6 +552,8 @@ class TestMovieLensFormat:
         ("movies.dat", "2::Film 2 (1992)", "expected MovieID::Title::Genres"),
         ("movies.dat", "2::Film 2 (1992)::Comedy|Cartoon", "unknown genre 'Cartoon'"),
         ("movies.dat", "2::Film 2 (1992)::Cartoon", "unknown genre 'Cartoon'"),
+        ("users.dat", "1::F::25::3::55117", "UserID '1' already given on line 1"),
+        ("movies.dat", "1::Film 1 (1991)::Comedy", "MovieID '1' already given on line 1"),
     ])
     def test_bad_record_line_named(self, tmp_path, name, line, error):
         from graphrec.ml1m import load_item_records, load_user_records
