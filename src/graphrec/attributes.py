@@ -241,10 +241,11 @@ def apply_update(current, inferred, table):
 
 def read_lines(path, encoding=None):
     """``(line number, stripped line)`` of every line of ``path`` that is
-    neither blank nor a ``#`` comment. For speed the lines are numbered and
-    blanks dropped in C, and comments looked for only if a ``#`` occurs."""
+    neither blank nor a ``#`` comment. A leading byte-order mark is dropped.
+    For speed the lines are numbered and blanks dropped in C, and comments
+    looked for only if a ``#`` occurs."""
     with open(path, encoding=encoding) as fh:
-        text = fh.read()
+        text = fh.read().removeprefix("\ufeff")
     kept = filter(itemgetter(1), enumerate(map(str.strip, text.split("\n")), 1))
     return [pair for pair in kept if pair[1][0] != "#"] if "#" in text else list(kept)
 

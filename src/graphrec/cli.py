@@ -282,15 +282,18 @@ def cmd_sweep(args, settings, load):
 def _grid_points(specs, settings):
     """The keys a sweep varies, in ``TrainConfig`` field order, and its
     points: ``settings`` with each combination of the values ``specs`` name.
-    A spec is ``KEY=v1,v2``, each value parsed as the setting is. Only a
-    training setting may vary: the sweep builds one dataset from ``settings``."""
+    A spec is ``KEY=v1,v2``, each value parsed as the setting is; two values
+    that parse equal would name one point twice. Only a training setting may
+    vary: the sweep builds one dataset from ``settings``."""
     grid = {}
     for spec in specs:
         key, has_values, raw = spec.partition("=")
-        if not has_values or key not in TrainConfig.__dataclass_fields__ or key in grid:
+        known = has_values and key in TrainConfig.__dataclass_fields__ and key not in grid
+        values = [parse_setting(key, value) for value in raw.split(",")] if known else []
+        if not known or len(set(values)) < len(values):
             raise ValueError(f"--grid {spec!r}: expected KEY=v1,v2, with KEY a training "
-                             "setting named once")
-        grid[key] = [parse_setting(key, value) for value in raw.split(",")]
+                             "setting named once and no value repeated")
+        grid[key] = values
     keys = [key for key in TrainConfig.__dataclass_fields__ if key in grid]
     return keys, [dict(settings, **dict(zip(keys, values)))
                   for values in itertools.product(*(grid[key] for key in keys))]

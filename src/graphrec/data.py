@@ -108,16 +108,17 @@ def _first_seen(codes, labels):
 def load_interactions(path, min_user_interactions=5, keep=None):
     """Load (user, item) pairs, filter sparse users, densify ids.
 
-    Blank lines and lines starting with ``#`` are skipped; fields are
-    stripped. The first data line's delimiter ("::", tab, comma, else runs
-    of whitespace) holds for the whole file: a line that would detect
-    another one, or has an empty user, item or rating field, is an error.
-    ``keep`` is an optional predicate on the rating column (e.g. ``lambda r:
-    r == 5``), called once per distinct rating text in each ~1 MB block of
-    lines; rows without a rating column pass unconditionally. Repeated
-    (user, item) rows are kept once, at their first occurrence. Users with
-    fewer than ``min_user_interactions`` distinct items are dropped and the
-    surviving ids, kept as strings, densified in first-seen order.
+    A leading byte-order mark, blank lines and lines starting with ``#`` are
+    skipped; fields are stripped. The first data line's delimiter ("::",
+    tab, comma, else runs of whitespace) holds for the whole file: a line
+    that would detect another one, or has an empty user, item or rating
+    field, is an error. ``keep`` is an optional predicate on the rating
+    column (e.g. ``lambda r: r == 5``), called once per distinct rating text
+    in each ~1 MB block of lines; rows without a rating column pass
+    unconditionally. Repeated (user, item) rows are kept once, at their
+    first occurrence. Users with fewer than ``min_user_interactions``
+    distinct items are dropped and the surviving ids, kept as strings,
+    densified in first-seen order.
 
     Returns (pairs, user_ids, item_ids) where pairs is an (E, 2) int array of
     dense indices.
@@ -125,15 +126,20 @@ def load_interactions(path, min_user_interactions=5, keep=None):
     parsed, sep, offset = [], None, 0
     with open(path) as fh:
         for block in iter(lambda: fh.readlines(1 << 20), []):  # no array holds the file
+            if not offset:
+                block[0] = block[0].removeprefix("\ufeff")
             if "\x00" in "".join(block):  # an array of str drops trailing NULs
                 k = next(k for k, line in enumerate(block) if "\x00" in line)
                 raise ValueError(f"{path}:{offset + k + 1}: NUL character")
-            lines = np.strings.strip(np.array(block))
+            block = np.array(block)
+            lines = np.strings.strip(block)
             lineno = np.flatnonzero((lines != "") & ~np.strings.startswith(lines, "#"))
             if lineno.size:
                 if not parsed:
                     sep = next((d for d in _DELIMITERS if d in lines[lineno[0]]), None)
-                parsed.append(_parse_rows(path, lines[lineno], lineno + offset + 1, sep, keep))
+                # a tab at either end of a line delimits an empty field
+                rows = np.strings.strip(block[lineno], " \r\n") if sep == "\t" else lines[lineno]
+                parsed.append(_parse_rows(path, rows, lineno + offset + 1, sep, keep))
             offset += len(block)
     users, items = map(np.concatenate, zip(*parsed)) if parsed else ([], [])
     if not len(users):

@@ -163,24 +163,20 @@ class NodeRows:
 
     ids: distinct node ids (users 0..M-1, items M..M+N-1), in the caller's
         order; restricted steps return their rows in this order.
-    ascending: the positions in ``ids`` that sort them, so
-        ``ids[ascending]`` is ascending.
-    S: ``graph.S[ids[ascending]]``, the rows of S at the nodes in ascending
-        node order, sliced on first use. The rows of ``St`` are sorted too,
-        so a transposed step through this slice adds each output's terms in
-        ascending node order, as a full product over ``St`` does: the
-        restricted steps are bit-identical to the full ones on the rows they
-        keep.
+    S: ``graph.S[ids]``, sliced on first use. A transposed step through it
+        adds each output's terms in ``ids`` order. A training step's ids
+        ascend (:class:`train.StepRows`), as the column indices of each row
+        of ``St`` do, so its restricted steps are bit-identical to full
+        products on the rows they keep; other orders agree within rounding.
     """
 
     def __init__(self, graph, ids):
         self.graph = graph
         self.ids = np.asarray(ids)
-        self.ascending = np.argsort(self.ids)
 
     @functools.cached_property
     def S(self):
-        return self.graph.S[self.ids[self.ascending]]
+        return self.graph.S[self.ids]
 
 
 def propagate(graph, H, rows=None):
@@ -200,10 +196,8 @@ def propagate(graph, H, rows=None):
         out = graph.S @ H
         out += H
         return out
-    step = rows.S @ H
-    step += H[rows.ids[rows.ascending]]
-    out = np.empty_like(step)
-    out[rows.ascending] = step
+    out = rows.S @ H
+    out += H[rows.ids]
     return out
 
 
@@ -216,11 +210,7 @@ def propagate_back(graph, G, K, rows):
     (``S^T = St`` in both normalizations). The other K - 1 steps apply
     ``St`` over every node.
     """
-    if K == 0:
-        out = np.zeros((graph.num_nodes, G.shape[1]))
-        out[rows.ids] = G
-        return out
-    out = rows.S.T @ G[rows.ascending]
+    out = rows.S.T @ G if K else np.zeros((graph.num_nodes, G.shape[1]))
     out[rows.ids] += G
     for _ in range(K - 1):
         out += graph.St @ out

@@ -97,8 +97,8 @@ class ForwardTrace:
     ``A^K [[X, 0], [0, Y]]`` the forward used.
     rows: None when final, z and block hold every node; otherwise the
     :class:`graph.NodeRows` of their rows, which are in the order of
-    ``rows.ids`` (users 0..M-1, items M..M+N-1). Such a trace has no
-    per-side embedding tables.
+    ``rows.ids`` (users 0..M-1, items M..M+N-1; sorted in a training
+    step's trace). Such a trace has no per-side embedding tables.
 
     A trace made only to hold embeddings (for ranking or the heads) needs
     ``final`` and ``num_users`` alone.

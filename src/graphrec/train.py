@@ -12,14 +12,14 @@ own predictions after each step or each epoch (the cadence).
 
 The model is linear, so a step's dense work is exact on the rows its
 objective reads (:class:`StepRows`): the batch's users and items, and the
-users and items with an observed attribute entry. The two sparse passes,
-``A^K [P; Q]`` forward and ``(A^T)^K`` backward, read ``S_R``, the rows of S
-at the step rows, sliced once per step: the last forward step builds only
-the step rows, and the first backward step starts from a gradient that is
-zero off them, so it is ``S_R^T`` applied to their rows. The other K - 1
-steps of each pass cover every node. Under the per-batch cadence the forward
-builds every row, because the write-back after the step reads them all;
-only the first backward step reads ``S_R``.
+users and items with an observed attribute entry, sorted by node id.
+The two sparse passes, ``A^K [P; Q]`` forward and ``(A^T)^K`` backward, read
+``S_R``, the rows of S at the step rows in that order, sliced once per step:
+the last forward step builds only the step rows, and the first backward step
+starts from a gradient that is zero off them, so it is ``S_R^T`` applied to
+their rows. The other K - 1 steps of each pass cover every node. Under the
+per-batch cadence the forward builds every row, because the write-back after
+the step reads them all; only the first backward step reads ``S_R``.
 """
 
 from __future__ import annotations
@@ -256,19 +256,18 @@ class StepRows:
     """The rows of the final embeddings a training step reads.
 
     The attribute loss reads the users and items with an observed entry;
-    those never change, so they are found once per run. :meth:`of` adds a
-    batch's users, positives and negatives. A step's rows are node ids
-    (users 0..M-1, items M..M+N-1): the observed users, then the observed
-    items, then the batch's other nodes, so the heads read the leading
-    ``sides[0]`` and ``sides[1]`` rows of a step trace. ``tables`` are the
-    attribute tables cut to the observed entities, None for a side without
-    attributes.
+    those never change, so they are found once per run (``observed``, one
+    array of node ids per side). :meth:`of` adds a batch's users, positives
+    and negatives. A step's rows are node ids (users 0..M-1, items
+    M..M+N-1), sorted as the rows of S are; the heads read each side's
+    observed rows of a step trace by their positions among them. ``tables``
+    are the attribute tables cut to the observed entities, None for a side
+    without attributes.
     """
 
     def __init__(self, graph, user_table, item_table):
         self.graph = graph
-        observed, self.tables, self.sides = [], [], []
-        start = 0
+        self.observed, self.tables = [], []
         for offset, table in ((0, user_table), (graph.num_users, item_table)):
             if _side_width(table):
                 ids = np.flatnonzero(table.indicator.any(axis=1))
@@ -276,41 +275,36 @@ class StepRows:
             else:
                 ids = np.zeros(0, dtype=np.int64)
                 self.tables.append(None)
-            observed.append(offset + ids)
-            self.sides.append(slice(start, start + len(ids)))
-            start += len(ids)
-        self.observed = np.concatenate(observed)
+            self.observed.append(offset + ids)
 
     def of(self, batch):
-        """(cut, local): the step rows of ``batch`` as a
-        :class:`graph.NodeRows` of the graph, and the batch's triples as
-        positions in them."""
-        M, num_nodes = self.graph.num_users, self.graph.num_nodes
-        extra = np.zeros(num_nodes, dtype=bool)
-        extra[batch.users] = True
-        extra[M + batch.pos] = True
-        extra[M + batch.neg] = True
-        extra[self.observed] = False
-        nodes = np.concatenate([self.observed, np.flatnonzero(extra)])
-        at = np.empty(num_nodes, dtype=np.int64)
-        at[nodes] = np.arange(len(nodes))
-        return (NodeRows(self.graph, nodes),
-                TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg]))
+        """(cut, local, sides): the step rows of ``batch`` as a
+        :class:`graph.NodeRows` of the graph, ids sorted; the batch's
+        triples as positions in them; and, per side, the positions of the
+        observed rows in them, which the heads read."""
+        M = self.graph.num_users
+        marked = np.zeros(self.graph.num_nodes, dtype=bool)
+        for ids in (*self.observed, batch.users, M + batch.pos, M + batch.neg):
+            marked[ids] = True
+        at = np.cumsum(marked) - 1  # a marked node's position among the marked
+        return (NodeRows(self.graph, np.flatnonzero(marked)),
+                TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg]),
+                tuple(at[ids] for ids in self.observed))
 
-    def heads(self, trace, params):
+    def heads(self, trace, params, sides):
         """(user, item) head probabilities on the observed rows of a step
-        trace, None for a side without attributes. A training step computes
-        them once; the loss and its gradient read the same arrays."""
+        trace, at the positions ``sides`` (from :meth:`of`), None for a side
+        without attributes. A training step computes them once; the loss and
+        its gradient read the same arrays."""
         return tuple(normalize_logits(trace.final[side] @ W, table.schema)
                      if table is not None else None
-                     for side, W, table in zip(self.sides, (params.W_x, params.W_y),
-                                               self.tables))
+                     for side, W, table in zip(sides, (params.W_x, params.W_y), self.tables))
 
 
 def batch_losses(trace, batch, rows, params, config, heads):
     """(ranking loss, attribute loss) of one step. ``trace`` holds the step
     rows of ``rows`` (:class:`StepRows`), ``batch`` indexes them, and
-    ``heads`` are ``rows.heads(trace, params)``."""
+    ``heads`` are the step's ``rows.heads``."""
     final = trace.final
     u = final[batch.users]
     diff_pos = (u * final[batch.pos]).sum(axis=1)
@@ -323,19 +317,20 @@ def batch_losses(trace, batch, rows, params, config, heads):
     return loss_r, loss_a
 
 
-def gradients(trace, batch, rows, params, config, graph, heads):
+def gradients(trace, batch, sides, rows, params, config, heads):
     """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
 
     ``trace`` is the step's forward, restricted to the step rows of ``rows``
-    (:class:`StepRows`); ``batch`` indexes them and ``heads`` are
-    ``rows.heads(trace, params)``. With ``final = z @ W_1 ... W_K`` and
-    ``z = A^K H_0``, the gradient G of ``final`` is zero off the step rows,
-    so G holds those rows only. It gives every layer weight from
-    ``C = z^T G`` as ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from
-    ``(A^T)^K`` applied to the first d columns of ``G (W_1 ... W_K)^T`` (the
-    first step through the slice ``trace.rows.S``, :func:`propagate_back`),
-    and W_u, W_v from the rows of the attribute block
-    ``A^K [[X, 0], [0, Y]]`` the forward used (``trace.block``).
+    (:class:`StepRows`); ``batch`` and ``sides`` index them and ``heads``
+    are ``rows.heads(trace, params, sides)``. With
+    ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``, the gradient G of
+    ``final`` is zero off the step rows, so G holds those rows only. It
+    gives every layer weight from ``C = z^T G`` as
+    ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from ``(A^T)^K``
+    applied to the first d columns of ``G (W_1 ... W_K)^T`` (the first step
+    through the slice ``trace.rows.S``, :func:`propagate_back`), and W_u,
+    W_v from the rows of the attribute block ``A^K [[X, 0], [0, Y]]`` the
+    forward used (``trace.block``).
     Finiteness is checked once, where :func:`adam_step` reads the gradients.
 
     Raises:
@@ -344,7 +339,7 @@ def gradients(trace, batch, rows, params, config, graph, heads):
     """
     if trace.rows is None:
         raise ValueError("gradients need the step's forward, on the step rows")
-    M = graph.num_users
+    M = rows.graph.num_users
     d = params.P.shape[1]
     final = trace.final
 
@@ -362,7 +357,7 @@ def gradients(trace, batch, rows, params, config, graph, heads):
     if gamma == 0:
         heads = (None, None)
     for name, W_head, table, pred, side in zip(("W_x", "W_y"), (params.W_x, params.W_y),
-                                               rows.tables, heads, rows.sides):
+                                               rows.tables, heads, sides):
         if pred is not None:
             # softmax-CE and sigmoid-BCE share the gradient (p - x) on observed entries
             gl = table.indicator * (pred - table.values)
@@ -383,7 +378,7 @@ def gradients(trace, batch, rows, params, config, graph, heads):
         suffix = params.W[k] @ suffix
 
     W_all = prefix[-1]
-    g_free = propagate_back(graph, G @ W_all[:d].T, params.num_layers, trace.rows)
+    g_free = propagate_back(rows.graph, G @ W_all[:d].T, params.num_layers, trace.rows)
     grads["P"] = g_free[:M] + 2.0 * config.lam * params.P
     grads["Q"] = g_free[M:] + 2.0 * config.lam * params.Q
 
@@ -411,15 +406,15 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
     Raises:
         FloatingPointError: when a loss is non-finite.
     """
-    cut, local = rows.of(batch)
+    cut, local, sides = rows.of(batch)
     every_row = config.attr_update_cadence == "per-batch"
     trace = forward(params, graph, X, Y, block, None if every_row else cut)
     step = trace.take(cut) if every_row else trace
-    heads = rows.heads(step, params)
+    heads = rows.heads(step, params, sides)
     loss_r, loss_a = batch_losses(step, local, rows, params, config, heads)
     if not np.isfinite(loss_r + loss_a):
         raise FloatingPointError("non-finite loss")
-    return trace, loss_r, loss_a, gradients(step, local, rows, params, config, graph, heads)
+    return trace, loss_r, loss_a, gradients(step, local, sides, rows, params, config, heads)
 
 
 # ---------------------------------------------------------------------------

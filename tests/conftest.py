@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +20,15 @@ def toy_dataset():
 def two_user_graph():
     # users 0,1 both rated item 0
     return build_graph([(0, 0), (1, 0)], 2, 1, "symmetric")
+
+
+def with_byte_order_mark(path):
+    """A copy of the text file ``path``, beside it, that starts with a UTF-8
+    byte-order mark."""
+    path = Path(path)
+    marked = path.with_name("bom-" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
 
 
 def random_pairs(rng, max_users=10, max_items=10):

@@ -5,6 +5,8 @@ from graphrec.attributes import (AttributeSchema, apply_update, encode, init_mis
                                  load_attributes, load_schema, mask, read_lines)
 from graphrec.toy import write_toy_files
 
+from conftest import with_byte_order_mark
+
 
 def schema_single_multi():
     return AttributeSchema([("gender", "single", ["m", "f"]),
@@ -258,6 +260,24 @@ class TestFileFormats:
         assert np.all(table.indicator == 1.0)
         # single-label blocks are exactly one-hot
         assert np.all(table.values[:, :2].sum(axis=1) == 1.0)
+
+    def test_schema_byte_order_mark_dropped(self, tmp_path):
+        path = write_toy_files(tmp_path, num_users=10, num_items=8, seed=1)["user_schema"]
+        fields = [(f.name, f.kind, f.categories) for f in load_schema(path)]
+        assert [(f.name, f.kind, f.categories)
+                for f in load_schema(with_byte_order_mark(path))] == fields
+        assert fields[0][0] == "group"
+
+    def test_attributes_byte_order_mark_dropped(self, tmp_path):
+        paths = write_toy_files(tmp_path, num_users=10, num_items=8, seed=1)
+        schema = load_schema(paths["user_schema"])
+        id_map = {f"u{a}": a for a in range(10)}
+        plain, marked = (load_attributes(path, schema, 10, id_map)
+                         for path in (paths["user_attrs"],
+                                      with_byte_order_mark(paths["user_attrs"])))
+        assert np.all(plain.indicator.any(axis=1))
+        assert np.array_equal(marked.indicator, plain.indicator)
+        assert np.array_equal(marked.values, plain.values)
 
     def test_bad_category_value(self, tmp_path):
         sp = tmp_path / "schema.tsv"

@@ -8,6 +8,8 @@ from graphrec.cli import build_parser, echo_config, main, read_config_file, reso
 from graphrec.data import load_dataset
 from graphrec.toy import write_toy_files
 
+from conftest import with_byte_order_mark
+
 
 @pytest.fixture(scope="module")
 def toy_files(tmp_path_factory):
@@ -79,6 +81,12 @@ class TestTrainCommand:
         config.write_text("d=6\nmax_epoch=3\nlearning_rte=0.1\n")
         assert main(["train", "--out", str(tmp_path / "x"), "--config", str(config)]) == 1
         assert "c.txt:2: unknown setting 'max_epoch'" in capsys.readouterr().err
+
+    def test_config_file_byte_order_mark_dropped(self, tmp_path):
+        config = tmp_path / "c.txt"
+        config.write_text("d=6\nK=1\n")
+        assert read_config_file(with_byte_order_mark(config)) == read_config_file(config) \
+            == {"d": 6, "K": 1}
 
     def test_config_echo_reproduces_run(self, toy_files, tmp_path):
         a = tmp_path / "a"
@@ -413,6 +421,8 @@ class TestSweep:
         (["K=1", "gamma=0.1", "K=2"], "K=2"),  # a key named twice
         (["K"], "K"),                          # no values
         (["depth=1,2"], "depth=1,2"),          # not a setting
+        (["gamma=0.1,0.10"], "gamma=0.1,0.10"),  # two values that parse equal
+        (["K=2,02"], "K=2,02"),
     ])
     def test_grid_spec_refused_before_any_read(self, toy_files, tmp_path, capsys, monkeypatch,
                                                specs, refused):

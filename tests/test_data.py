@@ -17,6 +17,8 @@ from graphrec.evaluate import rank_and_score
 from graphrec.model import ForwardTrace, ModelParams, init_params
 from graphrec.train import TrainConfig, initial_state, train
 
+from conftest import with_byte_order_mark
+
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
@@ -143,12 +145,21 @@ class TestLoadInteractions:
         (["A,i0", "A,,i1"], False, ":2: .*none empty"),
         (["A,i0,5", "A,i1,,5"], True, ":2: .*none empty"),
         (["A,i0", "A,i1\x00"], False, ":2: NUL"),
+        (["A\ti0\t5", "\ti1\t5"], False, ":2: .*none empty"),  # not user i1, item 5
     ])
     def test_bad_line_named(self, tmp_path, lines, keep, match):
         p = tmp_path / "bad.txt"
         write_lines(p, lines)
         with pytest.raises(ValueError, match=match):
             load_interactions(p, min_user_interactions=1, keep=(lambda r: r > 0) if keep else None)
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "r.csv"
+        write_lines(p, ["u1,X", "u2,Y", "u1,Y"])
+        plain = load_interactions(p, min_user_interactions=1)
+        marked = load_interactions(with_byte_order_mark(p), min_user_interactions=1)
+        assert plain[1:] == marked[1:] == (["u1", "u2"], ["X", "Y"])
+        assert np.array_equal(plain[0], marked[0])
 
     def test_trailing_empty_fields_are_no_rating(self, tmp_path):
         p = tmp_path / "r.csv"

@@ -282,8 +282,8 @@ class TestGradients:
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
         with pytest.raises(ValueError, match="step rows"):
-            gradients(forward(p, g, X, Y), batch, StepRows(g, user_table, item_table), p,
-                      config, g, (None, None))
+            gradients(forward(p, g, X, Y), batch, (None, None),
+                      StepRows(g, user_table, item_table), p, config, (None, None))
         assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
                                           rng)
 
@@ -307,7 +307,7 @@ class TestGradients:
         keep = (pairs[:, 0] >= 3) & (pairs[:, 1] >= 4)
         batch = TripleBatch(pairs[keep, 0][:6], pairs[keep, 1][:6],
                             np.array([4, 5, 9, 6, 7, 8]))
-        cut, _ = StepRows(g, user_table, item_table).of(batch)
+        cut, _, _ = StepRows(g, user_table, item_table).of(batch)
         skipped = [0, 1, 2] + [M + i for i in range(4)]
         assert not np.isin(skipped, cut.ids).any()
         # every skipped node still reaches the objective through the graph
@@ -728,7 +728,7 @@ class TestTrainLoop:
                                              observed]))
             trace = out[0]
             if config.attr_update_cadence == "per-epoch":
-                assert np.array_equal(np.sort(trace.rows.ids), want)
+                assert np.array_equal(trace.rows.ids, want)
                 assert trace.final.shape[0] == trace.z.shape[0] == len(want)
             else:
                 assert trace.rows is None and trace.final.shape[0] == M + N
