@@ -34,6 +34,21 @@ class Field:
         return slice(self.offset, self.offset + self.cardinality)
 
 
+def check_field(name, kind, categories):
+    """Refuse a field declaration with an empty name, an unknown kind, or
+    too few, repeated or empty categories."""
+    if not name:
+        raise ValueError("empty field name")
+    if kind not in FIELD_KINDS:
+        raise ValueError(f"field {name!r}: unknown kind {kind!r}")
+    if kind == "single" and len(categories) < 2:
+        raise ValueError(f"single-label field {name!r} needs >= 2 categories")
+    if kind == "multi" and len(categories) < 1:
+        raise ValueError(f"multi-label field {name!r} needs >= 1 category")
+    if "" in categories or len(set(categories)) != len(categories):
+        raise ValueError(f"field {name!r}: categories must be distinct and non-empty")
+
+
 class AttributeSchema:
     """Ordered list of fields with contiguous, non-overlapping blocks."""
 
@@ -41,15 +56,8 @@ class AttributeSchema:
         self.fields = []
         offset = 0
         for name, kind, categories in fields:
-            if kind not in FIELD_KINDS:
-                raise ValueError(f"field {name!r}: unknown kind {kind!r}")
             categories = tuple(categories)
-            if kind == "single" and len(categories) < 2:
-                raise ValueError(f"single-label field {name!r} needs >= 2 categories")
-            if kind == "multi" and len(categories) < 1:
-                raise ValueError(f"multi-label field {name!r} needs >= 1 category")
-            if "" in categories or len(set(categories)) != len(categories):
-                raise ValueError(f"field {name!r}: categories must be distinct and non-empty")
+            check_field(name, kind, categories)
             self.fields.append(Field(name, kind, categories, offset))
             offset += len(categories)
         self.total_dim = offset
@@ -255,14 +263,23 @@ def _detect_sep(line):
 
 
 def load_schema(path):
-    """Read an ordered field-declaration file into an :class:`AttributeSchema`."""
-    fields = []
+    """Read an ordered field-declaration file into an :class:`AttributeSchema`.
+    A line that is not a valid field (:func:`check_field`) is refused naming
+    ``path:line``, and a repeated name also names the line that first gave it."""
+    fields, first_line = [], {}
     for lineno, line in read_lines(path):
         parts = [p.strip() for p in line.split(_detect_sep(line))]
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected name, kind, categories")
         name, kind, cats = parts
+        if first_line.setdefault(name, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: field {name!r} already given on line "
+                             f"{first_line[name]}")
         fields.append((name, kind, [c.strip() for c in cats.split("|")]))
+        try:
+            check_field(*fields[-1])
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
     if not fields:
         raise ValueError(f"{path}: empty schema file")
     return AttributeSchema(fields)
@@ -274,12 +291,16 @@ def load_attributes(path, schema, num_entities, id_map, side="user"):
     ``id_map`` maps external entity ids to dense indices; lines for unknown
     entities (filtered out upstream) are skipped. Category values are looked
     up in each field's vocabulary. An entity has one line, and a field one
-    value on it: a repeat raises ``ValueError`` naming both lines.
+    value on it: a repeat raises ``ValueError`` naming both lines. A
+    single-label field given several categories, and a line without its id
+    (a first field that is empty or holds ``=``), raise one naming the line.
     """
     records = [dict() for _ in range(num_entities)]
     first_line = {}
     for lineno, line in read_lines(path):
         parts = [p.strip() for p in line.split(_detect_sep(line))]
+        if not parts[0] or "=" in parts[0]:
+            raise ValueError(f"{path}:{lineno}: expected an entity id first, got {parts[0]!r}")
         e = id_map.get(parts[0])
         if e is None:
             continue
@@ -304,5 +325,8 @@ def load_attributes(path, schema, num_entities, id_map, side="user"):
                 raise ValueError(
                     f"{path}:{lineno}: field {name!r} has no category among {vals}"
                 ) from None
+            if f.kind == "single" and len(idxs) > 1:
+                raise ValueError(f"{path}:{lineno}: single-label field {name!r} given "
+                                 f"several values {vals}")
             records[e][name] = idxs[0] if f.kind == "single" else idxs
     return encode(records, schema, side=side)

@@ -63,22 +63,27 @@ FLAG_CHOICES = {"norm_mode": NORM_MODES, "hr_mode": HR_MODES,
 
 
 def parse_setting(key, raw):
-    """The setting ``key`` written as ``raw`` (config file, flag or grid):
-    ``none`` or empty is None, else ``raw`` read by the setting's type."""
+    """The setting ``key`` written as ``raw`` (config file, flag or grid),
+    read by the setting's type; ``none`` or empty is None for a setting
+    whose default is None. A setting with choices must take one of them."""
     raw = raw.strip()
-    if raw.lower() in ("none", ""):
-        return None
     default = DEFAULTS[key]
+    if default is None and raw.lower() in ("none", ""):
+        return None
     kind = FLAG_TYPES.get(key, str if default is None else type(default))
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ValueError(f"{key} must be of type {kind.__name__}, got {raw!r}") from None
+    if value not in FLAG_CHOICES.get(key, (value,)):
+        raise ValueError(f"{key} must be one of {FLAG_CHOICES[key]}, got {value!r}")
+    return value
 
 
 def read_config_file(path):
-    """The settings a flat ``key=value`` file holds, each parsed by its type."""
-    written = {}
+    """The settings a flat ``key=value`` file holds, each parsed by its type.
+    Every refusal names ``path:line``."""
+    settings = {}
     for lineno, line in read_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
@@ -86,16 +91,19 @@ def read_config_file(path):
         key = key.strip()
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        if key in written:
+        if key in settings:
             raise ValueError(f"{path}:{lineno}: {key} is set twice")
-        written[key] = raw
-    return {key: parse_setting(key, raw) for key, raw in written.items()}
+        try:
+            settings[key] = parse_setting(key, raw)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    return settings
 
 
 def resolve_settings(args):
-    """defaults < config file < explicit flags. A config-file value of a
-    setting with choices must be one of them, as its flag's must, and the
-    data-preparation values are checked here, before any file is read."""
+    """defaults < config file < explicit flags, each value read by
+    ``parse_setting``. The data-preparation values are checked here, before
+    any file is read."""
     settings = dict(DEFAULTS)
     if getattr(args, "config", None):
         settings.update(read_config_file(args.config))
@@ -103,9 +111,6 @@ def resolve_settings(args):
         raw = getattr(args, key, None)
         if raw is not None:
             settings[key] = parse_setting(key, raw)
-    for key, choices in FLAG_CHOICES.items():
-        if settings[key] not in choices:
-            raise ValueError(f"{key} must be one of {choices}, got {settings[key]!r}")
     threshold = settings["min_rating"]
     if threshold is not None and np.isnan(threshold):  # it would drop every rating
         raise ValueError(f"min_rating must be a number, got {threshold!r}")

@@ -33,11 +33,9 @@ class BipartiteGraph:
         num_items: N.
         S: (M+N) x (M+N) CSR propagation operator (normalized adjacency, no self
             loops), with sorted column indices in every row: a ``S`` given
-            unsorted is sorted here, so a restricted transposed step
-            (:func:`propagate_back`) adds its terms in the order a full
-            product over ``St`` does.
-        St: S transposed, as CSR: S itself under symmetric normalization,
-            a copy built once under row normalization (backward passes apply it).
+            unsorted is sorted here, so :meth:`items_of` lists each user's
+            items in ascending order. Backward passes apply its transpose
+            view ``S.T``, in both normalizations.
         norm_mode: "symmetric" (D^-1/2 A D^-1/2) or "row" (D^-1 A).
     """
 
@@ -47,7 +45,6 @@ class BipartiteGraph:
         self.num_users = num_users
         self.num_items = num_items
         self.S = S
-        self.St = S if norm_mode == "symmetric" else S.T.tocsr()
         self.norm_mode = norm_mode
 
     @property
@@ -165,9 +162,10 @@ class NodeRows:
         order; restricted steps return their rows in this order.
     S: ``graph.S[ids]``, sliced on first use. A transposed step through it
         adds each output's terms in ``ids`` order. A training step's ids
-        ascend (:class:`train.StepRows`), as the column indices of each row
-        of ``St`` do, so its restricted steps are bit-identical to full
-        products on the rows they keep; other orders agree within rounding.
+        ascend (:class:`train.StepRows`), and a product over ``graph.S.T``
+        adds each output's terms in ascending node order, so its restricted
+        steps are bit-identical to full products on the rows they keep;
+        other orders agree within rounding.
     """
 
     def __init__(self, graph, ids):
@@ -206,12 +204,12 @@ def propagate_back(graph, G, K, rows):
     ``g`` that holds ``G`` on the nodes ``rows`` (a :class:`NodeRows`, in
     its ``ids`` order) and zero elsewhere.
 
-    The first step reads only the slice ``rows.S``: ``A^T g = g + S[R]^T G``
-    (``S^T = St`` in both normalizations). The other K - 1 steps apply
-    ``St`` over every node.
+    The first step reads only the slice ``rows.S``: ``A^T g = g + S[R]^T G``.
+    The other K - 1 steps apply ``S.T``, the transpose view of S, over
+    every node.
     """
     out = rows.S.T @ G if K else np.zeros((graph.num_nodes, G.shape[1]))
     out[rows.ids] += G
     for _ in range(K - 1):
-        out += graph.St @ out
+        out += graph.S.T @ out
     return out

@@ -42,23 +42,24 @@ def load_user_records(path, user_ids):
     """One record per dense user index; users absent from the file get {}.
 
     Raises:
-        ValueError: naming ``path:line`` for a line with fewer than four
-            fields, an unknown gender, age or occupation, or a repeated
-            UserID, with the line that first gave it.
+        ValueError: naming ``path:line`` for a line with an empty UserID or
+            other than four or five fields (the Zip-code is optional), an
+            unknown gender, age or occupation, or a repeated UserID, with the
+            line that first gave it.
     """
     by_id, first_line = {}, {}
     for lineno, line in read_lines(path, encoding="latin-1"):
         parts = line.split("::")
+        if not (parts[0] and 4 <= len(parts) <= 5):  # a field too many shifts the others
+            raise ValueError(f"{path}:{lineno}: expected "
+                             f"UserID::Gender::Age::Occupation[::Zip-code], got {line!r}")
         if first_line.setdefault(parts[0], lineno) != lineno:
             raise ValueError(f"{path}:{lineno}: UserID {parts[0]!r} already given on line "
                              f"{first_line[parts[0]]}")
         try:
             by_id[parts[0]] = {"gender": _GENDER_CODES[parts[1]], "age": _AGE_CODES[parts[2]],
                                "occupation": _OCCUPATION_CODES[parts[3]]}
-        except (IndexError, KeyError):
-            if len(parts) < 4:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 f"UserID::Gender::Age::Occupation, got {line!r}") from None
+        except KeyError:
             name, value = next((f.name, v) for f, v in zip(USER_SCHEMA, parts[1:4])
                                if v not in f.categories)
             raise ValueError(f"{path}:{lineno}: unknown {name} {value!r}") from None
@@ -69,22 +70,21 @@ def load_item_records(path, item_ids):
     """One record per dense item index with the movie's genre index list.
 
     Raises:
-        ValueError: naming ``path:line`` for a line with fewer than three
-            fields, a genre outside :data:`GENRES`, or a repeated MovieID,
-            with the line that first gave it.
+        ValueError: naming ``path:line`` for a line with an empty MovieID or
+            other than three fields, a genre outside :data:`GENRES`, or a
+            repeated MovieID, with the line that first gave it.
     """
     by_id, first_line = {}, {}
     for lineno, line in read_lines(path, encoding="latin-1"):
         parts = line.split("::")
+        if not (parts[0] and len(parts) == 3):
+            raise ValueError(f"{path}:{lineno}: expected MovieID::Title::Genres, got {line!r}")
         if first_line.setdefault(parts[0], lineno) != lineno:
             raise ValueError(f"{path}:{lineno}: MovieID {parts[0]!r} already given on line "
                              f"{first_line[parts[0]]}")
         try:
             by_id[parts[0]] = {"genres": [_GENRE_CODES[g] for g in parts[2].split("|")]}
-        except (IndexError, KeyError) as err:
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected MovieID::Title::Genres, "
-                                 f"got {line!r}") from None
+        except KeyError as err:
             raise ValueError(f"{path}:{lineno}: unknown genre {err.args[0]!r}") from None
     return [by_id.get(mid, {}) for mid in item_ids]
 

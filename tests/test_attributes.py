@@ -303,6 +303,43 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=error):
             load_attributes(ap, load_schema(sp), 2, id_map)
 
+    @pytest.mark.parametrize("line, error", [
+        ("u1\tg=a|b", "3: single-label field 'g' given several values ['a', 'b']"),
+        (",g=a", "3: expected an entity id first, got ''"),
+        ("\tg=a\tt=x", "3: expected an entity id first, got 'g=a'"),
+    ])
+    def test_attribute_refusal_names_the_line(self, tmp_path, line, error):
+        # a multi-label field takes several values; a single-label one does
+        # not, and a line without its id is not skipped as an unknown entity's
+        sp = tmp_path / "schema.tsv"
+        sp.write_text("g\tsingle\ta|b\nt\tmulti\tx|y\n")
+        ap = tmp_path / "attrs.tsv"
+        ap.write_text(f"# entities\nu2\tt=x|y\tg=b\n{line}\n")
+        with pytest.raises(ValueError) as refusal:
+            load_attributes(ap, load_schema(sp), 2, {"u1": 0, "u2": 1})
+        assert str(refusal.value) == f"{ap}:{error}"
+        ap.write_text("# entities\nu2\tt=x|y\tg=b\n")
+        table = load_attributes(ap, load_schema(sp), 2, {"u1": 0, "u2": 1})
+        assert table.values.tolist() == [[0, 0, 0, 0], [0, 1, 1, 1]]
+
+    @pytest.mark.parametrize("lines, error", [
+        (["g\tsingle\ta|b", "t\tmulti\tx|y", "g\tmulti\tc"],
+         "4: field 'g' already given on line 2"),
+        (["g\tsingel\ta|b"], "2: field 'g': unknown kind 'singel'"),
+        (["t\tmulti\tx", "g\tsingle\ta|a"],
+         "3: field 'g': categories must be distinct and non-empty"),
+        (["g,single,a||b"], "2: field 'g': categories must be distinct and non-empty"),
+        (["t\tmulti\tx", "g\tsingle\ta"],
+         "3: single-label field 'g' needs >= 2 categories"),
+        ([",single,a|b"], "2: empty field name"),
+    ])
+    def test_schema_refusal_names_the_line(self, tmp_path, lines, error):
+        sp = tmp_path / "schema.tsv"
+        sp.write_text("\n".join(["# fields"] + lines) + "\n")
+        with pytest.raises(ValueError) as refusal:
+            load_schema(sp)
+        assert str(refusal.value) == f"{sp}:{error}"
+
     def test_read_lines_skips_blank_and_comment_lines(self, tmp_path):
         path = tmp_path / "lines.txt"
         path.write_bytes(b"# header\r\n a=1 \r\n\r\n  # indented\nb=2\n   \n")

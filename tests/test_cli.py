@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ class TestTrainCommand:
         config.write_text("K=2\nd=6\n K =3\n")
         with pytest.raises(ValueError, match=r"c\.txt:3: K is set twice"):
             read_config_file(config)
+        for text, error in [("d=8\nK=two\n", "c.txt:2: K must be of type int, got 'two'"),
+                            ("d=8\nK=\n", "c.txt:2: K must be of type int, got ''"),
+                            ("K=none\n", "c.txt:1: K must be of type int, got 'none'"),
+                            ("d=8\n\nnorm_mode=rows\n",
+                             "c.txt:3: norm_mode must be one of ('symmetric', 'row'), got 'rows'")]:
+            config.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(error)):
+                read_config_file(config)
         config.write_text("d=6\nmax_epoch=3\nlearning_rte=0.1\n")
         assert main(["train", "--out", str(tmp_path / "x"), "--config", str(config)]) == 1
         assert "c.txt:2: unknown setting 'max_epoch'" in capsys.readouterr().err

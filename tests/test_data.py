@@ -565,6 +565,10 @@ class TestMovieLensFormat:
         ("movies.dat", "2::Film 2 (1992)::Cartoon", "unknown genre 'Cartoon'"),
         ("users.dat", "1::F::25::3::55117", "UserID '1' already given on line 1"),
         ("movies.dat", "1::Film 1 (1991)::Comedy", "MovieID '1' already given on line 1"),
+        ("users.dat", "::F::25::3::55117", "expected UserID::Gender::Age::Occupation"),
+        ("movies.dat", "::Film 2 (1992)::Comedy", "expected MovieID::Title::Genres"),
+        ("users.dat", "2::F::1::1::3::55117", "expected UserID::Gender::Age::Occupation"),
+        ("movies.dat", "2::Film 2::(1992)::Comedy", "expected MovieID::Title::Genres"),
     ])
     def test_bad_record_line_named(self, tmp_path, name, line, error):
         from graphrec.ml1m import load_item_records, load_user_records

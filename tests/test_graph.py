@@ -107,7 +107,6 @@ class TestBuildGraph:
         for r in range(h.num_nodes):
             assert np.all(np.diff(h.S.indices[h.S.indptr[r]:h.S.indptr[r + 1]]) > 0)
         assert np.array_equal(h.S.toarray(), S.toarray())
-        assert np.array_equal(h.St.toarray(), S.toarray().T)
         users, items = np.divmod(np.arange(9), 3)
         assert h.has_edges(users, items).tolist() == [True, False, True, False, True, True,
                                                       True, False, False]

@@ -354,7 +354,7 @@ class TestGradients:
             g_free = np.zeros((graph.num_nodes, G.shape[1]))
             g_free[rows.ids] = G
             for _ in range(K):
-                g_free += graph.St @ g_free
+                g_free += graph.S.T @ g_free
             return g_free
 
         monkeypatch.setattr(sys.modules["graphrec.model"], "propagate_k", every_step_in_full)
@@ -751,7 +751,6 @@ class TestTrainLoop:
                               ("to_users", d_y), ("to_items", d_y)]
         nnz = graph.S.nnz
         monkeypatch.setattr(graph, "S", Counting(graph.S, "S"))
-        monkeypatch.setattr(graph, "St", Counting(graph.St, "St"))
         monkeypatch.setattr(graph, "blocks", tuple(Counting(block, name) for block, name
                                                    in zip(graph.blocks,
                                                           ("to_users", "to_items"))))
@@ -770,7 +769,7 @@ class TestTrainLoop:
                 d = cfg.d
                 forward = ([("S", d)] * K if cadence == "per-batch"
                            else [("S", d)] * (K - 1) + [("S_R", d)])
-                backward = [("S_R^T", d)] + [("St", d)] * (K - 1)
+                backward = [("S_R^T", d)] + [("S^T", d)] * (K - 1)
                 inside, block_products, since_write_back = None, [], True
                 for name, width in events:
                     if name == "step":
