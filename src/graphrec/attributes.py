@@ -249,11 +249,15 @@ def apply_update(current, inferred, table):
 
 def read_lines(path, encoding=None):
     """``(line number, stripped line)`` of every line of ``path`` that is
-    neither blank nor a ``#`` comment. A leading byte-order mark is dropped.
-    For speed the lines are numbered and blanks dropped in C, and comments
-    looked for only if a ``#`` occurs."""
+    neither blank nor a ``#`` comment. A leading byte-order mark is dropped,
+    and a NUL character anywhere is refused naming ``path:line``. For speed
+    the lines are numbered and blanks dropped in C, and comments looked for
+    only if a ``#`` occurs."""
     with open(path, encoding=encoding) as fh:
         text = fh.read().removeprefix("\ufeff")
+    if "\x00" in text:
+        lineno = text.count("\n", 0, text.index("\x00")) + 1
+        raise ValueError(f"{path}:{lineno}: NUL character")
     kept = filter(itemgetter(1), enumerate(map(str.strip, text.split("\n")), 1))
     return [pair for pair in kept if pair[1][0] != "#"] if "#" in text else list(kept)
 
@@ -262,27 +266,44 @@ def _detect_sep(line):
     return "\t" if "\t" in line else ","
 
 
+def read_keyed(path, what, sep, parse, encoding=None):
+    """``{key: record}`` of a file with one line per key, in line order. Each
+    line of :func:`read_lines` is split at ``sep`` (a string, or a function
+    of the line giving one) into stripped fields, and ``parse(fields, line,
+    lineno)`` gives its ``(key, record)``, or None to drop it unchecked. A key
+    an earlier line gave is refused, naming that line; every refusal,
+    ``parse``'s too, is a ``ValueError`` naming ``path:line``."""
+    records, first_line = {}, {}
+    for lineno, line in read_lines(path, encoding):
+        fields = list(map(str.strip, line.split(sep if isinstance(sep, str) else sep(line))))
+        try:
+            if (parsed := parse(fields, line, lineno)) is None:
+                continue
+            key, record = parsed
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{what} {key!r} already given on line {first_line[key]}")
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        records[key] = record
+    return records
+
+
+def _schema_field(fields, line, lineno):
+    if len(fields) != 3:
+        raise ValueError("expected name, kind, categories")
+    categories = [c.strip() for c in fields[2].split("|")]
+    check_field(fields[0], fields[1], categories)
+    return fields[0], (fields[1], categories)
+
+
 def load_schema(path):
     """Read an ordered field-declaration file into an :class:`AttributeSchema`.
     A line that is not a valid field (:func:`check_field`) is refused naming
     ``path:line``, and a repeated name also names the line that first gave it."""
-    fields, first_line = [], {}
-    for lineno, line in read_lines(path):
-        parts = [p.strip() for p in line.split(_detect_sep(line))]
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected name, kind, categories")
-        name, kind, cats = parts
-        if first_line.setdefault(name, lineno) != lineno:
-            raise ValueError(f"{path}:{lineno}: field {name!r} already given on line "
-                             f"{first_line[name]}")
-        fields.append((name, kind, [c.strip() for c in cats.split("|")]))
-        try:
-            check_field(*fields[-1])
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
+    fields = read_keyed(path, "field", _detect_sep, _schema_field)
     if not fields:
         raise ValueError(f"{path}: empty schema file")
-    return AttributeSchema(fields)
+    return AttributeSchema([(name, kind, cats) for name, (kind, cats) in fields.items()])
 
 
 def load_attributes(path, schema, num_entities, id_map, side="user"):
@@ -295,38 +316,32 @@ def load_attributes(path, schema, num_entities, id_map, side="user"):
     single-label field given several categories, and a line without its id
     (a first field that is empty or holds ``=``), raise one naming the line.
     """
-    records = [dict() for _ in range(num_entities)]
-    first_line = {}
-    for lineno, line in read_lines(path):
-        parts = [p.strip() for p in line.split(_detect_sep(line))]
+    def parse(parts, line, lineno):
         if not parts[0] or "=" in parts[0]:
-            raise ValueError(f"{path}:{lineno}: expected an entity id first, got {parts[0]!r}")
-        e = id_map.get(parts[0])
-        if e is None:
-            continue
-        if first_line.setdefault(e, lineno) != lineno:
-            raise ValueError(f"{path}:{lineno}: id {parts[0]!r} already given on line "
-                             f"{first_line[e]}")
+            raise ValueError(f"expected an entity id first, got {parts[0]!r}")
+        if parts[0] not in id_map:
+            return None
+        record = {}
         for item in parts[1:]:
             if "=" not in item:
-                raise ValueError(f"{path}:{lineno}: expected field=value, got {item!r}")
-            name, raw = item.split("=", 1)
-            name = name.strip()
+                raise ValueError(f"expected field=value, got {item!r}")
+            name, raw = map(str.strip, item.split("=", 1))
             if name not in schema:
-                raise ValueError(f"{path}:{lineno}: unknown field {name!r}")
-            if name in records[e]:  # the entity's one line gave it already
-                raise ValueError(f"{path}:{lineno}: field {name!r} already given on line "
-                                 f"{lineno}")
+                raise ValueError(f"unknown field {name!r}")
+            if name in record:  # the entity's one line gave it already
+                raise ValueError(f"field {name!r} already given on line {lineno}")
             f = schema[name]
             vals = [v.strip() for v in raw.split("|")]
             try:
                 idxs = [f.categories.index(v) for v in vals]
             except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: field {name!r} has no category among {vals}"
-                ) from None
+                raise ValueError(f"field {name!r} has no category among {vals}") from None
             if f.kind == "single" and len(idxs) > 1:
-                raise ValueError(f"{path}:{lineno}: single-label field {name!r} given "
-                                 f"several values {vals}")
-            records[e][name] = idxs[0] if f.kind == "single" else idxs
+                raise ValueError(f"single-label field {name!r} given several values {vals}")
+            record[name] = idxs[0] if f.kind == "single" else idxs
+        return parts[0], record
+
+    records = [{}] * num_entities  # read only: an entity without a line has none
+    for entity, record in read_keyed(path, "id", _detect_sep, parse).items():
+        records[id_map[entity]] = record
     return encode(records, schema, side=side)

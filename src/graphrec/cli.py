@@ -65,7 +65,10 @@ FLAG_CHOICES = {"norm_mode": NORM_MODES, "hr_mode": HR_MODES,
 def parse_setting(key, raw):
     """The setting ``key`` written as ``raw`` (config file, flag or grid),
     read by the setting's type; ``none`` or empty is None for a setting
-    whose default is None. A setting with choices must take one of them."""
+    whose default is None. A setting with choices must take one of them. A
+    line break is refused: the value's ``config.txt`` echo could not hold it."""
+    if "\n" in raw or "\r" in raw:
+        raise ValueError(f"{key} must not contain a line break, got {raw!r}")
     raw = raw.strip()
     default = DEFAULTS[key]
     if default is None and raw.lower() in ("none", ""):

@@ -95,6 +95,30 @@ def _parse_rows(path, rows, lineno, sep, keep):
     return users[passed], items[passed]
 
 
+def _runs(lengths, start, stop):
+    """``(start, stop)`` runs that cover lines ``start`` to ``stop`` of a
+    block whose lines are ``lengths`` characters long. An array of str pads
+    every line of a run to its longest, so a run is one line or has at most
+    four times its text, and 256 characters, once padded."""
+    if stop - start > 1 and (
+            (stop - start) * lengths[start:stop].max() > 4 * lengths[start:stop].sum() + 256):
+        middle = (start + stop) // 2
+        return _runs(lengths, start, middle) + _runs(lengths, middle, stop)
+    return [(start, stop)]
+
+
+def _code_ids(pieces):
+    """One code per distinct id of the id arrays ``pieces``, and the ids by
+    code. Each array is coded on its own, so none is padded to another's
+    longest id."""
+    index, codes = {}, [np.zeros(0, dtype=np.int64)]
+    for ids in pieces:
+        labels, inverse = np.unique(ids, return_inverse=True)
+        codes.append(np.array([index.setdefault(label, len(index))
+                               for label in labels.tolist()], dtype=np.int64)[inverse])
+    return np.array(list(index), dtype=object), np.concatenate(codes)
+
+
 def _first_seen(codes, labels):
     """Dense ids numbering ``codes`` in order of first appearance, and the
     ``labels`` of the codes in that order."""
@@ -114,11 +138,11 @@ def load_interactions(path, min_user_interactions=5, keep=None):
     that would detect another one, or has an empty user, item or rating
     field, is an error. ``keep`` is an optional predicate on the rating
     column (e.g. ``lambda r: r == 5``), called once per distinct rating text
-    in each ~1 MB block of lines; rows without a rating column pass
-    unconditionally. Repeated (user, item) rows are kept once, at their
-    first occurrence. Users with fewer than ``min_user_interactions``
-    distinct items are dropped and the surviving ids, kept as strings,
-    densified in first-seen order.
+    in each ~1 MB block of lines (or each part of one that a much longer line
+    splits); rows without a rating column pass unconditionally. Repeated
+    (user, item) rows are kept once, at their first occurrence. Users with
+    fewer than ``min_user_interactions`` distinct items are dropped and the
+    surviving ids, kept as strings, densified in first-seen order.
 
     Returns (pairs, user_ids, item_ids) where pairs is an (E, 2) int array of
     dense indices.
@@ -131,21 +155,23 @@ def load_interactions(path, min_user_interactions=5, keep=None):
             if "\x00" in "".join(block):  # an array of str drops trailing NULs
                 k = next(k for k, line in enumerate(block) if "\x00" in line)
                 raise ValueError(f"{path}:{offset + k + 1}: NUL character")
-            block = np.array(block)
-            lines = np.strings.strip(block)
-            lineno = np.flatnonzero((lines != "") & ~np.strings.startswith(lines, "#"))
-            if lineno.size:
-                if not parsed:
-                    sep = next((d for d in _DELIMITERS if d in lines[lineno[0]]), None)
-                # a tab at either end of a line delimits an empty field
-                rows = np.strings.strip(block[lineno], " \r\n") if sep == "\t" else lines[lineno]
-                parsed.append(_parse_rows(path, rows, lineno + offset + 1, sep, keep))
+            lengths = np.fromiter(map(len, block), np.int64, len(block))
+            for start, stop in _runs(lengths, 0, len(block)):
+                piece = np.array(block[start:stop])
+                lines = np.strings.strip(piece)
+                lineno = np.flatnonzero((lines != "") & ~np.strings.startswith(lines, "#"))
+                if lineno.size:
+                    if not parsed:
+                        sep = next((d for d in _DELIMITERS if d in lines[lineno[0]]), None)
+                    # a tab at either end of a line delimits an empty field
+                    rows = (np.strings.strip(piece[lineno], " \r\n") if sep == "\t"
+                            else lines[lineno])
+                    parsed.append(_parse_rows(path, rows, lineno + offset + start + 1, sep, keep))
             offset += len(block)
-    users, items = map(np.concatenate, zip(*parsed)) if parsed else ([], [])
-    if not len(users):
+    user_labels, user_codes = _code_ids([users for users, _ in parsed])
+    item_labels, item_codes = _code_ids([items for _, items in parsed])
+    if not len(user_codes):
         raise ValueError(f"{path}: no interactions after filtering")
-    user_labels, user_codes = np.unique(users, return_inverse=True)
-    item_labels, item_codes = np.unique(items, return_inverse=True)
     # a pair on several rows is one interaction; split() would otherwise
     # put copies of it in training and in a holdout set
     first = np.sort(np.unique(user_codes * len(item_labels) + item_codes,

@@ -110,6 +110,12 @@ class BipartiteGraph:
                 f"edges={self.S.indptr[self.num_users]}, norm={self.norm_mode!r})")
 
 
+def check_norm_mode(norm_mode):
+    """Refuse a normalisation mode outside :data:`NORM_MODES`."""
+    if norm_mode not in NORM_MODES:
+        raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
+
+
 def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     """Build a :class:`BipartiteGraph` from (user, item) index pairs.
 
@@ -124,8 +130,7 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     """
     if num_users <= 0 or num_items <= 0:
         raise ValueError(f"empty graph: num_users={num_users}, num_items={num_items}")
-    if norm_mode not in NORM_MODES:
-        raise ValueError(f"unknown norm_mode {norm_mode!r}, expected one of {NORM_MODES}")
+    check_norm_mode(norm_mode)
 
     M, N = num_users, num_items
     given = np.asarray(interactions).reshape(-1, 2)

@@ -1,17 +1,18 @@
 """MovieLens-1M loader: interactions plus user/item attribute tables.
 
 Expects the standard distribution files (ratings.dat, users.dat, movies.dat,
-"::"-separated, latin-1 encoded, blank and ``#`` lines skipped). User
-attributes are gender, age bracket and occupation (single-label each); item
-attributes are the 18 genre flags (multi-label).
+"::"-separated, latin-1 encoded, blank and ``#`` lines skipped, fields and
+genres stripped). User attributes are gender, age bracket and occupation
+(single-label each); item attributes are the 18 genre flags (multi-label).
 """
 
 from __future__ import annotations
 
 import os
 
-from .attributes import AttributeSchema, check_alpha, check_seed, encode, mask, read_lines
+from .attributes import AttributeSchema, check_alpha, check_seed, encode, mask, read_keyed
 from .data import check_ratios, load_interactions, split
+from .graph import check_norm_mode
 
 AGE_BRACKETS = ["1", "18", "25", "35", "45", "50", "56"]
 OCCUPATIONS = [str(k) for k in range(21)]
@@ -38,54 +39,41 @@ _GENDER_CODES, _AGE_CODES, _OCCUPATION_CODES = map(_codes, USER_SCHEMA)
 _GENRE_CODES = _codes(ITEM_SCHEMA["genres"])
 
 
+def _user_record(parts, line, lineno):
+    if not (parts[0] and 4 <= len(parts) <= 5):  # a field too many shifts the others
+        raise ValueError(f"expected UserID::Gender::Age::Occupation[::Zip-code], got {line!r}")
+    try:
+        return parts[0], {"gender": _GENDER_CODES[parts[1]], "age": _AGE_CODES[parts[2]],
+                          "occupation": _OCCUPATION_CODES[parts[3]]}
+    except KeyError:
+        name, value = next((f.name, v) for f, v in zip(USER_SCHEMA, parts[1:4])
+                           if v not in f.categories)
+        raise ValueError(f"unknown {name} {value!r}") from None
+
+
 def load_user_records(path, user_ids):
     """One record per dense user index; users absent from the file get {}.
-
-    Raises:
-        ValueError: naming ``path:line`` for a line with an empty UserID or
-            other than four or five fields (the Zip-code is optional), an
-            unknown gender, age or occupation, or a repeated UserID, with the
-            line that first gave it.
-    """
-    by_id, first_line = {}, {}
-    for lineno, line in read_lines(path, encoding="latin-1"):
-        parts = line.split("::")
-        if not (parts[0] and 4 <= len(parts) <= 5):  # a field too many shifts the others
-            raise ValueError(f"{path}:{lineno}: expected "
-                             f"UserID::Gender::Age::Occupation[::Zip-code], got {line!r}")
-        if first_line.setdefault(parts[0], lineno) != lineno:
-            raise ValueError(f"{path}:{lineno}: UserID {parts[0]!r} already given on line "
-                             f"{first_line[parts[0]]}")
-        try:
-            by_id[parts[0]] = {"gender": _GENDER_CODES[parts[1]], "age": _AGE_CODES[parts[2]],
-                               "occupation": _OCCUPATION_CODES[parts[3]]}
-        except KeyError:
-            name, value = next((f.name, v) for f, v in zip(USER_SCHEMA, parts[1:4])
-                               if v not in f.categories)
-            raise ValueError(f"{path}:{lineno}: unknown {name} {value!r}") from None
+    A line with an empty UserID or other than four or five fields (the
+    Zip-code is optional), an unknown gender, age or occupation, or a
+    repeated UserID is refused naming ``path:line``."""
+    by_id = read_keyed(path, "UserID", "::", _user_record, encoding="latin-1")
     return [by_id.get(uid, {}) for uid in user_ids]
+
+
+def _item_record(parts, line, lineno):
+    if not (parts[0] and len(parts) == 3):
+        raise ValueError(f"expected MovieID::Title::Genres, got {line!r}")
+    try:
+        return parts[0], {"genres": [_GENRE_CODES[g] for g in map(str.strip, parts[2].split("|"))]}
+    except KeyError as err:
+        raise ValueError(f"unknown genre {err.args[0]!r}") from None
 
 
 def load_item_records(path, item_ids):
     """One record per dense item index with the movie's genre index list.
-
-    Raises:
-        ValueError: naming ``path:line`` for a line with an empty MovieID or
-            other than three fields, a genre outside :data:`GENRES`, or a
-            repeated MovieID, with the line that first gave it.
-    """
-    by_id, first_line = {}, {}
-    for lineno, line in read_lines(path, encoding="latin-1"):
-        parts = line.split("::")
-        if not (parts[0] and len(parts) == 3):
-            raise ValueError(f"{path}:{lineno}: expected MovieID::Title::Genres, got {line!r}")
-        if first_line.setdefault(parts[0], lineno) != lineno:
-            raise ValueError(f"{path}:{lineno}: MovieID {parts[0]!r} already given on line "
-                             f"{first_line[parts[0]]}")
-        try:
-            by_id[parts[0]] = {"genres": [_GENRE_CODES[g] for g in parts[2].split("|")]}
-        except KeyError as err:
-            raise ValueError(f"{path}:{lineno}: unknown genre {err.args[0]!r}") from None
+    A line with an empty MovieID or other than three fields, a genre outside
+    :data:`GENRES`, or a repeated MovieID is refused naming ``path:line``."""
+    by_id = read_keyed(path, "MovieID", "::", _item_record, encoding="latin-1")
     return [by_id.get(mid, {}) for mid in item_ids]
 
 
@@ -97,6 +85,7 @@ def make_ml1m_dataset(directory, alpha=0.9, ratios=(0.8, 0.1, 0.1),
     check_ratios(ratios)
     check_seed("seed_masking", seed_masking)
     check_seed("seed_split", seed_split)
+    check_norm_mode(norm_mode)
     pairs, user_ids, item_ids = load_interactions(
         os.path.join(directory, "ratings.dat"), min_user_interactions=min_user_interactions)
     user_attrs = mask(

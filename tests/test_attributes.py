@@ -307,6 +307,8 @@ class TestFileFormats:
         ("u1\tg=a|b", "3: single-label field 'g' given several values ['a', 'b']"),
         (",g=a", "3: expected an entity id first, got ''"),
         ("\tg=a\tt=x", "3: expected an entity id first, got 'g=a'"),
+        ("u1\tg=a\x00", "3: NUL character"),
+        ("#\x00 a comment", "3: NUL character"),
     ])
     def test_attribute_refusal_names_the_line(self, tmp_path, line, error):
         # a multi-label field takes several values; a single-label one does
@@ -332,6 +334,7 @@ class TestFileFormats:
         (["t\tmulti\tx", "g\tsingle\ta"],
          "3: single-label field 'g' needs >= 2 categories"),
         ([",single,a|b"], "2: empty field name"),
+        (["g\tsingle\ta\x00|b"], "2: NUL character"),
     ])
     def test_schema_refusal_names_the_line(self, tmp_path, lines, error):
         sp = tmp_path / "schema.tsv"

@@ -83,13 +83,24 @@ class TestTrainCommand:
                             ("d=8\nK=\n", "c.txt:2: K must be of type int, got ''"),
                             ("K=none\n", "c.txt:1: K must be of type int, got 'none'"),
                             ("d=8\n\nnorm_mode=rows\n",
-                             "c.txt:3: norm_mode must be one of ('symmetric', 'row'), got 'rows'")]:
+                             "c.txt:3: norm_mode must be one of ('symmetric', 'row'), got 'rows'"),
+                            ("d=8\ninteractions=a\x00b\n", "c.txt:2: NUL character")]:
             config.write_text(text)
             with pytest.raises(ValueError, match=re.escape(error)):
                 read_config_file(config)
         config.write_text("d=6\nmax_epoch=3\nlearning_rte=0.1\n")
         assert main(["train", "--out", str(tmp_path / "x"), "--config", str(config)]) == 1
         assert "c.txt:2: unknown setting 'max_epoch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["a\nb", "a\rb", "ratings.dat\n"])
+    def test_line_break_in_a_value_refused(self, toy_files, tmp_path, capsys, value):
+        # its config.txt echo could not be read back
+        out = tmp_path / "run"
+        rc = main(["train", "--out", str(out), "--interactions", value, "--quiet"])
+        assert rc == 1
+        assert (f"interactions must not contain a line break, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_config_file_byte_order_mark_dropped(self, tmp_path):
         config = tmp_path / "c.txt"

@@ -167,6 +167,41 @@ class TestLoadInteractions:
         pairs, _, items = load_interactions(p, min_user_interactions=1, keep=lambda r: r > 2)
         assert items == ["X"]
 
+    @staticmethod
+    def traced_peak(read):
+        """``read()``'s outcome, a value or a ValueError, and its peak of
+        traced memory in bytes."""
+        tracemalloc.start()
+        try:
+            outcome = read()
+        except ValueError as exc:
+            outcome = exc
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return outcome, peak
+
+    def test_long_line_refused_in_memory_of_its_text(self, tmp_path):
+        # 3,000 short lines and one of 20,000 characters (60 KB): no array
+        # pads every line of the block to the long one
+        p = tmp_path / "long.dat"
+        write_lines(p, [f"{u}::{u % 7}::5" for u in range(3000)] + ["x" * 20000])
+        refusal, peak = self.traced_peak(lambda: load_interactions(p))
+        assert str(refusal) == (f"{p}:3001: expected user_id, item_id[, rating], none empty, "
+                                "split at '::' as on the first data line")
+        assert peak < 32 << 20
+
+    def test_long_id_read_in_memory_of_its_text(self, tmp_path):
+        # nor does the array of every user id pad them to the long one
+        p = tmp_path / "long.dat"
+        write_lines(p, [f"{u}::{u % 7}::5" for u in range(3000)] + ["u" * 20000 + "::3::5"])
+        (pairs, users, items), peak = self.traced_peak(
+            lambda: load_interactions(p, min_user_interactions=1))
+        assert users == [str(u) for u in range(3000)] + ["u" * 20000]
+        assert items == [str(i) for i in range(7)]
+        assert pairs[-1].tolist() == [3000, 3] and len(pairs) == 3001
+        assert peak < 32 << 20
+
 
 class TestSplit:
     def test_exact_proportions(self):
@@ -546,6 +581,7 @@ class TestMovieLensFormat:
 
     @pytest.mark.parametrize("setting, value", [
         ("alpha", 1.5), ("ratios", (0.5, 0.1)), ("seed_split", -1), ("seed_masking", -2),
+        ("norm_mode", "rows"),
     ])
     def test_settings_checked_before_reading(self, tmp_path, monkeypatch, setting, value):
         import graphrec.ml1m as ml1m
@@ -569,6 +605,8 @@ class TestMovieLensFormat:
         ("movies.dat", "::Film 2 (1992)::Comedy", "expected MovieID::Title::Genres"),
         ("users.dat", "2::F::1::1::3::55117", "expected UserID::Gender::Age::Occupation"),
         ("movies.dat", "2::Film 2::(1992)::Comedy", "expected MovieID::Title::Genres"),
+        ("users.dat", "2::F\x00::25::3::55117", "NUL character"),
+        ("movies.dat", "2::Film\x00 2 (1992)::Comedy", "NUL character"),
     ])
     def test_bad_record_line_named(self, tmp_path, name, line, error):
         from graphrec.ml1m import load_item_records, load_user_records
@@ -583,6 +621,13 @@ class TestMovieLensFormat:
         ("users.dat", "UserID::Gender::Age::Occupation::Zip-code", "2::F::25::3::55117",
          {"gender": 1, "age": 2, "occupation": 3}),
         ("movies.dat", "MovieID::Title::Genres", "2::Film 2 (1992)::Comedy|Drama",
+         {"genres": [4, 7]}),
+        # spaces around a field are not part of it: UserID '2 ' is user '2'
+        ("users.dat", "UserID::Gender::Age::Occupation::Zip-code", "2 ::F::25::3::55117",
+         {"gender": 1, "age": 2, "occupation": 3}),
+        ("users.dat", "UserID::Gender::Age::Occupation", " 2:: F :: 25 ::3 :: ",
+         {"gender": 1, "age": 2, "occupation": 3}),
+        ("movies.dat", "MovieID::Title::Genres", "2 :: Film 2 (1992) :: Comedy | Drama ",
          {"genres": [4, 7]}),
     ])
     def test_comment_lines_skipped(self, tmp_path, name, header, record, expected):

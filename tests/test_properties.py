@@ -137,6 +137,17 @@ def comment_line(data):
     return data.draw(st.sampled_from(["#", "# x=1", "  #\tg\tsingle\ta|b", "#1::F::1::0"]))
 
 
+def with_nul(data, line):
+    """``line`` with a NUL character somewhere in it."""
+    cut = data.draw(st.integers(0, len(line)))
+    return line[:cut] + "\x00" + line[cut:]
+
+
+def spaced(fields):
+    """``fields`` with spaces around each, which every reader strips."""
+    return [f" {field}  " for field in fields]
+
+
 @st.composite
 def padded(draw, text):
     """``text`` with or without a space on either side."""
@@ -183,7 +194,7 @@ def schema_files(draw):
 
 
 SCHEMA_MUTATIONS = ("repeat line", "repeat field", "empty field", "repeat category",
-                    "one category", "comment", "stray #", "other delimiter")
+                    "one category", "comment", "stray #", "other delimiter", "spaces", "nul")
 
 
 @SETTINGS
@@ -214,6 +225,11 @@ def test_load_schema_reads_back_or_names_the_line(path, generated, mutation, dat
         want = fields
     elif mutation == "stray #":
         mutated[at] = sep.join([parts[0], parts[1] + "#", parts[2]])
+    elif mutation == "spaces":
+        mutated[at] = sep.join(spaced(parts))
+        want = fields
+    elif mutation == "nul":
+        mutated[at] = with_nul(data, lines[at])
     else:
         mutated[at] = lines[at].replace(sep, "," if sep == "\t" else "\t")
         want = fields
@@ -249,7 +265,7 @@ def attribute_files(draw):
 
 
 ATTRIBUTE_MUTATIONS = ("repeat line", "repeat field", "empty field", "second category",
-                       "comment", "stray #", "other delimiter")
+                       "comment", "stray #", "other delimiter", "spaces", "nul")
 
 
 @SETTINGS
@@ -294,6 +310,12 @@ def test_load_attributes_reads_back_or_names_the_line(path, generated, mutation,
         want = expected
     elif mutation == "stray #":
         mutated[at] += sep + "g=b#"
+    elif mutation == "spaces":
+        mutated[at] = sep.join(spaced([entity] + [" = ".join(item.split("=", 1))
+                                                  for item in items]))
+        want = expected
+    elif mutation == "nul":
+        mutated[at], want = with_nul(data, lines[at]), None
     else:
         mutated[at] = lines[at].replace(sep, "," if sep == "\t" else "\t")
         want = expected
@@ -332,7 +354,7 @@ def ml1m_files(draw, users):
 
 
 ML1M_MUTATIONS = ("repeat line", "repeat field", "empty field", "second category", "comment",
-                  "stray #")
+                  "stray #", "spaces", "nul")
 
 
 @SETTINGS
@@ -370,6 +392,12 @@ def test_ml1m_records_read_back_or_name_the_line(path, generated, mutation, data
     elif mutation == "comment":
         mutated.insert(data.draw(st.integers(0, len(lines))), comment_line(data))
         want = records
+    elif mutation == "spaces":  # and around each genre
+        mutated[at] = "::".join(spaced(parts if users else parts[:2] + [" | ".join(
+            parts[2].split("|"))]))
+        want = records
+    elif mutation == "nul":
+        mutated[at] = with_nul(data, lines[at])
     elif users:  # after the gender, age or occupation
         k = data.draw(st.integers(1, 3))
         mutated[at] = "::".join(parts[:k] + [parts[k] + "#"] + parts[k + 1:])
