@@ -196,8 +196,8 @@ def check_alpha(alpha):
 
 
 def check_seed(name, seed):
-    """Refuse a seed ``name`` that is not a non-negative integer."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    """Refuse a seed ``name`` that is not a non-negative integer (a bool is not)."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 

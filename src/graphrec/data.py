@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attributes import AttributeSchema, AttributeTable, check_seed
-from .graph import BipartiteGraph, build_graph
+from .graph import BipartiteGraph, build_graph, check_pairs
 from .model import ModelParams
 
 
@@ -185,11 +185,22 @@ def load_interactions(path, min_user_interactions=5, keep=None):
 
 
 def _group_by_user(pairs):
-    """{user: sorted item array} from (user, item) pairs, users ascending."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    """{user: sorted item array} from an (E, 2) int64 pair array, users ascending."""
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     users, starts = np.unique(pairs[:, 0], return_index=True)
     return dict(zip(users.tolist(), np.split(pairs[:, 1], starts[1:])))
+
+
+def _dataset(train, val, test, num_users, num_items, norm_mode, user_attrs, item_attrs,
+             user_ids, item_ids):
+    """The :class:`Dataset` of (E, 2) int64 pair arrays: the graph of ``train``
+    and each holdout grouped by user; ids default to the indices as text."""
+    return Dataset(
+        graph_train=build_graph(train, num_users, num_items, norm_mode), train_pairs=train,
+        val_items=_group_by_user(val), test_items=_group_by_user(test),
+        user_attrs=user_attrs, item_attrs=item_attrs,
+        user_ids=list(user_ids) if user_ids is not None else [str(u) for u in range(num_users)],
+        item_ids=list(item_ids) if item_ids is not None else [str(i) for i in range(num_items)])
 
 
 def check_ratios(ratios):
@@ -208,9 +219,13 @@ def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
     val and test sizes are floored; the remainder goes to train. Any user
     whose interactions all landed in val/test gets one pair reassigned to
     train, taken from the smaller of the two holdout sets (ties favor val)
-    so the holdouts stay balanced.
+    so the holdouts stay balanced. A pair that is not two in-range integers,
+    or is given twice (a copy in a holdout could never be a hit), is refused.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = check_pairs(pairs, num_users, num_items)
+    keys = np.sort(pairs[:, 0] * num_items + pairs[:, 1])
+    if (twice := np.flatnonzero(np.diff(keys) == 0)).size:
+        raise ValueError(f"interaction {divmod(int(keys[twice[0]]), num_items)} is given twice")
     check_ratios(ratios)
     check_seed("seed", seed)
     n = len(pairs)
@@ -240,19 +255,8 @@ def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
         set_sizes[assign[pick]] -= 1
         assign[pick] = 0
 
-    train_pairs = pairs[assign == 0]
-    graph = build_graph(train_pairs, num_users, num_items, norm_mode)
-
-    return Dataset(
-        graph_train=graph,
-        train_pairs=train_pairs,
-        val_items=_group_by_user(pairs[assign == 1]),
-        test_items=_group_by_user(pairs[assign == 2]),
-        user_attrs=user_attrs,
-        item_attrs=item_attrs,
-        user_ids=list(user_ids) if user_ids is not None else [str(u) for u in range(num_users)],
-        item_ids=list(item_ids) if item_ids is not None else [str(i) for i in range(num_items)],
-    )
+    return _dataset(pairs[assign == 0], pairs[assign == 1], pairs[assign == 2], num_users,
+                    num_items, norm_mode, user_attrs, item_attrs, user_ids, item_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +467,6 @@ def load_dataset(path):
             ground_truth=arrays[f"{side}_truth"],
             masked=[(int(e), int(f)) for e, f in arrays[f"{side}_masked"]],
         )
-    graph = build_graph(
-        arrays["train_pairs"], meta["num_users"], meta["num_items"], meta["norm_mode"]
-    )
-    return Dataset(
-        graph_train=graph,
-        train_pairs=arrays["train_pairs"],
-        val_items=_group_by_user(arrays["val_pairs"]),
-        test_items=_group_by_user(arrays["test_pairs"]),
-        user_attrs=tables["user"],
-        item_attrs=tables["item"],
-        user_ids=meta["user_ids"],
-        item_ids=meta["item_ids"],
-    )
+    return _dataset(arrays["train_pairs"], arrays["val_pairs"], arrays["test_pairs"],
+                    meta["num_users"], meta["num_items"], meta["norm_mode"],
+                    tables["user"], tables["item"], meta["user_ids"], meta["item_ids"])

@@ -116,6 +116,19 @@ def check_norm_mode(norm_mode):
         raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
 
 
+def check_pairs(pairs, num_users, num_items):
+    """(user, item) ``pairs`` as an (E, 2) int64 array; raises naming the first
+    pair that is not two integers in range for ``num_users``, ``num_items``."""
+    given = np.asarray(pairs).reshape(-1, 2)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        checked = given.astype(np.int64, copy=False)
+    bad = ((checked != given) | (checked < 0) | (checked >= (num_users, num_items))).any(axis=1)
+    if bad.any():
+        raise ValueError(f"interaction {tuple(given[np.argmax(bad)].tolist())} is not a pair of "
+                         f"integers in range for M={num_users}, N={num_items}")
+    return checked
+
+
 def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     """Build a :class:`BipartiteGraph` from (user, item) index pairs.
 
@@ -133,13 +146,7 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     check_norm_mode(norm_mode)
 
     M, N = num_users, num_items
-    given = np.asarray(interactions).reshape(-1, 2)
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
-        pairs = given.astype(np.int64, copy=False)
-    bad = ((pairs != given) | (pairs < 0) | (pairs >= (M, N))).any(axis=1)
-    if bad.any():
-        raise ValueError(f"interaction {tuple(given[np.argmax(bad)].tolist())} is not a pair of "
-                         f"integers in range for M={M}, N={N}")
+    pairs = check_pairs(interactions, M, N)
     # np.unique would hash the keys, over 10x slower than this sort
     keys = np.sort(pairs[:, 0] * N + pairs[:, 1])
     keys = keys[np.diff(keys, prepend=-1) != 0]

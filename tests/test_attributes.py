@@ -136,6 +136,11 @@ class TestMask:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             mask(t, 0.5, seed=-1)
 
+    def test_bool_seed_refused(self):
+        t = encode([{"gender": 0}], schema_single_multi())
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
+            mask(t, 0.5, seed=True)
+
     def test_pinned_seed(self):
         # seed 0 chooses entities 2, 3, 4, 5, 7 for f and 3, 5, 6, 7, 9 for g;
         # f is already missing for 2 and 7, g for 5

@@ -533,7 +533,8 @@ class TestSurface:
         args = build_parser().parse_args(
             ["train", "--out", str(tmp_path), "--min-rating", "4", "--lam", "1",
              "--norm-mode", "row", "--learning-rate", "1e-3", "--seed-split", "7"])
-        lines = open(echo_config(resolve_settings(args), tmp_path)).read().splitlines()
+        with open(echo_config(resolve_settings(args), tmp_path)) as fh:
+            lines = fh.read().splitlines()
         for line in ("min_rating=4.0", "lam=1.0", "norm_mode=row",
                      "learning_rate=0.001", "seed_split=7", "alpha=0.9"):
             assert line in lines

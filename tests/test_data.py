@@ -286,6 +286,27 @@ class TestSplit:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
             split([(0, 0)], 1, 1, seed=-3)
 
+    def test_bool_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
+            split([(0, 0)], 1, 1, seed=True)
+
+    @pytest.mark.parametrize("pairs, num_users, num_items, named", [
+        # a fraction was truncated to a second copy of (0, 0)
+        (np.array([[0.5, 0], [0, 0]]), 2, 1, r"\(0\.5, 0\.0\)"),
+        # a holdout pair was never checked: -1 scored as item 9, 12 past the end
+        ([(0, i) for i in range(9)] + [(0, -1), (0, 12)], 1, 10, r"\(0, -1\)"),
+        (np.array([[-1, 0], [0, 0]]), 2, 1, r"\(-1, 0\)"),
+    ], ids=["fraction", "holdout out of range", "negative"])
+    def test_bad_pair_named(self, pairs, num_users, num_items, named):
+        with pytest.raises(ValueError, match=named + " is not a pair of integers in range"):
+            split(pairs, num_users, num_items, seed=13)
+
+    def test_repeated_pair_named(self):
+        # one copy would train, the other be a test target that is never a hit
+        pairs = [(0, 0), (0, 0)] + [(0, i) for i in range(1, 10)]
+        with pytest.raises(ValueError, match=r"interaction \(0, 0\) is given twice"):
+            split(pairs, 1, 10, seed=0)
+
 
 class TestContainer:
     def test_round_trip_bitwise(self, tmp_path):

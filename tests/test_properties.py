@@ -13,7 +13,8 @@ hnp = pytest.importorskip("hypothesis.extra.numpy")
 from graphrec.attributes import (AttributeSchema, encode, load_attributes,  # noqa: E402
                                  load_schema, read_lines)
 from graphrec.cli import DEFAULTS, FLAG_CHOICES, _setting_text, read_config_file  # noqa: E402
-from graphrec.data import load_container, load_interactions, save_container  # noqa: E402
+from graphrec.data import (load_container, load_dataset, load_interactions,  # noqa: E402
+                           save_container, save_dataset, split)
 from graphrec.evaluate import _block_ranks  # noqa: E402
 from graphrec.ml1m import GENRES as ALL_GENRES, load_item_records, load_user_records  # noqa: E402
 
@@ -553,3 +554,72 @@ def test_container_round_trip(path, generated):
     for name, a in arrays.items():
         assert got[name].shape == a.shape and got[name].dtype == a.dtype.newbyteorder("<")
         assert got[name].dtype.byteorder in "<|=" and np.array_equal(got[name], a)
+
+
+# ---------------------------------------------------------------------------
+# The split and the dataset bundle.
+
+RATIOS = ((0.8, 0.1, 0.1), (0.2, 0.4, 0.4), (0.5, 0.1, 0.4))
+
+
+@st.composite
+def pair_sets(draw):
+    """(pairs, M, N): distinct in-range (user, item) pairs in any order, some
+    users with one or two, some users and items with none."""
+    M, N = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    pairs = [(u, i) for u in range(M) for i in draw(st.lists(
+        st.integers(0, N - 1), min_size=1 if u == 0 else 0, max_size=N, unique=True))]
+    return np.array(draw(st.permutations(pairs)), dtype=np.int64), M, N
+
+
+def grouped(holdout):
+    return [(u, int(i)) for u, items in holdout.items() for i in items]
+
+
+@SETTINGS
+@hypothesis.given(pair_sets(), st.sampled_from(RATIOS), st.integers(0, 2 ** 64))
+def test_split_partitions_and_bundle_reads_back(path, generated, ratios, seed):
+    pairs, M, N = generated
+    ds = split(pairs, M, N, ratios=ratios, seed=seed)
+    train = [tuple(p) for p in ds.train_pairs.tolist()]
+    assert sorted(train + grouped(ds.val_items) + grouped(ds.test_items)) == sorted(
+        map(tuple, pairs.tolist()))
+    assert {u for u, _ in train} == set(pairs[:, 0].tolist())
+    for holdout in (ds.val_items, ds.test_items):
+        assert list(holdout) == sorted(holdout)
+        assert all(np.all(np.diff(items) > 0) for items in holdout.values())
+
+    bundle = path.with_name("split.bin")
+    save_dataset(bundle, ds)
+    got = load_dataset(bundle)
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert same(got.train_pairs, ds.train_pairs)
+    for got_holdout, holdout in ((got.val_items, ds.val_items), (got.test_items, ds.test_items)):
+        assert list(got_holdout) == list(holdout)
+        assert all(same(got_holdout[u], holdout[u]) for u in holdout)
+    assert (got.user_ids, got.item_ids) == (ds.user_ids, ds.item_ids)
+    assert all(same(getattr(got.graph_train.S, name), getattr(ds.graph_train.S, name))
+               for name in ("indptr", "indices", "data"))
+
+
+@SETTINGS
+@hypothesis.given(pair_sets(), st.sampled_from(["repeat", "non-integer", "negative",
+                                                "out of range"]), st.data())
+def test_split_refuses_a_bad_pair_naming_it(generated, mutation, data):
+    pairs, M, N = generated
+    pairs = pairs.astype(float if mutation == "non-integer" else np.int64)  # a copy
+    at, column = data.draw(st.integers(0, len(pairs) - 1)), data.draw(st.integers(0, 1))
+    if mutation == "repeat":  # the copy goes in at ``at`` or after it
+        pairs = np.insert(pairs, data.draw(st.integers(at, len(pairs))), pairs[at], axis=0)
+    elif mutation == "non-integer":
+        pairs[at, column] += data.draw(st.sampled_from([0.5, -2.25, np.nan, np.inf]))
+    else:
+        pairs[at, column] = (-data.draw(st.integers(1, 3)) if mutation == "negative"
+                             else (M, N)[column] + data.draw(st.integers(0, 3)))
+    named = tuple(pairs[at].tolist())
+    with pytest.raises(ValueError) as refused:
+        split(pairs, M, N)
+    assert f"interaction {named} " in str(refused.value)
