@@ -92,7 +92,7 @@ class AttributeTable:
     values and indicator are (num_entities x total_dim); wherever
     indicator == 1, values == ground_truth. ``masked`` lists the
     (entity, field_index) pairs deleted by :func:`mask` — the attribute
-    inference test set.
+    inference test set. A side without attributes is :meth:`empty`.
     """
 
     schema: AttributeSchema
@@ -101,6 +101,11 @@ class AttributeTable:
     indicator: np.ndarray
     ground_truth: np.ndarray
     masked: list = dc_field(default_factory=list)
+
+    @classmethod
+    def empty(cls, side, num_entities):
+        """The table of a side without attributes: no fields, zero columns."""
+        return cls(AttributeSchema([]), side, *np.zeros((3, num_entities, 0)))
 
     @property
     def num_entities(self):

@@ -363,7 +363,7 @@ def cmd_infer_attributes(args, settings, load):
         fh.write("side\tentity\tfield\tprediction\tprobabilities\n")
         for table, side, ids in ((dataset.user_attrs, "user", dataset.user_ids),
                                  (dataset.item_attrs, "item", dataset.item_ids)):
-            if table is None or not table.masked:
+            if not table.masked:
                 continue
             predicted = infer_attributes(trace, params, side, table.schema)
             for e, f_idx in table.masked:
@@ -385,8 +385,6 @@ def cmd_infer_attributes(args, settings, load):
 def cmd_lp_baseline(args, settings, load):
     dataset = load()
     for table in (dataset.user_attrs, dataset.item_attrs):
-        if table is None:
-            continue
         results = label_propagation_metrics(dataset.graph_train, table)
         for name, info in results.items():
             val = "absent" if info["value"] is None else f"{info['value']:.6f}"

@@ -26,21 +26,28 @@ from .model import ModelParams
 
 @dataclass
 class Dataset:
-    """An interaction split plus optional attribute tables.
+    """An interaction split plus an attribute table per side.
 
     graph_train is built from training interactions only; val_items and
     test_items map user index -> sorted item-index array, in ascending user
-    order. user_ids/item_ids map dense indices back to external ids.
+    order. user_ids/item_ids map dense indices back to external ids. A side
+    given as None has no attributes: it becomes :meth:`AttributeTable.empty`.
     """
 
     graph_train: BipartiteGraph
     train_pairs: np.ndarray
     val_items: dict
     test_items: dict
-    user_attrs: AttributeTable | None
-    item_attrs: AttributeTable | None
+    user_attrs: AttributeTable
+    item_attrs: AttributeTable
     user_ids: list
     item_ids: list
+
+    def __post_init__(self):
+        if self.user_attrs is None:
+            self.user_attrs = AttributeTable.empty("user", self.num_users)
+        if self.item_attrs is None:
+            self.item_attrs = AttributeTable.empty("item", self.num_items)
 
     @property
     def num_users(self):
@@ -188,7 +195,8 @@ def _group_by_user(pairs):
     """{user: sorted item array} from an (E, 2) int64 pair array, users ascending."""
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     users, starts = np.unique(pairs[:, 0], return_index=True)
-    return dict(zip(users.tolist(), np.split(pairs[:, 1], starts[1:])))
+    items, bounds = pairs[:, 1], [*starts.tolist(), len(pairs)]
+    return {u: items[lo:hi] for u, lo, hi in zip(users.tolist(), bounds, bounds[1:])}
 
 
 def _dataset(train, val, test, num_users, num_items, norm_mode, user_attrs, item_attrs,
@@ -442,7 +450,7 @@ def save_dataset(path, dataset):
         "sides": [],
     }
     for side, table in (("user", dataset.user_attrs), ("item", dataset.item_attrs)):
-        if table is None:
+        if not len(table.schema):  # a side without attributes
             continue
         meta["sides"].append(side)
         meta[f"{side}_schema"] = table.schema.to_dict()

@@ -335,7 +335,7 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
     ndcg = {n: ndcg[n] for n in n_list}
     per_field = {}
     for table, side in ((dataset.user_attrs, "user"), (dataset.item_attrs, "item")):
-        if table is None or not table.masked:
+        if not table.masked:
             continue
         predicted = infer_attributes(trace, params, side, table.schema)
         per_field.update(attribute_metrics(predicted, table))

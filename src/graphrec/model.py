@@ -148,38 +148,28 @@ def attribute_block(graph, X, Y, K):
     inputs propagated K times. It depends on X and Y only, so it stays valid
     until the next attribute write-back.
 
-    The graph is bipartite, so each side's columns propagate as a chain
-    through the two off-diagonal blocks of S (``graph.blocks``), in place in
-    the block. Call ``near`` the rows of the side that owns the columns (the
-    users for X) and ``far`` the other side's. Hop 1 computes only
-    ``far = S_fn near``: S has no near-to-near entries, so near keeps its
-    input. Hop 2 computes only ``near += S_nf far``; far's product would be
-    ``S_fn near`` again, at hop 1's near, so far becomes ``far + far``.
+    The graph is bipartite, so each side's columns propagate as a chain of
+    contiguous arrays through the two off-diagonal blocks of S
+    (``graph.blocks``), and the block is assembled once from the two chains.
+    Call ``near`` the rows of the side that owns the columns (the users for
+    X) and ``far`` the other side's. Hop 1 computes only ``far = S_fn near``:
+    S has no near-to-near entries. Hop 2 computes only ``near + S_nf far``;
+    far's product would be ``S_fn near`` again, so far becomes ``far + far``.
     Later hops compute both sides. Each product adds the terms of the
     matching rows of ``S @ B`` in their order, so the block equals K full
     propagation steps on the stacked block bit for bit, and at K = 2 it
     takes half their sparse work.
     """
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    M, d_x = X.shape
-    B = np.zeros((M + Y.shape[0], d_x + Y.shape[1]))
-    B[:M, :d_x] = X
-    B[M:, d_x:] = Y
+    X, Y = np.asarray(X), np.asarray(Y)
     to_users, to_items = graph.blocks
-    for near, far, to_near, to_far in ((B[:M, :d_x], B[M:, :d_x], to_users, to_items),
-                                       (B[M:, d_x:], B[:M, d_x:], to_items, to_users)):
-        for k in range(1, K + 1):
-            if k == 1:
-                far[:] = to_far @ near
-            elif k == 2:
-                near += to_near @ far
-                far += far
-            else:
-                step = to_near @ far
-                far += to_far @ near
-                near += step
-    return B
+    chains = []
+    for near, to_near, to_far in ((X, to_users, to_items), (Y, to_items, to_users)):
+        far = to_far @ near if K else np.zeros((to_far.shape[0], near.shape[1]))
+        for k in range(2, K + 1):
+            near, far = near + to_near @ far, far + (far if k == 2 else to_far @ near)
+        chains.append((near, far))
+    (user_x, item_x), (item_y, user_y) = chains
+    return np.block([[user_x, user_y], [item_x, item_y]])
 
 
 def forward(params, graph, X, Y, block=None, rows=None):

@@ -239,10 +239,6 @@ def attribute_loss(predicted, table):
     return total
 
 
-def _side_width(table):
-    return table.schema.total_dim if table is not None else 0
-
-
 def scatter_rows(index, values, num_rows):
     """``out[r]``, the sum of ``values[k]`` over every k with ``index[k] == r``,
     from one sparse one-hot product. Each row adds its terms to zero in k
@@ -261,20 +257,16 @@ class StepRows:
     and negatives. A step's rows are node ids (users 0..M-1, items
     M..M+N-1), sorted as the rows of S are; the heads read each side's
     observed rows of a step trace by their positions among them. ``tables``
-    are the attribute tables cut to the observed entities, None for a side
-    without attributes.
+    are the attribute tables cut to the observed entities: no rows and no
+    columns for a side without attributes (an empty table, never None).
     """
 
     def __init__(self, graph, user_table, item_table):
         self.graph = graph
         self.observed, self.tables = [], []
         for offset, table in ((0, user_table), (graph.num_users, item_table)):
-            if _side_width(table):
-                ids = np.flatnonzero(table.indicator.any(axis=1))
-                self.tables.append(table.take(ids))
-            else:
-                ids = np.zeros(0, dtype=np.int64)
-                self.tables.append(None)
+            ids = np.flatnonzero(table.indicator.any(axis=1))
+            self.tables.append(table.take(ids))
             self.observed.append(offset + ids)
 
     def of(self, batch):
@@ -293,11 +285,10 @@ class StepRows:
 
     def heads(self, trace, params, sides):
         """(user, item) head probabilities on the observed rows of a step
-        trace, at the positions ``sides`` (from :meth:`of`), None for a side
+        trace, at the positions ``sides`` (from :meth:`of`); empty for a side
         without attributes. A training step computes them once; the loss and
         its gradient read the same arrays."""
         return tuple(normalize_logits(trace.final[side] @ W, table.schema)
-                     if table is not None else None
                      for side, W, table in zip(sides, (params.W_x, params.W_y), self.tables))
 
 
@@ -310,11 +301,7 @@ def batch_losses(trace, batch, rows, params, config, heads):
     diff_pos = (u * final[batch.pos]).sum(axis=1)
     diff_neg = (u * final[batch.neg]).sum(axis=1)
     loss_r = bpr_loss(diff_pos, diff_neg, params, config.lam)
-    loss_a = 0.0
-    for pred, table in zip(heads, rows.tables):
-        if pred is not None:
-            loss_a += attribute_loss(pred, table)
-    return loss_r, loss_a
+    return loss_r, sum(attribute_loss(pred, table) for pred, table in zip(heads, rows.tables))
 
 
 def gradients(trace, batch, sides, rows, params, config, heads):
@@ -354,11 +341,9 @@ def gradients(trace, batch, sides, rows, params, config, heads):
 
     grads = {}
     gamma = config.gamma
-    if gamma == 0:
-        heads = (None, None)
     for name, W_head, table, pred, side in zip(("W_x", "W_y"), (params.W_x, params.W_y),
                                                rows.tables, heads, sides):
-        if pred is not None:
+        if gamma:  # at gamma = 0 the heads add nothing to the objective
             # softmax-CE and sigmoid-BCE share the gradient (p - x) on observed entries
             gl = table.indicator * (pred - table.values)
             grads[name] = gamma * (final[side].T @ gl)
@@ -442,10 +427,8 @@ def _write_back(state, trace, dataset, K):
     updated = []
     for side, current, table in (("user", state.X, dataset.user_attrs),
                                  ("item", state.Y, dataset.item_attrs)):
-        if _side_width(table):
-            pred = infer_attributes(trace, state.params, side, table.schema)
-            current = apply_update(current, pred, table)
-        updated.append(current)
+        pred = infer_attributes(trace, state.params, side, table.schema)
+        updated.append(apply_update(current, pred, table))
     state.X, state.Y = updated
     return attribute_block(dataset.graph_train, state.X, state.Y, K)
 
@@ -463,8 +446,8 @@ def check_checkpoint(state, dataset, config=None):
     params = state.params
     for name, have, want in (("users", params.P.shape[0], dataset.num_users),
                              ("items", params.Q.shape[0], dataset.num_items),
-                             ("d_x", params.W_u.shape[0], _side_width(dataset.user_attrs)),
-                             ("d_y", params.W_v.shape[0], _side_width(dataset.item_attrs))):
+                             ("d_x", params.W_u.shape[0], dataset.user_attrs.schema.total_dim),
+                             ("d_y", params.W_v.shape[0], dataset.item_attrs.schema.total_dim)):
         if have != want:
             raise ValueError(f"checkpoint has {name}={have}, but the dataset has {name}={want}")
     if config is None:
@@ -482,9 +465,9 @@ def initial_state(dataset, config):
     graph = dataset.graph_train
     M, N = graph.num_users, graph.num_items
     tables = (dataset.user_attrs, dataset.item_attrs)
-    params = init_params(M, N, config.d, config.d_a, *map(_side_width, tables), config.K,
-                         config.seed_init, config.init_std)
-    X, Y = (init_missing(t) if t is not None else np.zeros((n, 0)) for t, n in zip(tables, (M, N)))
+    params = init_params(M, N, config.d, config.d_a, *(t.schema.total_dim for t in tables),
+                         config.K, config.seed_init, config.init_std)
+    X, Y = map(init_missing, tables)
     zeros = {k: np.zeros_like(a) for k, a in params.as_dict().items()}
     return TrainState(params, X, Y, zeros, copy.deepcopy(zeros), 0,
                       np.random.default_rng(config.seed_sampling),

@@ -482,6 +482,39 @@ class TestLpBaseline:
         assert "warning: label propagation for group stopped at the 2-sweep cap" in capped_err
 
 
+class TestOneSidedBundle:
+    @pytest.mark.parametrize("absent, present, field_names",
+                             [("item", "user", ["group", "tags"]), ("user", "item", ["kind"])])
+    def test_every_command_runs_on_it(self, toy_files, tmp_path, capsys, absent, present,
+                                      field_names):
+        # a bundle prepared without one side's attribute files: the commands
+        # that read it report and predict the other side alone
+        flags = data_flags(toy_files)
+        for flag in (f"--{absent}-attrs", f"--{absent}-schema"):
+            at = flags.index(flag)
+            del flags[at:at + 2]
+        prep = tmp_path / "prep"
+        assert main(["prepare-data", "--out", str(prep)] + flags) == 0
+        bundle = ["--dataset", str(prep / "dataset.bin")]
+        run = tmp_path / "run"
+        assert main(["train", "--out", str(run)] + bundle + train_flags()) == 0
+        checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
+        assert main(["evaluate", "--out", str(tmp_path / "eval")] + bundle + checkpoint) == 0
+        assert main(["infer-attributes", "--out", str(tmp_path / "infer")]
+                    + bundle + checkpoint) == 0
+        capsys.readouterr()
+        assert main(["lp-baseline", "--out", str(tmp_path / "lp")] + bundle) == 0
+        printed = capsys.readouterr().out
+        assert [line.split(".")[1] for line in printed.splitlines()] == field_names
+        report = (tmp_path / "eval" / "report_test.txt").read_text().splitlines()
+        assert [line.split(".")[1] for line in report if line.startswith("attr.")] == \
+            field_names
+        rows = (tmp_path / "infer" / "predictions.tsv").read_text().splitlines()[1:]
+        masked = getattr(load_dataset(prep / "dataset.bin"), f"{present}_attrs").masked
+        assert len(rows) == len(masked) > 0
+        assert {row.split("\t")[0] for row in rows} == {present}
+
+
 # Every subcommand's option strings and choices, as the hand-written parser
 # declared them before the flags were generated from the two declarations.
 COMMON_FLAGS = ["--config", "--out", "--dataset", "--interactions", "--user-attrs",

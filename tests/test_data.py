@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from graphrec import make_toy_dataset
-from graphrec.data import (TrainState, load_checkpoint, load_container, load_dataset,
+from graphrec.attributes import AttributeTable
+from graphrec.data import (Dataset, TrainState, load_checkpoint, load_container, load_dataset,
                            load_interactions, save_checkpoint, save_container,
                            save_dataset, split)
 from graphrec.evaluate import rank_and_score
@@ -697,3 +698,64 @@ class TestDatasetBundle:
                 trace, ds2, [1, 5, 10], target=target, return_per_user=True)
             assert (got, skipped) == (want, want_skipped)
             assert np.array_equal(users, want_users) and np.array_equal(ndcg, want_ndcg)
+
+
+# the four ways a dataset can hold attribute sides, as replace() keywords
+ABSENT_SIDES = [{}, {"user_attrs": None}, {"item_attrs": None},
+                {"user_attrs": None, "item_attrs": None}]
+
+
+class TestAbsentSide:
+    def assert_empty(self, table, side, num_entities):
+        assert isinstance(table, AttributeTable)
+        assert (len(table.schema), table.side, table.num_entities) == (0, side, num_entities)
+        assert table.values.shape == table.indicator.shape == (num_entities, 0)
+        assert table.masked == []
+
+    def test_every_way_in_gives_an_empty_table(self, tmp_path):
+        # split, a bundle, direct construction and replace() all turn a
+        # missing side into a table with no fields, never None
+        ds = make_toy_dataset(seed=0)
+        M, N = ds.num_users, ds.num_items
+        made = split(ds.train_pairs, M, N, seed=1, item_attrs=ds.item_attrs)
+        self.assert_empty(made.user_attrs, "user", M)
+        assert made.item_attrs is ds.item_attrs
+        direct = Dataset(ds.graph_train, ds.train_pairs, ds.val_items, ds.test_items,
+                         None, None, ds.user_ids, ds.item_ids)
+        self.assert_empty(direct.user_attrs, "user", M)
+        self.assert_empty(direct.item_attrs, "item", N)
+        replaced = replace(ds, item_attrs=None)
+        self.assert_empty(replaced.item_attrs, "item", N)
+        assert replaced.user_attrs is ds.user_attrs
+        path = tmp_path / "ds.bin"
+        save_dataset(path, replaced)
+        loaded = load_dataset(path)
+        self.assert_empty(loaded.item_attrs, "item", N)
+        assert loaded.user_attrs.masked == ds.user_attrs.masked
+
+    @pytest.mark.parametrize("absent", ABSENT_SIDES)
+    def test_bundle_bytes_survive_a_round_trip(self, tmp_path, absent):
+        ds = replace(make_toy_dataset(seed=2), **absent)
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_dataset(first, ds)
+        save_dataset(second, load_dataset(first))
+        assert first.read_bytes() == second.read_bytes()
+        # a side without attributes is left out of the bundle, not stored empty
+        assert load_container(first)[1]["sides"] == [
+            side for side in ("user", "item") if f"{side}_attrs" not in absent]
+
+    @pytest.mark.parametrize("absent", ABSENT_SIDES)
+    def test_training_on_the_loaded_bundle_is_the_same_run(self, tmp_path, absent):
+        ds = replace(make_toy_dataset(seed=2), **absent)
+        path = tmp_path / "ds.bin"
+        save_dataset(path, ds)
+        cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.3, batch_size=64, max_epochs=2,
+                          attr_update_cadence="per-batch")
+        want, got = train(ds, cfg), train(load_dataset(path), cfg)
+        for a, b in ((want.final_params, got.final_params), (want.params, got.params)):
+            for name, arr in a.as_dict().items():
+                assert arr.tobytes() == b.as_dict()[name].tobytes(), name
+        for a, b in ((want.final_X, got.final_X), (want.final_Y, got.final_Y)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [(e.loss_r, e.loss_a, e.val_hr) for e in want.log] == \
+            [(e.loss_r, e.loss_a, e.val_hr) for e in got.log]

@@ -8,7 +8,7 @@ import pytest
 from dataclasses import replace
 
 from graphrec import build_graph
-from graphrec.attributes import AttributeSchema, encode, init_missing
+from graphrec.attributes import AttributeSchema, AttributeTable, encode, init_missing
 from graphrec.data import load_checkpoint
 from graphrec.evaluate import evaluate_model
 from graphrec.graph import NodeRows
@@ -242,7 +242,8 @@ class TestGradients:
         g, config, p, X, Y = self.bpr_mf_setup()
         a, i, j = 0, 2, 1
         batch = TripleBatch(np.array([a]), np.array([i]), np.array([j]))
-        grads = step_gradients(p, g, X, Y, batch, None, None, config)
+        grads = step_gradients(p, g, X, Y, batch, AttributeTable.empty("user", 2),
+                               AttributeTable.empty("item", 3), config)
         diff = p.P[a] @ (p.Q[i] - p.Q[j])
         s = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-diff)
         expect_pa = -s * (p.Q[i] - p.Q[j]) + 2 * config.lam * p.P[a]
