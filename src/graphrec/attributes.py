@@ -119,13 +119,6 @@ class AttributeTable:
         # walks it too, and costs about three times as much
         return np.array([e for e, i in self.masked if i == f_idx], dtype=np.int64)
 
-    def take(self, entities):
-        """The table of the entities ``entities`` alone, numbered in that
-        order. ``masked`` is left empty: its entity numbers are the full
-        table's."""
-        return AttributeTable(self.schema, self.side, self.values[entities],
-                              self.indicator[entities], self.ground_truth[entities])
-
 
 def encode(raw_records, schema, side="user"):
     """Encode per-entity field assignments into an :class:`AttributeTable`.

@@ -216,18 +216,26 @@ def forward(params, graph, X, Y, block=None, rows=None):
     return ForwardTrace(final=final, num_users=graph.num_users, z=z, block=block, rows=rows)
 
 
+def logistic(x):
+    """``1 / (1 + exp(-x))``; below about -709 exp overflows and it is 0, unwarned."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def field_probabilities(logits, kind):
+    """One field's head: a softmax per row if single-label, else a logistic."""
+    if kind == "multi":
+        return logistic(logits)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def normalize_logits(logits, schema):
-    """Per-field head normalization: softmax on single-label blocks, logistic
-    on multi-label blocks. Output entries lie in (0, 1)."""
+    """:func:`field_probabilities` of every field's block of ``logits``.
+    Output entries lie in [0, 1]."""
     out = np.empty_like(logits)
     for f in schema:
-        block = logits[:, f.block]
-        if f.kind == "single":
-            shifted = block - block.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            out[:, f.block] = e / e.sum(axis=1, keepdims=True)
-        else:
-            out[:, f.block] = 1.0 / (1.0 + np.exp(-block))
+        out[:, f.block] = field_probabilities(logits[:, f.block], f.kind)
     return out
 
 

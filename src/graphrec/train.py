@@ -11,8 +11,9 @@ updated with Adam; missing attribute entries are refreshed from the model's
 own predictions after each step or each epoch (the cadence).
 
 The model is linear, so a step's dense work is exact on the rows its
-objective reads (:class:`StepRows`): the batch's users and items, and the
-users and items with an observed attribute entry, sorted by node id.
+objective reads (:class:`StepRows`): the batch's users and items, and each
+field's observed rows, sorted by node id. The heads, the attribute loss and
+its gradient read each field's observed rows alone, field by field.
 The two sparse passes, ``A^K [P; Q]`` forward and ``(A^T)^K`` backward, read
 ``S_R``, the rows of S at the step rows in that order, sliced once per step:
 the last forward step builds only the step rows, and the first backward step
@@ -36,8 +37,8 @@ from .attributes import apply_update, check_seed, init_missing
 from .data import EpochLog, TrainState, save_checkpoint
 from .evaluate import rank_and_score
 from .graph import NodeRows, propagate_back
-from .model import (ModelParams, attribute_block, forward, infer_attributes, init_params,
-                    normalize_logits)
+from .model import (ModelParams, attribute_block, field_probabilities, forward,
+                    infer_attributes, init_params, logistic)
 
 PROB_EPS = 1e-7  # clamp for logs inside the cross entropy
 
@@ -218,24 +219,23 @@ def bpr_loss(pos_scores, neg_scores, params=None, lam=0.0):
     return loss
 
 
-def attribute_loss(predicted, table):
-    """Cross entropy over observed entries only.
+def field_loss(p, x, kind):
+    """Cross entropy of one field's predictions ``p`` against its values
+    ``x`` on its observed rows: -x log(p) if single-label, else binary cross
+    entropy. Predictions are clamped to [PROB_EPS, 1 - PROB_EPS] in the logs."""
+    p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    if kind == "single":
+        return -float((x * np.log(p)).sum())
+    return -float((x * np.log(p) + (1.0 - x) * np.log(1.0 - p)).sum())
 
-    Single-label blocks contribute -x log(p); multi-label dimensions
-    contribute full binary cross entropy. Predictions are clamped to
-    [PROB_EPS, 1 - PROB_EPS] inside the logs.
-    """
-    p = np.clip(predicted, PROB_EPS, 1.0 - PROB_EPS)
-    A = table.indicator
-    x = table.values
+
+def attribute_loss(predicted, table):
+    """Cross entropy over observed entries only: the :func:`field_loss` of
+    each field over the rows where it is observed."""
     total = 0.0
     for f in table.schema:
-        blk = f.block
-        if f.kind == "single":
-            total -= float((A[:, blk] * x[:, blk] * np.log(p[:, blk])).sum())
-        else:
-            total -= float((A[:, blk] * (x[:, blk] * np.log(p[:, blk])
-                                         + (1.0 - x[:, blk]) * np.log(1.0 - p[:, blk]))).sum())
+        rows = np.flatnonzero(table.indicator[:, f.offset])
+        total += field_loss(predicted[rows, f.block], table.values[rows, f.block], f.kind)
     return total
 
 
@@ -251,45 +251,47 @@ def scatter_rows(index, values, num_rows):
 class StepRows:
     """The rows of the final embeddings a training step reads.
 
-    The attribute loss reads the users and items with an observed entry;
-    those never change, so they are found once per run (``observed``, one
-    array of node ids per side). :meth:`of` adds a batch's users, positives
-    and negatives. A step's rows are node ids (users 0..M-1, items
-    M..M+N-1), sorted as the rows of S are; the heads read each side's
-    observed rows of a step trace by their positions among them. ``tables``
-    are the attribute tables cut to the observed entities: no rows and no
-    columns for a side without attributes (an empty table, never None).
+    The attribute objective reads each field's observed rows; those never
+    change, so they are found once per run. ``fields`` holds, for every
+    field of both sides (none for a side without attributes), its head
+    ("W_x" or "W_y"), the field, the node ids where it is observed and its
+    values there. :meth:`of` adds a batch's users, positives and negatives.
+    A step's rows are node ids (users 0..M-1, items M..M+N-1), sorted as the
+    rows of S are; the heads read each field's observed rows of a step trace
+    by their positions among them.
     """
 
     def __init__(self, graph, user_table, item_table):
         self.graph = graph
-        self.observed, self.tables = [], []
-        for offset, table in ((0, user_table), (graph.num_users, item_table)):
-            ids = np.flatnonzero(table.indicator.any(axis=1))
-            self.tables.append(table.take(ids))
-            self.observed.append(offset + ids)
+        self.fields = []
+        for offset, head, table in ((0, "W_x", user_table),
+                                    (graph.num_users, "W_y", item_table)):
+            for f in table.schema:
+                ids = np.flatnonzero(table.indicator[:, f.offset])
+                self.fields.append((head, f, offset + ids, table.values[ids, f.block]))
 
     def of(self, batch):
-        """(cut, local, sides): the step rows of ``batch`` as a
+        """(cut, local, observed): the step rows of ``batch`` as a
         :class:`graph.NodeRows` of the graph, ids sorted; the batch's
-        triples as positions in them; and, per side, the positions of the
-        observed rows in them, which the heads read."""
+        triples as positions in them; and, per entry of ``fields``, the
+        positions of that field's observed rows in them."""
         M = self.graph.num_users
         marked = np.zeros(self.graph.num_nodes, dtype=bool)
-        for ids in (*self.observed, batch.users, M + batch.pos, M + batch.neg):
+        for ids in (*(ids for _, _, ids, _ in self.fields), batch.users, M + batch.pos,
+                    M + batch.neg):
             marked[ids] = True
         at = np.cumsum(marked) - 1  # a marked node's position among the marked
         return (NodeRows(self.graph, np.flatnonzero(marked)),
                 TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg]),
-                tuple(at[ids] for ids in self.observed))
+                [at[ids] for _, _, ids, _ in self.fields])
 
-    def heads(self, trace, params, sides):
-        """(user, item) head probabilities on the observed rows of a step
-        trace, at the positions ``sides`` (from :meth:`of`); empty for a side
-        without attributes. A training step computes them once; the loss and
-        its gradient read the same arrays."""
-        return tuple(normalize_logits(trace.final[side] @ W, table.schema)
-                     for side, W, table in zip(sides, (params.W_x, params.W_y), self.tables))
+    def heads(self, trace, params, observed):
+        """Per entry of ``fields``, its positions ``r`` in a step trace (from
+        :meth:`of`) and its head on those rows alone, ``(r, probabilities)``.
+        A training step computes them once; the loss and gradient read them."""
+        return [(r, field_probabilities(trace.final[r] @ getattr(params, head)[:, f.block],
+                                        f.kind))
+                for (head, f, _, _), r in zip(self.fields, observed)]
 
 
 def batch_losses(trace, batch, rows, params, config, heads):
@@ -301,24 +303,25 @@ def batch_losses(trace, batch, rows, params, config, heads):
     diff_pos = (u * final[batch.pos]).sum(axis=1)
     diff_neg = (u * final[batch.neg]).sum(axis=1)
     loss_r = bpr_loss(diff_pos, diff_neg, params, config.lam)
-    return loss_r, sum(attribute_loss(pred, table) for pred, table in zip(heads, rows.tables))
+    return loss_r, sum((field_loss(p, x, f.kind)
+                        for (_, f, _, x), (_, p) in zip(rows.fields, heads)), 0.0)
 
 
-def gradients(trace, batch, sides, rows, params, config, heads):
+def gradients(trace, batch, rows, params, config, heads):
     """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
 
     ``trace`` is the step's forward, restricted to the step rows of ``rows``
-    (:class:`StepRows`); ``batch`` and ``sides`` index them and ``heads``
-    are ``rows.heads(trace, params, sides)``. With
-    ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``, the gradient G of
-    ``final`` is zero off the step rows, so G holds those rows only. It
-    gives every layer weight from ``C = z^T G`` as
-    ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from ``(A^T)^K``
-    applied to the first d columns of ``G (W_1 ... W_K)^T`` (the first step
-    through the slice ``trace.rows.S``, :func:`propagate_back`), and W_u,
-    W_v from the rows of the attribute block ``A^K [[X, 0], [0, Y]]`` the
-    forward used (``trace.block``).
-    Finiteness is checked once, where :func:`adam_step` reads the gradients.
+    (:class:`StepRows`); ``batch`` indexes them and ``heads`` are
+    ``rows.heads``. With ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``,
+    the gradient G of ``final`` is zero off the step rows, so G holds those
+    rows only. Each field's head adds ``p - x`` on its observed rows alone
+    to G and to its columns of W_x or W_y. G gives every layer weight from
+    ``C = z^T G`` as ``(W_{<k})^T C (W_{>k})^T``, the free embeddings from
+    ``(A^T)^K`` applied to the first d columns of ``G (W_1 ... W_K)^T`` (the
+    first step through the slice ``trace.rows.S``, :func:`propagate_back`),
+    and W_u, W_v from the rows of the attribute block
+    ``A^K [[X, 0], [0, Y]]`` the forward used (``trace.block``). Finiteness
+    is checked once, where :func:`adam_step` reads the gradients.
 
     Raises:
         ValueError: when the trace holds every row, i.e. it is not the
@@ -333,23 +336,18 @@ def gradients(trace, batch, sides, rows, params, config, heads):
     u = final[batch.users]
     vi = final[batch.pos]
     vj = final[batch.neg]
-    diff = ((vi - vj) * u).sum(axis=1)
-    s = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-(r_ai - r_aj))
+    s = logistic(-((vi - vj) * u).sum(axis=1))  # sigmoid(-(r_ai - r_aj))
     G = scatter_rows(np.concatenate([batch.users, batch.pos, batch.neg]),
                      np.vstack([-s[:, None] * (vi - vj), -s[:, None] * u, s[:, None] * u]),
                      len(final))
 
-    grads = {}
+    grads = {"W_x": np.zeros_like(params.W_x), "W_y": np.zeros_like(params.W_y)}
     gamma = config.gamma
-    for name, W_head, table, pred, side in zip(("W_x", "W_y"), (params.W_x, params.W_y),
-                                               rows.tables, heads, sides):
-        if gamma:  # at gamma = 0 the heads add nothing to the objective
-            # softmax-CE and sigmoid-BCE share the gradient (p - x) on observed entries
-            gl = table.indicator * (pred - table.values)
-            grads[name] = gamma * (final[side].T @ gl)
-            G[side] += gamma * (gl @ W_head.T)
-        else:
-            grads[name] = np.zeros_like(W_head)
+    if gamma:  # at gamma = 0 the heads add nothing to the objective
+        for (head, f, _, x), (r, p) in zip(rows.fields, heads):
+            gl = p - x  # softmax-CE and sigmoid-BCE share the gradient p - x
+            grads[head][:, f.block] = gamma * (final[r].T @ gl)
+            G[r] += gamma * (gl @ getattr(params, head)[:, f.block].T)
 
     # prefix[k] = W_1 ... W_k; the layer weights' gradients walk the suffix down
     D = final.shape[1]
@@ -391,15 +389,15 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
     Raises:
         FloatingPointError: when a loss is non-finite.
     """
-    cut, local, sides = rows.of(batch)
+    cut, local, observed = rows.of(batch)
     every_row = config.attr_update_cadence == "per-batch"
     trace = forward(params, graph, X, Y, block, None if every_row else cut)
     step = trace.take(cut) if every_row else trace
-    heads = rows.heads(step, params, sides)
+    heads = rows.heads(step, params, observed)
     loss_r, loss_a = batch_losses(step, local, rows, params, config, heads)
     if not np.isfinite(loss_r + loss_a):
         raise FloatingPointError("non-finite loss")
-    return trace, loss_r, loss_a, gradients(step, local, sides, rows, params, config, heads)
+    return trace, loss_r, loss_a, gradients(step, local, rows, params, config, heads)
 
 
 # ---------------------------------------------------------------------------

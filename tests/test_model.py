@@ -279,6 +279,12 @@ class TestAttributeHeads:
         assert np.isfinite(out).all()
         assert out[0, 0] == pytest.approx(1.0)
 
+    def test_logistic_overflow_is_zero_unwarned(self):
+        # exp(800) overflows; the logistic of -800 is 0 all the same, and
+        # no warning (an error in these tests) is raised
+        s = AttributeSchema([("g", "multi", ["a", "b"])])
+        assert normalize_logits(np.array([[-800.0, 800.0]]), s).tolist() == [[0.0, 1.0]]
+
     def test_infer_attributes_sides(self, two_user_graph):
         s_user = AttributeSchema([("f", "single", ["a", "b", "c"])])
         s_item = AttributeSchema([("g", "multi", ["x", "y"])])

@@ -253,6 +253,19 @@ class TestGradients:
         assert np.allclose(grads["Q"][j], s * p.P[a] + 2 * config.lam * p.Q[j])
         assert np.allclose(grads["Q"][0], 2 * config.lam * p.Q[0], atol=1e-12)
 
+    def test_score_gap_beyond_exp_range(self):
+        # exp overflows on a score gap above about 709; the BPR weight
+        # sigmoid(-gap) is 0 all the same, and no warning (an error in these
+        # tests) is raised, so the gradient is the L2 term alone
+        g, config, p, X, Y = self.bpr_mf_setup()
+        p.P[0], p.Q[2], p.Q[1] = [30.0, 0.0, 0.0], [30.0, 0.0, 0.0], [-30.0, 0.0, 0.0]
+        batch = TripleBatch(np.array([0]), np.array([2]), np.array([1]))
+        assert p.P[0] @ (p.Q[2] - p.Q[1]) > 709
+        grads = step_gradients(p, g, X, Y, batch, AttributeTable.empty("user", 2),
+                               AttributeTable.empty("item", 3), config)
+        assert np.array_equal(grads["P"], 2 * config.lam * p.P)
+        assert np.array_equal(grads["Q"], 2 * config.lam * p.Q)
+
     def test_finite_difference_oracle_small(self):
         rng = np.random.default_rng(9)
         M, N = 8, 10
@@ -283,8 +296,8 @@ class TestGradients:
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
         with pytest.raises(ValueError, match="step rows"):
-            gradients(forward(p, g, X, Y), batch, (None, None),
-                      StepRows(g, user_table, item_table), p, config, (None, None))
+            gradients(forward(p, g, X, Y), batch, StepRows(g, user_table, item_table), p,
+                      config, [])
         assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
                                           rng)
 
@@ -371,6 +384,33 @@ class TestGradients:
         assert got[3].keys() == want[3].keys()
         for name, grad in got[3].items():
             assert np.array_equal(grad, want[3][name]), name
+
+    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
+    def test_step_losses_match_reference(self, cadence, norm_mode):
+        # the step's L_r + gamma * L_a, read from the step rows and each
+        # field's observed rows alone, is the objective recomputed on every
+        # row from the whole tables; on both sides some entities have one
+        # field observed and the other masked
+        rng = np.random.default_rng(60)
+        M, N = 8, 10
+        pairs = rng.integers(0, [M, N], size=(40, 2))
+        g = build_graph(pairs, M, N, norm_mode)
+        user_table, item_table = small_attr_tables(rng)
+        for table in (user_table, item_table):
+            observed = np.stack([table.indicator[:, f.offset] for f in table.schema], axis=1)
+            assert (observed.sum(axis=1) == 1).any()
+        config = TrainConfig(d=3, d_a=2, K=2, gamma=0.7, lam=0.01,
+                             attr_update_cadence=cadence).validate()
+        p = init_params(M, N, 3, 2, 5, 5, K=2, seed=61, init_std=0.3)
+        X = init_missing(user_table, fallback=0.5)
+        Y = init_missing(item_table, fallback=0.5)
+        batch = pair_batch(g, pairs, 12, rng)
+        _, loss_r, loss_a, _ = train_step(p, g, X, Y, attribute_block(g, X, Y, 2), batch,
+                                          StepRows(g, user_table, item_table), config)
+        want = total_loss(p, g, X, Y, batch, user_table, item_table, config)
+        assert loss_a > 0
+        assert abs(loss_r + config.gamma * loss_a - want) <= 1e-12 * abs(want)
 
     def test_zero_observed_attributes_zero_head_grads(self):
         rng = np.random.default_rng(11)
@@ -688,7 +728,9 @@ class TestTrainLoop:
         # at hop 2 (near side) and two at each later hop, at that side's
         # width. Outside the steps S is multiplied at width d only. A
         # per-epoch step's final embeddings have one row per step row, fewer
-        # than M + N
+        # than M + N. Each field's head is evaluated once per step, on that
+        # field's observed rows alone: for a user field, fewer rows than the
+        # users with an observed entry
         mod = sys.modules["graphrec.train"]
         graph = toy_dataset.graph_train
         M, N = graph.num_users, graph.num_items
@@ -696,7 +738,13 @@ class TestTrainLoop:
         d_x, d_y = (t.schema.total_dim for t in tables)
         observed = np.concatenate([offset + np.flatnonzero(t.indicator.any(axis=1))
                                    for offset, t in zip((0, M), tables)])
-        events = []
+        field_rows = [(int(t.indicator[:, f.offset].sum()), f.cardinality)
+                      for t in tables for f in t.schema]
+        user_table = tables[0]
+        assert len(user_table.schema) > 1
+        assert max(n for n, _ in field_rows[:len(user_table.schema)]) \
+            < user_table.indicator.any(axis=1).sum()
+        events, head_calls = [], []
 
         class Counting:
             def __init__(self, op, name):
@@ -719,12 +767,19 @@ class TestTrainLoop:
                 return getattr(self.op, attr)
 
         real_step, real_update = mod.train_step, mod.apply_update
+        real_head = mod.field_probabilities
         step_rows = []
+
+        def counting_head(logits, kind):
+            head_calls.append(logits.shape)
+            return real_head(logits, kind)
 
         def marked_step(params, graph, X, Y, block, batch, rows, config):
             events.append(("step", None))
+            head_calls.clear()
             out = real_step(params, graph, X, Y, block, batch, rows, config)
             events.append(("end", None))
+            assert head_calls == field_rows
             want = np.unique(np.concatenate([batch.users, M + batch.pos, M + batch.neg,
                                              observed]))
             trace = out[0]
@@ -757,6 +812,7 @@ class TestTrainLoop:
                                                           ("to_users", "to_items"))))
         monkeypatch.setattr(mod, "train_step", marked_step)
         monkeypatch.setattr(mod, "apply_update", marked_update)
+        monkeypatch.setattr(mod, "field_probabilities", counting_head)
         for cadence in ("per-epoch", "per-batch"):
             for K in (1, 2, 3):
                 cfg = self.small_config(K=K, batch_size=16, max_epochs=2,
