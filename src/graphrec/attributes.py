@@ -5,7 +5,8 @@ Attributes are grouped into fields. A single-label field is a one-hot block
 Each entity either has a field fully observed or fully missing; the
 observation indicator is therefore constant within a field's block.
 Masking deletes whole (entity, field) observations; the pre-masking values
-are kept as ``ground_truth`` for evaluation and are never visible to a model.
+are kept as ``ground_truth`` for evaluation and are never visible to a model,
+which reads only the observed ones (``ground_truth * indicator``).
 """
 
 from __future__ import annotations
@@ -87,37 +88,41 @@ class AttributeSchema:
 
 @dataclass
 class AttributeTable:
-    """Per-side attribute matrix with observation indicator and held-out truth.
+    """Per-side observation indicator and held-out truth.
 
-    values and indicator are (num_entities x total_dim); wherever
-    indicator == 1, values == ground_truth. ``masked`` lists the
-    (entity, field_index) pairs deleted by :func:`mask` — the attribute
-    inference test set. A side without attributes is :meth:`empty`.
+    indicator and ground_truth are (num_entities x total_dim) 0/1 arrays;
+    :attr:`values`, what a model is given, is derived from them. ``masked``
+    is the (n, 2) int64 array of the (entity, field_index) pairs deleted by
+    :func:`mask`, the attribute inference test set. A side without
+    attributes is :meth:`empty`.
     """
 
     schema: AttributeSchema
     side: str  # "user" | "item"
-    values: np.ndarray
     indicator: np.ndarray
     ground_truth: np.ndarray
-    masked: list = dc_field(default_factory=list)
+    masked: np.ndarray = dc_field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     @classmethod
     def empty(cls, side, num_entities):
         """The table of a side without attributes: no fields, zero columns."""
-        return cls(AttributeSchema([]), side, *np.zeros((3, num_entities, 0)))
+        return cls(AttributeSchema([]), side, *np.zeros((2, num_entities, 0)))
+
+    @property
+    def values(self):
+        """The observed values, zero elsewhere: ``ground_truth * indicator``,
+        a new array on every read."""
+        return self.ground_truth * self.indicator
 
     @property
     def num_entities(self):
-        return self.values.shape[0]
+        return self.indicator.shape[0]
 
     def masked_entities(self, name):
         """The entities of the ``masked`` pairs of field ``name``, an int64
-        array in the list's order."""
+        array in the order of ``masked``."""
         f_idx = self.schema.fields.index(self.schema[name])
-        # one pass over the tuples: converting the list to an array first
-        # walks it too, and costs about three times as much
-        return np.array([e for e, i in self.masked if i == f_idx], dtype=np.int64)
+        return self.masked[self.masked[:, 1] == f_idx, 0]
 
 
 def encode(raw_records, schema, side="user"):
@@ -150,12 +155,12 @@ def encode(raw_records, schema, side="user"):
                 cols.append(f.offset + c)
             pair_rows.append(e)
             pair_fields.append(k)
-    values = np.zeros((len(raw_records), schema.total_dim))
-    values[rows, cols] = 1.0
+    truth = np.zeros((len(raw_records), schema.total_dim))
+    truth[rows, cols] = 1.0
     observed = np.zeros((len(raw_records), len(schema)))
     observed[pair_rows, pair_fields] = 1.0
     indicator = np.repeat(observed, [f.cardinality for f in schema], axis=1)
-    return AttributeTable(schema, side, values, indicator, values.copy(), [])
+    return AttributeTable(schema, side, indicator, truth)
 
 
 def mask(table, alpha, seed):
@@ -163,28 +168,26 @@ def mask(table, alpha, seed):
 
     For each field independently (seeded per field, deterministic), a
     uniformly random floor(alpha * num_entities)-size subset of entities has
-    its indicator and values zeroed over the field's block. ground_truth is
-    untouched. The deleted (entity, field) pairs that were observed are
-    appended to ``masked`` field by field, entities ascending; a chosen
-    entity whose field was already missing is not listed.
+    its indicator zeroed over the field's block, which zeroes its values
+    there too. ground_truth is untouched. The deleted (entity, field) pairs
+    that were observed follow the table's ``masked`` rows field by field,
+    entities ascending; a chosen entity whose field was already missing is
+    not listed.
     """
     check_alpha(alpha)
     check_seed("seed", seed)
-    values = table.values.copy()
     indicator = table.indicator.copy()
-    masked = list(table.masked)
+    masked = [table.masked]
     E = table.num_entities
     n_del = int(np.floor(alpha * E))
     for f_idx, f in enumerate(table.schema):
         rng = np.random.default_rng([int(seed), f_idx])
         chosen = np.sort(rng.choice(E, size=n_del, replace=False))
         observed = chosen[indicator[chosen, f.offset] == 1.0]
-        masked.extend(zip(observed.tolist(), [f_idx] * len(observed)))
-        values[chosen, f.block] = 0.0
+        masked.append(np.column_stack([observed, np.full_like(observed, f_idx)]))
         indicator[chosen, f.block] = 0.0
-    return AttributeTable(
-        table.schema, table.side, values, indicator, table.ground_truth.copy(), masked
-    )
+    return AttributeTable(table.schema, table.side, indicator, table.ground_truth.copy(),
+                          np.concatenate(masked))
 
 
 def check_alpha(alpha):
@@ -207,18 +210,15 @@ def init_missing(table, fallback=None):
     with zero observed entities is an error unless ``fallback`` is given.
     """
     obs_count = table.indicator.sum(axis=0)
+    values = table.values
     if (obs_count == 0).any():
         if fallback is None:
             dim = int(np.argmax(obs_count == 0))
             raise ValueError(f"attribute dimension {dim} has no observed entities")
-        means = np.where(
-            obs_count > 0,
-            (table.values * table.indicator).sum(axis=0) / np.maximum(obs_count, 1),
-            fallback,
-        )
+        means = np.where(obs_count > 0, values.sum(axis=0) / np.maximum(obs_count, 1), fallback)
     else:
-        means = (table.values * table.indicator).sum(axis=0) / obs_count
-    return table.values * table.indicator + means * (1.0 - table.indicator)
+        means = values.sum(axis=0) / obs_count
+    return values + means * (1.0 - table.indicator)
 
 
 def apply_update(current, inferred, table):

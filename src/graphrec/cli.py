@@ -363,7 +363,7 @@ def cmd_infer_attributes(args, settings, load):
         fh.write("side\tentity\tfield\tprediction\tprobabilities\n")
         for table, side, ids in ((dataset.user_attrs, "user", dataset.user_ids),
                                  (dataset.item_attrs, "item", dataset.item_ids)):
-            if not table.masked:
+            if not len(table.masked):
                 continue
             predicted = infer_attributes(trace, params, side, table.schema)
             for e, f_idx in table.masked:

@@ -457,7 +457,7 @@ def save_dataset(path, dataset):
         arrays[f"{side}_values"] = table.values
         arrays[f"{side}_indicator"] = table.indicator
         arrays[f"{side}_truth"] = table.ground_truth
-        arrays[f"{side}_masked"] = np.array(table.masked, dtype=np.int64).reshape(-1, 2)
+        arrays[f"{side}_masked"] = table.masked
     save_container(path, arrays, meta)
 
 
@@ -470,10 +470,9 @@ def load_dataset(path):
         schema = AttributeSchema.from_dict(meta[f"{side}_schema"])
         tables[side] = AttributeTable(
             schema=schema, side=side,
-            values=arrays[f"{side}_values"],
             indicator=arrays[f"{side}_indicator"],
             ground_truth=arrays[f"{side}_truth"],
-            masked=[(int(e), int(f)) for e, f in arrays[f"{side}_masked"]],
+            masked=arrays[f"{side}_masked"],
         )
     return _dataset(arrays["train_pairs"], arrays["val_pairs"], arrays["test_pairs"],
                     meta["num_users"], meta["num_items"], meta["norm_mode"],

@@ -136,12 +136,13 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     depth = max(n_list)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     ranks = np.empty(len(items), dtype=np.int64)
-    indptr, seen = graph.items_of(users)
+    seen = graph.blocks[0][users]  # each user's training items, ascending
     for lo in range(0, len(users), _BLOCK_USERS):
         block = users[lo:lo + _BLOCK_USERS]
         scores = U[block] @ V.T
-        cuts = indptr[lo:lo + len(block) + 1]
-        scores[np.repeat(np.arange(len(block)), np.diff(cuts)), seen[cuts[0]:cuts[-1]]] = -np.inf
+        cuts = seen.indptr[lo:lo + len(block) + 1]
+        scores[np.repeat(np.arange(len(block)), np.diff(cuts)),
+               seen.indices[cuts[0]:cuts[-1]]] = -np.inf
         t0, t1 = offsets[lo], offsets[lo + len(block)]
         rows = np.repeat(np.arange(len(block)), lengths[lo:lo + len(block)])
         ranks[t0:t1] = _block_ranks(scores, rows, items[t0:t1], depth)
@@ -335,7 +336,7 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
     ndcg = {n: ndcg[n] for n in n_list}
     per_field = {}
     for table, side in ((dataset.user_attrs, "user"), (dataset.item_attrs, "item")):
-        if not table.masked:
+        if not len(table.masked):
             continue
         predicted = infer_attributes(trace, params, side, table.schema)
         per_field.update(attribute_metrics(predicted, table))
@@ -456,7 +457,7 @@ def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
 def label_propagation_metrics(graph, table, iterations=1000, tol=1e-6):
     """ACC / MAP of label propagation on every field's masked test set, with
     each field's ``converged`` flag and sweep count (``iterations``)."""
-    predicted = np.zeros(table.values.shape)
+    predicted = np.zeros(table.indicator.shape)
     runs = {}
     for f in table.schema:
         runs[f.name] = lp = label_propagation(graph, table, f.name, iterations, tol)

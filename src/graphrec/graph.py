@@ -33,9 +33,10 @@ class BipartiteGraph:
         num_items: N.
         S: (M+N) x (M+N) CSR propagation operator (normalized adjacency, no self
             loops), with sorted column indices in every row: a ``S`` given
-            unsorted is sorted here, so :meth:`items_of` lists each user's
-            items in ascending order. Backward passes apply its transpose
-            view ``S.T``, in both normalizations.
+            unsorted is sorted here, so each user's row of the block users
+            <- items (:attr:`blocks`) lists its items in ascending order.
+            Backward passes apply its transpose view ``S.T``, in both
+            normalizations.
         norm_mode: "symmetric" (D^-1/2 A D^-1/2) or "row" (D^-1 A).
     """
 
@@ -54,12 +55,6 @@ class BipartiteGraph:
     def user_degrees(self):
         """Item count of every user, an (M,) int array."""
         return np.diff(self.S.indptr[:self.num_users + 1])
-
-    def items_of(self, users):
-        """(indptr, items): ``items[indptr[r]:indptr[r + 1]]`` are the items of
-        ``users[r]`` in ascending order, read from its row of S."""
-        rows = self.S[users]
-        return rows.indptr, rows.indices - self.num_users
 
     def split(self, values):
         """``(to_users, to_items)``: the two off-diagonal blocks of the

@@ -139,7 +139,7 @@ def test_criterion_2c_attribute_metric_oracle():
         truth_m = list(np.flatnonzero(rng.random(4) < 0.5))
         t = encode([{"s": truth_s, "m": truth_m}], schema)
         t.indicator[:] = 0.0
-        t.masked.extend([(0, 0), (0, 1)])
+        t.masked = np.array([(0, 0), (0, 1)])
         pred = rng.random((1, 8))
         out = attribute_metrics(pred, t)
         # brute-force ACC: explicit max scan with lowest-index ties

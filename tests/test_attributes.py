@@ -86,7 +86,7 @@ class TestMask:
         t = encode([{"gender": 0, "genre": [1]}] * 4, s)
         m = mask(t, 0.0, seed=1)
         assert np.array_equal(m.values, t.values)
-        assert m.masked == []
+        assert m.masked.tolist() == []
 
     def test_floor_count_and_determinism(self):
         s = AttributeSchema([("f", "single", ["a", "b"])])
@@ -94,7 +94,7 @@ class TestMask:
         m1 = mask(t, 0.9, seed=42)
         m2 = mask(t, 0.9, seed=42)
         assert len(m1.masked) == 9
-        assert m1.masked == m2.masked
+        assert np.array_equal(m1.masked, m2.masked)
         assert np.array_equal(m1.values, m2.values)
 
     def test_per_field_independence(self):
@@ -152,7 +152,7 @@ class TestMask:
         before = (t.values.copy(), t.indicator.copy(), t.ground_truth.copy())
         m = mask(t, 0.5, seed=0)
         # field-major, entities ascending; chosen but already missing: not listed
-        assert m.masked == [(3, 0), (4, 0), (5, 0), (3, 1), (6, 1), (7, 1), (9, 1)]
+        assert m.masked.tolist() == [[3, 0], [4, 0], [5, 0], [3, 1], [6, 1], [7, 1], [9, 1]]
         values, indicator = before[0].copy(), before[1].copy()
         for rows, f in (([2, 3, 4, 5, 7], s["f"]), ([3, 5, 6, 7, 9], s["g"])):
             values[rows, f.block] = 0.0
@@ -167,8 +167,8 @@ class TestMask:
         s = AttributeSchema([("f", "single", ["a", "b"]), ("g", "multi", ["x"])])
         t = encode([{"f": 0}] * 6, s)
         assert t.masked_entities("f").dtype == np.int64 and len(t.masked_entities("f")) == 0
-        t.masked.extend([(4, 1), (3, 0), (0, 1), (1, 0), (5, 1)])
-        # in the list's order, not sorted
+        t.masked = np.array([(4, 1), (3, 0), (0, 1), (1, 0), (5, 1)])
+        # in the array's order, not sorted
         assert t.masked_entities("f").tolist() == [3, 1]
         assert t.masked_entities("g").tolist() == [4, 0, 5]
 

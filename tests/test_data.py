@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from graphrec import make_toy_dataset
-from graphrec.attributes import AttributeTable
+from graphrec.attributes import AttributeSchema, AttributeTable, encode, mask
 from graphrec.data import (Dataset, TrainState, load_checkpoint, load_container, load_dataset,
                            load_interactions, save_checkpoint, save_container,
                            save_dataset, split)
 from graphrec.evaluate import rank_and_score
 from graphrec.model import ForwardTrace, ModelParams, init_params
+from graphrec.toy import (ITEM_SCHEMA, USER_SCHEMA, toy_interactions, toy_item_records,
+                          toy_user_records)
 from graphrec.train import TrainConfig, initial_state, train
 
 from conftest import with_byte_order_mark
@@ -675,8 +677,8 @@ class TestDatasetBundle:
             assert np.array_equal(ds2.test_items[u], ds.test_items[u])
         assert np.array_equal(ds2.user_attrs.values, ds.user_attrs.values)
         assert np.array_equal(ds2.user_attrs.indicator, ds.user_attrs.indicator)
-        assert ds2.user_attrs.masked == ds.user_attrs.masked
-        assert ds2.item_attrs.masked == ds.item_attrs.masked
+        assert np.array_equal(ds2.user_attrs.masked, ds.user_attrs.masked)
+        assert np.array_equal(ds2.item_attrs.masked, ds.item_attrs.masked)
         assert ds2.user_ids == ds.user_ids
 
     def test_interleaved_round_trip_keeps_order_and_ranking(self, tmp_path):
@@ -699,6 +701,39 @@ class TestDatasetBundle:
             assert (got, skipped) == (want, want_skipped)
             assert np.array_equal(users, want_users) and np.array_equal(ndcg, want_ndcg)
 
+    def test_each_fact_has_one_stored_form(self, tmp_path):
+        # from encode through mask to a reloaded bundle: the values are the
+        # truth where observed and zero elsewhere, and the masked set is one
+        # (n, 2) int64 array, field by field and entities ascending
+        def check(table):
+            assert np.array_equal(table.values, table.ground_truth * table.indicator)
+            m = table.masked
+            assert m.dtype == np.int64 and m.shape == (len(m), 2) and m.flags.c_contiguous
+            assert (np.diff(m[:, 1] * table.num_entities + m[:, 0]) > 0).all()
+            for e, f_idx in m:
+                assert not table.values[e, table.schema.fields[f_idx].block].any()
+
+        users = encode(toy_user_records(50), USER_SCHEMA, side="user")
+        items = encode(toy_item_records(60), ITEM_SCHEMA, side="item")
+        check(users)
+        assert users.masked.shape == (0, 2)
+        users, items = mask(users, 0.5, 1000), mask(items, 0.5, 2000)
+        ds = split(toy_interactions(), 50, 60, seed=3000, user_attrs=users, item_attrs=items)
+        path = tmp_path / "ds.bin"
+        save_dataset(path, ds)
+        loaded = load_dataset(path)
+        for table in (users, items, loaded.user_attrs, loaded.item_attrs):
+            check(table)
+            assert len(table.masked) > 0
+        for a, b in ((users, loaded.user_attrs), (items, loaded.item_attrs)):
+            assert np.array_equal(a.values, b.values) and np.array_equal(a.masked, b.masked)
+        # an empty side: encoded without fields, masked, or absent from a bundle
+        nothing = mask(encode([{}] * 50, AttributeSchema([]), side="user"), 0.5, 1)
+        save_dataset(path, replace(ds, user_attrs=None))
+        for table in (nothing, AttributeTable.empty("user", 50), load_dataset(path).user_attrs):
+            check(table)
+            assert table.masked.shape == (0, 2)
+
 
 # the four ways a dataset can hold attribute sides, as replace() keywords
 ABSENT_SIDES = [{}, {"user_attrs": None}, {"item_attrs": None},
@@ -710,7 +745,7 @@ class TestAbsentSide:
         assert isinstance(table, AttributeTable)
         assert (len(table.schema), table.side, table.num_entities) == (0, side, num_entities)
         assert table.values.shape == table.indicator.shape == (num_entities, 0)
-        assert table.masked == []
+        assert table.masked.tolist() == []
 
     def test_every_way_in_gives_an_empty_table(self, tmp_path):
         # split, a bundle, direct construction and replace() all turn a
@@ -731,7 +766,7 @@ class TestAbsentSide:
         save_dataset(path, replaced)
         loaded = load_dataset(path)
         self.assert_empty(loaded.item_attrs, "item", N)
-        assert loaded.user_attrs.masked == ds.user_attrs.masked
+        assert np.array_equal(loaded.user_attrs.masked, ds.user_attrs.masked)
 
     @pytest.mark.parametrize("absent", ABSENT_SIDES)
     def test_bundle_bytes_survive_a_round_trip(self, tmp_path, absent):

@@ -400,7 +400,7 @@ class TestAveragePrecision:
         multi-label field: that entity's AP, or None without a true label."""
         schema = AttributeSchema([("m", "multi", [str(j) for j in range(len(truth))])])
         t = encode([{"m": list(np.flatnonzero(truth))}], schema)
-        t.masked.append((0, 0))
+        t.masked = np.array([(0, 0)])
         return attribute_metrics(np.array([scores], dtype=float), t)["m"]["value"]
 
     def test_perfect(self):
@@ -429,7 +429,7 @@ class TestAttributeMetrics:
         s = AttributeSchema([("f", "single", ["a", "b", "c"])])
         t = encode([{"f": 1}, {"f": 0}], s)
         t.indicator[:] = 0.0
-        t.masked.extend([(0, 0), (1, 0)])
+        t.masked = np.array([(0, 0), (1, 0)])
         pred = np.array([[0.2, 0.7, 0.1], [0.2, 0.7, 0.1]])
         out = attribute_metrics(pred, t)
         assert out["f"]["metric"] == "ACC"
@@ -440,7 +440,7 @@ class TestAttributeMetrics:
         s = AttributeSchema([("f", "single", ["a", "b"])])
         t = encode([{"f": 0}, {"f": 1}], s)
         t.indicator[:] = 0.0
-        t.masked.extend([(0, 0), (1, 0)])
+        t.masked = np.array([(0, 0), (1, 0)])
         out = attribute_metrics(np.full((2, 2), 0.5), t)
         assert out["f"]["value"] == 0.5  # ties predict index 0
 
@@ -455,7 +455,7 @@ class TestAttributeMetrics:
         s = AttributeSchema([("g", "multi", ["x", "y", "z", "w"])])
         t = encode([{"g": [1, 3]}, {"g": [1, 3]}], s)
         t.indicator[:] = 0.0
-        t.masked.extend([(0, 0), (1, 0)])
+        t.masked = np.array([(0, 0), (1, 0)])
         pred = np.array([[0.1, 0.9, 0.2, 0.8],    # AP 1.0
                          [0.9, 0.8, 0.7, 0.6]])   # AP 0.5
         out = attribute_metrics(pred, t)
@@ -465,7 +465,7 @@ class TestAttributeMetrics:
         s = AttributeSchema([("g", "multi", ["x", "y"])])
         t = encode([{"g": []}, {"g": [0]}], s)
         t.indicator[:] = 0.0
-        t.masked.extend([(0, 0), (1, 0)])
+        t.masked = np.array([(0, 0), (1, 0)])
         out = attribute_metrics(np.array([[0.9, 0.1], [0.9, 0.1]]), t)
         assert out["g"]["count"] == 1
         assert out["g"]["value"] == 1.0
@@ -482,7 +482,7 @@ class TestAttributeMetrics:
         s = AttributeSchema([("f", "single", ["a", "b"])])
         t = encode([{"f": 0}] * 6 + [{"f": 1}] * 2, s)
         t.indicator[6:] = 0.0
-        t.masked.extend([(6, 0), (7, 0)])
+        t.masked = np.array([(6, 0), (7, 0)])
         # majority among observed (entities 0..5) is class 0; both masked are class 1
         assert majority_class_accuracy(t, "f") == 0.0
 
@@ -529,6 +529,14 @@ class TestSparsityGroups:
         with pytest.raises(ValueError, match="bins do not cover"):
             sparsity_groups(toy_dataset, trace, [(0, 3)])
 
+    def test_equal_counts_give_one_bin(self):
+        # every quantile is the one count, so there is no edge pair to bin
+        pairs = np.array([(a, (a + k) % 5) for a in range(4) for k in range(3)])
+        ds = Dataset(graph_train=build_graph(pairs, 4, 5), train_pairs=pairs,
+                     val_items={}, test_items={}, user_attrs=None, item_attrs=None,
+                     user_ids=[f"u{a}" for a in range(4)], item_ids=[])
+        assert default_bins(ds) == [(3, 4)]
+
 
 class TestLabelPropagation:
     def user_table(self, records, schema=None):
@@ -538,7 +546,7 @@ class TestLabelPropagation:
     def test_single_source(self):
         g = build_graph([(0, 0), (1, 0)], 2, 1)
         t = self.user_table([{"f": 0}, {}])
-        t.masked.append((1, 0))
+        t.masked = np.array([(1, 0)])
         lp = label_propagation(g, t, "f", iterations=500, tol=1e-12)
         assert np.allclose(lp.predictions[0], [1.0, 0.0], atol=1e-9)
         assert not lp.fallback[0]
@@ -547,7 +555,7 @@ class TestLabelPropagation:
         # u0 -- i0 -- u1 -- i1 -- u2 with opposite labels at u0, u2
         g = build_graph([(0, 0), (1, 0), (1, 1), (2, 1)], 3, 2)
         t = self.user_table([{"f": 0}, {}, {"f": 1}])
-        t.masked.append((1, 0))
+        t.masked = np.array([(1, 0)])
         lp = label_propagation(g, t, "f", iterations=1000, tol=1e-13)
         assert np.allclose(lp.predictions[0], [0.5, 0.5], atol=1e-9)
 
@@ -559,7 +567,7 @@ class TestLabelPropagation:
         g = build_graph(pairs, M, N)
         records = [{"f": int(rng.integers(2))} if a < 3 else {} for a in range(M)]
         t = self.user_table(records)
-        t.masked.extend([(3, 0), (4, 0)])
+        t.masked = np.array([(3, 0), (4, 0)])
         lp = label_propagation(g, t, "f", iterations=10**5, tol=1e-14)
 
         P = build_graph(pairs, M, N, "row").S.toarray()
@@ -577,7 +585,7 @@ class TestLabelPropagation:
     def test_observed_values_untouched(self):
         g = build_graph([(0, 0), (1, 0)], 2, 1)
         t = self.user_table([{"f": 0}, {"f": 1}])
-        t.masked.append((1, 0))
+        t.masked = np.array([(1, 0)])
         before = t.values.copy()
         label_propagation(g, t, "f")
         assert np.array_equal(t.values, before)
@@ -585,7 +593,7 @@ class TestLabelPropagation:
     def test_disconnected_fallback(self):
         g = build_graph([(0, 0)], 3, 1)  # users 1, 2 have no edges
         t = self.user_table([{"f": 0}, {"f": 1}, {}])
-        t.masked.append((2, 0))
+        t.masked = np.array([(2, 0)])
         lp = label_propagation(g, t, "f")
         assert lp.fallback[0]
         assert np.allclose(lp.predictions[0], [0.5, 0.5])  # observed mean
@@ -614,7 +622,8 @@ class TestLabelPropagation:
         pairs = [(i % 7, i) for i in range(9)] + [
             (u, i) for u in range(7) for i in range(9) if rng.random() < 0.3]
         small = build_graph(pairs, 8, 10)
-        assert {(7, 0), (7, 1)} <= set(user_table.masked) and (9, 0) in item_table.masked
+        assert ({(7, 0), (7, 1)} <= set(map(tuple, user_table.masked.tolist()))
+                and [9, 0] in item_table.masked.tolist())
         cases = [(g, t) for g, tables in ((small, (user_table, item_table)),
                                           (toy_dataset.graph_train,
                                            (toy_dataset.user_attrs, toy_dataset.item_attrs)))
@@ -625,7 +634,7 @@ class TestLabelPropagation:
         schema = AttributeSchema([("f", "single", ["a", "b"])])
         for labels in ([0, 1, 1, 0, 1, 0, 0], [1] * 7):
             still = encode([{"f": c} for c in labels] + [{}], schema, "user")
-            still.masked.append((7, 0))
+            still.masked = np.array([(7, 0)])
             cases.append((small, still))
         kinds, fallback_sides, stops = set(), set(), set()
         for graph, table in cases:

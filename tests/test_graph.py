@@ -65,9 +65,9 @@ class TestBuildGraph:
                 assert np.array_equal(ones[1].toarray(), R.T)
                 assert np.array_equal(g.user_degrees(), R.sum(axis=1))
                 users = np.concatenate([np.arange(M), [M - 1, 0]])
-                indptr, items = g.items_of(users)
+                rows = g.blocks[0][users]
                 for r, a in enumerate(users):
-                    own = items[indptr[r]:indptr[r + 1]]
+                    own = rows.indices[rows.indptr[r]:rows.indptr[r + 1]]
                     assert np.array_equal(own, np.flatnonzero(R[a]))
                 every_user, every_item = np.divmod(np.arange(M * N), N)
                 assert np.array_equal(g.has_edges(every_user, every_item), R.ravel())

@@ -1,6 +1,7 @@
 """The README's documented usage runs as written, and the names it and the
 package's docstrings give resolve in the package."""
 
+import collections
 import functools
 import importlib
 import inspect
@@ -32,7 +33,12 @@ def test_quick_start_runs():
 
 @functools.cache
 def _source(cls):
-    return inspect.getsource(cls)
+    """The source of the class ``cls``, or "" where it cannot be found (a
+    class made by ``collections.namedtuple`` has no class statement)."""
+    try:
+        return inspect.getsource(cls)
+    except OSError:
+        return ""
 
 
 def has_member(obj, name):
@@ -47,7 +53,7 @@ def resolves(name, scope=None):
     """Whether the dotted ``name`` is a member chain from a graphrec module
     (``graph.NodeRows``, ``graphrec.graph``) or class (``BipartiteGraph.blocks``)
     or, given a module ``scope``, from a name in that module, or is a member
-    of one of its classes (``items_of`` in graph.py)."""
+    of one of its classes (``user_degrees`` in graph.py)."""
     head, *rest = name.split(".")
     if head == "graphrec" and rest:
         head, *rest = rest
@@ -77,3 +83,12 @@ def test_docstring_references_exist(module):
     text = Path(MODULES[module].__file__).read_text()
     refs = re.findall(r":(?:func|class|meth|attr|data):`~?([\w.]+)`", text)
     assert [r for r in refs if not resolves(r, MODULES[module])] == []
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+
+def test_has_member_of_a_namedtuple():
+    # found as an attribute; a missing name falls through to the source scan
+    assert has_member(Pair, "left")
+    assert not has_member(Pair, "middle")
