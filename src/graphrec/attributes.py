@@ -91,10 +91,10 @@ class AttributeTable:
     """Per-side observation indicator and held-out truth.
 
     indicator and ground_truth are (num_entities x total_dim) 0/1 arrays;
-    :attr:`values`, what a model is given, is derived from them. ``masked``
-    is the (n, 2) int64 array of the (entity, field_index) pairs deleted by
-    :func:`mask`, the attribute inference test set. A side without
-    attributes is :meth:`empty`.
+    :attr:`values`, what a model is given, is derived from them, as is each
+    field's :meth:`observed` rows. ``masked`` is the (n, 2) int64 array of
+    the (entity, field_index) pairs deleted by :func:`mask`, the attribute
+    inference test set. A side without attributes is :meth:`empty`.
     """
 
     schema: AttributeSchema
@@ -117,6 +117,12 @@ class AttributeTable:
     @property
     def num_entities(self):
         return self.indicator.shape[0]
+
+    def observed(self, f):
+        """(ids, values): the entities where field ``f`` is observed, ascending,
+        and its block of ``ground_truth`` (equal to :attr:`values`) at them."""
+        ids = np.flatnonzero(self.indicator[:, f.offset])
+        return ids, self.ground_truth[ids, f.block]
 
     def masked_entities(self, name):
         """The entities of the ``masked`` pairs of field ``name``, an int64

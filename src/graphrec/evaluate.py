@@ -208,16 +208,14 @@ def majority_class_accuracy(table, field_name):
     """ACC of always predicting the most frequent observed class (baseline
     floor for single-label fields)."""
     f = table.schema[field_name]
-    blk = f.block
-    observed = table.indicator[:, f.offset] == 1
-    if not observed.any():
+    ids, values = table.observed(f)
+    if not len(ids):
         raise ValueError(f"field {field_name!r} has no observed entities")
-    counts = table.values[observed][:, blk].sum(axis=0)
-    majority = int(np.argmax(counts))
+    majority = int(np.argmax(values.sum(axis=0)))
     masked_entities = table.masked_entities(field_name)
     if not len(masked_entities):
         raise ValueError(f"field {field_name!r} has no masked entities")
-    truth = np.argmax(table.ground_truth[masked_entities][:, blk], axis=1)
+    truth = np.argmax(table.ground_truth[masked_entities, f.block], axis=1)
     return float(np.mean(truth == majority))
 
 
@@ -408,13 +406,10 @@ def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    f = table.schema[field_name]
-    observed = table.indicator[:, f.offset] == 1
-    if not observed.any():
+    clamped, truth = table.observed(table.schema[field_name])
+    if not len(clamped):
         raise ValueError(f"field {field_name!r} has no observed entities")
-    truth = table.values[observed, f.block]
     mean = truth.mean(axis=0)
-    clamped = np.flatnonzero(observed)
 
     # the off-diagonal blocks of D^-1 A: 1/deg on every nonzero of a row
     deg = np.diff(graph.S.indptr)

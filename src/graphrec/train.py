@@ -12,8 +12,8 @@ own predictions after each step or each epoch (the cadence).
 
 The model is linear, so a step's dense work is exact on the rows its
 objective reads (:class:`StepRows`): the batch's users and items, and each
-field's observed rows, sorted by node id. The heads, the attribute loss and
-its gradient read each field's observed rows alone, field by field.
+field's observed rows, sorted by node id. Each field's head is computed once
+per step on its observed rows; the loss and gradient read it from one list.
 The two sparse passes, ``A^K [P; Q]`` forward and ``(A^T)^K`` backward, read
 ``S_R``, the rows of S at the step rows in that order, sliced once per step:
 the last forward step builds only the step rows, and the first backward step
@@ -234,8 +234,8 @@ def attribute_loss(predicted, table):
     each field over the rows where it is observed."""
     total = 0.0
     for f in table.schema:
-        rows = np.flatnonzero(table.indicator[:, f.offset])
-        total += field_loss(predicted[rows, f.block], table.values[rows, f.block], f.kind)
+        rows, values = table.observed(f)
+        total += field_loss(predicted[rows, f.block], values, f.kind)
     return total
 
 
@@ -255,10 +255,9 @@ class StepRows:
     change, so they are found once per run. ``fields`` holds, for every
     field of both sides (none for a side without attributes), its head
     ("W_x" or "W_y"), the field, the node ids where it is observed and its
-    values there. :meth:`of` adds a batch's users, positives and negatives.
-    A step's rows are node ids (users 0..M-1, items M..M+N-1), sorted as the
-    rows of S are; the heads read each field's observed rows of a step trace
-    by their positions among them.
+    values there (:meth:`attributes.AttributeTable.observed`). :meth:`of`
+    adds a batch's users, positives and negatives. A step's rows are node
+    ids (users 0..M-1, items M..M+N-1), sorted as the rows of S are.
     """
 
     def __init__(self, graph, user_table, item_table):
@@ -267,14 +266,15 @@ class StepRows:
         for offset, head, table in ((0, "W_x", user_table),
                                     (graph.num_users, "W_y", item_table)):
             for f in table.schema:
-                ids = np.flatnonzero(table.indicator[:, f.offset])
-                self.fields.append((head, f, offset + ids, table.values[ids, f.block]))
+                ids, values = table.observed(f)
+                self.fields.append((head, f, offset + ids, values))
 
     def of(self, batch):
-        """(cut, local, observed): the step rows of ``batch`` as a
+        """(cut, local, fields): the step rows of ``batch`` as a
         :class:`graph.NodeRows` of the graph, ids sorted; the batch's
-        triples as positions in them; and, per entry of ``fields``, the
-        positions of that field's observed rows in them."""
+        triples as positions in them; and, per entry of ``fields``,
+        ``(head, field, positions, values)`` with the positions of that
+        field's observed rows in them."""
         M = self.graph.num_users
         marked = np.zeros(self.graph.num_nodes, dtype=bool)
         for ids in (*(ids for _, _, ids, _ in self.fields), batch.users, M + batch.pos,
@@ -283,36 +283,28 @@ class StepRows:
         at = np.cumsum(marked) - 1  # a marked node's position among the marked
         return (NodeRows(self.graph, np.flatnonzero(marked)),
                 TripleBatch(at[batch.users], at[M + batch.pos], at[M + batch.neg]),
-                [at[ids] for _, _, ids, _ in self.fields])
-
-    def heads(self, trace, params, observed):
-        """Per entry of ``fields``, its positions ``r`` in a step trace (from
-        :meth:`of`) and its head on those rows alone, ``(r, probabilities)``.
-        A training step computes them once; the loss and gradient read them."""
-        return [(r, field_probabilities(trace.final[r] @ getattr(params, head)[:, f.block],
-                                        f.kind))
-                for (head, f, _, _), r in zip(self.fields, observed)]
+                [(head, f, at[ids], x) for head, f, ids, x in self.fields])
 
 
-def batch_losses(trace, batch, rows, params, config, heads):
+def batch_losses(trace, batch, params, config, heads):
     """(ranking loss, attribute loss) of one step. ``trace`` holds the step
-    rows of ``rows`` (:class:`StepRows`), ``batch`` indexes them, and
-    ``heads`` are the step's ``rows.heads``."""
+    rows, ``batch`` indexes them, and ``heads`` has one entry per observed
+    field, ``(head, field, positions, values, probabilities)``."""
     final = trace.final
     u = final[batch.users]
     diff_pos = (u * final[batch.pos]).sum(axis=1)
     diff_neg = (u * final[batch.neg]).sum(axis=1)
     loss_r = bpr_loss(diff_pos, diff_neg, params, config.lam)
-    return loss_r, sum((field_loss(p, x, f.kind)
-                        for (_, f, _, x), (_, p) in zip(rows.fields, heads)), 0.0)
+    return loss_r, sum((field_loss(p, x, f.kind) for _, f, _, x, p in heads), 0.0)
 
 
-def gradients(trace, batch, rows, params, config, heads):
+def gradients(trace, batch, params, config, heads):
     """Exact analytic gradients of L = L_r + gamma * L_a for every parameter.
 
-    ``trace`` is the step's forward, restricted to the step rows of ``rows``
-    (:class:`StepRows`); ``batch`` indexes them and ``heads`` are
-    ``rows.heads``. With ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``,
+    ``trace`` is the step's forward, restricted to the step rows
+    (``trace.rows``, whose graph it reads); ``batch`` indexes them and
+    ``heads`` is the step's per-field list, as :func:`batch_losses` reads
+    it. With ``final = z @ W_1 ... W_K`` and ``z = A^K H_0``,
     the gradient G of ``final`` is zero off the step rows, so G holds those
     rows only. Each field's head adds ``p - x`` on its observed rows alone
     to G and to its columns of W_x or W_y. G gives every layer weight from
@@ -329,7 +321,7 @@ def gradients(trace, batch, rows, params, config, heads):
     """
     if trace.rows is None:
         raise ValueError("gradients need the step's forward, on the step rows")
-    M = rows.graph.num_users
+    M = trace.rows.graph.num_users
     d = params.P.shape[1]
     final = trace.final
 
@@ -344,7 +336,7 @@ def gradients(trace, batch, rows, params, config, heads):
     grads = {"W_x": np.zeros_like(params.W_x), "W_y": np.zeros_like(params.W_y)}
     gamma = config.gamma
     if gamma:  # at gamma = 0 the heads add nothing to the objective
-        for (head, f, _, x), (r, p) in zip(rows.fields, heads):
+        for head, f, r, x, p in heads:
             gl = p - x  # softmax-CE and sigmoid-BCE share the gradient p - x
             grads[head][:, f.block] = gamma * (final[r].T @ gl)
             G[r] += gamma * (gl @ getattr(params, head)[:, f.block].T)
@@ -361,7 +353,7 @@ def gradients(trace, batch, rows, params, config, heads):
         suffix = params.W[k] @ suffix
 
     W_all = prefix[-1]
-    g_free = propagate_back(rows.graph, G @ W_all[:d].T, params.num_layers, trace.rows)
+    g_free = propagate_back(trace.rows.graph, G @ W_all[:d].T, params.num_layers, trace.rows)
     grads["P"] = g_free[:M] + 2.0 * config.lam * params.P
     grads["Q"] = g_free[M:] + 2.0 * config.lam * params.Q
 
@@ -378,7 +370,9 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
     The forward's dense work, the heads, the losses and the gradient run on
     the step rows of ``batch`` (``rows.of``), whose :class:`graph.NodeRows`
     slices the rows of S at them once for the last forward and the first
-    backward propagation step. Under the per-batch cadence the forward
+    backward propagation step. Each field's head is computed once, on its
+    observed rows, and appended to its entry of ``rows.of``; the losses and
+    the gradient read that one list. Under the per-batch cadence the forward
     builds every row instead, because the attribute write-back that follows
     the step reads them all; the rest of the step still reads the step rows
     alone.
@@ -393,11 +387,13 @@ def train_step(params, graph, X, Y, block, batch, rows, config):
     every_row = config.attr_update_cadence == "per-batch"
     trace = forward(params, graph, X, Y, block, None if every_row else cut)
     step = trace.take(cut) if every_row else trace
-    heads = rows.heads(step, params, observed)
-    loss_r, loss_a = batch_losses(step, local, rows, params, config, heads)
+    heads = [(head, f, r, x, field_probabilities(step.final[r] @ getattr(params, head)[:, f.block],
+                                                 f.kind))
+             for head, f, r, x in observed]
+    loss_r, loss_a = batch_losses(step, local, params, config, heads)
     if not np.isfinite(loss_r + loss_a):
         raise FloatingPointError("non-finite loss")
-    return trace, loss_r, loss_a, gradients(step, local, rows, params, config, heads)
+    return trace, loss_r, loss_a, gradients(step, local, params, config, heads)
 
 
 # ---------------------------------------------------------------------------

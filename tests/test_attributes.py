@@ -24,6 +24,10 @@ class TestSchema:
         with pytest.raises(ValueError, match="single-label"):
             AttributeSchema([("x", "single", ["only"])])
 
+    def test_multi_needs_a_category(self):
+        with pytest.raises(ValueError, match="^multi-label field 'x' needs >= 1 category$"):
+            AttributeSchema([("x", "multi", [])])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             AttributeSchema([("x", "ordinal", ["a", "b"])])
@@ -314,6 +318,8 @@ class TestFileFormats:
         ("\tg=a\tt=x", "3: expected an entity id first, got 'g=a'"),
         ("u1\tg=a\x00", "3: NUL character"),
         ("#\x00 a comment", "3: NUL character"),
+        ("u1\tg", "3: expected field=value, got 'g'"),
+        ("u1\tcolor=red", "3: unknown field 'color'"),
     ])
     def test_attribute_refusal_names_the_line(self, tmp_path, line, error):
         # a multi-label field takes several values; a single-label one does

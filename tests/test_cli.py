@@ -59,6 +59,14 @@ class TestTrainCommand:
         assert rc == 1
         assert "/no/such/file.tsv" in capsys.readouterr().err
 
+    def test_attributes_need_their_schema(self, toy_files, tmp_path, capsys):
+        rc = main(["train", "--out", str(tmp_path / "x"),
+                   "--interactions", str(toy_files["interactions"]),
+                   "--user-attrs", str(toy_files["user_attrs"])] + train_flags())
+        assert rc == 1
+        assert "--user-attrs requires a schema file" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "checkpoint.bin").exists()
+
     def test_nan_setting_rejected(self, toy_files, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path / "x")] + data_flags(toy_files)
                   + train_flags() + ["--gamma", "nan"])

@@ -149,6 +149,9 @@ class TestLoadInteractions:
         (["A,i0,5", "A,i1,,5"], True, ":2: .*none empty"),
         (["A,i0", "A,i1\x00"], False, ":2: NUL"),
         (["A\ti0\t5", "\ti1\t5"], False, ":2: .*none empty"),  # not user i1, item 5
+        # nothing is left: no data line, or no rating that keep passes
+        (["# c", "", "  # none yet", "   "], False, r"bad\.txt: no interactions after filtering$"),
+        (["A\ti0\t0", "B\ti1\t-1"], True, r"bad\.txt: no interactions after filtering$"),
     ])
     def test_bad_line_named(self, tmp_path, lines, keep, match):
         p = tmp_path / "bad.txt"

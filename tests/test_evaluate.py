@@ -184,6 +184,20 @@ class TestRankAndScore:
         hr, ndcg, _, skipped = rank_and_score(trace, ds, [1], return_per_user=True)
         assert skipped == 1  # user 0 trained on every item
 
+    @pytest.mark.parametrize("val_items, message", [
+        ({}, "no users with val items"),
+        ({0: np.array([1])}, "no evaluable users"),  # user 0 trained on every item
+    ])
+    def test_nothing_to_rank(self, val_items, message):
+        g = build_graph([(0, 0), (0, 1), (1, 0)], 2, 2)
+        ds = Dataset(graph_train=g, train_pairs=np.array([[0, 0], [0, 1], [1, 0]]),
+                     val_items=val_items, test_items={1: np.array([1])},
+                     user_attrs=None, item_attrs=None, user_ids=["u0", "u1"],
+                     item_ids=["a", "b"])
+        trace = ForwardTrace(final=np.arange(8.0).reshape(4, 2), num_users=2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rank_and_score(trace, ds, [1], target="val")
+
     def test_bad_mode(self):
         ds, trace = tiny_dataset_and_trace()
         with pytest.raises(ValueError, match="hr_mode"):
@@ -485,6 +499,16 @@ class TestAttributeMetrics:
         t.masked = np.array([(6, 0), (7, 0)])
         # majority among observed (entities 0..5) is class 0; both masked are class 1
         assert majority_class_accuracy(t, "f") == 0.0
+
+    def test_majority_class_needs_observed_and_masked_entities(self):
+        s = AttributeSchema([("f", "single", ["a", "b"])])
+        t = encode([{"f": 0}, {"f": 1}], s)  # nothing masked
+        with pytest.raises(ValueError, match="^field 'f' has no masked entities$"):
+            majority_class_accuracy(t, "f")
+        t.indicator[:] = 0.0
+        t.masked = np.array([(0, 0), (1, 0)])
+        with pytest.raises(ValueError, match="^field 'f' has no observed entities$"):
+            majority_class_accuracy(t, "f")
 
 
 class TestSparsityGroups:

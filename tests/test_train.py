@@ -41,7 +41,7 @@ class TestConfig:
     def test_rejected_values(self):
         for kwargs in ({"K": 5}, {"K": -1}, {"gamma": -0.1},
                        {"lam": -1.0}, {"attr_update_cadence": "never"},
-                       {"batch_size": 0},
+                       {"batch_size": 0}, {"d": 0}, {"d_a": -1},
                        # the integer fields take integers only, and a bool is none
                        {"d": 8.0}, {"d_a": True}, {"K": 2.0}, {"batch_size": 64.5},
                        {"early_stop_patience": "5"}, {"max_epochs": None},
@@ -296,8 +296,7 @@ class TestGradients:
         Y = init_missing(item_table, fallback=0.5)
         batch = pair_batch(g, pairs, 16, rng)
         with pytest.raises(ValueError, match="step rows"):
-            gradients(forward(p, g, X, Y), batch, StepRows(g, user_table, item_table), p,
-                      config, [])
+            gradients(forward(p, g, X, Y), batch, p, config, [])
         assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
                                           rng)
 
