@@ -208,23 +208,19 @@ def check_seed(name, seed):
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
-def init_missing(table, fallback=None):
+def init_missing(table):
     """Fill missing entries with per-dimension observed means.
 
     Observed entries are copied through; each missing entry in dimension f is
     set to the mean of that dimension over observed entities. A dimension
-    with zero observed entities is an error unless ``fallback`` is given.
+    with zero observed entities has no mean and raises ``ValueError``.
     """
     obs_count = table.indicator.sum(axis=0)
-    values = table.values
     if (obs_count == 0).any():
-        if fallback is None:
-            dim = int(np.argmax(obs_count == 0))
-            raise ValueError(f"attribute dimension {dim} has no observed entities")
-        means = np.where(obs_count > 0, values.sum(axis=0) / np.maximum(obs_count, 1), fallback)
-    else:
-        means = values.sum(axis=0) / obs_count
-    return values + means * (1.0 - table.indicator)
+        raise ValueError(f"attribute dimension {int(np.argmax(obs_count == 0))} "
+                         "has no observed entities")
+    values = table.values
+    return values + values.sum(axis=0) / obs_count * (1.0 - table.indicator)
 
 
 def apply_update(current, inferred, table):

@@ -32,6 +32,8 @@ class Dataset:
     test_items map user index -> sorted item-index array, in ascending user
     order. user_ids/item_ids map dense indices back to external ids. A side
     given as None has no attributes: it becomes :meth:`AttributeTable.empty`.
+    A field name in both schemas is refused, since reports key each field's
+    metric by its name alone.
     """
 
     graph_train: BipartiteGraph
@@ -48,6 +50,9 @@ class Dataset:
             self.user_attrs = AttributeTable.empty("user", self.num_users)
         if self.item_attrs is None:
             self.item_attrs = AttributeTable.empty("item", self.num_items)
+        for f in self.user_attrs.schema:
+            if f.name in self.item_attrs.schema:
+                raise ValueError(f"field {f.name!r} is in both the user and the item schema")
 
     @property
     def num_users(self):
@@ -434,7 +439,9 @@ def _pairs_from_dict(d):
 
 
 def save_dataset(path, dataset):
-    """Freeze a prepared dataset (split + masks) into one container file."""
+    """Freeze a prepared dataset (split + masks) into one container file.
+    Each side with attributes stores its indicator, ground truth and masked
+    pairs; the values a model reads are derived from the first two."""
     arrays = {
         "train_pairs": dataset.train_pairs,
         "val_pairs": _pairs_from_dict(dataset.val_items),
@@ -454,7 +461,6 @@ def save_dataset(path, dataset):
             continue
         meta["sides"].append(side)
         meta[f"{side}_schema"] = table.schema.to_dict()
-        arrays[f"{side}_values"] = table.values
         arrays[f"{side}_indicator"] = table.indicator
         arrays[f"{side}_truth"] = table.ground_truth
         arrays[f"{side}_masked"] = table.masked

@@ -319,26 +319,22 @@ class EvalReport:
             fh.write(self.to_table())
 
 
-def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
-                   hr_mode="user-mean"):
-    """Full EvalReport for one model state: ranking metrics, per-field
-    attribute metrics on the masked test pairs, and sparsity groups."""
-    n_list = list(n_list)
-    _check_cutoffs(n_list)
+def evaluate_model(params, X, Y, dataset, target="test", hr_mode="user-mean"):
+    """Full EvalReport for one model state: HR@N and NDCG@N at each N of
+    ``DEFAULT_TOPN``, per-field attribute metrics on the masked test pairs,
+    and, on the test split, sparsity groups."""
     trace = forward(params, dataset.graph_train, X, Y)
-    # the sparsity groups take NDCG@10, the last column, from this one ranking pass
+    # the sparsity groups take their NDCG@10 from this one ranking pass
     hr, ndcg, (users, per_user), skipped = rank_and_score(
-        trace, dataset, n_list + [10], target=target, hr_mode=hr_mode,
-        return_per_user=True)
-    hr = {n: hr[n] for n in n_list}
-    ndcg = {n: ndcg[n] for n in n_list}
+        trace, dataset, DEFAULT_TOPN, target=target, hr_mode=hr_mode, return_per_user=True)
     per_field = {}
     for table, side in ((dataset.user_attrs, "user"), (dataset.item_attrs, "item")):
         if not len(table.masked):
             continue
         predicted = infer_attributes(trace, params, side, table.schema)
         per_field.update(attribute_metrics(predicted, table))
-    groups = (_group_ndcg10(dataset, users, per_user[:, -1], default_bins(dataset))
+    groups = (_group_ndcg10(dataset, users, per_user[:, DEFAULT_TOPN.index(10)],
+                            default_bins(dataset))
               if target == "test" else [])
     notes = ["attribute metrics evaluated on all masked entities, including "
              "any without training interactions"]
@@ -350,19 +346,18 @@ def evaluate_model(params, X, Y, dataset, n_list=DEFAULT_TOPN, target="test",
 # Baselines
 # ---------------------------------------------------------------------------
 
-def bpr_baseline(dataset, config, n_list=DEFAULT_TOPN, hr_mode="user-mean",
-                 return_result=False):
+def bpr_baseline(dataset, config):
     """Plain BPR matrix factorization: the joint trainer with the graph
-    depth, attribute width, and attribute loss all switched off."""
+    depth, attribute width, and attribute loss all switched off.
+
+    Returns:
+        (report, result): the :func:`evaluate_model` report of the trained
+        model on the test split, and the :class:`train.TrainResult`.
+    """
     from .train import train
 
-    cfg = replace(config, K=0, d_a=0, gamma=0.0)
-    result = train(dataset, cfg)
-    report = evaluate_model(result.params, result.X, result.Y, dataset,
-                            n_list=n_list, hr_mode=hr_mode)
-    if return_result:
-        return report, result
-    return report
+    result = train(dataset, replace(config, K=0, d_a=0, gamma=0.0))
+    return evaluate_model(result.params, result.X, result.Y, dataset), result
 
 
 @dataclass
@@ -383,7 +378,8 @@ def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
     Entities with the field observed are clamped to their true block, and
     isolated nodes keep their value. Propagation stops once no entry moves by
     ``tol`` (``converged``) or after ``iterations`` sweeps. Disconnected
-    masked entities fall back to the global observed mean and are flagged.
+    masked entities fall back to the global observed mean and are flagged:
+    such a row starts at the mean and every even sweep keeps it.
 
     The graph is bipartite, so a full sweep moves each side from the other
     side's previous values: it carries two chains, near (the table's side)
@@ -443,10 +439,8 @@ def label_propagation(graph, table, field_name, iterations=1000, tol=1e-6):
             break
 
     masked_entities = np.sort(table.masked_entities(field_name))
-    preds = near[masked_entities]
-    fallback = near_isolated[masked_entities]
-    preds[fallback] = mean
-    return PropagationResult(masked_entities, preds, fallback, it, converged)
+    return PropagationResult(masked_entities, near[masked_entities],
+                             near_isolated[masked_entities], it, converged)
 
 
 def label_propagation_metrics(graph, table, iterations=1000, tol=1e-6):

@@ -468,23 +468,22 @@ def initial_state(dataset, config):
                       (params.copy(), X.copy(), Y.copy()), config.to_dict())
 
 
-def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None,
-          resume_from=None):
+def train(dataset, config, log_fn=None, checkpoint_path=None, resume_from=None):
     """Run the full alternating loop: batched parameter updates on the joint
     objective, interleaved with refreshes of the missing attribute entries.
 
-    Validation HR@10 is evaluated once per epoch; training stops when it has
-    not improved for ``early_stop_patience`` consecutive evaluations (or at
-    ``max_epochs``), and the best-validation snapshot is returned.
+    Validation HR@10 and NDCG@10 on the validation split
+    (:func:`evaluate.rank_and_score`) are evaluated once per epoch; training
+    stops when HR@10 has not improved for ``early_stop_patience``
+    consecutive evaluations (or at ``max_epochs``), and the best-validation
+    snapshot is returned.
 
-    ``val_metric_fn(epoch, trace) -> (hr, ndcg)`` can replace the built-in
-    validation pass (used by tests). The loop advances one
-    :class:`data.TrainState`: :func:`initial_state`, or a copy of
-    ``resume_from`` that carries this call's config. ``checkpoint_path``
-    writes it whole after every epoch, so a run resumed from a checkpoint is
-    the uninterrupted run: the same epochs, log (the checkpoint's entries
-    first), best epoch and parameters. ``log_fn`` is called with this call's
-    epochs only.
+    The loop advances one :class:`data.TrainState`: :func:`initial_state`,
+    or a copy of ``resume_from`` that carries this call's config.
+    ``checkpoint_path`` writes it whole after every epoch, so a run resumed
+    from a checkpoint is the uninterrupted run: the same epochs, log (the
+    checkpoint's entries first), best epoch and parameters. ``log_fn`` is
+    called with this call's epochs only.
 
     The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is built at the
     start (fresh or resumed) and otherwise only by the write-back
@@ -495,14 +494,17 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
     :func:`train_step`, whose dense work reads only the step rows.
 
     Raises:
-        ValueError: when the ``resume_from`` state does not fit the dataset,
-            or was made with other settings than ``config`` in more than
-            ``RESUME_MAY_CHANGE`` (:func:`check_checkpoint`).
+        ValueError: when the dataset has no validation pairs, before the
+            first epoch; or when the ``resume_from`` state does not fit the
+            dataset, or was made with other settings than ``config`` in more
+            than ``RESUME_MAY_CHANGE`` (:func:`check_checkpoint`).
         TrainingDivergedError: when a loss, gradient or Adam update of a step
             is non-finite; the message names the epoch, and the checkpoint
             once this run has written one or was resumed from one.
     """
     config.validate()
+    if not dataset.val_items:
+        raise ValueError("the dataset has no validation pairs to select the best epoch on")
     graph = dataset.graph_train
     if resume_from is None:
         state = initial_state(dataset, config)
@@ -550,14 +552,9 @@ def train(dataset, config, val_metric_fn=None, log_fn=None, checkpoint_path=None
             block = _write_back(state, forward(params, graph, state.X, state.Y, block),
                                 dataset, config.K)
 
-        eval_trace = forward(params, graph, state.X, state.Y, block)
-        if val_metric_fn is not None:
-            val_hr, val_ndcg = val_metric_fn(epoch, eval_trace)
-        elif dataset.val_items:
-            hr_map, ndcg_map = rank_and_score(eval_trace, dataset, [10], target="val")
-            val_hr, val_ndcg = hr_map[10], ndcg_map[10]
-        else:
-            val_hr = val_ndcg = 0.0
+        hr_map, ndcg_map = rank_and_score(forward(params, graph, state.X, state.Y, block),
+                                          dataset, [10], target="val")
+        val_hr, val_ndcg = hr_map[10], ndcg_map[10]
 
         entry = EpochLog(epoch, sum_r / n_batches, sum_a / n_batches,
                          (sum_r + config.gamma * sum_a) / n_batches,

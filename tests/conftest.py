@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,23 @@ def small_attr_tables(rng, num_users=8, num_items=10, mask_alpha=0.4, seed=7):
     user_table = mask(encode(user_records, user_schema, "user"), mask_alpha, seed)
     item_table = mask(encode(item_records, item_schema, "item"), mask_alpha, seed + 1)
     return user_table, item_table
+
+
+def filled(table):
+    """``table``'s values with each missing entry set to its dimension's
+    observed mean, as ``attributes.init_missing`` sets them, and to 0.5 in a
+    dimension no entity observes (a small masked table can leave one so)."""
+    count = table.indicator.sum(axis=0)
+    means = np.where(count > 0, table.values.sum(axis=0) / np.maximum(count, 1), 0.5)
+    return table.values + means * (1.0 - table.indicator)
+
+
+def script_validation(monkeypatch, hrs):
+    """Make ``train`` read epoch k's validation HR@10 from the k-th item of
+    ``hrs`` (NDCG@10 0.0) in place of its ranking pass."""
+    scripted = iter(hrs)
+    monkeypatch.setattr(sys.modules["graphrec.train"], "rank_and_score",
+                        lambda trace, dataset, n_list, target: ({10: next(scripted)}, {10: 0.0}))
 
 
 def total_loss(params, graph, X, Y, batch, user_table, item_table, config):

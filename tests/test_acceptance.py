@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from graphrec import build_graph, make_toy_dataset
-from graphrec.attributes import (AttributeSchema, apply_update, encode, init_missing,
-                                 mask)
+from graphrec.attributes import AttributeSchema, apply_update, encode, mask
 from graphrec.data import load_checkpoint, save_checkpoint, split
 from graphrec.evaluate import (attribute_metrics, bpr_baseline, evaluate_model,
                                label_propagation_metrics, majority_class_accuracy)
 from graphrec.model import attribute_block, forward, init_params, normalize_logits
 from graphrec.train import StepRows, TrainConfig, initial_state, train, train_step
 
-from conftest import pair_batch, small_attr_tables, total_loss
+from conftest import filled, pair_batch, small_attr_tables, total_loss
 from test_evaluate import naive_user_metrics, one_user_metrics
 
 
@@ -50,8 +49,8 @@ def test_criterion_1_gradient_correctness():
     d_y = item_table.schema.total_dim
     config = TrainConfig(d=d, d_a=d_a, K=K, gamma=0.5, lam=0.01).validate()
     params = init_params(M, N, d, d_a, d_x, d_y, K=K, seed=1, init_std=0.1)
-    X = init_missing(user_table, fallback=0.5)
-    Y = init_missing(item_table, fallback=0.5)
+    X = filled(user_table)
+    Y = filled(item_table)
     batch = pair_batch(g, pairs, 16, rng)
 
     rows = StepRows(g, user_table, item_table)
@@ -234,8 +233,7 @@ def test_criterion_3e_bpr_equivalence():
     cfg = TrainConfig(d=6, d_a=0, K=0, gamma=0.0, batch_size=128, max_epochs=4,
                       early_stop_patience=10**6)
     joint = train(ds, cfg)
-    _, plain = bpr_baseline(ds, replace(cfg, d_a=8, K=2, gamma=0.3),
-                            return_result=True)
+    _, plain = bpr_baseline(ds, replace(cfg, d_a=8, K=2, gamma=0.3))
     ok = [e.loss_r for e in joint.log] == [e.loss_r for e in plain.log]
     ok &= np.array_equal(joint.final_params.P, plain.final_params.P)
     ok &= np.array_equal(joint.final_params.Q, plain.final_params.Q)
@@ -277,8 +275,7 @@ def ml1m_runs():
 
     def run(config):
         result = train(dataset, config)
-        report = evaluate_model(result.params, result.X, result.Y, dataset,
-                                n_list=[10])
+        report = evaluate_model(result.params, result.X, result.Y, dataset)
         return result, report
 
     runs = {"dataset": dataset}
@@ -286,7 +283,7 @@ def ml1m_runs():
     best_gamma = max(GAMMA_GRID, key=lambda g: runs["gamma"][g].hr[10])
     runs["best_gamma"] = best_gamma
     runs["joint"] = runs["gamma"][best_gamma]
-    runs["bpr"] = bpr_baseline(dataset, base, n_list=[10])
+    runs["bpr"] = bpr_baseline(dataset, base)[0]
     runs["depth"] = {K: run(replace(base, gamma=best_gamma, K=K))[1]
                      for K in (0, 4)}
     runs["depth"][2] = runs["joint"]

@@ -202,8 +202,6 @@ class TestInitMissing:
         t = encode([{}, {}], s)
         with pytest.raises(ValueError, match="dimension 0"):
             init_missing(t)
-        X0 = init_missing(t, fallback=0.0)
-        assert np.all(X0 == 0.0)
 
     def test_observed_positions_unchanged(self):
         s = schema_single_multi()

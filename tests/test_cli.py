@@ -266,13 +266,14 @@ def messy_toy_files(toy_files, directory):
 class TestPrepareData:
     def test_bundle_bytes_pinned(self, toy_files, tmp_path):
         # the digest the bundle had when the loader and the mask ran per-line
-        # Python loops: any row read or masked differently changes it
+        # Python loops, less the {side}_values arrays it no longer stores: any
+        # row read or masked differently changes it
         files = messy_toy_files(toy_files, tmp_path)
         prep = tmp_path / "prep"
         assert main(["prepare-data", "--out", str(prep), "--min-rating", "3",
                      "--min-user-interactions", "6"] + data_flags(files)) == 0
         digest = hashlib.sha256((prep / "dataset.bin").read_bytes()).hexdigest()
-        assert digest == "1856595532c4c94158b081f43d09d74de9719b002b2d2aec3ca8b6a3ad267ea7"
+        assert digest == "1d76359f857a7d65e4d5ed385e39d4edac46f13add77ec338a68a63618a9012c"
 
     def test_bundle_without_interactions(self, toy_files, tmp_path, capsys):
         prep = tmp_path / "prep"

@@ -20,7 +20,7 @@ from graphrec.toy import (ITEM_SCHEMA, USER_SCHEMA, toy_interactions, toy_item_r
                           toy_user_records)
 from graphrec.train import TrainConfig, initial_state, train
 
-from conftest import with_byte_order_mark
+from conftest import script_validation, with_byte_order_mark
 
 
 def write_lines(path, lines):
@@ -313,6 +313,27 @@ class TestSplit:
         with pytest.raises(ValueError, match=r"interaction \(0, 0\) is given twice"):
             split(pairs, 1, 10, seed=0)
 
+    def test_field_name_on_both_sides_refused(self, tmp_path):
+        # a report keys each field's metric by its name, so an item field
+        # would hide the user field of that name; every way in refuses it
+        ds = make_toy_dataset(seed=0)
+        schema = AttributeSchema([("kind" if f.name == "group" else f.name, f.kind, f.categories)
+                                  for f in ds.user_attrs.schema])
+        users = replace(ds.user_attrs, schema=schema)
+        refused = pytest.raises(ValueError,
+                                match="field 'kind' is in both the user and the item schema")
+        with refused:
+            split(ds.train_pairs, ds.num_users, ds.num_items, seed=1, user_attrs=users,
+                  item_attrs=ds.item_attrs)
+        with refused:
+            replace(ds, user_attrs=users)
+        path = tmp_path / "ds.bin"
+        save_dataset(path, ds)
+        arrays, meta = load_container(path)
+        save_container(path, arrays, dict(meta, user_schema=schema.to_dict()))
+        with refused:
+            load_dataset(path)
+
 
 class TestContainer:
     def test_round_trip_bitwise(self, tmp_path):
@@ -486,7 +507,7 @@ class TestCheckpoint:
         # field the checkpoint does not carry fails here
         ds = make_toy_dataset(seed=0)
         cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=4)
-        seq = [0.1, 0.2, 0.15, 0.15]
+        script_validation(monkeypatch, [0.1, 0.2, 0.15, 0.15])
         mod = sys.modules["graphrec.train"]
         written = []
 
@@ -495,8 +516,7 @@ class TestCheckpoint:
             save_checkpoint(path, state)
         monkeypatch.setattr(mod, "save_checkpoint", keep_copy)
         path = tmp_path / "ckpt.bin"
-        train(ds, cfg, val_metric_fn=lambda epoch, trace: (seq[epoch - 1], 0.0),
-              checkpoint_path=str(path))
+        train(ds, cfg, checkpoint_path=str(path))
         state, loaded = written[-1], load_checkpoint(path)
         fresh = initial_state(ds, cfg)
         for f in fields(TrainState):
@@ -563,13 +583,13 @@ class TestCheckpoint:
                 assert same(getattr(resumed, name), getattr(full, name)), (cadence, name)
             assert load_checkpoint(path).config == cfg.to_dict()
 
-    def test_resume_at_or_past_the_cap(self, tmp_path):
+    def test_resume_at_or_past_the_cap(self, tmp_path, monkeypatch):
         # nothing is left to run: the checkpoint's best and log come back
         ds = make_toy_dataset(seed=0)
         cfg = TrainConfig(d=6, d_a=3, K=1, gamma=0.1, batch_size=128, max_epochs=3)
         path = tmp_path / "ckpt.bin"
-        full = train(ds, cfg, val_metric_fn=lambda epoch, trace: ([0.3, 0.5, 0.4][epoch - 1], 0.0),
-                     checkpoint_path=str(path))
+        script_validation(monkeypatch, [0.3, 0.5, 0.4])
+        full = train(ds, cfg, checkpoint_path=str(path))
         for cap in (3, 2):
             resumed = train(ds, replace(cfg, max_epochs=cap), resume_from=load_checkpoint(path))
             assert resumed.log == full.log
@@ -683,6 +703,27 @@ class TestDatasetBundle:
         assert np.array_equal(ds2.user_attrs.masked, ds.user_attrs.masked)
         assert np.array_equal(ds2.item_attrs.masked, ds.item_attrs.masked)
         assert ds2.user_ids == ds.user_ids
+
+    def test_values_not_stored(self, tmp_path):
+        # a model's values are derived from the truth and the indicator, so a
+        # bundle stores neither side's; a bundle that holds them before each
+        # indicator, as earlier ones did, loads to the same dataset
+        ds = make_toy_dataset(seed=3)
+        path, older, again = tmp_path / "ds.bin", tmp_path / "older.bin", tmp_path / "again.bin"
+        save_dataset(path, ds)
+        arrays, meta = load_container(path)
+        assert [name for name in arrays if name.endswith("_values")] == []
+        with_values = {}
+        for name, a in arrays.items():
+            side = name.split("_")[0]
+            if name.endswith("_indicator"):
+                with_values[f"{side}_values"] = getattr(ds, f"{side}_attrs").values
+            with_values[name] = a
+        save_container(older, with_values, meta)
+        assert sorted(load_container(older)[0]) == sorted([*arrays, "user_values",
+                                                           "item_values"])
+        save_dataset(again, load_dataset(older))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_interleaved_round_trip_keeps_order_and_ranking(self, tmp_path):
         rng = np.random.default_rng(4)

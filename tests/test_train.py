@@ -1,3 +1,4 @@
+import itertools
 import re
 import sys
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 from dataclasses import replace
 
 from graphrec import build_graph
-from graphrec.attributes import AttributeSchema, AttributeTable, encode, init_missing
+from graphrec.attributes import AttributeSchema, AttributeTable, encode
 from graphrec.data import load_checkpoint
 from graphrec.evaluate import evaluate_model
 from graphrec.graph import NodeRows
@@ -18,7 +19,7 @@ from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, RESUME
                             adam_step, attribute_loss, bpr_loss, gradients,
                             sample_negatives, scatter_rows, train, train_step)
 
-from conftest import pair_batch, small_attr_tables, total_loss
+from conftest import filled, pair_batch, script_validation, small_attr_tables, total_loss
 
 
 def rejection_oracle(graph, users, rng):
@@ -274,8 +275,8 @@ class TestGradients:
         user_table, item_table = small_attr_tables(rng)
         config = TrainConfig(d=3, d_a=2, K=1, gamma=0.7, lam=0.01).validate()
         p = init_params(M, N, 3, 2, 5, 5, K=1, seed=10, init_std=0.1)
-        X = init_missing(user_table, fallback=0.5)
-        Y = init_missing(item_table, fallback=0.5)
+        X = filled(user_table)
+        Y = filled(item_table)
         batch = pair_batch(g, pairs, 16, rng)
         assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
                                           rng, per_param=6)
@@ -292,8 +293,8 @@ class TestGradients:
         user_table, item_table = small_attr_tables(rng)
         config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01).validate()
         p = init_params(M, N, 3, 2, 5, 5, K=K, seed=30 + K, init_std=0.1)
-        X = init_missing(user_table, fallback=0.5)
-        Y = init_missing(item_table, fallback=0.5)
+        X = filled(user_table)
+        Y = filled(item_table)
         batch = pair_batch(g, pairs, 16, rng)
         with pytest.raises(ValueError, match="step rows"):
             gradients(forward(p, g, X, Y), batch, p, config, [])
@@ -315,8 +316,8 @@ class TestGradients:
         user_table, item_table = small_attr_tables(rng)
         user_table.indicator[:3] = 0.0
         item_table.indicator[:4] = 0.0
-        X = init_missing(user_table, fallback=0.5)
-        Y = init_missing(item_table, fallback=0.5)
+        X = filled(user_table)
+        Y = filled(item_table)
         keep = (pairs[:, 0] >= 3) & (pairs[:, 1] >= 4)
         batch = TripleBatch(pairs[keep, 0][:6], pairs[keep, 1][:6],
                             np.array([4, 5, 9, 6, 7, 8]))
@@ -349,8 +350,8 @@ class TestGradients:
         config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01,
                              attr_update_cadence=cadence).validate()
         p = init_params(M, N, 3, 2, 5, 5, K=K, seed=51, init_std=0.1)
-        X = init_missing(user_table, fallback=0.5)
-        Y = init_missing(item_table, fallback=0.5)
+        X = filled(user_table)
+        Y = filled(item_table)
         batch = pair_batch(g, pairs, 12, rng)
         batch.neg[0] = N - 1
         rows = StepRows(g, user_table, item_table)
@@ -402,8 +403,8 @@ class TestGradients:
         config = TrainConfig(d=3, d_a=2, K=2, gamma=0.7, lam=0.01,
                              attr_update_cadence=cadence).validate()
         p = init_params(M, N, 3, 2, 5, 5, K=2, seed=61, init_std=0.3)
-        X = init_missing(user_table, fallback=0.5)
-        Y = init_missing(item_table, fallback=0.5)
+        X = filled(user_table)
+        Y = filled(item_table)
         batch = pair_batch(g, pairs, 12, rng)
         _, loss_r, loss_a, _ = train_step(p, g, X, Y, attribute_block(g, X, Y, 2), batch,
                                           StepRows(g, user_table, item_table), config)
@@ -535,18 +536,30 @@ class TestTrainLoop:
         from graphrec.evaluate import bpr_baseline
         cfg = self.small_config(max_epochs=4)
         direct = train(toy_dataset, replace(cfg, d_a=0, K=0, gamma=0.0))
-        _, baseline = bpr_baseline(toy_dataset, cfg, return_result=True)
+        _, baseline = bpr_baseline(toy_dataset, cfg)
         assert [e.loss_r for e in direct.log] == [e.loss_r for e in baseline.log]
         assert np.array_equal(direct.params.P, baseline.params.P)
 
-    def test_early_stop_trace(self, toy_dataset):
-        seq = [0.10, 0.11, 0.11, 0.10, 0.10, 0.10, 0.10, 0.10]
+    def test_early_stop_trace(self, toy_dataset, monkeypatch):
+        script_validation(monkeypatch, [0.10, 0.11, 0.11, 0.10, 0.10, 0.10, 0.10, 0.10])
         cfg = self.small_config(max_epochs=50, early_stop_patience=5)
-        res = train(toy_dataset, cfg,
-                    val_metric_fn=lambda epoch, trace: (seq[epoch - 1], 0.0))
+        res = train(toy_dataset, cfg)
         assert len(res.log) == 8
         assert res.best_epoch == 2
         assert res.best_val_hr == 0.11
+
+    def test_refuses_a_dataset_without_validation_pairs(self, toy_dataset, tmp_path,
+                                                        monkeypatch):
+        # every epoch would score 0.0, so the run would stop after patience
+        # + 2 epochs and return the first: it is refused before any step
+        monkeypatch.setattr(sys.modules["graphrec.train"], "train_step",
+                            lambda *args: pytest.fail("a step ran"))
+        logged, path = [], tmp_path / "ckpt.bin"
+        cfg = self.small_config(max_epochs=50, early_stop_patience=3)
+        with pytest.raises(ValueError, match="no validation pairs"):
+            train(replace(toy_dataset, val_items={}), cfg, log_fn=logged.append,
+                  checkpoint_path=str(path))
+        assert logged == [] and not path.exists()
 
     def test_gamma_zero_heads_frozen(self, toy_dataset):
         cfg = self.small_config(gamma=0.0)
@@ -812,13 +825,14 @@ class TestTrainLoop:
         monkeypatch.setattr(mod, "train_step", marked_step)
         monkeypatch.setattr(mod, "apply_update", marked_update)
         monkeypatch.setattr(mod, "field_probabilities", counting_head)
+        script_validation(monkeypatch, itertools.repeat(0.0))
         for cadence in ("per-epoch", "per-batch"):
             for K in (1, 2, 3):
                 cfg = self.small_config(K=K, batch_size=16, max_epochs=2,
                                         attr_update_cadence=cadence)
                 events.clear()
                 step_rows.clear()
-                train(toy_dataset, cfg, val_metric_fn=lambda epoch, trace: (0.0, 0.0))
+                train(toy_dataset, cfg)
 
                 steps = 2 * -(-len(toy_dataset.train_pairs) // cfg.batch_size)
                 assert len(step_rows) == steps and max(step_rows) < M + N
