@@ -358,9 +358,9 @@ class TrainState:
     """All one epoch of the training loop hands to the next, and all a
     checkpoint holds: params, X and Y after ``epoch`` epochs; Adam's moments
     by parameter name and step count; the sampler's generator; the
-    ``TrainConfig.to_dict()`` of the run; the log; ``best``, the (params, X,
-    Y) of ``best_epoch``, and its validation HR@10; the evaluations since it;
-    and whether the run has written a checkpoint.
+    ``TrainConfig.to_dict()`` of the run; the log; and ``best``, the
+    (params, X, Y) of ``best_epoch``, whose validation HR@10 is
+    ``log[best_epoch - 1].val_hr``.
     """
 
     params: ModelParams
@@ -374,16 +374,13 @@ class TrainState:
     config: dict
     epoch: int = 0
     log: list = field(default_factory=list)  # one EpochLog per epoch
-    best_hr: float = -math.inf
     best_epoch: int = 0
-    evals_since_best: int = 0
-    saved: bool = False
 
 
 # A version 1 checkpoint held parameters, X, Y and Adam's moments, without
 # the log, the best snapshot or the stopping counters.
 _CHECKPOINT_VERSION = 2
-_SCALARS = ("epoch", "step", "best_hr", "best_epoch", "evals_since_best", "saved")
+_SCALARS = ("epoch", "step", "best_epoch")
 
 
 def save_checkpoint(path, state):

@@ -468,112 +468,114 @@ def initial_state(dataset, config):
                       (params.copy(), X.copy(), Y.copy()), config.to_dict())
 
 
-def train(dataset, config, log_fn=None, checkpoint_path=None, resume_from=None):
-    """Run the full alternating loop: batched parameter updates on the joint
-    objective, interleaved with refreshes of the missing attribute entries.
+def epochs(dataset, config, state=None):
+    """The training loop: batched parameter updates on the joint objective,
+    interleaved with write-backs of the missing attribute entries
+    (:func:`_write_back`). It yields its :class:`data.TrainState` after each
+    epoch's write-back, validation (:func:`evaluate.rank_and_score`), best
+    snapshot and log entry. It stops when HR@10 has not improved for
+    ``early_stop_patience`` consecutive epochs, or at ``max_epochs``.
 
-    Validation HR@10 and NDCG@10 on the validation split
-    (:func:`evaluate.rank_and_score`) are evaluated once per epoch; training
-    stops when HR@10 has not improved for ``early_stop_patience``
-    consecutive evaluations (or at ``max_epochs``), and the best-validation
-    snapshot is returned.
-
-    The loop advances one :class:`data.TrainState`: :func:`initial_state`,
-    or a copy of ``resume_from`` that carries this call's config.
-    ``checkpoint_path`` writes it whole after every epoch, so a run resumed
-    from a checkpoint is the uninterrupted run: the same epochs, log (the
-    checkpoint's entries first), best epoch and parameters. ``log_fn`` is
-    called with this call's epochs only.
-
-    The propagated attribute block ``A^K [[X, 0], [0, Y]]`` is built at the
-    start (fresh or resumed) and otherwise only by the write-back
-    (:func:`_write_back`), the one place X and Y change: after each step
-    under the per-batch cadence, on the step's forward, and after each epoch
-    under the per-epoch one, on a fresh forward. Every forward of the loop
-    is given the block rather than building its own. Each step is one
-    :func:`train_step`, whose dense work reads only the step rows.
+    The loop advances :func:`initial_state`, or a copy of ``state`` that
+    carries this call's config. It writes no file and calls no hook. The
+    next epoch advances a yielded state in place; a caller may stop and
+    continue later from a ``copy.deepcopy`` of it, or from its checkpoint,
+    and gets the uninterrupted run.
 
     Raises:
-        ValueError: when the dataset has no validation pairs, before the
-            first epoch; or when the ``resume_from`` state does not fit the
-            dataset, or was made with other settings than ``config`` in more
-            than ``RESUME_MAY_CHANGE`` (:func:`check_checkpoint`).
-        TrainingDivergedError: when a loss, gradient or Adam update of a step
-            is non-finite; the message names the epoch, and the checkpoint
-            once this run has written one or was resumed from one.
+        ValueError: before the first epoch, when the dataset has no
+            validation pairs, or when ``state`` does not fit the dataset or
+            was made with other settings than ``config`` in more than
+            ``RESUME_MAY_CHANGE`` (:func:`check_checkpoint`).
+        TrainingDivergedError: on a ``FloatingPointError`` anywhere in an
+            epoch (a step's loss, gradient or Adam update, or a forward's
+            activations), naming the epoch.
     """
     config.validate()
     if not dataset.val_items:
         raise ValueError("the dataset has no validation pairs to select the best epoch on")
     graph = dataset.graph_train
-    if resume_from is None:
+    if state is None:
         state = initial_state(dataset, config)
     else:
-        check_checkpoint(resume_from, dataset, config)
-        state = copy.deepcopy(resume_from)
+        check_checkpoint(state, dataset, config)
+        state = copy.deepcopy(state)
         state.config = config.to_dict()
 
     params = state.params
     pdict = params.as_dict()
     pairs = dataset.train_pairs
     per_batch = config.attr_update_cadence == "per-batch"
+    starts = range(0, len(pairs), config.batch_size)
     block = attribute_block(graph, state.X, state.Y, config.K)
     rows = StepRows(graph, dataset.user_attrs, dataset.item_attrs)
 
     while (state.epoch < config.max_epochs
-           and state.evals_since_best <= config.early_stop_patience):
+           and state.epoch - state.best_epoch <= config.early_stop_patience):
         epoch = state.epoch + 1
         t0 = time.perf_counter()
         perm = state.rng.permutation(len(pairs))
         sum_r = sum_a = 0.0
-        n_batches = 0
-        for lo in range(0, len(pairs), config.batch_size):
-            sel = perm[lo:lo + config.batch_size]
-            users = pairs[sel, 0]
-            pos = pairs[sel, 1]
-            batch = TripleBatch(users, pos, sample_negatives(graph, users, state.rng))
-
-            try:
+        try:
+            for lo in starts:
+                sel = perm[lo:lo + config.batch_size]
+                users = pairs[sel, 0]
+                pos = pairs[sel, 1]
+                batch = TripleBatch(users, pos, sample_negatives(graph, users, state.rng))
                 trace, loss_r, loss_a, grads = train_step(params, graph, state.X, state.Y,
                                                           block, batch, rows, config)
                 adam_step(pdict, grads, state, config.learning_rate)
-            except FloatingPointError as exc:
-                hint = (f"; last good checkpoint: {checkpoint_path}"
-                        if checkpoint_path and state.saved else "")
-                raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch} ({exc}){hint}") from exc
-            if per_batch:
-                block = _write_back(state, trace, dataset, config.K)
-            sum_r += loss_r
-            sum_a += loss_a
-            n_batches += 1
+                if per_batch:
+                    block = _write_back(state, trace, dataset, config.K)
+                sum_r += loss_r
+                sum_a += loss_a
 
-        if not per_batch:
-            block = _write_back(state, forward(params, graph, state.X, state.Y, block),
-                                dataset, config.K)
+            if not per_batch:
+                block = _write_back(state, forward(params, graph, state.X, state.Y, block),
+                                    dataset, config.K)
+            hr_map, ndcg_map = rank_and_score(forward(params, graph, state.X, state.Y, block),
+                                              dataset, [10], target="val")
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(f"training diverged at epoch {epoch} ({exc})") from exc
+        val_hr = hr_map[10]
 
-        hr_map, ndcg_map = rank_and_score(forward(params, graph, state.X, state.Y, block),
-                                          dataset, [10], target="val")
-        val_hr, val_ndcg = hr_map[10], ndcg_map[10]
-
-        entry = EpochLog(epoch, sum_r / n_batches, sum_a / n_batches,
-                         (sum_r + config.gamma * sum_a) / n_batches,
-                         val_hr, val_ndcg, time.perf_counter() - t0)
         state.epoch = epoch
-        state.log.append(entry)
-        if log_fn is not None:
-            log_fn(entry.format())
-
-        if val_hr > state.best_hr:
-            state.best_hr, state.best_epoch, state.evals_since_best = val_hr, epoch, 0
+        state.log.append(EpochLog(epoch, sum_r / len(starts), sum_a / len(starts),
+                                  (sum_r + config.gamma * sum_a) / len(starts),
+                                  val_hr, ndcg_map[10], time.perf_counter() - t0))
+        if not state.best_epoch or val_hr > state.log[state.best_epoch - 1].val_hr:
+            state.best_epoch = epoch
             state.best = (params.copy(), state.X.copy(), state.Y.copy())
-        else:
-            state.evals_since_best += 1
-        if checkpoint_path is not None:
-            state.saved = True
-            save_checkpoint(checkpoint_path, state)
+        yield state
 
-    best_params, best_X, best_Y = state.best
-    return TrainResult(params=best_params, X=best_X, Y=best_Y, log=state.log,
-                       best_epoch=state.best_epoch, best_val_hr=state.best_hr,
-                       final_params=params, final_X=state.X, final_Y=state.Y)
+
+def train(dataset, config, log_fn=None, checkpoint_path=None, resume_from=None):
+    """Run :func:`epochs`, fresh or from ``resume_from``, to its end, and
+    return the best-validation snapshot and the final state. After each
+    epoch, ``log_fn`` gets the epoch's log line and ``checkpoint_path`` the
+    whole state (:func:`data.save_checkpoint`). A run resumed from a
+    checkpoint is the uninterrupted run, its log the checkpoint's entries
+    first. The result shares no array with ``resume_from``.
+
+    Raises:
+        ValueError, TrainingDivergedError: as :func:`epochs`. Once the state
+            has an epoch, a divergence also names ``checkpoint_path`` as the
+            last good checkpoint.
+    """
+    state = resume_from
+    try:
+        for state in epochs(dataset, config, resume_from):
+            if log_fn is not None:
+                log_fn(state.log[-1].format())
+            if checkpoint_path is not None:
+                save_checkpoint(checkpoint_path, state)
+    except TrainingDivergedError as exc:
+        if checkpoint_path is None or state is None or not state.epoch:
+            raise
+        raise TrainingDivergedError(f"{exc}; last good checkpoint: {checkpoint_path}") from exc
+    if state is resume_from:  # nothing was left to run
+        state = copy.deepcopy(state)
+
+    return TrainResult(*state.best, log=state.log, best_epoch=state.best_epoch,
+                       best_val_hr=state.log[state.best_epoch - 1].val_hr,
+                       final_params=state.params, final_X=state.X, final_Y=state.Y)

@@ -1,5 +1,7 @@
+import builtins
 import copy
 import hashlib
+import itertools
 import json
 import struct
 import sys
@@ -18,7 +20,7 @@ from graphrec.evaluate import rank_and_score
 from graphrec.model import ForwardTrace, ModelParams, init_params
 from graphrec.toy import (ITEM_SCHEMA, USER_SCHEMA, toy_interactions, toy_item_records,
                           toy_user_records)
-from graphrec.train import TrainConfig, initial_state, train
+from graphrec.train import TrainConfig, epochs, initial_state, train
 
 from conftest import script_validation, with_byte_order_mark
 
@@ -462,6 +464,24 @@ def same(a, b):
     return a == b
 
 
+def arrays_in(*values):
+    """The arrays a TrainState or TrainResult holds, through its parameters,
+    dicts and tuples."""
+    for value in values:
+        if isinstance(value, ModelParams):
+            value = value.as_dict()
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            yield from arrays_in(*value)
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
+def untimed(log):
+    return [replace(entry, seconds=0.0) for entry in log]
+
+
 def toy_state(epoch):
     return replace(initial_state(make_toy_dataset(seed=0), TrainConfig(seed_init=epoch)),
                    epoch=epoch)
@@ -591,11 +611,70 @@ class TestCheckpoint:
         script_validation(monkeypatch, [0.3, 0.5, 0.4])
         full = train(ds, cfg, checkpoint_path=str(path))
         for cap in (3, 2):
-            resumed = train(ds, replace(cfg, max_epochs=cap), resume_from=load_checkpoint(path))
+            loaded = load_checkpoint(path)
+            resumed = train(ds, replace(cfg, max_epochs=cap), resume_from=loaded)
+            assert not any(np.shares_memory(a, b) for a in arrays_in(vars(resumed))
+                           for b in arrays_in(vars(loaded)))
             assert resumed.log == full.log
             assert (resumed.best_epoch, resumed.best_val_hr) == (2, 0.5)
             for name in ("params", "X", "Y", "final_params", "final_X", "final_Y"):
                 assert same(getattr(resumed, name), getattr(full, name)), (cap, name)
+
+    def test_reads_a_checkpoint_that_stores_derived_counters(self, tmp_path):
+        # a checkpoint whose meta also stores the best HR@10, the evaluations
+        # since it and a saved flag, which the loop state derives, loads as
+        # the same state and resumes to the uninterrupted run
+        ds = make_toy_dataset(seed=0)
+        cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=30,
+                          early_stop_patience=2)
+        full = train(ds, cfg)
+        assert len(full.log) > 3
+        path, older = tmp_path / "ckpt.bin", tmp_path / "older.bin"
+        train(ds, replace(cfg, max_epochs=3), checkpoint_path=str(path))
+        arrays, meta = load_container(path)
+        best = meta["best_epoch"]
+        save_container(older, arrays, dict(meta, best_hr=meta["log"][best - 1]["val_hr"],
+                                           evals_since_best=meta["epoch"] - best, saved=True))
+        state, want = load_checkpoint(older), load_checkpoint(path)
+        for f in fields(TrainState):
+            assert same(getattr(state, f.name), getattr(want, f.name)), f.name
+        resumed = train(ds, cfg, resume_from=state)
+        assert untimed(resumed.log) == untimed(full.log)
+        assert (resumed.best_epoch, resumed.best_val_hr) == (full.best_epoch, full.best_val_hr)
+        for name in ("params", "X", "Y", "final_params", "final_X", "final_Y"):
+            assert same(getattr(resumed, name), getattr(full, name)), name
+
+    def test_caller_owned_loop(self, monkeypatch):
+        # a caller that stops iterating epochs() after epoch k and passes a
+        # copy of the state it was given back gets the uninterrupted run; the
+        # loop advances a copy of it. Each yielded state is its epoch's, and
+        # the loop opens no file to write
+        ds = make_toy_dataset(seed=0)
+        real_open = builtins.open
+
+        def read_only(file, mode="r", *args, **kwargs):
+            assert not set(mode) & set("wax+"), f"{file} opened to write"
+            return real_open(file, mode, *args, **kwargs)
+
+        for cadence in ("per-epoch", "per-batch"):
+            cfg = TrainConfig(d=6, d_a=3, K=2, gamma=0.1, batch_size=128, max_epochs=30,
+                              early_stop_patience=2, attr_update_cadence=cadence)
+            full = train(ds, cfg)
+            assert full.best_epoch < len(full.log) - 1 < cfg.max_epochs - 1
+            monkeypatch.setattr(builtins, "open", read_only)
+            for k in range(1, len(full.log) + 1):
+                stopped = next(itertools.islice(epochs(ds, cfg), k - 1, None))
+                assert stopped.epoch == len(stopped.log) == k
+                held = last = copy.deepcopy(stopped)
+                for last in epochs(ds, cfg, held):
+                    assert last.epoch == len(last.log)
+                assert same(vars(held), vars(stopped)), "the given state changed"
+                assert untimed(last.log) == untimed(full.log), (cadence, k)
+                assert last.best_epoch == full.best_epoch
+                assert same(last.best, (full.params, full.X, full.Y)), (cadence, k)
+                assert same((last.params, last.X, last.Y),
+                            (full.final_params, full.final_X, full.final_Y)), (cadence, k)
+            monkeypatch.undo()
 
 
 class TestMovieLensFormat:

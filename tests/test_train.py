@@ -690,6 +690,29 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="diverged"):
             train(stripped, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_divergence_in_the_epoch_end_forwards(self, toy_dataset, K, cadence):
+        # one step per epoch: the only Adam update is finite, and the
+        # activations first overflow in the forward after it, the write-back's
+        # or the validation's; that too is a divergence at epoch 1
+        cfg = self.small_config(K=K, learning_rate=1e155, batch_size=4096,
+                                attr_update_cadence=cadence)
+        assert len(toy_dataset.train_pairs) <= cfg.batch_size
+        message = "training diverged at epoch 1 (non-finite activations after layer 1)"
+        with pytest.raises(TrainingDivergedError, match=re.escape(message) + "$"):
+            train(toy_dataset, cfg)
+
+    def test_non_finite_loss_is_divergence(self, toy_dataset, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys.modules["graphrec.train"], "batch_losses",
+                            lambda *args: (np.inf, 0.0))
+        ckpt = tmp_path / "ckpt.bin"
+        with pytest.raises(TrainingDivergedError, match=r"epoch 1 \(non-finite loss\)$"):
+            train(toy_dataset, self.small_config(), checkpoint_path=str(ckpt))
+        assert not ckpt.exists()
+
     def nan_gradient_after(self, monkeypatch, calls):
         """Make gradients() put a NaN into W_u from call ``calls + 1`` on."""
         count = [0]
