@@ -6,7 +6,7 @@ from .attributes import (AttributeSchema, AttributeTable, apply_update, encode,
                          init_missing, mask)
 from .data import Dataset, TrainState, load_checkpoint, load_dataset, load_interactions, \
     save_checkpoint, save_dataset, split
-from .evaluate import (EvalReport, attribute_metrics, bpr_baseline,
+from .evaluate import (EvalReport, Ranking, attribute_metrics, bpr_baseline,
                        evaluate_model, label_propagation, rank_and_score,
                        sparsity_groups)
 from .graph import BipartiteGraph, build_graph, propagate

@@ -10,6 +10,7 @@ item index so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,30 +99,33 @@ def _check_cutoffs(n_list):
             raise ValueError(f"cut-offs must be positive integers, got {n!r}")
 
 
-def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
-                   return_per_user=False):
-    """Aggregate HR@N / NDCG@N over all users with at least one target item.
+class Ranking(NamedTuple):
+    """Everything one ranking pass computes, each metric keyed by cut-off N."""
+    hr: dict          # HR@N, the mean of per-user recall
+    ndcg: dict        # NDCG@N, a per-user mean
+    hr_global: dict   # HR@N, total hits over total target items
+    users: np.ndarray  # the ranked users, in the order of the target dict
+    user_ndcg: dict   # per-user NDCG@N, one value per ranked user
+    skipped: int      # users with a target but no candidate item
 
-    ``hr_mode`` selects the HR aggregation: "user-mean" averages per-user
-    recall; "global" divides total hits by total target items. NDCG is always
-    a per-user mean. Users whose candidate set is empty are skipped and
-    counted. With ``return_per_user`` the per-user NDCG, as a pair of arrays
-    (the ranked users, in the order of the target dict, and their
-    (users, len(n_list)) NDCG@N rows), and the skipped count are returned as
-    well. ``n_list`` must hold positive integer cut-offs.
+
+def rank_and_score(trace, dataset, n_list, target="test"):
+    """Rank every candidate item of each user with a ``target`` item and
+    score the ranks at each cut-off of ``n_list`` (positive integers).
+    Users whose candidate set is empty are skipped and counted.
+
+    Returns:
+        Ranking: user-mean and global HR@N, NDCG@N, and the per-user NDCG@N
+        of the ranked users.
     """
     _check_cutoffs(n_list)
-    if hr_mode not in HR_MODES:
-        raise ValueError(f"hr_mode must be one of {HR_MODES}")
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     targets = dataset.test_items if target == "test" else dataset.val_items
     if not targets:
         raise ValueError(f"no users with {target} items")
-    graph = dataset.graph_train
+    graph, U, V = dataset.graph_train, trace.user_embeddings, trace.item_embeddings
     N = graph.num_items
-    U = trace.user_embeddings
-    V = trace.item_embeddings
 
     users = np.fromiter(targets, dtype=np.int64, count=len(targets))
     lengths = np.fromiter(map(len, targets.values()), dtype=np.int64, count=len(targets))
@@ -150,14 +154,10 @@ def rank_and_score(trace, dataset, n_list, target="test", hr_mode="user-mean",
     hits, hr, ndcg = _topn(ranks, lengths, n_list)
     # user means are summed one user after another (cumsum), which keeps
     # them bit-identical to a running per-user total
-    hr_all = (np.cumsum(hr, axis=0)[-1] / len(users) if hr_mode == "user-mean"
-              else hits.sum(axis=0) / lengths.sum())
-    ndcg_all = np.cumsum(ndcg, axis=0)[-1] / len(users)
-    hr_map = {n: float(hr_all[k]) for k, n in enumerate(n_list)}
-    ndcg_map = {n: float(ndcg_all[k]) for k, n in enumerate(n_list)}
-    if return_per_user:
-        return hr_map, ndcg_map, (users, ndcg), skipped
-    return hr_map, ndcg_map
+    return Ranking(dict(zip(n_list, (np.cumsum(hr, axis=0)[-1] / len(users)).tolist())),
+                   dict(zip(n_list, (np.cumsum(ndcg, axis=0)[-1] / len(users)).tolist())),
+                   dict(zip(n_list, (hits.sum(axis=0) / lengths.sum()).tolist())),
+                   users, dict(zip(n_list, ndcg.T)), skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +231,24 @@ def default_bins(dataset):
     edges = sorted(set(int(np.floor(q)) for q in qs))
     bins = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     if bins:
-        lo, _ = bins[-1]
-        bins[-1] = (lo, int(counts.max()) + 1)
+        bins[-1] = (bins[-1][0], int(counts.max()) + 1)
     else:
         bins = [(int(counts.min()), int(counts.max()) + 1)]
     return bins
 
 
-def sparsity_groups(dataset, trace, bins):
-    """NDCG@10 recomputed per user group, grouped by training-interaction count.
+def sparsity_groups(dataset, ranking, bins):
+    """Mean NDCG@10 of the users of ``ranking`` (:func:`rank_and_score`)
+    grouped by training-interaction count.
 
     ``bins`` are disjoint half-open [lo, hi) ranges that must cover every
-    evaluated user. Empty groups get count 0 and a None metric.
+    ranked user. Empty groups get count 0 and a None metric. Raises
+    ValueError when 10 is not a cut-off of ``ranking``, or a ranked user
+    falls in no bin.
     """
-    _, _, (users, ndcg), _ = rank_and_score(trace, dataset, [10], return_per_user=True)
-    return _group_ndcg10(dataset, users, ndcg[:, -1], bins)
-
-
-def _group_ndcg10(dataset, users, ndcg10, bins):
-    """Mean NDCG@10 within each half-open training-count bin, from the
-    ranked ``users`` and their NDCG@10."""
+    if 10 not in ranking.user_ndcg:
+        raise ValueError(f"the ranking has no NDCG@10, only N in {list(ranking.user_ndcg)}")
+    users, ndcg10 = ranking.users, ranking.user_ndcg[10]
     degrees = dataset.graph_train.user_degrees()[users]
     groups = []
     assigned = np.zeros(len(degrees), dtype=bool)
@@ -322,24 +320,25 @@ class EvalReport:
 def evaluate_model(params, X, Y, dataset, target="test", hr_mode="user-mean"):
     """Full EvalReport for one model state: HR@N and NDCG@N at each N of
     ``DEFAULT_TOPN``, per-field attribute metrics on the masked test pairs,
-    and, on the test split, sparsity groups."""
+    and, on the test split, sparsity groups. ``hr_mode`` picks the HR:
+    "user-mean" averages per-user recall, "global" divides total hits by
+    total target items."""
+    if hr_mode not in HR_MODES:
+        raise ValueError(f"hr_mode must be one of {HR_MODES}")
     trace = forward(params, dataset.graph_train, X, Y)
     # the sparsity groups take their NDCG@10 from this one ranking pass
-    hr, ndcg, (users, per_user), skipped = rank_and_score(
-        trace, dataset, DEFAULT_TOPN, target=target, hr_mode=hr_mode, return_per_user=True)
+    ranking = rank_and_score(trace, dataset, DEFAULT_TOPN, target=target)
     per_field = {}
     for table, side in ((dataset.user_attrs, "user"), (dataset.item_attrs, "item")):
-        if not len(table.masked):
-            continue
-        predicted = infer_attributes(trace, params, side, table.schema)
-        per_field.update(attribute_metrics(predicted, table))
-    groups = (_group_ndcg10(dataset, users, per_user[:, DEFAULT_TOPN.index(10)],
-                            default_bins(dataset))
-              if target == "test" else [])
+        if len(table.masked):
+            predicted = infer_attributes(trace, params, side, table.schema)
+            per_field.update(attribute_metrics(predicted, table))
+    groups = sparsity_groups(dataset, ranking, default_bins(dataset)) if target == "test" else []
     notes = ["attribute metrics evaluated on all masked entities, including "
              "any without training interactions"]
-    return EvalReport(hr=hr, ndcg=ndcg, per_field=per_field, groups=groups,
-                      hr_mode=hr_mode, skipped_users=skipped, notes=notes)
+    return EvalReport(hr=ranking.hr if hr_mode == "user-mean" else ranking.hr_global,
+                      ndcg=ranking.ndcg, per_field=per_field, groups=groups,
+                      hr_mode=hr_mode, skipped_users=ranking.skipped, notes=notes)
 
 
 # ---------------------------------------------------------------------------

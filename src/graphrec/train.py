@@ -533,17 +533,16 @@ def epochs(dataset, config, state=None):
             if not per_batch:
                 block = _write_back(state, forward(params, graph, state.X, state.Y, block),
                                     dataset, config.K)
-            hr_map, ndcg_map = rank_and_score(forward(params, graph, state.X, state.Y, block),
-                                              dataset, [10], target="val")
+            val = rank_and_score(forward(params, graph, state.X, state.Y, block),
+                                 dataset, [10], target="val")
         except FloatingPointError as exc:
             raise TrainingDivergedError(f"training diverged at epoch {epoch} ({exc})") from exc
-        val_hr = hr_map[10]
 
         state.epoch = epoch
         state.log.append(EpochLog(epoch, sum_r / len(starts), sum_a / len(starts),
                                   (sum_r + config.gamma * sum_a) / len(starts),
-                                  val_hr, ndcg_map[10], time.perf_counter() - t0))
-        if not state.best_epoch or val_hr > state.log[state.best_epoch - 1].val_hr:
+                                  val.hr[10], val.ndcg[10], time.perf_counter() - t0))
+        if not state.best_epoch or val.hr[10] > state.log[state.best_epoch - 1].val_hr:
             state.best_epoch = epoch
             state.best = (params.copy(), state.X.copy(), state.Y.copy())
         yield state
@@ -558,19 +557,20 @@ def train(dataset, config, log_fn=None, checkpoint_path=None, resume_from=None):
     first. The result shares no array with ``resume_from``.
 
     Raises:
-        ValueError, TrainingDivergedError: as :func:`epochs`. Once the state
-            has an epoch, a divergence also names ``checkpoint_path`` as the
-            last good checkpoint.
+        ValueError, TrainingDivergedError: as :func:`epochs`. Once this call
+            has saved a checkpoint, a divergence also names
+            ``checkpoint_path`` as the last good checkpoint.
     """
-    state = resume_from
+    state, saved = resume_from, False
     try:
         for state in epochs(dataset, config, resume_from):
             if log_fn is not None:
                 log_fn(state.log[-1].format())
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, state)
+                saved = True
     except TrainingDivergedError as exc:
-        if checkpoint_path is None or state is None or not state.epoch:
+        if not saved:
             raise
         raise TrainingDivergedError(f"{exc}; last good checkpoint: {checkpoint_path}") from exc
     if state is resume_from:  # nothing was left to run

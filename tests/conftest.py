@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
-from graphrec.evaluate import PropagationResult
+from graphrec.evaluate import PropagationResult, Ranking
 from graphrec.model import forward, infer_attributes, propagate_k
 from graphrec.train import TripleBatch, attribute_loss, bpr_loss, sample_negatives
 
@@ -96,8 +96,12 @@ def script_validation(monkeypatch, hrs):
     """Make ``train`` read epoch k's validation HR@10 from the k-th item of
     ``hrs`` (NDCG@10 0.0) in place of its ranking pass."""
     scripted = iter(hrs)
-    monkeypatch.setattr(sys.modules["graphrec.train"], "rank_and_score",
-                        lambda trace, dataset, n_list, target: ({10: next(scripted)}, {10: 0.0}))
+
+    def ranking(trace, dataset, n_list, target):
+        hr = next(scripted)
+        return Ranking({10: hr}, {10: 0.0}, {10: hr}, np.zeros(0, dtype=np.int64),
+                       {10: np.zeros(0)}, 0)
+    monkeypatch.setattr(sys.modules["graphrec.train"], "rank_and_score", ranking)
 
 
 def total_loss(params, graph, X, Y, batch, user_table, item_table, config):

@@ -817,12 +817,12 @@ class TestDatasetBundle:
                 assert np.array_equal(got[u], want[u])
         trace = ForwardTrace(final=rng.normal(size=(M + N, 4)), num_users=M)
         for target in ("val", "test"):
-            *want, (want_users, want_ndcg), want_skipped = rank_and_score(
-                trace, ds, [1, 5, 10], target=target, return_per_user=True)
-            *got, (users, ndcg), skipped = rank_and_score(
-                trace, ds2, [1, 5, 10], target=target, return_per_user=True)
-            assert (got, skipped) == (want, want_skipped)
-            assert np.array_equal(users, want_users) and np.array_equal(ndcg, want_ndcg)
+            want = rank_and_score(trace, ds, [1, 5, 10], target=target)
+            got = rank_and_score(trace, ds2, [1, 5, 10], target=target)
+            assert (got[:3], got.skipped) == (want[:3], want.skipped)
+            assert np.array_equal(got.users, want.users)
+            for n in (1, 5, 10):
+                assert np.array_equal(got.user_ndcg[n], want.user_ndcg[n])
 
     def test_each_fact_has_one_stored_form(self, tmp_path):
         # from encode through mask to a reloaded bundle: the values are the

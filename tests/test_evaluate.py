@@ -39,7 +39,7 @@ def one_user_metrics(scores, train_items, target_items, n_list):
                  val_items={}, test_items={0: np.asarray(target_items)},
                  user_attrs=None, item_attrs=None, user_ids=["u0"], item_ids=[])
     trace = ForwardTrace(final=np.vstack([[[1.0]], scores[:, None]]), num_users=1)
-    return rank_and_score(trace, ds, n_list)
+    return rank_and_score(trace, ds, n_list)[:2]
 
 
 def scores_placing(num_items, placement):
@@ -159,7 +159,7 @@ def tiny_dataset_and_trace():
 class TestRankAndScore:
     def test_hand_aggregation(self):
         ds, trace = tiny_dataset_and_trace()
-        hr, ndcg = rank_and_score(trace, ds, [2])
+        hr, ndcg, *_ = rank_and_score(trace, ds, [2])
         # user 0: 1 hit of 1 target; user 1: 2 hits of 2 targets
         assert hr[2] == pytest.approx(1.0)
         n0 = (1 / np.log2(3)) / 1.0
@@ -168,8 +168,8 @@ class TestRankAndScore:
 
     def test_global_mode(self):
         ds, trace = tiny_dataset_and_trace()
-        hr_g, _ = rank_and_score(trace, ds, [1], hr_mode="global")
-        hr_u, _ = rank_and_score(trace, ds, [1], hr_mode="user-mean")
+        ranking = rank_and_score(trace, ds, [1])
+        hr_g, hr_u = ranking.hr_global, ranking.hr
         # top-1: user 0 misses (item 1 ranked first), user 1 hits item 0
         assert hr_g[1] == pytest.approx(1.0 / 3.0)
         assert hr_u[1] == pytest.approx((0.0 + 0.5) / 2)
@@ -181,8 +181,7 @@ class TestRankAndScore:
                      user_attrs=None, item_attrs=None, user_ids=["u0", "u1"],
                      item_ids=["a", "b"])
         trace = ForwardTrace(final=np.arange(8.0).reshape(4, 2), num_users=2)
-        hr, ndcg, _, skipped = rank_and_score(trace, ds, [1], return_per_user=True)
-        assert skipped == 1  # user 0 trained on every item
+        assert rank_and_score(trace, ds, [1]).skipped == 1  # user 0 trained on every item
 
     @pytest.mark.parametrize("val_items, message", [
         ({}, "no users with val items"),
@@ -198,10 +197,14 @@ class TestRankAndScore:
         with pytest.raises(ValueError, match=f"^{message}$"):
             rank_and_score(trace, ds, [1], target="val")
 
-    def test_bad_mode(self):
-        ds, trace = tiny_dataset_and_trace()
+    def test_bad_mode(self, toy_dataset):
+        # the HR aggregation is chosen by evaluate_model, not by the ranking
+        ds = toy_dataset
+        p = init_params(ds.num_users, ds.num_items, 4, 2, ds.user_attrs.schema.total_dim,
+                        ds.item_attrs.schema.total_dim, K=1, seed=0)
+        X, Y = init_missing(ds.user_attrs), init_missing(ds.item_attrs)
         with pytest.raises(ValueError, match="hr_mode"):
-            rank_and_score(trace, ds, [10], hr_mode="median")
+            evaluate_model(p, X, Y, ds, hr_mode="median")
 
     def test_bad_target(self, toy_dataset):
         # a misspelt target is rejected, not read as "val"
@@ -237,23 +240,20 @@ class TestRankAndScore:
         scores = trace.user_embeddings @ trace.item_embeddings.T
         users = list(range(1, M))
         for n_list in ([1, 3], [2, N, N + 4]):
-            for mode in HR_MODES:
-                hr, ndcg, (ranked, per_user), skipped = rank_and_score(
-                    trace, ds, n_list, hr_mode=mode, return_per_user=True)
-                assert skipped == 1
-                assert ranked.tolist() == users
-                for k, n in enumerate(n_list):
-                    oracle = [naive_user_metrics(scores[a], trained[a], test[a], n)
-                              for a in users]
-                    if mode == "user-mean":
-                        want = np.mean([h for h, _ in oracle])
-                    else:
-                        want = (sum(h * len(test[a]) for (h, _), a in zip(oracle, users))
-                                / sum(len(test[a]) for a in users))
-                    assert abs(hr[n] - want) <= 1e-12
-                    assert abs(ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
-                    for (_, d), got in zip(oracle, per_user[:, k]):
-                        assert abs(got - d) <= 1e-12
+            ranking = rank_and_score(trace, ds, n_list)
+            assert ranking.skipped == 1
+            assert ranking.users.tolist() == users
+            for n in n_list:
+                oracle = [naive_user_metrics(scores[a], trained[a], test[a], n)
+                          for a in users]
+                user_mean = np.mean([h for h, _ in oracle])
+                hits_over_targets = (sum(h * len(test[a]) for (h, _), a in zip(oracle, users))
+                                     / sum(len(test[a]) for a in users))
+                assert abs(ranking.hr[n] - user_mean) <= 1e-12
+                assert abs(ranking.hr_global[n] - hits_over_targets) <= 1e-12
+                assert abs(ranking.ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
+                for (_, d), got in zip(oracle, ranking.user_ndcg[n]):
+                    assert abs(got - d) <= 1e-12
 
     @pytest.mark.parametrize("n_list,named", [([], "[]"), ([10, 0], "0"), ([0], "0"),
                                               ([2.5], "2.5"), ([-3], "-3"),
@@ -353,16 +353,15 @@ class TestTopDepthRanks:
             min(want[a, i], depth + 1) for a, i in zip(rows.tolist(), items.tolist())]
 
         ds, trace = scored_dataset(scores, trained, targets)
-        hr, ndcg, (ranked, per_user), skipped = rank_and_score(trace, ds, n_list,
-                                                               return_per_user=True)
+        hr, ndcg, _, ranked, per_user, skipped = rank_and_score(trace, ds, n_list)
         assert skipped == 0 and ranked.tolist() == list(range(self.M))
-        for k, n in enumerate(n_list):
+        for n in n_list:
             oracle = [naive_user_metrics(scores[a], trained[a], targets[a], n)
                       for a in range(self.M)]
             assert abs(hr[n] - np.mean([h for h, _ in oracle])) <= 1e-12
             assert abs(ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
             for a, (_, d) in enumerate(oracle):
-                assert abs(per_user[a, k] - d) <= 1e-12
+                assert abs(per_user[n][a] - d) <= 1e-12
 
     @pytest.mark.parametrize("integer_scores", [False, True])
     def test_whole_row_counts_only_for_ties(self, monkeypatch, integer_scores):
@@ -515,16 +514,18 @@ class TestSparsityGroups:
         h0 = rng.normal(size=(ds.num_users + ds.num_items, 4))
         return ForwardTrace(final=h0, num_users=ds.num_users)
 
+    def ranking_for(self, ds, n_list=(10,)):
+        return rank_and_score(self.trace_for(ds), ds, n_list)
+
     def test_single_bin_equals_global(self, toy_dataset):
-        trace = self.trace_for(toy_dataset)
-        _, ndcg = rank_and_score(trace, toy_dataset, [10])
-        groups = sparsity_groups(toy_dataset, trace, [(0, 10**9)])
+        ranking = self.ranking_for(toy_dataset)
+        groups = sparsity_groups(toy_dataset, ranking, [(0, 10**9)])
         assert len(groups) == 1
-        assert groups[0]["ndcg10"] == pytest.approx(ndcg[10], abs=1e-12)
+        assert groups[0]["ndcg10"] == pytest.approx(ranking.ndcg[10], abs=1e-12)
 
     def test_half_open_intervals(self, toy_dataset):
-        trace = self.trace_for(toy_dataset)
-        groups = sparsity_groups(toy_dataset, trace, [(0, 9), (9, 10**9)])
+        groups = sparsity_groups(toy_dataset, self.ranking_for(toy_dataset),
+                                 [(0, 9), (9, 10**9)])
         M = toy_dataset.num_users
         counts = (toy_dataset.graph_train.S[:M, M:].toarray() != 0).sum(axis=1)
         users = [a for a in toy_dataset.test_items if counts[a] < toy_dataset.num_items]
@@ -533,23 +534,31 @@ class TestSparsityGroups:
         assert groups[0]["count"] + groups[1]["count"] == len(users)
 
     def test_weighted_mean_identity(self, toy_dataset):
-        trace = self.trace_for(toy_dataset)
-        _, ndcg = rank_and_score(trace, toy_dataset, [10])
-        groups = sparsity_groups(toy_dataset, trace, default_bins(toy_dataset))
+        ranking = self.ranking_for(toy_dataset)
+        groups = sparsity_groups(toy_dataset, ranking, default_bins(toy_dataset))
         total = sum(g["count"] for g in groups)
         weighted = sum(g["count"] * g["ndcg10"] for g in groups if g["count"])
-        assert weighted / total == pytest.approx(ndcg[10], abs=1e-12)
+        assert weighted / total == pytest.approx(ranking.ndcg[10], abs=1e-12)
 
     def test_empty_group_absent(self, toy_dataset):
-        trace = self.trace_for(toy_dataset)
-        groups = sparsity_groups(toy_dataset, trace, [(0, 1), (1, 10**9)])
+        groups = sparsity_groups(toy_dataset, self.ranking_for(toy_dataset),
+                                 [(0, 1), (1, 10**9)])
         assert groups[0]["count"] == 0
         assert groups[0]["ndcg10"] is None
 
     def test_uncovered_user_errors(self, toy_dataset):
-        trace = self.trace_for(toy_dataset)
         with pytest.raises(ValueError, match="bins do not cover"):
-            sparsity_groups(toy_dataset, trace, [(0, 3)])
+            sparsity_groups(toy_dataset, self.ranking_for(toy_dataset), [(0, 3)])
+
+    def test_groups_read_ndcg10_among_other_cutoffs(self, toy_dataset):
+        # the NDCG@10 of a ranking at several cut-offs, the one at 10 alone,
+        # or none when 10 is not among them
+        bins = default_bins(toy_dataset)
+        want = sparsity_groups(toy_dataset, self.ranking_for(toy_dataset), bins)
+        assert sparsity_groups(toy_dataset, self.ranking_for(toy_dataset, [5, 10, 20]),
+                               bins) == want
+        with pytest.raises(ValueError, match=r"no NDCG@10, only N in \[5, 20\]$"):
+            sparsity_groups(toy_dataset, self.ranking_for(toy_dataset, [5, 20]), bins)
 
     def test_equal_counts_give_one_bin(self):
         # every quantile is the one count, so there is no edge pair to bin
@@ -764,20 +773,24 @@ class TestBaselineAndReport:
                              ds.user_attrs.values.shape[1], ds.item_attrs.values.shape[1],
                              K=1, seed=4)
         X, Y = init_missing(ds.user_attrs), init_missing(ds.item_attrs)
-        calls = []
         real = evaluate.rank_and_score
+        for mode in HR_MODES:
+            rankings = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return real(*args, **kwargs)
-        monkeypatch.setattr(evaluate, "rank_and_score", counting)
-        rep = evaluate_model(params, X, Y, ds)
-        assert len(calls) == 1
-        assert sorted(rep.hr) == sorted(rep.ndcg) == list(DEFAULT_TOPN)
-        trace = forward(params, ds.graph_train, X, Y)
-        hr, ndcg = real(trace, ds, DEFAULT_TOPN)
-        assert rep.hr == hr and rep.ndcg == ndcg
-        assert rep.groups == sparsity_groups(ds, trace, default_bins(ds))
+            def counting(*args, **kwargs):
+                rankings.append(real(*args, **kwargs))
+                return rankings[-1]
+            monkeypatch.setattr(evaluate, "rank_and_score", counting)
+            rep = evaluate_model(params, X, Y, ds, hr_mode=mode)
+            assert len(rankings) == 1
+            ranking, = rankings
+            assert sorted(rep.hr) == sorted(rep.ndcg) == list(DEFAULT_TOPN)
+            assert rep.hr == (ranking.hr if mode == "user-mean" else ranking.hr_global)
+            assert rep.ndcg == ranking.ndcg and rep.skipped_users == ranking.skipped
+            assert rep.groups == sparsity_groups(ds, ranking, default_bins(ds))
+            # the ranking is the one of the model's forward at DEFAULT_TOPN
+            trace = forward(params, ds.graph_train, X, Y)
+            assert real(trace, ds, DEFAULT_TOPN)[:3] == ranking[:3]
 
     def test_evaluate_model_bounds(self, toy_dataset):
         from graphrec.train import train

@@ -738,18 +738,31 @@ class TestTrainLoop:
         assert not ckpt.exists()
 
     def test_divergence_names_written_checkpoint(self, toy_dataset, monkeypatch, tmp_path):
-        # after this run wrote a checkpoint, or when it resumed from one
+        # after this run wrote a checkpoint, fresh or resumed
         cfg = self.small_config()
         steps = -(-len(toy_dataset.train_pairs) // cfg.batch_size)
         ckpt = str(tmp_path / "ckpt.bin")
-        hint = (r"epoch 2 \(non-finite gradient for parameter W_u\)"
+        hint = (r"epoch {} \(non-finite gradient for parameter W_u\)"
                 r"; last good checkpoint: .*ckpt\.bin$")
         self.nan_gradient_after(monkeypatch, steps)
-        with pytest.raises(TrainingDivergedError, match=hint):
+        with pytest.raises(TrainingDivergedError, match=hint.format(2)):
             train(toy_dataset, cfg, checkpoint_path=ckpt)
-        self.nan_gradient_after(monkeypatch, 0)
-        with pytest.raises(TrainingDivergedError, match=hint):
+        self.nan_gradient_after(monkeypatch, steps)
+        with pytest.raises(TrainingDivergedError, match=hint.format(3)):
             train(toy_dataset, cfg, checkpoint_path=ckpt, resume_from=load_checkpoint(ckpt))
+
+    def test_divergence_before_a_save_names_no_checkpoint(self, toy_dataset, monkeypatch,
+                                                          tmp_path):
+        # resumed from a.bin, a run that diverges in its first epoch has not
+        # written b.bin; the last good state is a.bin's, which it is not told
+        cfg = self.small_config()
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        train(toy_dataset, replace(cfg, max_epochs=1), checkpoint_path=str(a))
+        self.nan_gradient_after(monkeypatch, 0)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"epoch 2 \(non-finite gradient for parameter W_u\)$"):
+            train(toy_dataset, cfg, checkpoint_path=str(b), resume_from=load_checkpoint(str(a)))
+        assert not b.exists()
 
     def test_step_work_restricted_to_step_rows(self, toy_dataset, monkeypatch):
         # each step slices the rows of S at its step rows once (S_R, fewer
