@@ -34,7 +34,7 @@ config = TrainConfig(d=8, d_a=4, K=1, gamma=0.2, batch_size=512,
 result = train(dataset, config)
 
 trace = forward(result.params, dataset.graph_train, result.X, result.Y)
-predicted = infer_attributes(trace, result.params, "user", table.schema)
+predicted = infer_attributes(trace, result.params, table)
 model_scores = attribute_metrics(predicted, table)
 
 # Baseline 1: always predict the most frequent observed class.

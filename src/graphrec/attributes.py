@@ -94,7 +94,8 @@ class AttributeTable:
     :attr:`values`, what a model is given, is derived from them, as is each
     field's :meth:`observed` rows. ``masked`` is the (n, 2) int64 array of
     the (entity, field_index) pairs deleted by :func:`mask`, the attribute
-    inference test set. A side without attributes is :meth:`empty`.
+    inference test set. A side without attributes is :meth:`empty`. A side
+    other than "user" or "item" is refused.
     """
 
     schema: AttributeSchema
@@ -102,6 +103,10 @@ class AttributeTable:
     indicator: np.ndarray
     ground_truth: np.ndarray
     masked: np.ndarray = dc_field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+
+    def __post_init__(self):
+        if self.side not in ("user", "item"):
+            raise ValueError(f"side must be 'user' or 'item', got {self.side!r}")
 
     @classmethod
     def empty(cls, side, num_entities):
@@ -306,11 +311,11 @@ def load_schema(path):
     return AttributeSchema([(name, kind, cats) for name, (kind, cats) in fields.items()])
 
 
-def load_attributes(path, schema, num_entities, id_map, side="user"):
+def load_attributes(path, schema, ids, side="user"):
     """Read an attribute file and encode it against ``schema``.
 
-    ``id_map`` maps external entity ids to dense indices; lines for unknown
-    entities (filtered out upstream) are skipped. Category values are looked
+    Entity ``ids[k]`` is row k of the table; lines for other entities
+    (filtered out upstream) are skipped. Category values are looked
     up in each field's vocabulary. An entity has one line, and a field one
     value on it: a repeat raises ``ValueError`` naming both lines. A
     single-label field given several categories, and a line without its id
@@ -341,7 +346,8 @@ def load_attributes(path, schema, num_entities, id_map, side="user"):
             record[name] = idxs[0] if f.kind == "single" else idxs
         return parts[0], record
 
-    records = [{}] * num_entities  # read only: an entity without a line has none
+    id_map = {eid: idx for idx, eid in enumerate(ids)}
+    records = [{}] * len(ids)  # read only: an entity without a line has none
     for entity, record in read_keyed(path, "id", _detect_sep, parse).items():
         records[id_map[entity]] = record
     return encode(records, schema, side=side)

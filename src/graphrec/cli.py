@@ -156,8 +156,7 @@ def build_dataset(settings):
         if settings[schema_key] is None:
             raise ValueError(f"--{attr_key.replace('_', '-')} requires a schema file")
         schema = load_schema(settings[schema_key])
-        id_map = {eid: idx for idx, eid in enumerate(ids)}
-        table = load_attributes(settings[attr_key], schema, len(ids), id_map, side=side)
+        table = load_attributes(settings[attr_key], schema, ids, side=side)
         return mask(table, settings["alpha"], settings["seed_masking"])
 
     return split(
@@ -361,11 +360,11 @@ def cmd_infer_attributes(args, settings, load):
     n_rows = 0
     with open(out_path, "w") as fh:
         fh.write("side\tentity\tfield\tprediction\tprobabilities\n")
-        for table, side, ids in ((dataset.user_attrs, "user", dataset.user_ids),
-                                 (dataset.item_attrs, "item", dataset.item_ids)):
+        for table, ids in ((dataset.user_attrs, dataset.user_ids),
+                           (dataset.item_attrs, dataset.item_ids)):
             if not len(table.masked):
                 continue
-            predicted = infer_attributes(trace, params, side, table.schema)
+            predicted = infer_attributes(trace, params, table)
             for e, f_idx in table.masked:
                 f = table.schema.fields[f_idx]
                 probs = predicted[e, f.block]
@@ -376,7 +375,7 @@ def cmd_infer_attributes(args, settings, load):
                               if probs[j] >= 0.5]
                     label = "|".join(chosen)
                 prob_str = ";".join(f"{p:.6f}" for p in probs)
-                fh.write(f"{side}\t{ids[e]}\t{f.name}\t{label}\t{prob_str}\n")
+                fh.write(f"{table.side}\t{ids[e]}\t{f.name}\t{label}\t{prob_str}\n")
                 n_rows += 1
     print(f"wrote {n_rows} predictions to {out_path}")
     return 0

@@ -32,8 +32,9 @@ class Dataset:
     test_items map user index -> sorted item-index array, in ascending user
     order. user_ids/item_ids map dense indices back to external ids. A side
     given as None has no attributes: it becomes :meth:`AttributeTable.empty`.
-    A field name in both schemas is refused, since reports key each field's
-    metric by its name alone.
+    A table of the other side, and a field name in both schemas, are
+    refused: the heads are chosen by a table's side, and reports key each
+    field's metric by its name alone.
     """
 
     graph_train: BipartiteGraph
@@ -50,6 +51,9 @@ class Dataset:
             self.user_attrs = AttributeTable.empty("user", self.num_users)
         if self.item_attrs is None:
             self.item_attrs = AttributeTable.empty("item", self.num_items)
+        for side, table in (("user", self.user_attrs), ("item", self.item_attrs)):
+            if table.side != side:
+                raise ValueError(f"the {side} attribute table has side {table.side!r}")
         for f in self.user_attrs.schema:
             if f.name in self.item_attrs.schema:
                 raise ValueError(f"field {f.name!r} is in both the user and the item schema")

@@ -1,6 +1,6 @@
 """Evaluation: full-itemset ranking metrics, attribute metrics, sparsity
-breakdowns, and the in-repo baselines (BPR matrix factorization, label
-propagation).
+breakdowns, and the label-propagation baseline (the BPR baseline trains, so
+it is :func:`train.bpr_baseline`).
 
 Ranking scores every item a user has not trained on, so HR@N / NDCG@N are
 computed against the full candidate set. Score ties are broken by ascending
@@ -9,7 +9,7 @@ item index so reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -329,9 +329,9 @@ def evaluate_model(params, X, Y, dataset, target="test", hr_mode="user-mean"):
     # the sparsity groups take their NDCG@10 from this one ranking pass
     ranking = rank_and_score(trace, dataset, DEFAULT_TOPN, target=target)
     per_field = {}
-    for table, side in ((dataset.user_attrs, "user"), (dataset.item_attrs, "item")):
+    for table in (dataset.user_attrs, dataset.item_attrs):
         if len(table.masked):
-            predicted = infer_attributes(trace, params, side, table.schema)
+            predicted = infer_attributes(trace, params, table)
             per_field.update(attribute_metrics(predicted, table))
     groups = sparsity_groups(dataset, ranking, default_bins(dataset)) if target == "test" else []
     notes = ["attribute metrics evaluated on all masked entities, including "
@@ -344,20 +344,6 @@ def evaluate_model(params, X, Y, dataset, target="test", hr_mode="user-mean"):
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
-
-def bpr_baseline(dataset, config):
-    """Plain BPR matrix factorization: the joint trainer with the graph
-    depth, attribute width, and attribute loss all switched off.
-
-    Returns:
-        (report, result): the :func:`evaluate_model` report of the trained
-        model on the test split, and the :class:`train.TrainResult`.
-    """
-    from .train import train
-
-    result = train(dataset, replace(config, K=0, d_a=0, gamma=0.0))
-    return evaluate_model(result.params, result.X, result.Y, dataset), result
-
 
 @dataclass
 class PropagationResult:

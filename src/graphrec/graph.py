@@ -105,12 +105,6 @@ class BipartiteGraph:
                 f"edges={self.S.indptr[self.num_users]}, norm={self.norm_mode!r})")
 
 
-def check_norm_mode(norm_mode):
-    """Refuse a normalisation mode outside :data:`NORM_MODES`."""
-    if norm_mode not in NORM_MODES:
-        raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-
-
 def check_pairs(pairs, num_users, num_items):
     """(user, item) ``pairs`` as an (E, 2) int64 array; raises naming the first
     pair that is not two integers in range for ``num_users``, ``num_items``."""
@@ -138,7 +132,8 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
     """
     if num_users <= 0 or num_items <= 0:
         raise ValueError(f"empty graph: num_users={num_users}, num_items={num_items}")
-    check_norm_mode(norm_mode)
+    if norm_mode not in NORM_MODES:
+        raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
 
     M, N = num_users, num_items
     pairs = check_pairs(interactions, M, N)

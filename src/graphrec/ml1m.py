@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import os
 
-from .attributes import AttributeSchema, check_alpha, check_seed, encode, mask, read_keyed
-from .data import check_ratios, load_interactions, split
-from .graph import check_norm_mode
+from .attributes import AttributeSchema, encode, mask, read_keyed
+from .data import load_interactions, split
 
 AGE_BRACKETS = ["1", "18", "25", "35", "45", "50", "56"]
 OCCUPATIONS = [str(k) for k in range(21)]
@@ -77,26 +76,21 @@ def load_item_records(path, item_ids):
     return [by_id.get(mid, {}) for mid in item_ids]
 
 
-def make_ml1m_dataset(directory, alpha=0.9, ratios=(0.8, 0.1, 0.1),
-                      seed_masking=2, seed_split=3, min_user_interactions=5,
-                      norm_mode="symmetric"):
-    """Check the settings, then load, mask and split the MovieLens-1M files in ``directory``."""
-    check_alpha(alpha)
-    check_ratios(ratios)
-    check_seed("seed_masking", seed_masking)
-    check_seed("seed_split", seed_split)
-    check_norm_mode(norm_mode)
+def make_ml1m_dataset(directory):
+    """Load, mask and split the MovieLens-1M files in ``directory``: users
+    with at least 5 ratings, 90% of each attribute field masked (seed 2 for
+    users, 3 for items), an 8:1:1 split with seed 3, and a symmetrically
+    normalised training graph."""
     pairs, user_ids, item_ids = load_interactions(
-        os.path.join(directory, "ratings.dat"), min_user_interactions=min_user_interactions)
+        os.path.join(directory, "ratings.dat"), min_user_interactions=5)
     user_attrs = mask(
         encode(load_user_records(os.path.join(directory, "users.dat"), user_ids),
                USER_SCHEMA, side="user"),
-        alpha, seed_masking)
+        0.9, 2)
     item_attrs = mask(
         encode(load_item_records(os.path.join(directory, "movies.dat"), item_ids),
                ITEM_SCHEMA, side="item"),
-        alpha, seed_masking + 1)
-    return split(pairs, len(user_ids), len(item_ids), ratios=ratios,
-                 seed=seed_split, norm_mode=norm_mode,
+        0.9, 3)
+    return split(pairs, len(user_ids), len(item_ids), seed=3,
                  user_attrs=user_attrs, item_attrs=item_attrs,
                  user_ids=user_ids, item_ids=item_ids)

@@ -239,16 +239,14 @@ def normalize_logits(logits, schema):
     return out
 
 
-def infer_attributes(trace, params, side, schema):
-    """Predicted attribute probability matrix for one side ("user" or "item")."""
-    if side == "user":
+def infer_attributes(trace, params, table):
+    """Predicted attribute probability matrix for the side of ``table``, against its schema."""
+    if table.side == "user":
         emb, head = trace.user_embeddings, params.W_x
-    elif side == "item":
-        emb, head = trace.item_embeddings, params.W_y
     else:
-        raise ValueError(f"side must be 'user' or 'item', got {side!r}")
-    if head.shape[1] != schema.total_dim:
+        emb, head = trace.item_embeddings, params.W_y
+    if head.shape[1] != table.schema.total_dim:
         raise ValueError(
-            f"head width {head.shape[1]} does not match schema dim {schema.total_dim}"
+            f"head width {head.shape[1]} does not match schema dim {table.schema.total_dim}"
         )
-    return normalize_logits(emb @ head, schema)
+    return normalize_logits(emb @ head, table.schema)

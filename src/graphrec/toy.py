@@ -64,7 +64,7 @@ def toy_item_records(num_items, seed=0):
     return records
 
 
-def make_toy_dataset(num_users=50, num_items=60, seed=0, alpha=0.5, norm_mode="symmetric"):
+def make_toy_dataset(num_users=50, num_items=60, seed=0, alpha=0.5):
     """A fully prepared toy Dataset: split interactions plus masked attributes."""
     pairs = toy_interactions(num_users, num_items, seed=seed)
     user_attrs = mask(
@@ -77,7 +77,7 @@ def make_toy_dataset(num_users=50, num_items=60, seed=0, alpha=0.5, norm_mode="s
     )
     return split(
         pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=seed + 3000,
-        norm_mode=norm_mode, user_attrs=user_attrs, item_attrs=item_attrs,
+        user_attrs=user_attrs, item_attrs=item_attrs,
         user_ids=[f"u{a}" for a in range(num_users)],
         item_ids=[f"i{i}" for i in range(num_items)],
     )

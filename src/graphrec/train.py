@@ -28,14 +28,14 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .attributes import apply_update, check_seed, init_missing
 from .data import EpochLog, TrainState, save_checkpoint
-from .evaluate import rank_and_score
+from .evaluate import evaluate_model, rank_and_score
 from .graph import NodeRows, propagate_back
 from .model import (ModelParams, attribute_block, field_probabilities, forward,
                     infer_attributes, init_params, logistic)
@@ -229,16 +229,6 @@ def field_loss(p, x, kind):
     return -float((x * np.log(p) + (1.0 - x) * np.log(1.0 - p)).sum())
 
 
-def attribute_loss(predicted, table):
-    """Cross entropy over observed entries only: the :func:`field_loss` of
-    each field over the rows where it is observed."""
-    total = 0.0
-    for f in table.schema:
-        rows, values = table.observed(f)
-        total += field_loss(predicted[rows, f.block], values, f.kind)
-    return total
-
-
 def scatter_rows(index, values, num_rows):
     """``out[r]``, the sum of ``values[k]`` over every k with ``index[k] == r``,
     from one sparse one-hot product. Each row adds its terms to zero in k
@@ -419,9 +409,8 @@ def _write_back(state, trace, dataset, K):
     return the new attribute block ``A^K [[X, 0], [0, Y]]``. The heads are
     evaluated afresh, so after a step they read the updated W_x, W_y."""
     updated = []
-    for side, current, table in (("user", state.X, dataset.user_attrs),
-                                 ("item", state.Y, dataset.item_attrs)):
-        pred = infer_attributes(trace, state.params, side, table.schema)
+    for current, table in ((state.X, dataset.user_attrs), (state.Y, dataset.item_attrs)):
+        pred = infer_attributes(trace, state.params, table)
         updated.append(apply_update(current, pred, table))
     state.X, state.Y = updated
     return attribute_block(dataset.graph_train, state.X, state.Y, K)
@@ -473,8 +462,8 @@ def epochs(dataset, config, state=None):
     interleaved with write-backs of the missing attribute entries
     (:func:`_write_back`). It yields its :class:`data.TrainState` after each
     epoch's write-back, validation (:func:`evaluate.rank_and_score`), best
-    snapshot and log entry. It stops when HR@10 has not improved for
-    ``early_stop_patience`` consecutive epochs, or at ``max_epochs``.
+    snapshot and log entry. It stops at ``max_epochs``, or once
+    ``early_stop_patience + 1`` epochs in a row have not bettered the best HR@10.
 
     The loop advances :func:`initial_state`, or a copy of ``state`` that
     carries this call's config. It writes no file and calls no hook. The
@@ -579,3 +568,15 @@ def train(dataset, config, log_fn=None, checkpoint_path=None, resume_from=None):
     return TrainResult(*state.best, log=state.log, best_epoch=state.best_epoch,
                        best_val_hr=state.log[state.best_epoch - 1].val_hr,
                        final_params=state.params, final_X=state.X, final_Y=state.Y)
+
+
+def bpr_baseline(dataset, config):
+    """Plain BPR matrix factorization: the joint trainer with the graph
+    depth, attribute width, and attribute loss all switched off.
+
+    Returns:
+        (report, result): the :func:`evaluate.evaluate_model` report of the
+        trained model on the test split, and the :class:`TrainResult`.
+    """
+    result = train(dataset, replace(config, K=0, d_a=0, gamma=0.0))
+    return evaluate_model(result.params, result.X, result.Y, dataset), result

@@ -9,7 +9,7 @@ from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
 from graphrec.evaluate import PropagationResult, Ranking
 from graphrec.model import forward, infer_attributes, propagate_k
-from graphrec.train import TripleBatch, attribute_loss, bpr_loss, sample_negatives
+from graphrec.train import TripleBatch, bpr_loss, field_loss, sample_negatives
 
 
 @pytest.fixture(scope="session")
@@ -104,6 +104,16 @@ def script_validation(monkeypatch, hrs):
     monkeypatch.setattr(sys.modules["graphrec.train"], "rank_and_score", ranking)
 
 
+def attribute_loss(predicted, table):
+    """Cross entropy over observed entries only: the ``train.field_loss`` of
+    each field over the rows where it is observed."""
+    total = 0.0
+    for f in table.schema:
+        rows, values = table.observed(f)
+        total += field_loss(predicted[rows, f.block], values, f.kind)
+    return total
+
+
 def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
     """Full objective L_r + gamma * L_a, recomputed on every row (the
     finite-difference oracle)."""
@@ -112,9 +122,8 @@ def total_loss(params, graph, X, Y, batch, user_table, item_table, config):
     u = U[batch.users]
     loss_r = bpr_loss((u * V[batch.pos]).sum(axis=1), (u * V[batch.neg]).sum(axis=1),
                       params, config.lam)
-    loss_a = sum(attribute_loss(infer_attributes(trace, params, side, table.schema), table)
-                 for side, table in (("user", user_table), ("item", item_table))
-                 if table is not None)
+    loss_a = sum(attribute_loss(infer_attributes(trace, params, table), table)
+                 for table in (user_table, item_table) if table is not None)
     return loss_r + config.gamma * loss_a
 
 

@@ -16,10 +16,10 @@ import pytest
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, apply_update, encode, mask
 from graphrec.data import load_checkpoint, save_checkpoint, split
-from graphrec.evaluate import (attribute_metrics, bpr_baseline, evaluate_model,
-                               label_propagation_metrics, majority_class_accuracy)
+from graphrec.evaluate import (attribute_metrics, evaluate_model, label_propagation_metrics,
+                               majority_class_accuracy)
 from graphrec.model import attribute_block, forward, init_params, normalize_logits
-from graphrec.train import StepRows, TrainConfig, initial_state, train, train_step
+from graphrec.train import StepRows, TrainConfig, bpr_baseline, initial_state, train, train_step
 
 from conftest import filled, pair_batch, small_attr_tables, total_loss
 from test_evaluate import naive_user_metrics, one_user_metrics
@@ -268,7 +268,7 @@ def ml1m_runs():
             "has no network access to download them")
     from graphrec.ml1m import make_ml1m_dataset
 
-    dataset = make_ml1m_dataset(directory, alpha=0.9)
+    dataset = make_ml1m_dataset(directory)
     base = TrainConfig(d=32, d_a=16, K=2, lam=0.01, learning_rate=0.001,
                        batch_size=1024, early_stop_patience=5,
                        max_epochs=100)

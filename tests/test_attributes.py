@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from graphrec.attributes import (AttributeSchema, apply_update, encode, init_missing,
-                                 load_attributes, load_schema, mask, read_lines)
+from graphrec.attributes import (AttributeSchema, AttributeTable, apply_update, encode,
+                                 init_missing, load_attributes, load_schema, mask, read_lines)
 from graphrec.toy import write_toy_files
 
 from conftest import with_byte_order_mark
@@ -82,6 +82,13 @@ class TestEncode:
         s = schema_single_multi()
         with pytest.raises(ValueError, match="entity 0.*gender"):
             encode([{"gender": 5}], s)
+
+    def test_side_other_than_user_or_item_refused(self):
+        refusal = "side must be 'user' or 'item', got 'edge'"
+        with pytest.raises(ValueError, match=refusal):
+            encode([{"gender": 0}], schema_single_multi(), side="edge")
+        with pytest.raises(ValueError, match=refusal):
+            AttributeTable.empty("edge", 3)
 
 
 class TestMask:
@@ -261,8 +268,8 @@ class TestFileFormats:
         paths = write_toy_files(tmp_path, num_users=10, num_items=8, seed=1)
         schema = load_schema(paths["user_schema"])
         assert [f.name for f in schema] == ["group", "tags"]
-        id_map = {f"u{a}": a for a in range(10)}
-        table = load_attributes(paths["user_attrs"], schema, 10, id_map, side="user")
+        ids = [f"u{a}" for a in range(10)]
+        table = load_attributes(paths["user_attrs"], schema, ids, side="user")
         assert table.values.shape == (10, 5)
         assert np.all(table.indicator == 1.0)
         # single-label blocks are exactly one-hot
@@ -278,8 +285,8 @@ class TestFileFormats:
     def test_attributes_byte_order_mark_dropped(self, tmp_path):
         paths = write_toy_files(tmp_path, num_users=10, num_items=8, seed=1)
         schema = load_schema(paths["user_schema"])
-        id_map = {f"u{a}": a for a in range(10)}
-        plain, marked = (load_attributes(path, schema, 10, id_map)
+        ids = [f"u{a}" for a in range(10)]
+        plain, marked = (load_attributes(path, schema, ids)
                          for path in (paths["user_attrs"],
                                       with_byte_order_mark(paths["user_attrs"])))
         assert np.all(plain.indicator.any(axis=1))
@@ -293,7 +300,7 @@ class TestFileFormats:
         ap.write_text("e0\tcolor=green\n")
         schema = load_schema(sp)
         with pytest.raises(ValueError, match="color"):
-            load_attributes(ap, schema, 1, {"e0": 0})
+            load_attributes(ap, schema, ["e0"])
 
     @pytest.mark.parametrize("lines, error", [
         (["u1\tgroup=g0\tgroup=g1"], "attrs.tsv:3: field 'group' already given on line 3"),
@@ -304,11 +311,10 @@ class TestFileFormats:
         sp = tmp_path / "schema.tsv"
         sp.write_text("group\tsingle\tg0|g1\n")
         ap = tmp_path / "attrs.tsv"
-        # u9 is not in id_map, so its repeated line is skipped
+        # u9 is not among the ids, so its repeated line is skipped
         ap.write_text("\n".join(["u9\tgroup=g0", "u9\tgroup=g1"] + lines) + "\n")
-        id_map = {"u1": 0, "u2": 1}
         with pytest.raises(ValueError, match=error):
-            load_attributes(ap, load_schema(sp), 2, id_map)
+            load_attributes(ap, load_schema(sp), ["u1", "u2"])
 
     @pytest.mark.parametrize("line, error", [
         ("u1\tg=a|b", "3: single-label field 'g' given several values ['a', 'b']"),
@@ -327,10 +333,10 @@ class TestFileFormats:
         ap = tmp_path / "attrs.tsv"
         ap.write_text(f"# entities\nu2\tt=x|y\tg=b\n{line}\n")
         with pytest.raises(ValueError) as refusal:
-            load_attributes(ap, load_schema(sp), 2, {"u1": 0, "u2": 1})
+            load_attributes(ap, load_schema(sp), ["u1", "u2"])
         assert str(refusal.value) == f"{ap}:{error}"
         ap.write_text("# entities\nu2\tt=x|y\tg=b\n")
-        table = load_attributes(ap, load_schema(sp), 2, {"u1": 0, "u2": 1})
+        table = load_attributes(ap, load_schema(sp), ["u1", "u2"])
         assert table.values.tolist() == [[0, 0, 0, 0], [0, 1, 1, 1]]
 
     @pytest.mark.parametrize("lines, error", [

@@ -315,6 +315,15 @@ class TestSplit:
         with pytest.raises(ValueError, match=r"interaction \(0, 0\) is given twice"):
             split(pairs, 1, 10, seed=0)
 
+    def test_table_of_the_other_side_refused(self):
+        # the heads are chosen by a table's side, not by its place
+        ds = make_toy_dataset(seed=0)
+        with pytest.raises(ValueError, match="the item attribute table has side 'user'"):
+            replace(ds, item_attrs=replace(ds.item_attrs, side="user"))
+        with pytest.raises(ValueError, match="the user attribute table has side 'item'"):
+            split(ds.train_pairs, ds.num_users, ds.num_items, seed=1,
+                  user_attrs=replace(ds.user_attrs, side="item"))
+
     def test_field_name_on_both_sides_refused(self, tmp_path):
         # a report keys each field's metric by its name, so an item field
         # would hide the user field of that name; every way in refuses it
@@ -679,7 +688,7 @@ class TestCheckpoint:
 
 class TestMovieLensFormat:
     def test_miniature_files(self, tmp_path):
-        from graphrec.ml1m import make_ml1m_dataset
+        from graphrec import ml1m
         rng = np.random.default_rng(0)
         with open(tmp_path / "ratings.dat", "w") as fh:
             for u in range(1, 7):
@@ -694,7 +703,7 @@ class TestMovieLensFormat:
                 genres = "Comedy|Drama" if m % 2 else "Action"
                 fh.write(f"{m}::Film {m} (199{m})::{genres}\n")
 
-        ds = make_ml1m_dataset(tmp_path, alpha=0.5)
+        ds = ml1m.make_ml1m_dataset(tmp_path)
         assert ds.num_users == 6 and ds.num_items == 8
         assert ds.user_attrs.schema.total_dim == 2 + 7 + 21
         # gender blocks are one-hot and match the fabricated pattern
@@ -704,18 +713,20 @@ class TestMovieLensFormat:
             assert truth[idx, :2].tolist() == expect
         assert ds.item_attrs.schema.fields[0].kind == "multi"
         assert len(ds.user_attrs.masked) > 0
-
-    @pytest.mark.parametrize("setting, value", [
-        ("alpha", 1.5), ("ratios", (0.5, 0.1)), ("seed_split", -1), ("seed_masking", -2),
-        ("norm_mode", "rows"),
-    ])
-    def test_settings_checked_before_reading(self, tmp_path, monkeypatch, setting, value):
-        import graphrec.ml1m as ml1m
-        calls = []
-        monkeypatch.setattr(ml1m, "load_interactions", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match=f"^{setting} must be"):
-            ml1m.make_ml1m_dataset(tmp_path, **{setting: value})
-        assert calls == []
+        # the fixed preparation: users with >= 5 ratings, 90% masked with
+        # seeds 2 and 3, an 8:1:1 split with seed 3, symmetric normalisation
+        pairs, user_ids, item_ids = load_interactions(tmp_path / "ratings.dat",
+                                                      min_user_interactions=5)
+        users = encode(ml1m.load_user_records(tmp_path / "users.dat", user_ids),
+                       ml1m.USER_SCHEMA, side="user")
+        items = encode(ml1m.load_item_records(tmp_path / "movies.dat", item_ids),
+                       ml1m.ITEM_SCHEMA, side="item")
+        by_hand = split(pairs, 6, 8, ratios=(0.8, 0.1, 0.1), seed=3, norm_mode="symmetric",
+                        user_attrs=mask(users, 0.9, 2), item_attrs=mask(items, 0.9, 3),
+                        user_ids=user_ids, item_ids=item_ids)
+        save_dataset(tmp_path / "made.bin", ds)
+        save_dataset(tmp_path / "by_hand.bin", by_hand)
+        assert (tmp_path / "made.bin").read_bytes() == (tmp_path / "by_hand.bin").read_bytes()
 
     @pytest.mark.parametrize("name, line, error", [
         ("users.dat", "2::M::25", "expected UserID::Gender::Age::Occupation"),

@@ -8,11 +8,11 @@ from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing, mask
 from graphrec.data import Dataset
 from graphrec.evaluate import (DEFAULT_TOPN, HR_MODES, EvalReport, attribute_metrics,
-                               bpr_baseline, default_bins, evaluate_model, label_propagation,
+                               default_bins, evaluate_model, label_propagation,
                                label_propagation_metrics, majority_class_accuracy,
                                rank_and_score, sparsity_groups)
 from graphrec.model import ForwardTrace, forward, init_params
-from graphrec.train import TrainConfig
+from graphrec.train import TrainConfig, bpr_baseline
 
 from conftest import label_propagation_full_sweep, small_attr_tables
 

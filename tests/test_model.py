@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphrec import build_graph
-from graphrec.attributes import AttributeSchema
+from graphrec.attributes import AttributeSchema, encode
 from graphrec.graph import NodeRows
 from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
                             infer_attributes, init_params, normalize_logits)
@@ -291,8 +291,8 @@ class TestAttributeHeads:
         p = params_for(2, 1, 2, 2, 3, 2, K=1)
         rng = np.random.default_rng(7)
         t = forward(p, two_user_graph, rng.random((2, 3)), rng.random((1, 2)))
-        pu = infer_attributes(t, p, "user", s_user)
-        pi = infer_attributes(t, p, "item", s_item)
+        pu = infer_attributes(t, p, encode([{}] * 2, s_user, side="user"))
+        pi = infer_attributes(t, p, encode([{}], s_item, side="item"))
         assert pu.shape == (2, 3)
         assert pi.shape == (1, 2)
         assert np.allclose(pu, normalize_logits(t.user_embeddings @ p.W_x, s_user))
@@ -303,9 +303,9 @@ class TestAttributeHeads:
         p = params_for(2, 1, 2, 2, 3, 2, K=0)
         t = forward(p, two_user_graph, np.zeros((2, 3)), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="side"):
-            infer_attributes(t, p, "edge", s)
+            encode([{}] * 2, s, side="edge")  # no table, so no head, for another side
         with pytest.raises(ValueError, match="schema dim"):
-            infer_attributes(t, p, "user", s)  # head width 3, schema dim 2
+            infer_attributes(t, p, encode([{}] * 2, s, side="user"))  # head width 3, schema dim 2
 
 
 class TestParams:

@@ -2,6 +2,9 @@
 container, on inputs generated by hypothesis."""
 
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +284,7 @@ def test_load_attributes_reads_back_or_names_the_line(path, generated, mutation,
     expected = (table.values.tolist(), table.indicator.tolist())
 
     def read(path):
-        got = load_attributes(path, schema, len(id_map), id_map)
+        got = load_attributes(path, schema, list(id_map))
         return got.values.tolist(), got.indicator.tolist()
 
     outcome(read, path, lines, expected)
@@ -623,3 +626,31 @@ def test_split_refuses_a_bad_pair_naming_it(generated, mutation, data):
     with pytest.raises(ValueError) as refused:
         split(pairs, M, N)
     assert f"interaction {named} " in str(refused.value)
+
+
+FAILING_PROPERTY = """
+import hypothesis
+import hypothesis.strategies as st
+
+
+@hypothesis.given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_one_failure(tmp_path):
+    # on a failure hypothesis formats a patch, which imports libcst; the
+    # project's pytest settings must not turn a warning of that import into
+    # an internal error that ends the run before the next test
+    (tmp_path / "test_given.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(pyproject),
+                           "--rootdir", str(tmp_path), "-p", "no:cacheprovider", str(tmp_path)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout

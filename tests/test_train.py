@@ -16,10 +16,11 @@ from graphrec.graph import NodeRows
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
 from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, RESUME_MAY_CHANGE,
                             StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
-                            adam_step, attribute_loss, bpr_loss, gradients,
+                            adam_step, bpr_baseline, bpr_loss, gradients,
                             sample_negatives, scatter_rows, train, train_step)
 
-from conftest import filled, pair_batch, script_validation, small_attr_tables, total_loss
+from conftest import (attribute_loss, filled, pair_batch, script_validation, small_attr_tables,
+                      total_loss)
 
 
 def rejection_oracle(graph, users, rng):
@@ -533,7 +534,6 @@ class TestTrainLoop:
         assert np.array_equal(with_attrs.final_params.Q, without.final_params.Q)
 
     def test_matches_bpr_baseline(self, toy_dataset):
-        from graphrec.evaluate import bpr_baseline
         cfg = self.small_config(max_epochs=4)
         direct = train(toy_dataset, replace(cfg, d_a=0, K=0, gamma=0.0))
         _, baseline = bpr_baseline(toy_dataset, cfg)
@@ -644,9 +644,8 @@ class TestTrainLoop:
             return trace
 
         def checked_update(current, inferred, table):
-            side = "user" if table is dataset.user_attrs else "item"
-            want = infer_attributes(seen["trace"], seen["params"], side, table.schema)
-            assert np.array_equal(inferred, want), f"{side} write-back read stale heads"
+            want = infer_attributes(seen["trace"], seen["params"], table)
+            assert np.array_equal(inferred, want), f"{table.side} write-back read stale heads"
             seen["updates"] += 1
             return real_update(current, inferred, table)
 
