@@ -10,6 +10,7 @@ item index so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +22,9 @@ TARGETS = ("test", "val")
 SPARSITY_GROUPS = 5  # user groups by training-interaction count in a report
 DEFAULT_TOPN = (10, 20, 30, 40, 50)
 # Users scored per block of full-itemset ranking: a block's score matrix is
-# this many rows of N floats (about 3.8 MB at ML-1M width). Larger blocks
-# were no faster there and raise the peak memory of a ranking pass.
+# this many rows of N floats (about 3.8 MB at ML-1M width), and a pass holds
+# one block at a time. Larger blocks were no faster there and raise the peak
+# memory of a ranking pass.
 _BLOCK_USERS = 128
 
 
@@ -54,32 +56,44 @@ def _topn(ranks, lengths, n_list):
     return hits, hits / lengths[:, None], ndcg
 
 
-def _block_ranks(scores, rows, items, depth):
+def _block_ranks(scores, rows, items, depth, rescore):
     """1-based ranks of targets (row ``rows[t]``, item ``items[t]``) within a
     block of score rows whose training items are already ``-inf``.
 
-    One partition finds each row's top ``depth`` scores. A target scoring
-    below the ``depth``-th largest has at least ``depth`` items ahead of it;
-    it is given rank ``depth + 1`` without counting. Every item scoring at
-    least as high as a target above it is among the top scores, so such a
-    target's rank is one plus the top scores above its own, when no other
-    item shares its score. The rest need the item order of a tie: a target
-    whose score another top item shares, a target tied with the ``depth``-th
-    score (tied items can fall on both sides of the partition), and every
+    ``scores`` is partitioned in place: each row's top ``depth`` scores move
+    to its last ``depth`` columns, and the row loses its item order. A target
+    scoring below the ``depth``-th largest has at least ``depth`` items ahead
+    of it; it is given rank ``depth + 1`` without counting. A target above it
+    has every item that scores at least as high among the top scores, so its
+    rank is one plus the top scores above its own; a target equal to it
+    ranks one plus the scores above its own in its partitioned row. Both
+    hold when no other item shares the target's score. The rest need the item order of
+    a tie: a target whose score another item of its row shares, and every
     target when ``depth`` reaches the row width. They are counted against
-    their whole row, ``_BLOCK_USERS`` targets at a time.
+    their whole row in item order, ``_BLOCK_USERS`` targets at a time. A
+    partitioned block is first got back from ``rescore()``, which returns
+    the block as it was given; it is called at most once.
     """
     N = scores.shape[1]
     target_scores = scores[rows, items]
     ranks = np.full(len(rows), depth + 1, dtype=np.int64)
     if depth < N:
-        top = np.partition(scores, N - depth, axis=1)[:, N - depth:]
+        scores.partition(N - depth, axis=1)
+        top = scores[:, N - depth:]
         kth = top[rows, 0]
         inside = np.flatnonzero(target_scores > kth)
         top_of, score = top[rows[inside]], target_scores[inside, None]
         ranks[inside] = 1 + (top_of > score).sum(axis=1)
-        shared = (top_of == score).sum(axis=1) > 1
-        whole = np.concatenate([inside[shared], np.flatnonzero(target_scores == kth)])
+        tied = [inside[(top_of == score).sum(axis=1) > 1]]
+        at_kth = np.flatnonzero(target_scores == kth)
+        for lo in range(0, len(at_kth), _BLOCK_USERS):
+            c = at_kth[lo:lo + _BLOCK_USERS]
+            row_of, score = scores[rows[c]], target_scores[c, None]
+            ranks[c] = 1 + (row_of > score).sum(axis=1)
+            tied.append(c[(row_of == score).sum(axis=1) > 1])
+        whole = np.concatenate(tied)
+        if len(whole):
+            scores = rescore()
     else:
         whole = np.arange(len(rows))
     for lo in range(0, len(whole), _BLOCK_USERS):
@@ -141,15 +155,21 @@ def rank_and_score(trace, dataset, n_list, target="test"):
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     ranks = np.empty(len(items), dtype=np.int64)
     seen = graph.blocks[0][users]  # each user's training items, ascending
-    for lo in range(0, len(users), _BLOCK_USERS):
-        block = users[lo:lo + _BLOCK_USERS]
-        scores = U[block] @ V.T
-        cuts = seen.indptr[lo:lo + len(block) + 1]
-        scores[np.repeat(np.arange(len(block)), np.diff(cuts)),
+
+    def block_scores(lo, hi):
+        # the same product and mask give the same bits on every call
+        scores = U[users[lo:hi]] @ V.T
+        cuts = seen.indptr[lo:hi + 1]
+        scores[np.repeat(np.arange(hi - lo), np.diff(cuts)),
                seen.indices[cuts[0]:cuts[-1]]] = -np.inf
-        t0, t1 = offsets[lo], offsets[lo + len(block)]
-        rows = np.repeat(np.arange(len(block)), lengths[lo:lo + len(block)])
-        ranks[t0:t1] = _block_ranks(scores, rows, items[t0:t1], depth)
+        return scores
+
+    for lo in range(0, len(users), _BLOCK_USERS):
+        hi = min(lo + _BLOCK_USERS, len(users))
+        t0, t1 = offsets[lo], offsets[hi]
+        rows = np.repeat(np.arange(hi - lo), lengths[lo:hi])
+        ranks[t0:t1] = _block_ranks(block_scores(lo, hi), rows, items[t0:t1], depth,
+                                    partial(block_scores, lo, hi))
 
     hits, hr, ndcg = _topn(ranks, lengths, n_list)
     # user means are summed one user after another (cumsum), which keeps

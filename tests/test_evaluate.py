@@ -347,7 +347,8 @@ class TestTopDepthRanks:
         want = brute_ranks(scores, trained, targets)
         rows = np.concatenate([np.full(len(t), a) for a, t in targets.items()])
         items = np.concatenate(list(targets.values()))
-        got = evaluate._block_ranks(block, rows, items, depth)
+        given = block.copy()
+        got = evaluate._block_ranks(block, rows, items, depth, given.copy)
         # ranks beyond depth may be exact or depth + 1: both miss every cutoff
         assert np.minimum(got, depth + 1).tolist() == [
             min(want[a, i], depth + 1) for a, i in zip(rows.tolist(), items.tolist())]
@@ -365,10 +366,9 @@ class TestTopDepthRanks:
 
     @pytest.mark.parametrize("integer_scores", [False, True])
     def test_whole_row_counts_only_for_ties(self, monkeypatch, integer_scores):
-        # a target is counted against its whole row only when the top scores
-        # cannot order it: tied with the depth-th score (or that item
-        # itself), or sharing its score with another item; or when depth
-        # reaches the row width
+        # a target is counted against its whole row only when counts cannot
+        # order it: another item of its row shares its score, and it scores
+        # at least the depth-th score; or when depth reaches the row width
         calls = []
         real = evaluate._ahead
 
@@ -387,7 +387,7 @@ class TestTopDepthRanks:
         need, counted_in_top = 0, 0
         for a, items in targets.items():
             for s in scores[a, items]:
-                if s == kth[a] or (s > kth[a] and (block[a] == s).sum() > 1):
+                if s >= kth[a] and (block[a] == s).sum() > 1:
                     need += 1
                 elif s > kth[a]:
                     counted_in_top += 1
@@ -402,6 +402,39 @@ class TestTopDepthRanks:
         rank_and_score(trace, ds, [1, self.N])
         assert all(width == self.N for _, width in calls)
         assert sum(n for n, _ in calls) == sum(len(t) for t in targets.values())
+
+    def test_rescore_only_for_a_true_tie(self):
+        # a target equal to the depth-th score is ranked from counts on the
+        # partitioned row; the block is rescored, once, only when another
+        # item of a target's row shares its score
+        depth, rng = 10, np.random.default_rng(7)
+        trained = [np.sort(rng.choice(self.N, size=5, replace=False)) for _ in range(self.M)]
+        distinct = rng.permutation(self.M * self.N).reshape(self.M, self.N) / 7.0
+        tied = distinct.copy()
+        for a in range(self.M):
+            cand = np.setdiff1d(np.arange(self.N), trained[a])
+            kth_item = cand[np.argsort(-distinct[a, cand], kind="stable")[depth - 1]]
+            tied[a, kth_item] = tied[a, cand[0]] = distinct[a, kth_item]
+        for scores, calls_wanted in ((distinct, 0), (tied, 1)):
+            block = masked_block(scores, trained)
+            kth = np.sort(block, axis=1)[:, self.N - depth]
+            targets = {a: np.flatnonzero(scores[a] == kth[a]) for a in range(self.M)}
+            straddle = [a for a in range(self.M)
+                        if (block[a] > kth[a]).sum() < depth < (block[a] >= kth[a]).sum()]
+            assert bool(straddle) == bool(calls_wanted)
+            want = brute_ranks(scores, trained, targets)
+            rows = np.concatenate([np.full(len(t), a) for a, t in targets.items()])
+            items = np.concatenate(list(targets.values()))
+            given, calls = block.copy(), []
+
+            def rescore():
+                calls.append(1)
+                return given.copy()
+            got = evaluate._block_ranks(block, rows, items, depth, rescore)
+            assert len(calls) == calls_wanted
+            assert got.tolist() == [want[a, i] for a, i in zip(rows.tolist(), items.tolist())]
+            if calls_wanted == 0:
+                assert got.tolist() == [depth] * self.M
 
 
 class TestAveragePrecision:

@@ -514,7 +514,8 @@ def test_block_ranks_match_a_stable_sort(generated):
     scores, rows, items, depth = generated
     order = np.argsort(-scores, axis=1, kind="stable")
     want = np.array([1 + order[r].tolist().index(i) for r, i in zip(rows, items)])
-    got = _block_ranks(scores, rows, items, depth)
+    given = scores.copy()
+    got = _block_ranks(scores, rows, items, depth, given.copy)
     exact = got == want
     assert np.all(exact | ((got == depth + 1) & (want > depth)))
     assert np.all(exact[want <= depth])
