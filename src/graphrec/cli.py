@@ -26,7 +26,6 @@ from . import data as dataio
 from .attributes import check_alpha, check_seed, load_attributes, load_schema, mask, read_lines
 from .data import check_ratios, load_checkpoint, load_dataset, save_dataset, split
 from .evaluate import HR_MODES, evaluate_model, label_propagation_metrics
-from .graph import NORM_MODES
 from .model import forward, infer_attributes
 from .train import CADENCES, TrainConfig, check_checkpoint, train
 
@@ -48,7 +47,6 @@ PREP_DEFAULTS = {
     "min_user_interactions": 5,
     "min_rating": None,
     "ratios": (0.8, 0.1, 0.1),   # train, validation, test
-    "norm_mode": "symmetric",
     "alpha": 0.9,                # attribute mask rate
     "hr_mode": "user-mean",
     "seed_masking": 2,
@@ -58,8 +56,7 @@ DEFAULTS = {**PREP_DEFAULTS, **TrainConfig().to_dict()}
 # A setting's type is its default's type, a string for a None default, unless
 # named here; a flag's choices are named here.
 FLAG_TYPES = {"min_rating": float, "ratios": numbers}
-FLAG_CHOICES = {"norm_mode": NORM_MODES, "hr_mode": HR_MODES,
-                "attr_update_cadence": CADENCES}
+FLAG_CHOICES = {"hr_mode": HR_MODES, "attr_update_cadence": CADENCES}
 
 
 def parse_setting(key, raw):
@@ -85,13 +82,19 @@ def parse_setting(key, raw):
 
 def read_config_file(path):
     """The settings a flat ``key=value`` file holds, each parsed by its type.
-    Every refusal names ``path:line``."""
+    Every refusal names ``path:line``. A line of the retired ``norm_mode``
+    is skipped when it is the ``symmetric`` that older echoes hold."""
     settings = {}
     for lineno, line in read_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, raw = line.split("=", 1)
         key = key.strip()
+        if key == "norm_mode":
+            if raw.strip() == "symmetric":
+                continue
+            raise ValueError(f"{path}:{lineno}: norm_mode {raw.strip()!r} is retired; "
+                             "graphrec builds only the symmetric normalisation")
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
         if key in settings:
@@ -161,7 +164,7 @@ def build_dataset(settings):
 
     return split(
         pairs, len(user_ids), len(item_ids), ratios=settings["ratios"],
-        seed=settings["seed_split"], norm_mode=settings["norm_mode"],
+        seed=settings["seed_split"],
         user_attrs=side_table("user_attrs", "user_schema", user_ids, "user"),
         item_attrs=side_table("item_attrs", "item_schema", item_ids, "item"),
         user_ids=user_ids, item_ids=item_ids,
@@ -170,14 +173,9 @@ def build_dataset(settings):
 
 def resolve_dataset(settings, from_raw=False):
     """The dataset a command runs on: the bundle ``--dataset`` names, else
-    one built from the raw files (always, ``from_raw``). The graph owns its
-    normalisation, so a bundle's must be the ``--norm-mode`` echoed."""
+    one built from the raw files (always, ``from_raw``)."""
     if settings["dataset"] is not None and not from_raw:
-        dataset = load_dataset(settings["dataset"])
-        if dataset.graph_train.norm_mode != settings["norm_mode"]:
-            raise ValueError(f"--norm-mode {settings['norm_mode']!r} does not match the "
-                             f"dataset's norm_mode {dataset.graph_train.norm_mode!r}")
-        return dataset
+        return load_dataset(settings["dataset"])
     if settings["interactions"] is None:
         raise ValueError("prepare-data builds from raw files and needs --interactions"
                          if from_raw else "no dataset: give --dataset or --interactions")

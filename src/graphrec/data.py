@@ -208,12 +208,11 @@ def _group_by_user(pairs):
     return {u: items[lo:hi] for u, lo, hi in zip(users.tolist(), bounds, bounds[1:])}
 
 
-def _dataset(train, val, test, num_users, num_items, norm_mode, user_attrs, item_attrs,
-             user_ids, item_ids):
+def _dataset(train, val, test, num_users, num_items, user_attrs, item_attrs, user_ids, item_ids):
     """The :class:`Dataset` of (E, 2) int64 pair arrays: the graph of ``train``
     and each holdout grouped by user; ids default to the indices as text."""
     return Dataset(
-        graph_train=build_graph(train, num_users, num_items, norm_mode), train_pairs=train,
+        graph_train=build_graph(train, num_users, num_items), train_pairs=train,
         val_items=_group_by_user(val), test_items=_group_by_user(test),
         user_attrs=user_attrs, item_attrs=item_attrs,
         user_ids=list(user_ids) if user_ids is not None else [str(u) for u in range(num_users)],
@@ -229,8 +228,7 @@ def check_ratios(ratios):
 
 
 def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
-          norm_mode="symmetric", user_attrs=None, item_attrs=None,
-          user_ids=None, item_ids=None):
+          user_attrs=None, item_attrs=None, user_ids=None, item_ids=None):
     """Seeded global split into train/val/test with a per-user >=1-train floor.
 
     val and test sizes are floored; the remainder goes to train. Any user
@@ -273,7 +271,7 @@ def split(pairs, num_users, num_items, ratios=(0.8, 0.1, 0.1), seed=0,
         assign[pick] = 0
 
     return _dataset(pairs[assign == 0], pairs[assign == 1], pairs[assign == 2], num_users,
-                    num_items, norm_mode, user_attrs, item_attrs, user_ids, item_ids)
+                    num_items, user_attrs, item_attrs, user_ids, item_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +286,11 @@ def save_container(path, arrays, meta):
     """Write named arrays plus a JSON meta dict with a SHA-256 trailer.
 
     The bytes go to a sibling file that is then renamed over ``path``, so a
-    write that fails midway leaves the previous file whole. Each array is
-    written and hashed from its own memory (copied only when it is not
-    C-contiguous little-endian), so no copy of the file is held."""
+    write that fails midway leaves the previous file whole; the sibling is
+    synced before the rename and the directory after it, so an OS crash or a
+    power loss does too. Each array is written and hashed from its own memory
+    (copied only when it is not C-contiguous little-endian), so no copy of
+    the file is held."""
     arrays = {name: np.asarray(a) for name, a in arrays.items()}
     arrays = {name: np.asarray(a, dtype=a.dtype.newbyteorder("<"), order="C")
               for name, a in arrays.items()}
@@ -306,7 +306,14 @@ def save_container(path, arrays, meta):
                 digest.update(part)
                 fh.write(part)
             fh.write(digest.digest())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -452,7 +459,6 @@ def save_dataset(path, dataset):
         "kind": "dataset",
         "num_users": dataset.num_users,
         "num_items": dataset.num_items,
-        "norm_mode": dataset.graph_train.norm_mode,
         "user_ids": dataset.user_ids,
         "item_ids": dataset.item_ids,
         "sides": [],
@@ -472,6 +478,9 @@ def load_dataset(path):
     arrays, meta = load_container(path)
     if meta.get("kind") != "dataset":
         raise ValueError(f"{path}: not a dataset bundle")
+    if meta.get("norm_mode", "symmetric") != "symmetric":  # older bundles record symmetric
+        raise ValueError(f"{path}: norm_mode {meta['norm_mode']!r} is retired; graphrec "
+                         "builds only the symmetric normalisation: prepare the bundle again")
     tables = {"user": None, "item": None}
     for side in meta["sides"]:
         schema = AttributeSchema.from_dict(meta[f"{side}_schema"])
@@ -482,5 +491,5 @@ def load_dataset(path):
             masked=arrays[f"{side}_masked"],
         )
     return _dataset(arrays["train_pairs"], arrays["val_pairs"], arrays["test_pairs"],
-                    meta["num_users"], meta["num_items"], meta["norm_mode"],
-                    tables["user"], tables["item"], meta["user_ids"], meta["item_ids"])
+                    meta["num_users"], meta["num_items"], tables["user"], tables["item"],
+                    meta["user_ids"], meta["item_ids"])

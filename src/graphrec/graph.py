@@ -1,12 +1,14 @@
 """User-item bipartite interaction graph and its normalized propagation operator.
 
 The graph is built once from a list of (user, item) interaction pairs and is
-immutable afterwards. The propagation operator ``S`` is an (M+N) x (M+N)
-sparse matrix whose only nonzero blocks are user->item and item->user; one
-propagation step computes ``H + S @ H`` (self term plus normalized neighbor
-aggregation). A step can also be restricted to some nodes (:class:`NodeRows`):
-forward, to produce only their rows; transposed, from a gradient that is zero
-off them. Both read only the rows of ``S`` at those nodes.
+immutable afterwards. The propagation operator ``S`` is the (M+N) x (M+N)
+sparse matrix ``D^-1/2 A D^-1/2``, the symmetric normalisation of the
+adjacency ``A`` (as in LR-GCCF), whose only nonzero blocks are user->item
+and item->user; one propagation step computes ``H + S @ H`` (self term plus
+normalized neighbor aggregation). A step can also be restricted to some
+nodes (:class:`NodeRows`): forward, to produce only their rows; transposed,
+from a gradient that is zero off them. Both read only the rows of ``S`` at
+those nodes.
 
 The graph is bipartite, so a user row of ``S`` holds only item columns and
 an item row only user columns: the graph also keeps the two off-diagonal
@@ -22,8 +24,6 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 
-NORM_MODES = ("symmetric", "row")
-
 
 class BipartiteGraph:
     """Immutable bipartite interaction graph over M users and N items.
@@ -35,18 +35,15 @@ class BipartiteGraph:
             loops), with sorted column indices in every row: a ``S`` given
             unsorted is sorted here, so each user's row of the block users
             <- items (:attr:`blocks`) lists its items in ascending order.
-            Backward passes apply its transpose view ``S.T``, in both
-            normalizations.
-        norm_mode: "symmetric" (D^-1/2 A D^-1/2) or "row" (D^-1 A).
+            Backward passes apply its transpose view ``S.T``.
     """
 
-    def __init__(self, num_users, num_items, S, norm_mode):
+    def __init__(self, num_users, num_items, S):
         if not S.has_sorted_indices:
             S = S.sorted_indices()
         self.num_users = num_users
         self.num_items = num_items
         self.S = S
-        self.norm_mode = norm_mode
 
     @property
     def num_nodes(self):
@@ -102,7 +99,7 @@ class BipartiteGraph:
 
     def __repr__(self):
         return (f"BipartiteGraph(M={self.num_users}, N={self.num_items}, "
-                f"edges={self.S.indptr[self.num_users]}, norm={self.norm_mode!r})")
+                f"edges={self.S.indptr[self.num_users]})")
 
 
 def check_pairs(pairs, num_users, num_items):
@@ -118,22 +115,18 @@ def check_pairs(pairs, num_users, num_items):
     return checked
 
 
-def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
+def build_graph(interactions, num_users, num_items):
     """Build a :class:`BipartiteGraph` from (user, item) index pairs.
 
-    Duplicate pairs are collapsed to a single edge. Under symmetric
-    normalization each nonzero of ``S`` equals 1/sqrt(deg(u) * deg(v)); under
-    row normalization each nonzero in the row of node v equals 1/deg(v).
-    Rows of degree-zero nodes are all zero.
+    Duplicate pairs are collapsed to a single edge. Each nonzero of ``S``
+    equals 1/sqrt(deg(u) * deg(v)); rows of degree-zero nodes are all zero.
 
     Raises:
-        ValueError: on a pair that is not two in-range integers, an empty
-            user/item set, or an unknown normalization mode.
+        ValueError: on a pair that is not two in-range integers, or an empty
+            user/item set.
     """
     if num_users <= 0 or num_items <= 0:
         raise ValueError(f"empty graph: num_users={num_users}, num_items={num_items}")
-    if norm_mode not in NORM_MODES:
-        raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
 
     M, N = num_users, num_items
     pairs = check_pairs(interactions, M, N)
@@ -148,13 +141,8 @@ def build_graph(interactions, num_users, num_items, norm_mode="symmetric"):
 
     deg = np.diff(A.indptr)
     with np.errstate(divide="ignore"):
-        if norm_mode == "symmetric":
-            D = sp.diags(np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0))
-            S = (D @ A @ D).tocsr()
-        else:
-            S = (sp.diags(np.where(deg > 0, 1.0 / deg, 0.0)) @ A).tocsr()
-
-    return BipartiteGraph(M, N, S, norm_mode)
+        D = sp.diags(np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0))
+    return BipartiteGraph(M, N, (D @ A @ D).tocsr())
 
 
 class NodeRows:

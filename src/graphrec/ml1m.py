@@ -79,8 +79,7 @@ def load_item_records(path, item_ids):
 def make_ml1m_dataset(directory):
     """Load, mask and split the MovieLens-1M files in ``directory``: users
     with at least 5 ratings, 90% of each attribute field masked (seed 2 for
-    users, 3 for items), an 8:1:1 split with seed 3, and a symmetrically
-    normalised training graph."""
+    users, 3 for items) and an 8:1:1 split with seed 3."""
     pairs, user_ids, item_ids = load_interactions(
         os.path.join(directory, "ratings.dat"), min_user_interactions=5)
     user_attrs = mask(

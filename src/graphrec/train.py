@@ -62,7 +62,7 @@ class TrainingDivergedError(RuntimeError):
 @dataclass
 class TrainConfig:
     """Hyperparameters and seeds for one training run. Data preparation
-    (mask rate, graph normalisation, masking and split seeds) is set where
+    (mask rate, masking and split seeds) is set where
     the dataset is built, not here."""
 
     d: int = 32

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
 from graphrec.evaluate import PropagationResult, Ranking
+from graphrec.graph import BipartiteGraph
 from graphrec.model import forward, infer_attributes, propagate_k
 from graphrec.train import TripleBatch, bpr_loss, field_loss, sample_negatives
 
@@ -20,7 +21,7 @@ def toy_dataset():
 @pytest.fixture()
 def two_user_graph():
     # users 0,1 both rated item 0
-    return build_graph([(0, 0), (1, 0)], 2, 1, "symmetric")
+    return build_graph([(0, 0), (1, 0)], 2, 1)
 
 
 def with_byte_order_mark(path):
@@ -41,9 +42,31 @@ def random_pairs(rng, max_users=10, max_items=10):
     return rng.integers(0, [M, N], size=(n_edges, 2)), M, N
 
 
-def random_bipartite(rng, max_users=10, max_items=10, norm_mode="symmetric"):
-    pairs, M, N = random_pairs(rng, max_users, max_items)
-    return build_graph(pairs, M, N, norm_mode)
+# The operators the propagation tests run on: the symmetric one the program
+# builds, and the row-normalised D^-1 A as a test tool. S is symmetric, so
+# a backward pass that applied S where it must apply S.T would pass every
+# test on it; on D^-1 A it fails.
+OPERATORS = ("symmetric", "row")
+
+
+def row_normalised(graph):
+    """``graph`` with ``D^-1 A`` in place of its operator: each nonzero of
+    node v's row of S set to 1/deg(v), so that row sums to 1."""
+    S = graph.S
+    deg = np.diff(S.indptr)
+    P = sp.csr_matrix((np.repeat(1.0 / np.maximum(deg, 1), deg), S.indices, S.indptr),
+                      shape=S.shape)
+    return BipartiteGraph(graph.num_users, graph.num_items, P)
+
+
+def operator_graph(pairs, M, N, operator="symmetric"):
+    """``build_graph(pairs, M, N)``, row-normalised for ``operator`` "row"."""
+    graph = build_graph(pairs, M, N)
+    return row_normalised(graph) if operator == "row" else graph
+
+
+def random_bipartite(rng, max_users=10, max_items=10, operator="symmetric"):
+    return operator_graph(*random_pairs(rng, max_users, max_items), operator)
 
 
 def attribute_block_stacked(graph, X, Y, K):
@@ -151,10 +174,8 @@ def label_propagation_full_sweep(graph, table, field_name, iterations, tol):
     truth = table.values[:, blk]
     mean = truth[observed].mean(axis=0)
 
-    S = graph.S
-    deg = np.diff(S.indptr)
-    P = sp.csr_matrix((np.repeat(1.0 / np.maximum(deg, 1), deg), S.indices, S.indptr),
-                      shape=S.shape)
+    deg = np.diff(graph.S.indptr)
+    P = row_normalised(graph).S
     F = np.tile(mean, (graph.num_nodes, 1))
     rows = side_offset + np.flatnonzero(observed)
     F[rows] = truth[observed]

@@ -6,7 +6,7 @@ import pytest
 
 import graphrec.cli as cli
 from graphrec.cli import build_parser, echo_config, main, read_config_file, resolve_settings
-from graphrec.data import load_dataset
+from graphrec.data import load_container, load_dataset, save_container
 from graphrec.toy import write_toy_files
 
 from conftest import with_byte_order_mark
@@ -91,7 +91,8 @@ class TestTrainCommand:
                             ("d=8\nK=\n", "c.txt:2: K must be of type int, got ''"),
                             ("K=none\n", "c.txt:1: K must be of type int, got 'none'"),
                             ("d=8\n\nnorm_mode=rows\n",
-                             "c.txt:3: norm_mode must be one of ('symmetric', 'row'), got 'rows'"),
+                             "c.txt:3: norm_mode 'rows' is retired; graphrec builds only the "
+                             "symmetric normalisation"),
                             ("d=8\ninteractions=a\x00b\n", "c.txt:2: NUL character")]:
             config.write_text(text)
             with pytest.raises(ValueError, match=re.escape(error)):
@@ -126,6 +127,29 @@ class TestTrainCommand:
                    "--quiet"])
         assert rc == 0
         assert (a / "report_test.txt").read_bytes() == (b / "report_test.txt").read_bytes()
+
+    def test_echo_with_retired_norm_mode(self, toy_files, tmp_path, capsys):
+        # a config.txt echoed while norm_mode was a setting holds
+        # norm_mode=symmetric: it reproduces its run byte for byte and echoes
+        # without the line; norm_mode=row in its place is refused as retired
+        a = tmp_path / "a"
+        assert run_train(toy_files, a) == 0
+        older = tmp_path / "older.txt"
+        older.write_text(cli.config_text(dict(read_config_file(a / "config.txt"),
+                                              norm_mode="symmetric")))
+        b = tmp_path / "b"
+        assert main(["train", "--out", str(b), "--config", str(older), "--quiet"]) == 0
+        for name in ("config.txt", "report_val.txt", "report_test.txt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        lines = older.read_text().splitlines(keepends=True)
+        at = lines.index("norm_mode=symmetric\n")
+        lines[at] = "norm_mode=row\n"
+        row = tmp_path / "row.txt"
+        row.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path / "c"), "--config", str(row), "--quiet"]) == 1
+        assert f"row.txt:{at + 1}: norm_mode 'row' is retired" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("line, key", [("K=2.0", "K"),
                                            ("min_user_interactions=5.5", "min_user_interactions")])
@@ -162,7 +186,8 @@ class TestTrainCommand:
                   + data_flags(toy_files) + ["--quiet"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"{key} must be one of" in err and repr(value) in err
+        refusal = "norm_mode 'rows' is retired" if key == "norm_mode" else f"{key} must be one of"
+        assert refusal in err and repr(value) in err
         assert not (out / "checkpoint.bin").exists()
 
 
@@ -190,30 +215,32 @@ class TestPrepareAndEvaluate:
         assert (ev / "report_test.txt").read_bytes() == \
             (run / "report_test.txt").read_bytes()
 
-    def test_row_bundle_needs_row_norm_mode(self, toy_files, tmp_path, capsys):
+    def test_row_bundle_refused_as_retired(self, toy_files, tmp_path, capsys):
+        # a bundle prepared while norm_mode was a setting records it:
+        # "symmetric" loads as a bundle without it does, and "row" is
+        # refused as retired by every command that reads a bundle
         prep = tmp_path / "prep"
-        assert main(["prepare-data", "--out", str(prep), "--norm-mode", "row"]
-                    + data_flags(toy_files)) == 0
-        bundle = ["--dataset", str(prep / "dataset.bin")]
-        capsys.readouterr()
-        rc = main(["train", "--out", str(tmp_path / "sym")] + bundle + train_flags())
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "'symmetric'" in err and "'row'" in err
-        run = tmp_path / "row"
-        rc = main(["train", "--out", str(run), "--norm-mode", "row"] + bundle + train_flags())
-        assert rc == 0
-        assert read_config_file(run / "config.txt")["norm_mode"] == "row"
-        # every command that reads a bundle holds it to the same rule
-        checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
-        for command, extra in (("evaluate", checkpoint), ("infer-attributes", checkpoint),
-                               ("lp-baseline", []), ("sweep", train_flags() + ["--grid", "K=1"])):
+        assert main(["prepare-data", "--out", str(prep)] + data_flags(toy_files)) == 0
+        arrays, meta = load_container(prep / "dataset.bin")
+        assert "norm_mode" not in meta
+        older = {mode: tmp_path / f"{mode}.bin" for mode in ("symmetric", "row")}
+        for mode, path in older.items():
+            save_container(path, arrays, dict(meta, norm_mode=mode))
+        runs = {"now": prep / "dataset.bin", "symmetric": older["symmetric"]}
+        for name, bundle in runs.items():
+            assert main(["train", "--out", str(tmp_path / name), "--dataset", str(bundle)]
+                        + train_flags()) == 0
+        assert (tmp_path / "now" / "report_test.txt").read_bytes() == \
+            (tmp_path / "symmetric" / "report_test.txt").read_bytes()
+        bundle = ["--dataset", str(older["row"])]
+        checkpoint = ["--checkpoint", str(tmp_path / "now" / "checkpoint.bin")]
+        for command, extra in (("train", train_flags()), ("evaluate", checkpoint),
+                               ("infer-attributes", checkpoint), ("lp-baseline", []),
+                               ("sweep", train_flags() + ["--grid", "K=1"])):
             capsys.readouterr()
             assert main([command, "--out", str(tmp_path / command)] + bundle + extra) == 1
             err = capsys.readouterr().err
-            assert "'symmetric'" in err and "'row'" in err, command
-            assert main([command, "--out", str(tmp_path / command), "--norm-mode", "row"]
-                        + bundle + extra) == 0, command
+            assert f"{older['row']}: norm_mode 'row' is retired" in err, command
 
     def test_dimension_mismatch(self, toy_files, tmp_path, capsys):
         prep = tmp_path / "prep"
@@ -266,14 +293,15 @@ def messy_toy_files(toy_files, directory):
 class TestPrepareData:
     def test_bundle_bytes_pinned(self, toy_files, tmp_path):
         # the digest the bundle had when the loader and the mask ran per-line
-        # Python loops, less the {side}_values arrays it no longer stores: any
-        # row read or masked differently changes it
+        # Python loops, less the {side}_values arrays and the norm_mode meta
+        # key it no longer stores: any row read or masked differently changes
+        # it
         files = messy_toy_files(toy_files, tmp_path)
         prep = tmp_path / "prep"
         assert main(["prepare-data", "--out", str(prep), "--min-rating", "3",
                      "--min-user-interactions", "6"] + data_flags(files)) == 0
         digest = hashlib.sha256((prep / "dataset.bin").read_bytes()).hexdigest()
-        assert digest == "1d76359f857a7d65e4d5ed385e39d4edac46f13add77ec338a68a63618a9012c"
+        assert digest == "7d4be4f00338c1e40cbcc80bb47ba6a2bdbb7887f892f8c6972d3204c68a65d8"
 
     def test_bundle_without_interactions(self, toy_files, tmp_path, capsys):
         prep = tmp_path / "prep"
@@ -525,10 +553,11 @@ class TestOneSidedBundle:
 
 
 # Every subcommand's option strings and choices, as the hand-written parser
-# declared them before the flags were generated from the two declarations.
+# declared them before the flags were generated from the two declarations,
+# less the retired --norm-mode.
 COMMON_FLAGS = ["--config", "--out", "--dataset", "--interactions", "--user-attrs",
                 "--user-schema", "--item-attrs", "--item-schema", "--min-user-interactions",
-                "--min-rating", "--ratios", "--norm-mode", "--alpha", "--hr-mode",
+                "--min-rating", "--ratios", "--alpha", "--hr-mode",
                 "--seed-init", "--seed-sampling", "--seed-masking", "--seed-split"]
 TRAIN_FLAGS = ["--d", "--d-a", "--K", "--lam", "--gamma", "--learning-rate", "--batch-size",
                "--attr-update-cadence", "--early-stop-patience", "--max-epochs",
@@ -541,7 +570,7 @@ SURFACE = {
     "infer-attributes": COMMON_FLAGS + ["--checkpoint"],
     "lp-baseline": COMMON_FLAGS,
 }
-CHOICES = {"--norm-mode": ["symmetric", "row"], "--hr-mode": ["user-mean", "global"],
+CHOICES = {"--hr-mode": ["user-mean", "global"],
            "--attr-update-cadence": ["per-epoch", "per-batch"]}
 REQUIRED = {"--out", "--checkpoint", "--grid"}
 
@@ -551,7 +580,7 @@ OTHER_VALUES = {
     "user_attrs": "raw/users.tsv", "user_schema": "raw/users_schema.tsv",
     "item_attrs": "raw/items.tsv", "item_schema": "raw/items_schema.tsv",
     "min_user_interactions": 10, "min_rating": 3.5, "ratios": (0.7, 0.2, 0.1),
-    "norm_mode": "row", "alpha": 0.5, "hr_mode": "global", "seed_masking": 7, "seed_split": 8,
+    "alpha": 0.5, "hr_mode": "global", "seed_masking": 7, "seed_split": 8,
     "d": 8, "d_a": 0, "K": 0, "lam": 0.5, "gamma": 0.1, "learning_rate": 0.01,
     "batch_size": 64, "attr_update_cadence": "per-batch", "early_stop_patience": 0,
     "max_epochs": 3, "init_std": 0.1, "seed_init": 5, "seed_sampling": 6,
@@ -574,10 +603,10 @@ class TestSurface:
     def test_flags_echo_typed_values(self, tmp_path):
         args = build_parser().parse_args(
             ["train", "--out", str(tmp_path), "--min-rating", "4", "--lam", "1",
-             "--norm-mode", "row", "--learning-rate", "1e-3", "--seed-split", "7"])
+             "--hr-mode", "global", "--learning-rate", "1e-3", "--seed-split", "7"])
         with open(echo_config(resolve_settings(args), tmp_path)) as fh:
             lines = fh.read().splitlines()
-        for line in ("min_rating=4.0", "lam=1.0", "norm_mode=row",
+        for line in ("min_rating=4.0", "lam=1.0", "hr_mode=global",
                      "learning_rate=0.001", "seed_split=7", "alpha=0.9"):
             assert line in lines
 

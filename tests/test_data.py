@@ -3,6 +3,7 @@ import copy
 import hashlib
 import itertools
 import json
+import os
 import struct
 import sys
 import tracemalloc
@@ -530,6 +531,29 @@ class TestCheckpoint:
         assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
         assert load_checkpoint(path).epoch == 1
 
+    def test_write_synced_before_and_after_rename(self, tmp_path, monkeypatch):
+        # the whole new file is synced before the rename makes it the
+        # checkpoint, and its directory after, so the rename itself reaches
+        # the disk: an OS crash leaves the old file or the new one whole
+        path = tmp_path / "ckpt.bin"
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            calls.append(("fsync", "directory" if os.path.samestat(info, os.stat(tmp_path))
+                          else info.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.getsize(src), os.fspath(dst)))
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(path, toy_state(1))
+        size = path.stat().st_size
+        assert calls == [("fsync", size), ("replace", size, str(path)), ("fsync", "directory")]
+
     def test_round_trip_identity(self, tmp_path, monkeypatch):
         # every field of the loop state survives a checkpoint bit for bit. The
         # run moves every field but its config off its initial value, so a
@@ -714,14 +738,14 @@ class TestMovieLensFormat:
         assert ds.item_attrs.schema.fields[0].kind == "multi"
         assert len(ds.user_attrs.masked) > 0
         # the fixed preparation: users with >= 5 ratings, 90% masked with
-        # seeds 2 and 3, an 8:1:1 split with seed 3, symmetric normalisation
+        # seeds 2 and 3, an 8:1:1 split with seed 3
         pairs, user_ids, item_ids = load_interactions(tmp_path / "ratings.dat",
                                                       min_user_interactions=5)
         users = encode(ml1m.load_user_records(tmp_path / "users.dat", user_ids),
                        ml1m.USER_SCHEMA, side="user")
         items = encode(ml1m.load_item_records(tmp_path / "movies.dat", item_ids),
                        ml1m.ITEM_SCHEMA, side="item")
-        by_hand = split(pairs, 6, 8, ratios=(0.8, 0.1, 0.1), seed=3, norm_mode="symmetric",
+        by_hand = split(pairs, 6, 8, ratios=(0.8, 0.1, 0.1), seed=3,
                         user_attrs=mask(users, 0.9, 2), item_attrs=mask(items, 0.9, 3),
                         user_ids=user_ids, item_ids=item_ids)
         save_dataset(tmp_path / "made.bin", ds)

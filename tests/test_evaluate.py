@@ -634,7 +634,10 @@ class TestLabelPropagation:
         t.masked = np.array([(3, 0), (4, 0)])
         lp = label_propagation(g, t, "f", iterations=10**5, tol=1e-14)
 
-        P = build_graph(pairs, M, N, "row").S.toarray()
+        adjacency = np.zeros((M + N, M + N))
+        for a, i in pairs:
+            adjacency[a, M + i] = adjacency[M + i, a] = 1.0
+        P = adjacency / adjacency.sum(axis=1, keepdims=True)  # D^-1 A
         clamped = np.array([0, 1, 2])  # observed user rows
         free = np.array([r for r in range(M + N) if r not in clamped])
         F_obs = t.values[:3, :2]

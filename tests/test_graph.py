@@ -5,12 +5,12 @@ import scipy.sparse as sp
 from graphrec import build_graph, propagate
 from graphrec.graph import BipartiteGraph, NodeRows, propagate_back
 
-from conftest import random_bipartite, random_pairs
+from conftest import OPERATORS, operator_graph, random_bipartite, random_pairs
 
 
 class TestBuildGraph:
     def test_single_edge_symmetric(self):
-        g = build_graph([(0, 0)], 1, 1, "symmetric")
+        g = build_graph([(0, 0)], 1, 1)
         S = g.S.toarray()
         assert g.S.nnz == 2
         assert S[0, 1] == pytest.approx(1.0)
@@ -18,7 +18,7 @@ class TestBuildGraph:
 
     def test_shared_item_symmetric(self):
         # deg(u0)=deg(u1)=1, deg(i0)=2 -> every nonzero is 1/sqrt(2)
-        g = build_graph([(0, 0), (1, 0)], 2, 1, "symmetric")
+        g = build_graph([(0, 0), (1, 0)], 2, 1)
         S = g.S.toarray()
         v = 1.0 / np.sqrt(2.0)
         assert S[0, 2] == pytest.approx(v)
@@ -27,17 +27,9 @@ class TestBuildGraph:
         assert S[2, 1] == pytest.approx(v)
         assert g.S.nnz == 4
 
-    def test_row_normalization(self):
-        g = build_graph([(0, 0), (0, 1)], 1, 2, "row")
-        S = g.S.toarray()
-        assert S[0, 1] == pytest.approx(0.5)
-        assert S[0, 2] == pytest.approx(0.5)
-        assert S[1, 0] == pytest.approx(1.0)
-        assert S[2, 0] == pytest.approx(1.0)
-
     def test_duplicate_edges_collapse(self):
-        g1 = build_graph([(0, 0), (0, 0)], 1, 1, "symmetric")
-        g2 = build_graph([(0, 0)], 1, 1, "symmetric")
+        g1 = build_graph([(0, 0), (0, 0)], 1, 1)
+        g2 = build_graph([(0, 0)], 1, 1)
         assert (g1.S != g2.S).nnz == 0
         assert g1.S.nnz == 2 and "edges=1" in repr(g1)
 
@@ -47,42 +39,42 @@ class TestBuildGraph:
         # quadrants, and the accessors decode the user rows into sorted
         # items and degrees
         rng = np.random.default_rng(5)
-        for norm_mode in ("symmetric", "row"):
-            for _ in range(10):
-                pairs, M, N = random_pairs(rng)
-                g = build_graph(pairs, M, N, norm_mode)
-                R = np.zeros((M, N), dtype=bool)
-                R[pairs[:, 0], pairs[:, 1]] = True
-                S = g.S.toarray()
-                pattern = S != 0
-                assert np.array_equal(pattern[:M, M:], R)
-                assert np.array_equal(pattern[M:, :M], R.T)
-                to_users, to_items = g.blocks
-                assert np.array_equal(to_users.toarray(), S[:M, M:])
-                assert np.array_equal(to_items.toarray(), S[M:, :M])
-                ones = g.split(np.ones(g.S.nnz))
-                assert np.array_equal(ones[0].toarray(), R)
-                assert np.array_equal(ones[1].toarray(), R.T)
-                assert np.array_equal(g.user_degrees(), R.sum(axis=1))
-                users = np.concatenate([np.arange(M), [M - 1, 0]])
-                rows = g.blocks[0][users]
-                for r, a in enumerate(users):
-                    own = rows.indices[rows.indptr[r]:rows.indptr[r + 1]]
-                    assert np.array_equal(own, np.flatnonzero(R[a]))
-                every_user, every_item = np.divmod(np.arange(M * N), N)
-                assert np.array_equal(g.has_edges(every_user, every_item), R.ravel())
+        for _ in range(20):
+            pairs, M, N = random_pairs(rng)
+            g = build_graph(pairs, M, N)
+            R = np.zeros((M, N), dtype=bool)
+            R[pairs[:, 0], pairs[:, 1]] = True
+            S = g.S.toarray()
+            pattern = S != 0
+            assert np.array_equal(pattern[:M, M:], R)
+            assert np.array_equal(pattern[M:, :M], R.T)
+            to_users, to_items = g.blocks
+            assert np.array_equal(to_users.toarray(), S[:M, M:])
+            assert np.array_equal(to_items.toarray(), S[M:, :M])
+            ones = g.split(np.ones(g.S.nnz))
+            assert np.array_equal(ones[0].toarray(), R)
+            assert np.array_equal(ones[1].toarray(), R.T)
+            assert np.array_equal(g.user_degrees(), R.sum(axis=1))
+            users = np.concatenate([np.arange(M), [M - 1, 0]])
+            rows = g.blocks[0][users]
+            for r, a in enumerate(users):
+                own = rows.indices[rows.indptr[r]:rows.indptr[r + 1]]
+                assert np.array_equal(own, np.flatnonzero(R[a]))
+            every_user, every_item = np.divmod(np.arange(M * N), N)
+            assert np.array_equal(g.has_edges(every_user, every_item), R.ravel())
 
-    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("operator", OPERATORS)
     @pytest.mark.parametrize("N", [1, 7, 8, 9, 17])
-    def test_has_edges_matches_dense_adjacency(self, N, norm_mode):
+    def test_has_edges_matches_dense_adjacency(self, N, operator):
         # the packed bitmap at item counts on both sides of byte boundaries,
         # with users that have no item: one bit per pair, the last byte of
-        # a row padded with zero bits
+        # a row padded with zero bits, read from the pattern of either
+        # operator
         rng = np.random.default_rng(N)
         M = 6
         R = rng.random((M, N)) < 0.5
         R[[1, 4]] = False
-        g = build_graph(np.argwhere(R), M, N, norm_mode)
+        g = operator_graph(np.argwhere(R), M, N, operator)
         assert g.item_bitmap.shape == (M, -(-N // 8))
         assert np.array_equal(np.unpackbits(g.item_bitmap, axis=1, count=N,
                                             bitorder="little"), R)
@@ -96,13 +88,13 @@ class TestBuildGraph:
         # a CSR S whose rows list their columns in descending order: the graph
         # sorts it, keeping every value, and its edge tests read the sorted
         # rows
-        g = build_graph([(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)], 3, 3, "row")
+        g = build_graph([(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)], 3, 3)
         S = g.S
         rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
         order = np.lexsort((-S.indices, rows))
         unsorted = sp.csr_matrix((S.data[order], S.indices[order], S.indptr), shape=S.shape)
         assert not unsorted.has_sorted_indices
-        h = BipartiteGraph(3, 3, unsorted, "row")
+        h = BipartiteGraph(3, 3, unsorted)
         assert h.S.has_sorted_indices
         for r in range(h.num_nodes):
             assert np.all(np.diff(h.S.indices[h.S.indptr[r]:h.S.indptr[r + 1]]) > 0)
@@ -121,13 +113,26 @@ class TestBuildGraph:
             assert np.all(S[M:, M:] == 0)
 
     def test_symmetric_operator_is_symmetric(self):
+        # S equals its transpose exactly, and a product over S and over its
+        # transpose view S.T (the backward's hops) add the same terms in the
+        # same order, so they agree bit for bit, on graphs with isolated
+        # users and items
         rng = np.random.default_rng(7)
-        for _ in range(10):
+        isolated_users = isolated_items = False
+        for _ in range(40):
             g = random_bipartite(rng)
-            assert abs(g.S - g.S.T).max() <= 1e-15
+            M = g.num_users
+            lonely = np.diff(g.S.indptr) == 0
+            isolated_users |= lonely[:M].any()
+            isolated_items |= lonely[M:].any()
+            assert (g.S != g.S.T).nnz == 0
+            for width in (1, 2, 18, 32, 48):
+                H = rng.normal(size=(g.num_nodes, width))
+                assert np.array_equal(g.S @ H, g.S.T @ H)
+        assert isolated_users and isolated_items
 
     def test_degree_zero_rows_are_zero(self):
-        g = build_graph([(0, 0)], 3, 3, "symmetric")
+        g = build_graph([(0, 0)], 3, 3)
         S = g.S.toarray()
         for node in (1, 2, 4, 5):
             assert np.all(S[node] == 0)
@@ -151,19 +156,15 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="empty graph"):
             build_graph([], 3, 0)
 
-    def test_unknown_norm_mode(self):
-        with pytest.raises(ValueError, match="norm_mode"):
-            build_graph([(0, 0)], 1, 1, "laplacian")
-
 
 class TestPropagate:
     def test_no_edges_identity(self):
-        g = build_graph([], 2, 2, "symmetric")
+        g = build_graph([], 2, 2)
         H = np.arange(8.0).reshape(4, 2)
         assert np.array_equal(propagate(g, H), H)
 
     def test_single_edge_exchange(self):
-        g = build_graph([(0, 0)], 1, 1, "symmetric")
+        g = build_graph([(0, 0)], 1, 1)
         H = np.eye(2)
         assert np.allclose(propagate(g, H), np.ones((2, 2)))
 
@@ -171,9 +172,9 @@ class TestPropagate:
         # the full step, the step restricted to some nodes (in their order),
         # and K transposed steps from a gradient held on those nodes
         rng = np.random.default_rng(11)
-        for norm_mode in ("symmetric", "row"):
+        for operator in OPERATORS:
             for _ in range(25):
-                g = random_bipartite(rng, norm_mode=norm_mode)
+                g = random_bipartite(rng, operator=operator)
                 A = np.eye(g.num_nodes) + g.S.toarray()
                 H = rng.normal(size=(g.num_nodes, 3))
                 dense = A @ H

@@ -7,7 +7,7 @@ from graphrec.graph import NodeRows
 from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
                             infer_attributes, init_params, normalize_logits)
 
-from conftest import attribute_block_stacked, predict_rating, random_bipartite
+from conftest import OPERATORS, attribute_block_stacked, predict_rating, random_bipartite
 
 
 def params_for(M, N, d, d_a, d_x, d_y, K, seed=0, std=0.1):
@@ -103,12 +103,12 @@ class TestForward:
     def test_dense_oracle_both_paths(self):
         # the forward that builds the propagated attribute block and the
         # forward given one both match the layer-by-layer dense oracle,
-        # K = 0..4, under both normalizations
+        # K = 0..4, on both test operators
         rng = np.random.default_rng(13)
-        for norm_mode in ("symmetric", "row"):
+        for operator in OPERATORS:
             for K in range(5):
                 for _ in range(8):
-                    g = random_bipartite(rng, norm_mode=norm_mode)
+                    g = random_bipartite(rng, operator=operator)
                     M, N = g.num_users, g.num_items
                     p = params_for(M, N, 3, 2, 4, 3, K=K, seed=int(rng.integers(10**6)))
                     X, Y = rng.normal(size=(M, 4)), rng.normal(size=(N, 3))
@@ -129,14 +129,14 @@ class TestForward:
                     assert np.array_equal(some.z[:, :3], cached.z[ids, :3])
                     assert np.array_equal(cached.take(rows).final, cached.final[ids])
 
-    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
-    def test_forward_without_block_is_bitwise_the_block_forward(self, norm_mode):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_forward_without_block_is_bitwise_the_block_forward(self, operator):
         # a one-shot forward computes the same bits as training's forward
         # from a kept block, K = 0..4
         rng = np.random.default_rng(16)
         for K in range(5):
             for _ in range(8):
-                g = random_bipartite(rng, norm_mode=norm_mode)
+                g = random_bipartite(rng, operator=operator)
                 M, N = g.num_users, g.num_items
                 p = params_for(M, N, 3, 2, 4, 3, K=K, seed=int(rng.integers(10**6)))
                 X, Y = rng.normal(size=(M, 4)), rng.normal(size=(N, 3))
@@ -149,7 +149,7 @@ class TestForward:
         # A^K [[X, 0], [0, Y]]: the dense operator applied to the block
         # matrix, with no user column fed by Y before propagation
         rng = np.random.default_rng(14)
-        g = random_bipartite(rng, norm_mode="row")
+        g = random_bipartite(rng, operator="row")
         M, N = g.num_users, g.num_items
         X, Y = rng.normal(size=(M, 2)), rng.normal(size=(N, 3))
         A = np.eye(M + N) + g.S.toarray()
@@ -159,15 +159,15 @@ class TestForward:
         assert np.array_equal(attribute_block(g, X, Y, 0), B0)
         assert np.abs(attribute_block(g, X, Y, 3) - A @ A @ A @ B0).max() <= 1e-12
 
-    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
-    def test_attribute_block_matches_stacked_steps(self, norm_mode):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_attribute_block_matches_stacked_steps(self, operator):
         # the one-sided hops through the two off-diagonal blocks of S equal
         # K full steps on the stacked block bit for bit, K = 0..4, on graphs
         # with isolated users and items and with empty attribute sides
         rng = np.random.default_rng(15)
         isolated_users = isolated_items = False
         for _ in range(60):
-            g = random_bipartite(rng, norm_mode=norm_mode)
+            g = random_bipartite(rng, operator=operator)
             M, N = g.num_users, g.num_items
             lonely = np.diff(g.S.indptr) == 0
             isolated_users |= lonely[:M].any()

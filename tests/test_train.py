@@ -19,8 +19,8 @@ from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, RESUME
                             adam_step, bpr_baseline, bpr_loss, gradients,
                             sample_negatives, scatter_rows, train, train_step)
 
-from conftest import (attribute_loss, filled, pair_batch, script_validation, small_attr_tables,
-                      total_loss)
+from conftest import (OPERATORS, attribute_loss, filled, operator_graph, pair_batch,
+                      script_validation, small_attr_tables, total_loss)
 
 
 def rejection_oracle(graph, users, rng):
@@ -111,7 +111,7 @@ class TestSampling:
         # the generator state afterwards equal the per-row loop's
         N = 12
         dense = build_graph([(a, i) for a in range(3) for i in range(N) if i != 2 * a]
-                            + [(3, 0), (4, 5)], 5, N, "row")
+                            + [(3, 0), (4, 5)], 5, N)
 
         class CountingRng:
             def __init__(self, rng):
@@ -284,12 +284,13 @@ class TestGradients:
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_finite_difference_row_normalized(self, K):
-        # under row normalization S is not symmetric, so the backward pass
-        # must apply S^T; both attribute sides feed the objective
+        # on the row-normalised test operator S is not symmetric, so the
+        # backward pass must apply S^T; both attribute sides feed the
+        # objective
         rng = np.random.default_rng(20 + K)
         M, N = 8, 10
         pairs = rng.integers(0, [M, N], size=(30, 2))
-        g = build_graph(pairs, M, N, "row")
+        g = operator_graph(pairs, M, N, "row")
         assert abs(g.S - g.S.T).max() > 0.1
         user_table, item_table = small_attr_tables(rng)
         config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01).validate()
@@ -302,9 +303,9 @@ class TestGradients:
         assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table, config,
                                           rng)
 
-    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("operator", OPERATORS)
     @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
-    def test_finite_difference_strict_step_rows(self, norm_mode, cadence):
+    def test_finite_difference_strict_step_rows(self, operator, cadence):
         # users 0-2 and items 0-3 hold no observed attribute and are in no
         # triple, so the step's dense work skips them; their gradients come
         # only through the propagation and the L2 term. At K = 1 both sparse
@@ -313,7 +314,7 @@ class TestGradients:
         rng = np.random.default_rng(40)
         M, N = 8, 10
         pairs = rng.integers(0, [M, N], size=(40, 2))
-        g = build_graph(pairs, M, N, norm_mode)
+        g = operator_graph(pairs, M, N, operator)
         user_table, item_table = small_attr_tables(rng)
         user_table.indicator[:3] = 0.0
         item_table.indicator[:4] = 0.0
@@ -334,10 +335,10 @@ class TestGradients:
             assert_matches_finite_differences(p, g, X, Y, batch, user_table, item_table,
                                               config, rng)
 
-    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("operator", OPERATORS)
     @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
     @pytest.mark.parametrize("K", [1, 2, 3])
-    def test_restricted_steps_bit_identical(self, K, cadence, norm_mode, monkeypatch):
+    def test_restricted_steps_bit_identical(self, K, cadence, operator, monkeypatch):
         # train_step runs the last forward step and the first backward step on
         # the rows of S at the step rows; run every step in full over S and
         # S^T instead and the step's z, final and every gradient keep their
@@ -346,7 +347,7 @@ class TestGradients:
         rng = np.random.default_rng(50 + K)
         M, N = 8, 10
         pairs = rng.integers(0, [M, N - 1], size=(40, 2))
-        g = build_graph(pairs, M, N, norm_mode)
+        g = operator_graph(pairs, M, N, operator)
         user_table, item_table = small_attr_tables(rng)
         config = TrainConfig(d=3, d_a=2, K=K, gamma=0.7, lam=0.01,
                              attr_update_cadence=cadence).validate()
@@ -386,9 +387,9 @@ class TestGradients:
         for name, grad in got[3].items():
             assert np.array_equal(grad, want[3][name]), name
 
-    @pytest.mark.parametrize("norm_mode", ["symmetric", "row"])
+    @pytest.mark.parametrize("operator", OPERATORS)
     @pytest.mark.parametrize("cadence", ["per-epoch", "per-batch"])
-    def test_step_losses_match_reference(self, cadence, norm_mode):
+    def test_step_losses_match_reference(self, cadence, operator):
         # the step's L_r + gamma * L_a, read from the step rows and each
         # field's observed rows alone, is the objective recomputed on every
         # row from the whole tables; on both sides some entities have one
@@ -396,7 +397,7 @@ class TestGradients:
         rng = np.random.default_rng(60)
         M, N = 8, 10
         pairs = rng.integers(0, [M, N], size=(40, 2))
-        g = build_graph(pairs, M, N, norm_mode)
+        g = operator_graph(pairs, M, N, operator)
         user_table, item_table = small_attr_tables(rng)
         for table in (user_table, item_table):
             observed = np.stack([table.indicator[:, f.offset] for f in table.schema], axis=1)
