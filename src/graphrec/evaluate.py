@@ -9,8 +9,12 @@ item index so reports are reproducible.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -23,9 +27,35 @@ SPARSITY_GROUPS = 5  # user groups by training-interaction count in a report
 DEFAULT_TOPN = (10, 20, 30, 40, 50)
 # Users scored per block of full-itemset ranking: a block's score matrix is
 # this many rows of N floats (about 3.8 MB at ML-1M width), and a pass holds
-# one block at a time. Larger blocks were no faster there and raise the peak
+# one block per worker. Larger blocks were no faster there and raise the peak
 # memory of a ranking pass.
 _BLOCK_USERS = 128
+
+
+@cache
+def _openblas_threads_getter():
+    """The thread-count getter of the OpenBLAS that numpy bundles, or None
+    when numpy bundles none or the build names the symbol otherwise."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))[0])
+        return lib.scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+
+
+def blas_threads():
+    """The threads numpy's BLAS runs each product on, or None when it cannot
+    be read."""
+    get = _openblas_threads_getter()
+    return int(get()) if get else None
+
+
+def ranking_workers(cores, blas):
+    """Threads a ranking pass spreads its blocks over: the ``cores`` the
+    process may run on divided by the ``blas`` threads of each product, and
+    at least one. An unread BLAS count (None) is taken as every core."""
+    return max(1, cores // (blas or cores))
 
 
 def _ahead(scores, items, target_score, target_item):
@@ -126,7 +156,9 @@ class Ranking(NamedTuple):
 def rank_and_score(trace, dataset, n_list, target="test"):
     """Rank every candidate item of each user with a ``target`` item and
     score the ranks at each cut-off of ``n_list`` (positive integers).
-    Users whose candidate set is empty are skipped and counted.
+    Users whose candidate set is empty are skipped and counted. Blocks of
+    users are ranked on :func:`ranking_workers` threads; the result is the
+    same bits for any number of them.
 
     Returns:
         Ranking: user-mean and global HR@N, NDCG@N, and the per-user NDCG@N
@@ -164,12 +196,34 @@ def rank_and_score(trace, dataset, n_list, target="test"):
                seen.indices[cuts[0]:cuts[-1]]] = -np.inf
         return scores
 
-    for lo in range(0, len(users), _BLOCK_USERS):
+    def rank_block(lo):
+        # a block reads only shared inputs, writes only its own ranks and
+        # calls only private helpers, so blocks may run on any thread
         hi = min(lo + _BLOCK_USERS, len(users))
         t0, t1 = offsets[lo], offsets[hi]
         rows = np.repeat(np.arange(hi - lo), lengths[lo:hi])
         ranks[t0:t1] = _block_ranks(block_scores(lo, hi), rows, items[t0:t1], depth,
                                     partial(block_scores, lo, hi))
+
+    starts = range(0, len(users), _BLOCK_USERS)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(ranking_workers(cores or 1, blas_threads()), len(starts))
+    todo = iter(starts)  # next() on it is atomic under the GIL
+
+    def drain():
+        for lo in todo:
+            rank_block(lo)
+
+    # GEMM and partition release the GIL. The caller is one of the workers
+    # and the pool starts one thread per helper it is given, so a single
+    # worker ranks on the calling thread. The pool lives for this call: no
+    # helper outlives it, even when a block raises, so a process forked
+    # later inherits no pool
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
 
     hits, hr, ndcg = _topn(ranks, lengths, n_list)
     # user means are summed one user after another (cumsum), which keeps

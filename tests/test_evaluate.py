@@ -1,8 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphrec
 import graphrec.evaluate as evaluate
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing, mask
@@ -435,6 +441,81 @@ class TestTopDepthRanks:
             assert got.tolist() == [want[a, i] for a, i in zip(rows.tolist(), items.tolist())]
             if calls_wanted == 0:
                 assert got.tolist() == [depth] * self.M
+
+
+class TestParallelRanking:
+    M, N = 30, 60
+
+    def test_bit_identical_for_any_worker_count(self, monkeypatch):
+        # eight 4-user blocks with true ties at the depth-th score, so that
+        # blocks are rescored inside the workers
+        monkeypatch.setattr(evaluate, "_BLOCK_USERS", 4)
+        scores, trained, targets = tie_heavy_case(0, self.M, self.N, 10)
+        ds, trace = scored_dataset(scores, trained, targets)
+        rescores = []
+        real = evaluate._block_ranks
+
+        def recording(block, rows, items, depth, rescore):
+            def counted():
+                rescores.append(block.shape)
+                return rescore()
+            return real(block, rows, items, depth, counted)
+        monkeypatch.setattr(evaluate, "_block_ranks", recording)
+
+        rankings = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(evaluate, "ranking_workers", lambda cores, blas: workers)
+            rescores.clear()
+            rankings[workers] = rank_and_score(trace, ds, [1, 5, 10])
+            assert rescores
+        serial = rankings[1]
+        for workers in (2, 3):
+            got = rankings[workers]
+            assert (got.hr, got.ndcg, got.hr_global, got.skipped) == (
+                serial.hr, serial.ndcg, serial.hr_global, serial.skipped)
+            assert got.users.tobytes() == serial.users.tobytes()
+            for n in (1, 5, 10):
+                assert got.user_ndcg[n].tobytes() == serial.user_ndcg[n].tobytes()
+
+    @pytest.mark.parametrize("fail_on_helper", [False, True])
+    def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch, fail_on_helper):
+        # the calling thread waits for a helper to take a block first, so
+        # blocks run on both; the blocks of one of them fail
+        monkeypatch.setattr(evaluate, "_BLOCK_USERS", 4)
+        monkeypatch.setattr(evaluate, "ranking_workers", lambda cores, blas: 3)
+        ds, trace = scored_dataset(*tie_heavy_case(1, self.M, self.N, 4))
+        helper_took_one, real = threading.Event(), evaluate._block_ranks
+
+        def failing(*args):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper:
+                helper_took_one.set()
+            else:
+                helper_took_one.wait(timeout=10)
+            if on_helper == fail_on_helper:
+                raise RuntimeError("a block failed")
+            return real(*args)
+        monkeypatch.setattr(evaluate, "_block_ranks", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="a block failed"):
+            rank_and_score(trace, ds, [4])
+        assert helper_took_one.is_set()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores,blas,workers", [(2, 1, 2), (2, 2, 1), (2, None, 1),
+                                                    (4, 2, 2), (3, 2, 1), (1, 1, 1)])
+    def test_workers_are_cores_over_blas_threads(self, cores, blas, workers):
+        assert evaluate.ranking_workers(cores, blas) == workers
+
+    def test_blas_threads_reads_the_environment(self):
+        code = "from graphrec.evaluate import blas_threads; print(blas_threads())"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(graphrec.__file__).parents[1])}
+        read = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout.strip()
+        if read == "None":
+            pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
+        assert read == "1"
 
 
 class TestAveragePrecision:
