@@ -5,8 +5,8 @@ lp-baseline. Settings resolve as defaults < config file < flags, and every
 run echoes its fully resolved configuration into the output directory before
 any computation, so a run can be reproduced from the echoed file alone.
 
-Settings have two declarations: ``PREP_DEFAULTS`` for building and scoring
-a dataset, and ``TrainConfig`` for training. Every flag is generated from
+Settings have two declarations: ``PREP_DEFAULTS`` for building a
+dataset, and ``TrainConfig`` for training. Every flag is generated from
 them: the setting ``min_user_interactions`` is ``--min-user-interactions``.
 A setting's text, from a config file, a flag or a sweep grid, is read by one
 function, ``parse_setting``, by the setting's declared type.
@@ -25,7 +25,7 @@ import numpy as np
 from . import data as dataio
 from .attributes import check_alpha, check_seed, load_attributes, load_schema, mask, read_lines
 from .data import check_ratios, load_checkpoint, load_dataset, save_dataset, split
-from .evaluate import HR_MODES, evaluate_model, label_propagation_metrics
+from .evaluate import evaluate_model, label_propagation_metrics
 from .model import forward, infer_attributes
 from .train import CADENCES, TrainConfig, check_checkpoint, train
 
@@ -35,8 +35,8 @@ def numbers(raw):
     return tuple(float(r) for r in raw.split(","))
 
 
-# Data preparation and report settings; build_dataset reads all but
-# ``dataset`` (a frozen bundle from prepare-data) and ``hr_mode``.
+# Data preparation settings; build_dataset reads all but ``dataset`` (a
+# frozen bundle from prepare-data).
 PREP_DEFAULTS = {
     "dataset": None,
     "interactions": None,
@@ -48,7 +48,6 @@ PREP_DEFAULTS = {
     "min_rating": None,
     "ratios": (0.8, 0.1, 0.1),   # train, validation, test
     "alpha": 0.9,                # attribute mask rate
-    "hr_mode": "user-mean",
     "seed_masking": 2,
     "seed_split": 3,
 }
@@ -56,7 +55,12 @@ DEFAULTS = {**PREP_DEFAULTS, **TrainConfig().to_dict()}
 # A setting's type is its default's type, a string for a None default, unless
 # named here; a flag's choices are named here.
 FLAG_TYPES = {"min_rating": float, "ratios": numbers}
-FLAG_CHOICES = {"hr_mode": HR_MODES, "attr_update_cadence": CADENCES}
+FLAG_CHOICES = {"attr_update_cadence": CADENCES}
+# Retired settings, each with the one value it is fixed at and the reason a
+# config file that gives another is refused. A config.txt echoed before the
+# retirement holds that value, so it still reproduces its run.
+RETIRED = {"norm_mode": ("symmetric", "graphrec builds only the symmetric normalisation"),
+           "hr_mode": ("user-mean", "graphrec reports only the user-mean HR")}
 
 
 def parse_setting(key, raw):
@@ -82,23 +86,24 @@ def parse_setting(key, raw):
 
 def read_config_file(path):
     """The settings a flat ``key=value`` file holds, each parsed by its type.
-    Every refusal names ``path:line``. A line of the retired ``norm_mode``
-    is skipped when it is the ``symmetric`` that older echoes hold."""
-    settings = {}
+    Every refusal names ``path:line``. A line of a ``RETIRED`` setting is
+    skipped when it holds the one value the setting is fixed at."""
+    settings, seen = {}, set()
     for lineno, line in read_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key == "norm_mode":
-            if raw.strip() == "symmetric":
-                continue
-            raise ValueError(f"{path}:{lineno}: norm_mode {raw.strip()!r} is retired; "
-                             "graphrec builds only the symmetric normalisation")
-        if key not in DEFAULTS:
+        if key not in DEFAULTS and key not in RETIRED:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        if key in settings:
+        if key in seen:
             raise ValueError(f"{path}:{lineno}: {key} is set twice")
+        seen.add(key)
+        if key in RETIRED:
+            fixed, reason = RETIRED[key]
+            if raw.strip() != fixed:
+                raise ValueError(f"{path}:{lineno}: {key} {raw.strip()!r} is retired; {reason}")
+            continue
         try:
             settings[key] = parse_setting(key, raw)
         except ValueError as err:
@@ -220,8 +225,7 @@ def _run_training(settings, load, outdir, quiet=False):
         fh.write("".join(entry.format() + "\n" for entry in result.log))
 
     for target in ("val", "test"):  # the test report is returned
-        report = evaluate_model(result.params, result.X, result.Y, dataset,
-                                target=target, hr_mode=settings["hr_mode"])
+        report = evaluate_model(result.params, result.X, result.Y, dataset, target=target)
         report.write(os.path.join(outdir, f"report_{target}"))
     return result, report
 
@@ -238,7 +242,7 @@ def cmd_evaluate(args, settings, load):
     state = load_checkpoint(args.checkpoint)
     check_checkpoint(state, dataset)
     params, X, Y = state.best
-    report = evaluate_model(params, X, Y, dataset, hr_mode=settings["hr_mode"])
+    report = evaluate_model(params, X, Y, dataset)
     report.write(os.path.join(args.out, "report_test"))
     for line in report.to_lines():
         print(line)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .model import forward, infer_attributes
 
-HR_MODES = ("user-mean", "global")
 TARGETS = ("test", "val")
 SPARSITY_GROUPS = 5  # user groups by training-interaction count in a report
 DEFAULT_TOPN = (10, 20, 30, 40, 50)
@@ -66,11 +65,11 @@ def _ahead(scores, items, target_score, target_item):
 
 
 def _topn(ranks, lengths, n_list):
-    """Per-user hits, HR@N (recall form) and NDCG@N from 1-based target ranks
+    """Per-user HR@N (recall form) and NDCG@N from 1-based target ranks
     stored user by user (``lengths[u]`` consecutive ranks for user u).
 
     NDCG@N uses 1/log2(rank+1) gains with the ideal DCG truncated at
-    min(N, |targets|). Returns three (users, len(n_list)) arrays.
+    min(N, |targets|). Returns two (users, len(n_list)) arrays.
     """
     users = len(lengths)
     owner = np.repeat(np.arange(users), lengths)
@@ -83,7 +82,7 @@ def _topn(ranks, lengths, n_list):
         hits[:, k] = np.bincount(owner, weights=hit, minlength=users)
         dcg = np.bincount(owner, weights=np.where(hit, gain, 0.0), minlength=users)
         ndcg[:, k] = dcg / ideal[np.minimum(n, lengths) - 1]
-    return hits, hits / lengths[:, None], ndcg
+    return hits / lengths[:, None], ndcg
 
 
 def _block_ranks(scores, rows, items, depth, rescore):
@@ -147,7 +146,6 @@ class Ranking(NamedTuple):
     """Everything one ranking pass computes, each metric keyed by cut-off N."""
     hr: dict          # HR@N, the mean of per-user recall
     ndcg: dict        # NDCG@N, a per-user mean
-    hr_global: dict   # HR@N, total hits over total target items
     users: np.ndarray  # the ranked users, in the order of the target dict
     user_ndcg: dict   # per-user NDCG@N, one value per ranked user
     skipped: int      # users with a target but no candidate item
@@ -161,8 +159,7 @@ def rank_and_score(trace, dataset, n_list, target="test"):
     same bits for any number of them.
 
     Returns:
-        Ranking: user-mean and global HR@N, NDCG@N, and the per-user NDCG@N
-        of the ranked users.
+        Ranking: HR@N, NDCG@N, and the per-user NDCG@N of the ranked users.
     """
     _check_cutoffs(n_list)
     if target not in TARGETS:
@@ -225,12 +222,11 @@ def rank_and_score(trace, dataset, n_list, target="test"):
     for helper in helpers:
         helper.result()
 
-    hits, hr, ndcg = _topn(ranks, lengths, n_list)
+    hr, ndcg = _topn(ranks, lengths, n_list)
     # user means are summed one user after another (cumsum), which keeps
     # them bit-identical to a running per-user total
     return Ranking(dict(zip(n_list, (np.cumsum(hr, axis=0)[-1] / len(users)).tolist())),
                    dict(zip(n_list, (np.cumsum(ndcg, axis=0)[-1] / len(users)).tolist())),
-                   dict(zip(n_list, (hits.sum(axis=0) / lengths.sum()).tolist())),
                    users, dict(zip(n_list, ndcg.T)), skipped)
 
 
@@ -349,12 +345,12 @@ class EvalReport:
     ndcg: dict
     per_field: dict = field(default_factory=dict)
     groups: list = field(default_factory=list)
-    hr_mode: str = "user-mean"
     skipped_users: int = 0
     notes: list = field(default_factory=list)
 
     def to_lines(self):
-        lines = [f"hr_mode={self.hr_mode}", f"skipped_users={self.skipped_users}"]
+        # HR@N has one form, the user mean; the line keeps every report's bytes
+        lines = ["hr_mode=user-mean", f"skipped_users={self.skipped_users}"]
         for n in sorted(self.hr):
             lines.append(f"hr.{n}={self.hr[n]:.6f}")
         for n in sorted(self.ndcg):
@@ -391,14 +387,11 @@ class EvalReport:
             fh.write(self.to_table())
 
 
-def evaluate_model(params, X, Y, dataset, target="test", hr_mode="user-mean"):
-    """Full EvalReport for one model state: HR@N and NDCG@N at each N of
-    ``DEFAULT_TOPN``, per-field attribute metrics on the masked test pairs,
-    and, on the test split, sparsity groups. ``hr_mode`` picks the HR:
-    "user-mean" averages per-user recall, "global" divides total hits by
-    total target items."""
-    if hr_mode not in HR_MODES:
-        raise ValueError(f"hr_mode must be one of {HR_MODES}")
+def evaluate_model(params, X, Y, dataset, target="test"):
+    """Full EvalReport for one model state: HR@N (the mean of per-user
+    recall) and NDCG@N at each N of ``DEFAULT_TOPN``, per-field attribute
+    metrics on the masked test pairs, and, on the test split, sparsity
+    groups."""
     trace = forward(params, dataset.graph_train, X, Y)
     # the sparsity groups take their NDCG@10 from this one ranking pass
     ranking = rank_and_score(trace, dataset, DEFAULT_TOPN, target=target)
@@ -410,9 +403,8 @@ def evaluate_model(params, X, Y, dataset, target="test", hr_mode="user-mean"):
     groups = sparsity_groups(dataset, ranking, default_bins(dataset)) if target == "test" else []
     notes = ["attribute metrics evaluated on all masked entities, including "
              "any without training interactions"]
-    return EvalReport(hr=ranking.hr if hr_mode == "user-mean" else ranking.hr_global,
-                      ndcg=ranking.ndcg, per_field=per_field, groups=groups,
-                      hr_mode=hr_mode, skipped_users=ranking.skipped, notes=notes)
+    return EvalReport(hr=ranking.hr, ndcg=ranking.ndcg, per_field=per_field, groups=groups,
+                      skipped_users=ranking.skipped, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -398,9 +398,9 @@ class TrainResult:
     log: list
     best_epoch: int
     best_val_hr: float
-    final_params: ModelParams = None
-    final_X: np.ndarray = None
-    final_Y: np.ndarray = None
+    final_params: ModelParams
+    final_X: np.ndarray
+    final_Y: np.ndarray
 
 
 def _write_back(state, trace, dataset, K):
@@ -537,22 +537,21 @@ def epochs(dataset, config, state=None):
         yield state
 
 
-def train(dataset, config, log_fn=None, checkpoint_path=None, resume_from=None):
-    """Run :func:`epochs`, fresh or from ``resume_from``, to its end, and
-    return the best-validation snapshot and the final state. After each
-    epoch, ``log_fn`` gets the epoch's log line and ``checkpoint_path`` the
-    whole state (:func:`data.save_checkpoint`). A run resumed from a
-    checkpoint is the uninterrupted run, its log the checkpoint's entries
-    first. The result shares no array with ``resume_from``.
+def train(dataset, config, log_fn=None, checkpoint_path=None):
+    """Run a fresh :func:`epochs` to its end, and return the best-validation
+    snapshot and the final state. After each epoch, ``log_fn`` gets the
+    epoch's log line and ``checkpoint_path`` the whole state
+    (:func:`data.save_checkpoint`). To resume from that checkpoint, iterate
+    ``epochs(dataset, config, load_checkpoint(path))``.
 
     Raises:
         ValueError, TrainingDivergedError: as :func:`epochs`. Once this call
             has saved a checkpoint, a divergence also names
             ``checkpoint_path`` as the last good checkpoint.
     """
-    state, saved = resume_from, False
+    saved = False
     try:
-        for state in epochs(dataset, config, resume_from):
+        for state in epochs(dataset, config):
             if log_fn is not None:
                 log_fn(state.log[-1].format())
             if checkpoint_path is not None:
@@ -562,9 +561,6 @@ def train(dataset, config, log_fn=None, checkpoint_path=None, resume_from=None):
         if not saved:
             raise
         raise TrainingDivergedError(f"{exc}; last good checkpoint: {checkpoint_path}") from exc
-    if state is resume_from:  # nothing was left to run
-        state = copy.deepcopy(state)
-
     return TrainResult(*state.best, log=state.log, best_epoch=state.best_epoch,
                        best_val_hr=state.log[state.best_epoch - 1].val_hr,
                        final_params=state.params, final_X=state.X, final_Y=state.Y)

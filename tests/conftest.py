@@ -122,8 +122,7 @@ def script_validation(monkeypatch, hrs):
 
     def ranking(trace, dataset, n_list, target):
         hr = next(scripted)
-        return Ranking({10: hr}, {10: 0.0}, {10: hr}, np.zeros(0, dtype=np.int64),
-                       {10: np.zeros(0)}, 0)
+        return Ranking({10: hr}, {10: 0.0}, np.zeros(0, dtype=np.int64), {10: np.zeros(0)}, 0)
     monkeypatch.setattr(sys.modules["graphrec.train"], "rank_and_score", ranking)
 
 

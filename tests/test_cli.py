@@ -87,6 +87,10 @@ class TestTrainCommand:
         config.write_text("K=2\nd=6\n K =3\n")
         with pytest.raises(ValueError, match=r"c\.txt:3: K is set twice"):
             read_config_file(config)
+        # a retired setting's line counts as any other, also when it is skipped
+        config.write_text("norm_mode=symmetric\nd=6\nnorm_mode=symmetric\n")
+        with pytest.raises(ValueError, match=r"c\.txt:3: norm_mode is set twice"):
+            read_config_file(config)
         for text, error in [("d=8\nK=two\n", "c.txt:2: K must be of type int, got 'two'"),
                             ("d=8\nK=\n", "c.txt:2: K must be of type int, got ''"),
                             ("K=none\n", "c.txt:1: K must be of type int, got 'none'"),
@@ -151,6 +155,36 @@ class TestTrainCommand:
         assert f"row.txt:{at + 1}: norm_mode 'row' is retired" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    def test_echo_with_retired_hr_mode(self, toy_files, tmp_path, capsys):
+        # a config.txt echoed while hr_mode was a setting holds
+        # hr_mode=user-mean, and one from before that norm_mode=symmetric: it
+        # trains to the same report bytes. hr_mode=global in its place is
+        # refused as retired, naming the line, and --hr-mode stops at argparse
+        a = tmp_path / "a"
+        assert run_train(toy_files, a) == 0
+        older = tmp_path / "older.txt"
+        older.write_text(cli.config_text(dict(read_config_file(a / "config.txt"),
+                                              hr_mode="user-mean", norm_mode="symmetric")))
+        b = tmp_path / "b"
+        assert main(["train", "--out", str(b), "--config", str(older), "--quiet"]) == 0
+        for name in ("config.txt", "report_val.txt", "report_val.tsv", "report_test.txt",
+                     "report_test.tsv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        lines = older.read_text().splitlines(keepends=True)
+        at = lines.index("hr_mode=user-mean\n")
+        lines[at] = "hr_mode=global\n"
+        config = tmp_path / "c.txt"
+        config.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path / "c"), "--config", str(config)]) == 1
+        assert (f"c.txt:{at + 1}: hr_mode 'global' is retired; graphrec reports only the "
+                "user-mean HR") in capsys.readouterr().err
+        assert not (tmp_path / "c" / "checkpoint.bin").exists()
+        with pytest.raises(SystemExit) as stop:
+            main(["train", "--out", str(tmp_path / "d"), "--hr-mode", "global"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --hr-mode global" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, key", [("K=2.0", "K"),
                                            ("min_user_interactions=5.5", "min_user_interactions")])
     def test_config_values_typed_like_flags(self, toy_files, tmp_path, capsys, line, key):
@@ -186,7 +220,7 @@ class TestTrainCommand:
                   + data_flags(toy_files) + ["--quiet"])
         assert rc == 1
         err = capsys.readouterr().err
-        refusal = "norm_mode 'rows' is retired" if key == "norm_mode" else f"{key} must be one of"
+        refusal = f"{key} {value!r} is retired" if key in cli.RETIRED else f"{key} must be one of"
         assert refusal in err and repr(value) in err
         assert not (out / "checkpoint.bin").exists()
 
@@ -554,10 +588,10 @@ class TestOneSidedBundle:
 
 # Every subcommand's option strings and choices, as the hand-written parser
 # declared them before the flags were generated from the two declarations,
-# less the retired --norm-mode.
+# less the retired --norm-mode and --hr-mode.
 COMMON_FLAGS = ["--config", "--out", "--dataset", "--interactions", "--user-attrs",
                 "--user-schema", "--item-attrs", "--item-schema", "--min-user-interactions",
-                "--min-rating", "--ratios", "--alpha", "--hr-mode",
+                "--min-rating", "--ratios", "--alpha",
                 "--seed-init", "--seed-sampling", "--seed-masking", "--seed-split"]
 TRAIN_FLAGS = ["--d", "--d-a", "--K", "--lam", "--gamma", "--learning-rate", "--batch-size",
                "--attr-update-cadence", "--early-stop-patience", "--max-epochs",
@@ -570,8 +604,7 @@ SURFACE = {
     "infer-attributes": COMMON_FLAGS + ["--checkpoint"],
     "lp-baseline": COMMON_FLAGS,
 }
-CHOICES = {"--hr-mode": ["user-mean", "global"],
-           "--attr-update-cadence": ["per-epoch", "per-batch"]}
+CHOICES = {"--attr-update-cadence": ["per-epoch", "per-batch"]}
 REQUIRED = {"--out", "--checkpoint", "--grid"}
 
 # One value of each setting's type other than its default.
@@ -580,7 +613,7 @@ OTHER_VALUES = {
     "user_attrs": "raw/users.tsv", "user_schema": "raw/users_schema.tsv",
     "item_attrs": "raw/items.tsv", "item_schema": "raw/items_schema.tsv",
     "min_user_interactions": 10, "min_rating": 3.5, "ratios": (0.7, 0.2, 0.1),
-    "alpha": 0.5, "hr_mode": "global", "seed_masking": 7, "seed_split": 8,
+    "alpha": 0.5, "seed_masking": 7, "seed_split": 8,
     "d": 8, "d_a": 0, "K": 0, "lam": 0.5, "gamma": 0.1, "learning_rate": 0.01,
     "batch_size": 64, "attr_update_cadence": "per-batch", "early_stop_patience": 0,
     "max_epochs": 3, "init_std": 0.1, "seed_init": 5, "seed_sampling": 6,
@@ -603,10 +636,11 @@ class TestSurface:
     def test_flags_echo_typed_values(self, tmp_path):
         args = build_parser().parse_args(
             ["train", "--out", str(tmp_path), "--min-rating", "4", "--lam", "1",
-             "--hr-mode", "global", "--learning-rate", "1e-3", "--seed-split", "7"])
+             "--attr-update-cadence", "per-batch", "--learning-rate", "1e-3",
+             "--seed-split", "7"])
         with open(echo_config(resolve_settings(args), tmp_path)) as fh:
             lines = fh.read().splitlines()
-        for line in ("min_rating=4.0", "lam=1.0", "hr_mode=global",
+        for line in ("min_rating=4.0", "lam=1.0", "attr_update_cadence=per-batch",
                      "learning_rate=0.001", "seed_split=7", "alpha=0.9"):
             assert line in lines
 

@@ -13,7 +13,7 @@ import graphrec.evaluate as evaluate
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing, mask
 from graphrec.data import Dataset
-from graphrec.evaluate import (DEFAULT_TOPN, HR_MODES, EvalReport, attribute_metrics,
+from graphrec.evaluate import (DEFAULT_TOPN, EvalReport, attribute_metrics,
                                default_bins, evaluate_model, label_propagation,
                                label_propagation_metrics, majority_class_accuracy,
                                rank_and_score, sparsity_groups)
@@ -171,14 +171,9 @@ class TestRankAndScore:
         n0 = (1 / np.log2(3)) / 1.0
         n1 = (1 / np.log2(2) + 1 / np.log2(3)) / (1 / np.log2(2) + 1 / np.log2(3))
         assert ndcg[2] == pytest.approx((n0 + n1) / 2)
-
-    def test_global_mode(self):
-        ds, trace = tiny_dataset_and_trace()
-        ranking = rank_and_score(trace, ds, [1])
-        hr_g, hr_u = ranking.hr_global, ranking.hr
-        # top-1: user 0 misses (item 1 ranked first), user 1 hits item 0
-        assert hr_g[1] == pytest.approx(1.0 / 3.0)
-        assert hr_u[1] == pytest.approx((0.0 + 0.5) / 2)
+        # top-1: user 0 misses (item 1 ranked first), user 1 hits one of its
+        # two targets; HR@1 is the mean of per-user recall
+        assert rank_and_score(trace, ds, [1]).hr[1] == pytest.approx((0.0 + 0.5) / 2)
 
     def test_skipped_user_counted(self):
         g = build_graph([(0, 0), (0, 1), (1, 0)], 2, 2)
@@ -202,15 +197,6 @@ class TestRankAndScore:
         trace = ForwardTrace(final=np.arange(8.0).reshape(4, 2), num_users=2)
         with pytest.raises(ValueError, match=f"^{message}$"):
             rank_and_score(trace, ds, [1], target="val")
-
-    def test_bad_mode(self, toy_dataset):
-        # the HR aggregation is chosen by evaluate_model, not by the ranking
-        ds = toy_dataset
-        p = init_params(ds.num_users, ds.num_items, 4, 2, ds.user_attrs.schema.total_dim,
-                        ds.item_attrs.schema.total_dim, K=1, seed=0)
-        X, Y = init_missing(ds.user_attrs), init_missing(ds.item_attrs)
-        with pytest.raises(ValueError, match="hr_mode"):
-            evaluate_model(p, X, Y, ds, hr_mode="median")
 
     def test_bad_target(self, toy_dataset):
         # a misspelt target is rejected, not read as "val"
@@ -252,11 +238,7 @@ class TestRankAndScore:
             for n in n_list:
                 oracle = [naive_user_metrics(scores[a], trained[a], test[a], n)
                           for a in users]
-                user_mean = np.mean([h for h, _ in oracle])
-                hits_over_targets = (sum(h * len(test[a]) for (h, _), a in zip(oracle, users))
-                                     / sum(len(test[a]) for a in users))
-                assert abs(ranking.hr[n] - user_mean) <= 1e-12
-                assert abs(ranking.hr_global[n] - hits_over_targets) <= 1e-12
+                assert abs(ranking.hr[n] - np.mean([h for h, _ in oracle])) <= 1e-12
                 assert abs(ranking.ndcg[n] - np.mean([d for _, d in oracle])) <= 1e-12
                 for (_, d), got in zip(oracle, ranking.user_ndcg[n]):
                     assert abs(got - d) <= 1e-12
@@ -360,7 +342,7 @@ class TestTopDepthRanks:
             min(want[a, i], depth + 1) for a, i in zip(rows.tolist(), items.tolist())]
 
         ds, trace = scored_dataset(scores, trained, targets)
-        hr, ndcg, _, ranked, per_user, skipped = rank_and_score(trace, ds, n_list)
+        hr, ndcg, ranked, per_user, skipped = rank_and_score(trace, ds, n_list)
         assert skipped == 0 and ranked.tolist() == list(range(self.M))
         for n in n_list:
             oracle = [naive_user_metrics(scores[a], trained[a], targets[a], n)
@@ -471,8 +453,7 @@ class TestParallelRanking:
         serial = rankings[1]
         for workers in (2, 3):
             got = rankings[workers]
-            assert (got.hr, got.ndcg, got.hr_global, got.skipped) == (
-                serial.hr, serial.ndcg, serial.hr_global, serial.skipped)
+            assert (got.hr, got.ndcg, got.skipped) == (serial.hr, serial.ndcg, serial.skipped)
             assert got.users.tobytes() == serial.users.tobytes()
             for n in (1, 5, 10):
                 assert got.user_ndcg[n].tobytes() == serial.user_ndcg[n].tobytes()
@@ -891,23 +872,22 @@ class TestBaselineAndReport:
                              K=1, seed=4)
         X, Y = init_missing(ds.user_attrs), init_missing(ds.item_attrs)
         real = evaluate.rank_and_score
-        for mode in HR_MODES:
-            rankings = []
+        rankings = []
 
-            def counting(*args, **kwargs):
-                rankings.append(real(*args, **kwargs))
-                return rankings[-1]
-            monkeypatch.setattr(evaluate, "rank_and_score", counting)
-            rep = evaluate_model(params, X, Y, ds, hr_mode=mode)
-            assert len(rankings) == 1
-            ranking, = rankings
-            assert sorted(rep.hr) == sorted(rep.ndcg) == list(DEFAULT_TOPN)
-            assert rep.hr == (ranking.hr if mode == "user-mean" else ranking.hr_global)
-            assert rep.ndcg == ranking.ndcg and rep.skipped_users == ranking.skipped
-            assert rep.groups == sparsity_groups(ds, ranking, default_bins(ds))
-            # the ranking is the one of the model's forward at DEFAULT_TOPN
-            trace = forward(params, ds.graph_train, X, Y)
-            assert real(trace, ds, DEFAULT_TOPN)[:3] == ranking[:3]
+        def counting(*args, **kwargs):
+            rankings.append(real(*args, **kwargs))
+            return rankings[-1]
+        monkeypatch.setattr(evaluate, "rank_and_score", counting)
+        rep = evaluate_model(params, X, Y, ds)
+        assert len(rankings) == 1
+        ranking, = rankings
+        assert sorted(rep.hr) == sorted(rep.ndcg) == list(DEFAULT_TOPN)
+        assert rep.hr == ranking.hr and rep.ndcg == ranking.ndcg
+        assert rep.skipped_users == ranking.skipped
+        assert rep.groups == sparsity_groups(ds, ranking, default_bins(ds))
+        # the ranking is the one of the model's forward at DEFAULT_TOPN
+        trace = forward(params, ds.graph_train, X, Y)
+        assert real(trace, ds, DEFAULT_TOPN)[:2] == ranking[:2]
 
     def test_evaluate_model_bounds(self, toy_dataset):
         from graphrec.train import train

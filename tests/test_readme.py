@@ -85,6 +85,52 @@ def test_docstring_references_exist(module):
     assert [r for r in refs if not resolves(r, MODULES[module])] == []
 
 
+# a backticked call form, `name(args)`, and a keyword among its arguments
+CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`")
+KEYWORD = re.compile(r"(?:^|,)\s*(\w+)=(?!=)")
+
+
+def named_callable(name):
+    """The graphrec function or class a call form names, or None: a dotted
+    name is a member chain from a module or class; a bare one is what the
+    package exports (its train() shadows the graphrec.train module), else
+    what a module defines."""
+    head, *rest = name.split(".")
+    if rest:
+        obj = MODULES.get(head) or CLASSES.get(head)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        return obj
+    found = (getattr(scope, head, None) for scope in (graphrec, *MODULES.values()))
+    return next((obj for obj in found if callable(obj)), None)
+
+
+def call_keywords(text):
+    """(call, keyword, whether the keyword is a parameter) for each keyword
+    of each backticked call form in ``text`` that names a graphrec function
+    or class."""
+    for name, args in CALL.findall(text):
+        obj = named_callable(name)
+        if obj is not None:
+            params = inspect.signature(obj).parameters
+            yield from ((name, kw, kw in params) for kw in KEYWORD.findall(args))
+
+
+def test_readme_call_keywords_exist():
+    # `train(..., checkpoint_path=path)` must name a parameter of train()
+    found = list(call_keywords(README.read_text()))
+    assert len(found) >= 3
+    assert [(name, kw) for name, kw, known in found if not known] == []
+
+
+def test_call_keywords_flag_a_parameter_that_is_gone():
+    text = ("`train(..., resume_from=load_checkpoint(path))`, "
+            "`evaluate_model(..., hr_mode=)`, `train.epochs(dataset, config, state=None)`")
+    assert list(call_keywords(text)) == [("train", "resume_from", False),
+                                         ("evaluate_model", "hr_mode", False),
+                                         ("train.epochs", "state", True)]
+
+
 Pair = collections.namedtuple("Pair", "left right")
 
 

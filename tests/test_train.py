@@ -16,7 +16,7 @@ from graphrec.graph import NodeRows
 from graphrec.model import attribute_block, forward, infer_attributes, init_params
 from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, RESUME_MAY_CHANGE,
                             StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
-                            adam_step, bpr_baseline, bpr_loss, gradients,
+                            adam_step, bpr_baseline, bpr_loss, epochs, gradients,
                             sample_negatives, scatter_rows, train, train_step)
 
 from conftest import (OPERATORS, attribute_loss, filled, operator_graph, pair_batch,
@@ -599,13 +599,12 @@ class TestTrainLoop:
         for change, message in (({"K": 2}, "K=1, .* K=2"), ({"d": 7}, "d=6, .* d=7"),
                                 ({"d_a": 2}, "d_a=3, .* d_a=2")):
             with pytest.raises(ValueError, match=message):
-                train(toy_dataset, replace(more, **change), resume_from=load_checkpoint(ckpt))
+                *_, last = epochs(toy_dataset, replace(more, **change), load_checkpoint(ckpt))
         with pytest.raises(ValueError, match="d_x=5, .* d_x=0"):
-            train(replace(toy_dataset, user_attrs=None), more,
-                  resume_from=load_checkpoint(ckpt))
+            *_, last = epochs(replace(toy_dataset, user_attrs=None), more, load_checkpoint(ckpt))
         # the resumed log is the whole run's: the checkpoint's epoch, then its own
-        assert [e.epoch for e in train(toy_dataset, more,
-                                       resume_from=load_checkpoint(ckpt)).log] == [1, 2]
+        *_, last = epochs(toy_dataset, more, load_checkpoint(ckpt))
+        assert [e.epoch for e in last.log] == [1, 2]
 
     def test_resume_refuses_a_changed_setting(self, toy_dataset, tmp_path):
         # a resume may change only where the run stops; every other setting
@@ -621,8 +620,8 @@ class TestTrainLoop:
             message = (f"checkpoint has {name}={getattr(cfg, name)!r}, "
                        f"but this run has {name}={value!r}")
             with pytest.raises(ValueError, match=re.escape(message)):
-                train(toy_dataset, replace(cfg, max_epochs=2, **{name: value}),
-                      resume_from=load_checkpoint(ckpt))
+                *_, last = epochs(toy_dataset, replace(cfg, max_epochs=2, **{name: value}),
+                                  load_checkpoint(ckpt))
 
     def checked_steps(self, monkeypatch, dataset):
         """Make every forward inside train() check the rows it computed
@@ -669,9 +668,8 @@ class TestTrainLoop:
 
         # a run resumed from the checkpoint rebuilds the block from its X, Y
         seen["errors"].clear()
-        resumed = train(toy_dataset, replace(cfg, max_epochs=3),
-                        resume_from=load_checkpoint(str(ckpt)))
-        assert [e.epoch for e in resumed.log] == [1, 2, 3]
+        *_, last = epochs(toy_dataset, replace(cfg, max_epochs=3), load_checkpoint(str(ckpt)))
+        assert [e.epoch for e in last.log] == [1, 2, 3]
         assert len(seen["errors"]) == forwards // 2
         assert max(seen["errors"]) <= 1e-12
 
@@ -738,7 +736,7 @@ class TestTrainLoop:
         assert not ckpt.exists()
 
     def test_divergence_names_written_checkpoint(self, toy_dataset, monkeypatch, tmp_path):
-        # after this run wrote a checkpoint, fresh or resumed
+        # after this run wrote a checkpoint
         cfg = self.small_config()
         steps = -(-len(toy_dataset.train_pairs) // cfg.batch_size)
         ckpt = str(tmp_path / "ckpt.bin")
@@ -747,22 +745,20 @@ class TestTrainLoop:
         self.nan_gradient_after(monkeypatch, steps)
         with pytest.raises(TrainingDivergedError, match=hint.format(2)):
             train(toy_dataset, cfg, checkpoint_path=ckpt)
-        self.nan_gradient_after(monkeypatch, steps)
-        with pytest.raises(TrainingDivergedError, match=hint.format(3)):
-            train(toy_dataset, cfg, checkpoint_path=ckpt, resume_from=load_checkpoint(ckpt))
 
     def test_divergence_before_a_save_names_no_checkpoint(self, toy_dataset, monkeypatch,
                                                           tmp_path):
-        # resumed from a.bin, a run that diverges in its first epoch has not
-        # written b.bin; the last good state is a.bin's, which it is not told
+        # a run that diverges in its first epoch has not saved: a file an
+        # earlier run left at checkpoint_path is not named, and keeps its bytes
         cfg = self.small_config()
-        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        train(toy_dataset, replace(cfg, max_epochs=1), checkpoint_path=str(a))
+        ckpt = tmp_path / "ckpt.bin"
+        train(toy_dataset, replace(cfg, max_epochs=1), checkpoint_path=str(ckpt))
+        earlier = ckpt.read_bytes()
         self.nan_gradient_after(monkeypatch, 0)
         with pytest.raises(TrainingDivergedError,
-                           match=r"epoch 2 \(non-finite gradient for parameter W_u\)$"):
-            train(toy_dataset, cfg, checkpoint_path=str(b), resume_from=load_checkpoint(str(a)))
-        assert not b.exists()
+                           match=r"epoch 1 \(non-finite gradient for parameter W_u\)$"):
+            train(toy_dataset, cfg, checkpoint_path=str(ckpt))
+        assert ckpt.read_bytes() == earlier
 
     def test_step_work_restricted_to_step_rows(self, toy_dataset, monkeypatch):
         # each step slices the rows of S at its step rows once (S_R, fewer
