@@ -152,11 +152,9 @@ def echo_config(settings, outdir):
 
 def build_dataset(settings):
     """Load raw files, filter, split, and mask into a Dataset."""
-    threshold = settings["min_rating"]
-    keep = None if threshold is None else lambda r: r >= threshold
     pairs, user_ids, item_ids = dataio.load_interactions(
         settings["interactions"], min_user_interactions=settings["min_user_interactions"],
-        keep=keep)
+        min_rating=settings["min_rating"])
 
     def side_table(attr_key, schema_key, ids, side):
         if settings[attr_key] is None:
@@ -268,7 +266,7 @@ def cmd_sweep(args, settings, load):
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(done_marker)
                 echo_config(point, sub)
-                _, report = _run_training(point, load, sub, quiet=True)
+                _, report = _run_training(point, load, sub, quiet=args.quiet)
                 lines = report.to_lines()
             row = {key: point[key] for key in keys} | _summary_row_from_lines(lines)
             rows.append((name, row))
@@ -419,9 +417,8 @@ def build_parser():
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        # every command takes the training seeds, so one config file serves all
         for key in DEFAULTS:
-            if func in trains or key in PREP_DEFAULTS or key.startswith("seed_"):
+            if func in trains or key in PREP_DEFAULTS:
                 p.add_argument(f"--{key.replace('_', '-')}", choices=FLAG_CHOICES.get(key))
         if func in trains:
             p.add_argument("--quiet", action="store_true")

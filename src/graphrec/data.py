@@ -76,9 +76,10 @@ def _next_field(rows, sep):
     return np.strings.strip(field), np.strings.lstrip(rest)
 
 
-def _parse_rows(path, rows, lineno, sep, keep):
+def _parse_rows(path, rows, lineno, sep, min_rating):
     """(users, items) of the stripped data lines ``rows``, numbered
-    ``lineno``, that ``keep`` passes; raises naming the first bad line."""
+    ``lineno``, rated at least ``min_rating`` or not rated; raises naming the
+    first bad line."""
     mixed = np.zeros(len(rows), dtype=bool)  # the line would detect another delimiter
     for d in _DELIMITERS[:_DELIMITERS.index(sep) + 1 if sep else None]:
         mixed |= (np.strings.find(rows, d) >= 0) != (d == sep)
@@ -90,7 +91,7 @@ def _parse_rows(path, rows, lineno, sep, keep):
     items, rest = _next_field(rest, sep)
     malformed = mixed | (users == "") | (items == "")
     unparsable, passed = False, slice(None)
-    if keep is not None:
+    if min_rating is not None:
         field, rest = _next_field(rest, sep)
         malformed |= (field == "") & (np.strings.strip(np.strings.replace(rest, sep, "")) != "")
         text, rating = np.unique(field, return_inverse=True)
@@ -101,7 +102,7 @@ def _parse_rows(path, rows, lineno, sep, keep):
             except ValueError:
                 parsed[k] = False
             else:
-                kept[k] = value is None or bool(keep(value))
+                kept[k] = value is None or value >= min_rating
         unparsable, passed = ~parsed[rating], kept[rating]
     if (malformed | unparsable).any():
         r = int(np.argmax(malformed | unparsable))
@@ -145,17 +146,16 @@ def _first_seen(codes, labels):
     return np.argsort(order)[codes], labels[seen].tolist()
 
 
-def load_interactions(path, min_user_interactions=5, keep=None):
+def load_interactions(path, min_user_interactions=5, min_rating=None):
     """Load (user, item) pairs, filter sparse users, densify ids.
 
     A leading byte-order mark, blank lines and lines starting with ``#`` are
     skipped; fields are stripped. The first data line's delimiter ("::",
     tab, comma, else runs of whitespace) holds for the whole file: a line
     that would detect another one, or has an empty user, item or rating
-    field, is an error. ``keep`` is an optional predicate on the rating
-    column (e.g. ``lambda r: r == 5``), called once per distinct rating text
-    in each ~1 MB block of lines (or each part of one that a much longer line
-    splits); rows without a rating column pass unconditionally. Repeated
+    field, is an error. Given a ``min_rating``, a row whose rating column
+    reads below it is dropped and a rating that does not parse as a number
+    is an error; rows without a rating column pass unconditionally. Repeated
     (user, item) rows are kept once, at their first occurrence. Users with
     fewer than ``min_user_interactions`` distinct items are dropped and the
     surviving ids, kept as strings, densified in first-seen order.
@@ -182,7 +182,8 @@ def load_interactions(path, min_user_interactions=5, keep=None):
                     # a tab at either end of a line delimits an empty field
                     rows = (np.strings.strip(piece[lineno], " \r\n") if sep == "\t"
                             else lines[lineno])
-                    parsed.append(_parse_rows(path, rows, lineno + offset + start + 1, sep, keep))
+                    parsed.append(_parse_rows(path, rows, lineno + offset + start + 1, sep,
+                                               min_rating))
             offset += len(block)
     user_labels, user_codes = _code_ids([users for users, _ in parsed])
     item_labels, item_codes = _code_ids([items for _, items in parsed])

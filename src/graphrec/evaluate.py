@@ -90,41 +90,39 @@ def _block_ranks(scores, rows, items, depth, rescore):
     block of score rows whose training items are already ``-inf``.
 
     ``scores`` is partitioned in place: each row's top ``depth`` scores move
-    to its last ``depth`` columns, and the row loses its item order. A target
-    scoring below the ``depth``-th largest has at least ``depth`` items ahead
-    of it; it is given rank ``depth + 1`` without counting. A target above it
-    has every item that scores at least as high among the top scores, so its
-    rank is one plus the top scores above its own; a target equal to it
-    ranks one plus the scores above its own in its partitioned row. Both
-    hold when no other item shares the target's score. The rest need the item order of
-    a tie: a target whose score another item of its row shares, and every
-    target when ``depth`` reaches the row width. They are counted against
-    their whole row in item order, ``_BLOCK_USERS`` targets at a time. A
-    partitioned block is first got back from ``rescore()``, which returns
-    the block as it was given; it is called at most once.
+    to its last ``depth`` columns, and the row loses its item order. When
+    ``depth`` reaches the row width, the top scores are the whole row. A
+    target scoring below the ``depth``-th largest has at least ``depth``
+    items ahead of it; it is given rank ``depth + 1`` without counting. A
+    target above it has every item that scores at least as high among the
+    top scores, so its rank is one plus the top scores above its own; a
+    target equal to it ranks one plus the scores above its own in its
+    partitioned row. Both hold when no other item shares the target's score.
+    A target whose score another item of its row shares needs the item order
+    of the tie: it is counted against its whole row in item order,
+    ``_BLOCK_USERS`` targets at a time, after the block is got back from
+    ``rescore()``, which returns the block as it was given; it is called at
+    most once.
     """
     N = scores.shape[1]
     target_scores = scores[rows, items]
     ranks = np.full(len(rows), depth + 1, dtype=np.int64)
-    if depth < N:
-        scores.partition(N - depth, axis=1)
-        top = scores[:, N - depth:]
-        kth = top[rows, 0]
-        inside = np.flatnonzero(target_scores > kth)
-        top_of, score = top[rows[inside]], target_scores[inside, None]
-        ranks[inside] = 1 + (top_of > score).sum(axis=1)
-        tied = [inside[(top_of == score).sum(axis=1) > 1]]
-        at_kth = np.flatnonzero(target_scores == kth)
-        for lo in range(0, len(at_kth), _BLOCK_USERS):
-            c = at_kth[lo:lo + _BLOCK_USERS]
-            row_of, score = scores[rows[c]], target_scores[c, None]
-            ranks[c] = 1 + (row_of > score).sum(axis=1)
-            tied.append(c[(row_of == score).sum(axis=1) > 1])
-        whole = np.concatenate(tied)
-        if len(whole):
-            scores = rescore()
-    else:
-        whole = np.arange(len(rows))
+    scores.partition(max(N - depth, 0), axis=1)
+    top = scores[:, max(N - depth, 0):]
+    kth = top[rows, 0]
+    inside = np.flatnonzero(target_scores > kth)
+    top_of, score = top[rows[inside]], target_scores[inside, None]
+    ranks[inside] = 1 + (top_of > score).sum(axis=1)
+    tied = [inside[(top_of == score).sum(axis=1) > 1]]
+    at_kth = np.flatnonzero(target_scores == kth)
+    for lo in range(0, len(at_kth), _BLOCK_USERS):
+        c = at_kth[lo:lo + _BLOCK_USERS]
+        row_of, score = scores[rows[c]], target_scores[c, None]
+        ranks[c] = 1 + (row_of > score).sum(axis=1)
+        tied.append(c[(row_of == score).sum(axis=1) > 1])
+    whole = np.concatenate(tied)
+    if len(whole):
+        scores = rescore()
     for lo in range(0, len(whole), _BLOCK_USERS):
         c = whole[lo:lo + _BLOCK_USERS]
         ranks[c] = 1 + _ahead(scores[rows[c]], np.arange(N), target_scores[c, None],
@@ -293,45 +291,32 @@ def majority_class_accuracy(table, field_name):
 # Sparsity groups
 # ---------------------------------------------------------------------------
 
-def default_bins(dataset):
-    """Half-open interaction-count ranges with roughly equal user counts, at
-    most ``SPARSITY_GROUPS`` of them."""
-    counts = dataset.graph_train.user_degrees()
-    qs = np.quantile(counts, np.linspace(0, 1, SPARSITY_GROUPS + 1))
-    edges = sorted(set(int(np.floor(q)) for q in qs))
-    bins = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    if bins:
-        bins[-1] = (bins[-1][0], int(counts.max()) + 1)
-    else:
-        bins = [(int(counts.min()), int(counts.max()) + 1)]
-    return bins
-
-
-def sparsity_groups(dataset, ranking, bins):
+def sparsity_groups(dataset, ranking):
     """Mean NDCG@10 of the users of ``ranking`` (:func:`rank_and_score`)
     grouped by training-interaction count.
 
-    ``bins`` are disjoint half-open [lo, hi) ranges that must cover every
-    ranked user. Empty groups get count 0 and a None metric. Raises
-    ValueError when 10 is not a cut-off of ``ranking``, or a ranked user
-    falls in no bin.
+    The groups are half-open [lo, hi) ranges of training degree with roughly
+    equal user counts, at most ``SPARSITY_GROUPS`` of them: their edges are
+    the floored quantiles of every user's degree, from the lowest degree to
+    one past the highest, so every ranked user falls in one. Empty groups get
+    count 0 and a None metric. Raises ValueError when 10 is not a cut-off of
+    ``ranking``.
     """
     if 10 not in ranking.user_ndcg:
         raise ValueError(f"the ranking has no NDCG@10, only N in {list(ranking.user_ndcg)}")
-    users, ndcg10 = ranking.users, ranking.user_ndcg[10]
-    degrees = dataset.graph_train.user_degrees()[users]
+    counts = dataset.graph_train.user_degrees()
+    low, high = int(counts.min()), int(counts.max())
+    qs = np.quantile(counts, np.linspace(0, 1, SPARSITY_GROUPS + 1))
+    # the highest degree is no edge: the last range ends one past it; the
+    # lowest always is, also when every degree is equal
+    edges = sorted({low} | {int(np.floor(q)) for q in qs} - {high}) + [high + 1]
+    degrees, ndcg10 = counts[ranking.users], ranking.user_ndcg[10]
     groups = []
-    assigned = np.zeros(len(degrees), dtype=bool)
-    for lo, hi in bins:
+    for lo, hi in zip(edges, edges[1:]):
         members = (lo <= degrees) & (degrees < hi)
-        assigned |= members
         count = int(members.sum())
         value = float(np.mean(ndcg10[members])) if count else None
         groups.append({"range": (lo, hi), "count": count, "ndcg10": value})
-    if not assigned.all():
-        r = int(np.argmin(assigned))
-        raise ValueError(f"bins do not cover user {users[r]} with {degrees[r]} "
-                         "training interactions")
     return groups
 
 
@@ -346,7 +331,6 @@ class EvalReport:
     per_field: dict = field(default_factory=dict)
     groups: list = field(default_factory=list)
     skipped_users: int = 0
-    notes: list = field(default_factory=list)
 
     def to_lines(self):
         # HR@N has one form, the user mean; the line keeps every report's bytes
@@ -363,8 +347,9 @@ class EvalReport:
             val = "absent" if g["ndcg10"] is None else f"{g['ndcg10']:.6f}"
             lines.append(f"group.[{lo},{hi}).count={g['count']}")
             lines.append(f"group.[{lo},{hi}).ndcg10={val}")
-        for note in self.notes:
-            lines.append(f"note={note}")
+        # the scope of the attribute metrics; the line keeps every report's bytes
+        lines.append("note=attribute metrics evaluated on all masked entities, including "
+                     "any without training interactions")
         return lines
 
     def to_table(self):
@@ -400,11 +385,9 @@ def evaluate_model(params, X, Y, dataset, target="test"):
         if len(table.masked):
             predicted = infer_attributes(trace, params, table)
             per_field.update(attribute_metrics(predicted, table))
-    groups = sparsity_groups(dataset, ranking, default_bins(dataset)) if target == "test" else []
-    notes = ["attribute metrics evaluated on all masked entities, including "
-             "any without training interactions"]
+    groups = sparsity_groups(dataset, ranking) if target == "test" else []
     return EvalReport(hr=ranking.hr, ndcg=ranking.ndcg, per_field=per_field, groups=groups,
-                      skipped_users=ranking.skipped, notes=notes)
+                      skipped_users=ranking.skipped)
 
 
 # ---------------------------------------------------------------------------

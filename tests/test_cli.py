@@ -465,6 +465,22 @@ class TestSweep:
         for sub in ("K0_gamma0.2", "K1_gamma0.2"):
             assert not (out / sub / "report_test.txt").exists()
 
+    def test_quiet_as_in_train(self, toy_files, tmp_path, capsys):
+        # without --quiet each point prints the epoch lines of its train_log.txt
+        grid = ["--grid", "K=0,1"]
+        loud = [flag for flag in train_flags() if flag != "--quiet"]
+        assert main(["sweep", "--out", str(tmp_path / "loud")] + data_flags(toy_files)
+                    + loud + grid) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("epoch=")]
+        logged = [line for point in ("K0", "K1")
+                  for line in (tmp_path / "loud" / point / "train_log.txt").read_text()
+                  .splitlines()]
+        assert len(logged) == 4 and printed == logged
+        assert main(["sweep", "--out", str(tmp_path / "quiet")] + data_flags(toy_files)
+                    + train_flags() + grid) == 0
+        assert "epoch=" not in capsys.readouterr().out
+
     def test_failed_point_does_not_abort(self, toy_files, tmp_path, capsys, monkeypatch):
         # stderr as it stood at each dataset build
         builds, real = [], cli.build_dataset
@@ -588,14 +604,14 @@ class TestOneSidedBundle:
 
 # Every subcommand's option strings and choices, as the hand-written parser
 # declared them before the flags were generated from the two declarations,
-# less the retired --norm-mode and --hr-mode.
+# less the retired --norm-mode and --hr-mode, and with the training seeds
+# only on the commands that train.
 COMMON_FLAGS = ["--config", "--out", "--dataset", "--interactions", "--user-attrs",
                 "--user-schema", "--item-attrs", "--item-schema", "--min-user-interactions",
-                "--min-rating", "--ratios", "--alpha",
-                "--seed-init", "--seed-sampling", "--seed-masking", "--seed-split"]
+                "--min-rating", "--ratios", "--alpha", "--seed-masking", "--seed-split"]
 TRAIN_FLAGS = ["--d", "--d-a", "--K", "--lam", "--gamma", "--learning-rate", "--batch-size",
                "--attr-update-cadence", "--early-stop-patience", "--max-epochs",
-               "--init-std", "--quiet"]
+               "--init-std", "--seed-init", "--seed-sampling", "--quiet"]
 SURFACE = {
     "prepare-data": COMMON_FLAGS,
     "train": COMMON_FLAGS + TRAIN_FLAGS,
@@ -632,6 +648,26 @@ class TestSurface:
                 flag = a.option_strings[0]
                 assert (list(a.choices) if a.choices else None) == CHOICES.get(flag), flag
                 assert a.required == (flag in REQUIRED), flag
+
+    def test_seed_flags_only_where_a_model_trains(self, toy_files, tmp_path, capsys):
+        # the four commands that train nothing refuse the training seeds at
+        # argparse, and still read a train run's echoed config.txt, which
+        # holds them
+        checkpoint = ["--checkpoint", str(tmp_path / "none.bin")]
+        for command, extra in (("prepare-data", []), ("evaluate", checkpoint),
+                               ("infer-attributes", checkpoint), ("lp-baseline", [])):
+            for flag in ("--seed-init", "--seed-sampling"):
+                with pytest.raises(SystemExit) as stop:
+                    main([command, "--out", str(tmp_path / command), flag, "1"] + extra)
+                assert stop.value.code == 2, (command, flag)
+                assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        run = tmp_path / "run"
+        assert run_train(toy_files, run) == 0
+        assert {"seed_init", "seed_sampling"} <= set(read_config_file(run / "config.txt"))
+        assert main(["evaluate", "--out", str(tmp_path / "ev"), "--config",
+                     str(run / "config.txt"), "--checkpoint", str(run / "checkpoint.bin")]) == 0
+        assert (tmp_path / "ev" / "report_test.txt").read_bytes() == \
+            (run / "report_test.txt").read_bytes()
 
     def test_flags_echo_typed_values(self, tmp_path):
         args = build_parser().parse_args(

@@ -92,11 +92,10 @@ class TestLoadInteractions:
         pairs, users, items = load_interactions(p, min_user_interactions=1)
         assert len(pairs) == 2
 
-    def test_keep_predicate(self, tmp_path):
+    def test_min_rating_threshold(self, tmp_path):
         p = tmp_path / "ratings.dat"
         write_lines(p, ["1::10::5", "1::11::3", "1::12::5"])
-        pairs, _, items = load_interactions(p, min_user_interactions=1,
-                                            keep=lambda r: r == 5)
+        pairs, _, items = load_interactions(p, min_user_interactions=1, min_rating=5)
         assert len(pairs) == 2
         assert items == ["10", "12"]
 
@@ -127,13 +126,33 @@ class TestLoadInteractions:
         assert items == ["item#1", "i2", "1"]
         assert pairs.tolist() == [[0, 0], [1, 1], [2, 2], [3, 2], [1, 0]]
 
+    @pytest.mark.parametrize("sep", ["\t", ",", "::", " "])
+    def test_min_rating_is_the_file_without_rows_rated_below(self, tmp_path, sep):
+        # a messy file with ratings on both sides of 4, as text: loaded at
+        # min_rating=4 it gives the pairs and ids of the file without the
+        # rows rated below 4, loaded without a threshold; unrated rows pass
+        lines = [("# user\titem,rating::time", True), ("", True),
+                 (f"  u1 {sep} item#1 {sep} 3.5 ", False), (f"u2{sep}i2{sep}4.0", True),
+                 ("   ", True), (f"u1 {sep}item#1{sep}4", True), (f"01{sep}1", True),
+                 (f"1{sep}1{sep}3.99", False), (f"u2{sep}item#1", True),
+                 (f"u2{sep}i3{sep}1", False), (f"1{sep}i3{sep}5", True),
+                 (f"01{sep}i2{sep}2", False)]
+        full, rated = tmp_path / "full.txt", tmp_path / "rated.txt"
+        full.write_bytes("\r\n".join(line for line, _ in lines).encode() + b"\r\n")
+        rated.write_bytes("\r\n".join(line for line, kept in lines if kept).encode() + b"\r\n")
+        for least in (1, 2):  # a row rated below 4 counts for no user
+            pairs, users, items = load_interactions(full, least, min_rating=4)
+            want = load_interactions(rated, least)
+            assert (users, items) == want[1:] and np.array_equal(pairs, want[0])
+        assert (users, items) == (["u2"], ["i2", "item#1"])
+        assert pairs.tolist() == [[0, 0], [0, 1]]
+
     def test_keep_counts_the_first_kept_row(self, tmp_path):
         # a row without a rating passes; a pair's rows count from the first
-        # that keep passes
+        # rated at least min_rating
         p = tmp_path / "r.csv"
         write_lines(p, ["A,X,1", "A,Y,4", "A,Z", "A,X,5", "B,Y,2"])
-        pairs, users, items = load_interactions(p, min_user_interactions=1,
-                                                keep=lambda r: r >= 4)
+        pairs, users, items = load_interactions(p, min_user_interactions=1, min_rating=4)
         assert (users, items) == (["A"], ["Y", "Z", "X"])
         assert pairs.tolist() == [[0, 0], [0, 1], [0, 2]]
 
@@ -144,7 +163,7 @@ class TestLoadInteractions:
         assert (users, items) == (["keep"], ["Y", "X"])
         assert pairs.tolist() == [[0, 0], [0, 1]]
 
-    @pytest.mark.parametrize("lines, keep, match", [
+    @pytest.mark.parametrize("lines, rated, match", [
         (["# c", "", "A\ti0\t5", "A\ti1\tfive"], True, ":4: unparsable rating 'five'"),
         (["# c", "", "A\ti0", "justonefield"], False, ":4: expected user_id, item_id"),
         (["A,i0", "B\ti1,5"], False, ":2: .*split at ',' as on the first"),  # tab outranks ,
@@ -152,15 +171,15 @@ class TestLoadInteractions:
         (["A,i0,5", "A,i1,,5"], True, ":2: .*none empty"),
         (["A,i0", "A,i1\x00"], False, ":2: NUL"),
         (["A\ti0\t5", "\ti1\t5"], False, ":2: .*none empty"),  # not user i1, item 5
-        # nothing is left: no data line, or no rating that keep passes
+        # nothing is left: no data line, or no rating at least min_rating
         (["# c", "", "  # none yet", "   "], False, r"bad\.txt: no interactions after filtering$"),
         (["A\ti0\t0", "B\ti1\t-1"], True, r"bad\.txt: no interactions after filtering$"),
     ])
-    def test_bad_line_named(self, tmp_path, lines, keep, match):
+    def test_bad_line_named(self, tmp_path, lines, rated, match):
         p = tmp_path / "bad.txt"
         write_lines(p, lines)
         with pytest.raises(ValueError, match=match):
-            load_interactions(p, min_user_interactions=1, keep=(lambda r: r > 0) if keep else None)
+            load_interactions(p, min_user_interactions=1, min_rating=1 if rated else None)
 
     def test_leading_byte_order_mark_dropped(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -173,7 +192,7 @@ class TestLoadInteractions:
     def test_trailing_empty_fields_are_no_rating(self, tmp_path):
         p = tmp_path / "r.csv"
         write_lines(p, ["A,X,,", "A,Y,1,"])
-        pairs, _, items = load_interactions(p, min_user_interactions=1, keep=lambda r: r > 2)
+        pairs, _, items = load_interactions(p, min_user_interactions=1, min_rating=3)
         assert items == ["X"]
 
     @staticmethod

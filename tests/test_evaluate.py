@@ -13,8 +13,8 @@ import graphrec.evaluate as evaluate
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode, init_missing, mask
 from graphrec.data import Dataset
-from graphrec.evaluate import (DEFAULT_TOPN, EvalReport, attribute_metrics,
-                               default_bins, evaluate_model, label_propagation,
+from graphrec.evaluate import (DEFAULT_TOPN, SPARSITY_GROUPS, EvalReport, Ranking,
+                               attribute_metrics, evaluate_model, label_propagation,
                                label_propagation_metrics, majority_class_accuracy,
                                rank_and_score, sparsity_groups)
 from graphrec.model import ForwardTrace, forward, init_params
@@ -356,7 +356,8 @@ class TestTopDepthRanks:
     def test_whole_row_counts_only_for_ties(self, monkeypatch, integer_scores):
         # a target is counted against its whole row only when counts cannot
         # order it: another item of its row shares its score, and it scores
-        # at least the depth-th score; or when depth reaches the row width
+        # at least the depth-th score, which is the row's least when depth
+        # reaches the row width
         calls = []
         real = evaluate._ahead
 
@@ -387,9 +388,16 @@ class TestTopDepthRanks:
         assert sum(n for n, _ in calls) == need
 
         calls.clear()
-        rank_and_score(trace, ds, [1, self.N])
+        tied = sum(int((block[a] == s).sum() > 1)
+                   for a, items in targets.items() for s in scores[a, items])
+        assert tied > 0 or not integer_scores
+        ranking = rank_and_score(trace, ds, [1, self.N])
         assert all(width == self.N for _, width in calls)
-        assert sum(n for n, _ in calls) == sum(len(t) for t in targets.values())
+        assert sum(n for n, _ in calls) == tied
+        # every target is a hit at N, so NDCG@N reads each of its exact ranks
+        for a in range(self.M):
+            want = naive_user_metrics(scores[a], trained[a], targets[a], self.N)[1]
+            assert abs(ranking.user_ndcg[self.N][a] - want) <= 1e-12
 
     def test_rescore_only_for_a_true_tie(self):
         # a target equal to the depth-th score is ranked from counts on the
@@ -603,6 +611,24 @@ class TestAttributeMetrics:
             majority_class_accuracy(t, "f")
 
 
+def quantile_groups(degrees, ranked, ndcg10):
+    """Sparsity groups by the quantile rule, user by user: range edges at the
+    floored 0, 1/5, ..., 1 quantiles of every user's training degree, the
+    last range ending one past the highest degree (a single edge d gives the
+    one range [d, d + 1)); each holds the ``ranked`` users, with NDCG@10
+    ``ndcg10``, whose degree lies in it."""
+    qs = np.quantile(degrees, np.linspace(0, 1, SPARSITY_GROUPS + 1))
+    edges = sorted(set(int(np.floor(q)) for q in qs))
+    ranges = list(zip(edges, edges[1:])) or [(edges[0], edges[0] + 1)]
+    ranges[-1] = (ranges[-1][0], max(degrees) + 1)
+    groups = []
+    for lo, hi in ranges:
+        values = [ndcg10[r] for r, a in enumerate(ranked) if lo <= degrees[a] < hi]
+        groups.append({"range": (lo, hi), "count": len(values),
+                       "ndcg10": sum(values) / len(values) if values else None})
+    return groups
+
+
 class TestSparsityGroups:
     def trace_for(self, ds, seed=0):
         rng = np.random.default_rng(seed)
@@ -612,48 +638,80 @@ class TestSparsityGroups:
     def ranking_for(self, ds, n_list=(10,)):
         return rank_and_score(self.trace_for(ds), ds, n_list)
 
-    def test_single_bin_equals_global(self, toy_dataset):
-        ranking = self.ranking_for(toy_dataset)
-        groups = sparsity_groups(toy_dataset, ranking, [(0, 10**9)])
-        assert len(groups) == 1
+    @staticmethod
+    def degree_dataset(degrees, untested=(), num_items=12):
+        """User a trains on ``degrees[a]`` items and holds out one test item,
+        except the ``untested`` users, which hold out none."""
+        pairs = np.array([(a, (a + k) % num_items) for a, d in enumerate(degrees)
+                          for k in range(d)], dtype=np.int64)
+        test = {a: np.array([(a + d) % num_items]) for a, d in enumerate(degrees)
+                if a not in untested}
+        M = len(degrees)
+        return Dataset(graph_train=build_graph(pairs, M, num_items), train_pairs=pairs,
+                       val_items={}, test_items=test, user_attrs=None, item_attrs=None,
+                       user_ids=[f"u{a}" for a in range(M)], item_ids=[])
+
+    LEVELS = [2] * 5 + [3] * 5 + [6] * 5  # quantile edges 2 and 3: ranges [2, 3), [3, 7)
+
+    def test_single_bin_equals_global(self):
+        ds = self.degree_dataset([4] * 8)
+        ranking = self.ranking_for(ds)
+        groups = sparsity_groups(ds, ranking)
+        assert [(g["range"], g["count"]) for g in groups] == [((4, 5), 8)]
         assert groups[0]["ndcg10"] == pytest.approx(ranking.ndcg[10], abs=1e-12)
 
-    def test_half_open_intervals(self, toy_dataset):
-        groups = sparsity_groups(toy_dataset, self.ranking_for(toy_dataset),
-                                 [(0, 9), (9, 10**9)])
-        M = toy_dataset.num_users
-        counts = (toy_dataset.graph_train.S[:M, M:].toarray() != 0).sum(axis=1)
-        users = [a for a in toy_dataset.test_items if counts[a] < toy_dataset.num_items]
-        expect_low = sum(1 for a in users if counts[a] < 9)
-        assert groups[0]["count"] == expect_low
+    def test_half_open_intervals(self):
+        # the users of degree 3 fall in [3, 7), the range that starts there
+        ds = self.degree_dataset(self.LEVELS)
+        groups = sparsity_groups(ds, self.ranking_for(ds))
+        assert [g["range"] for g in groups] == [(2, 3), (3, 7)]
+        M = ds.num_users
+        counts = (ds.graph_train.S[:M, M:].toarray() != 0).sum(axis=1)
+        users = [a for a in ds.test_items if counts[a] < ds.num_items]
+        expect_low = sum(1 for a in users if counts[a] < 3)
+        assert groups[0]["count"] == expect_low == 5
         assert groups[0]["count"] + groups[1]["count"] == len(users)
 
     def test_weighted_mean_identity(self, toy_dataset):
         ranking = self.ranking_for(toy_dataset)
-        groups = sparsity_groups(toy_dataset, ranking, default_bins(toy_dataset))
+        groups = sparsity_groups(toy_dataset, ranking)
         total = sum(g["count"] for g in groups)
         weighted = sum(g["count"] * g["ndcg10"] for g in groups if g["count"])
         assert weighted / total == pytest.approx(ranking.ndcg[10], abs=1e-12)
 
-    def test_empty_group_absent(self, toy_dataset):
-        groups = sparsity_groups(toy_dataset, self.ranking_for(toy_dataset),
-                                 [(0, 1), (1, 10**9)])
+    def test_empty_group_absent(self):
+        # the degrees set the ranges; no user of degree 2 is ranked
+        ds = self.degree_dataset(self.LEVELS, untested=range(5))
+        groups = sparsity_groups(ds, self.ranking_for(ds))
+        assert groups[0]["range"] == (2, 3)
         assert groups[0]["count"] == 0
         assert groups[0]["ndcg10"] is None
 
-    def test_uncovered_user_errors(self, toy_dataset):
-        with pytest.raises(ValueError, match="bins do not cover"):
-            sparsity_groups(toy_dataset, self.ranking_for(toy_dataset), [(0, 3)])
+    @pytest.mark.parametrize("degrees, untested", [
+        (np.random.default_rng(3).integers(1, 12, size=40).tolist(), ()),
+        (np.random.default_rng(4).integers(1, 12, size=40).tolist(), range(0, 40, 3)),
+        (LEVELS, range(5)),   # an empty group
+        ([4] * 8, ()),        # every degree equal
+    ])
+    def test_matches_brute_force_quantile_rule(self, degrees, untested):
+        ds = self.degree_dataset(degrees, untested)
+        ranking = self.ranking_for(ds)
+        got = sparsity_groups(ds, ranking)
+        want = quantile_groups(degrees, ranking.users.tolist(), ranking.user_ndcg[10])
+        assert [(g["range"], g["count"]) for g in got] == [
+            (g["range"], g["count"]) for g in want]
+        for g, w in zip(got, want):
+            assert (g["ndcg10"] is None) == (w["ndcg10"] is None)
+            assert g["ndcg10"] == pytest.approx(w["ndcg10"], abs=1e-12)
+        assert sum(g["count"] for g in got) == len(ranking.users)
 
     def test_groups_read_ndcg10_among_other_cutoffs(self, toy_dataset):
         # the NDCG@10 of a ranking at several cut-offs, the one at 10 alone,
         # or none when 10 is not among them
-        bins = default_bins(toy_dataset)
-        want = sparsity_groups(toy_dataset, self.ranking_for(toy_dataset), bins)
-        assert sparsity_groups(toy_dataset, self.ranking_for(toy_dataset, [5, 10, 20]),
-                               bins) == want
+        want = sparsity_groups(toy_dataset, self.ranking_for(toy_dataset))
+        assert sparsity_groups(toy_dataset, self.ranking_for(toy_dataset, [5, 10, 20])) == want
         with pytest.raises(ValueError, match=r"no NDCG@10, only N in \[5, 20\]$"):
-            sparsity_groups(toy_dataset, self.ranking_for(toy_dataset, [5, 20]), bins)
+            sparsity_groups(toy_dataset, self.ranking_for(toy_dataset, [5, 20]))
 
     def test_equal_counts_give_one_bin(self):
         # every quantile is the one count, so there is no edge pair to bin
@@ -661,7 +719,8 @@ class TestSparsityGroups:
         ds = Dataset(graph_train=build_graph(pairs, 4, 5), train_pairs=pairs,
                      val_items={}, test_items={}, user_attrs=None, item_attrs=None,
                      user_ids=[f"u{a}" for a in range(4)], item_ids=[])
-        assert default_bins(ds) == [(3, 4)]
+        ranking = Ranking({10: 0.5}, {10: 0.5}, np.arange(4), {10: np.full(4, 0.5)}, 0)
+        assert sparsity_groups(ds, ranking) == [{"range": (3, 4), "count": 4, "ndcg10": 0.5}]
 
 
 class TestLabelPropagation:
@@ -861,6 +920,8 @@ class TestBaselineAndReport:
         assert "hr.10=0.250000" in lines
         assert "ndcg.10=0.125000" in lines
         assert "attr.f.acc=absent" in lines
+        assert lines[-1] == ("note=attribute metrics evaluated on all masked entities, "
+                             "including any without training interactions")
         rep.write(str(tmp_path / "report"))
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "report.tsv").exists()
@@ -884,7 +945,7 @@ class TestBaselineAndReport:
         assert sorted(rep.hr) == sorted(rep.ndcg) == list(DEFAULT_TOPN)
         assert rep.hr == ranking.hr and rep.ndcg == ranking.ndcg
         assert rep.skipped_users == ranking.skipped
-        assert rep.groups == sparsity_groups(ds, ranking, default_bins(ds))
+        assert rep.groups == sparsity_groups(ds, ranking)
         # the ranking is the one of the model's forward at DEFAULT_TOPN
         trace = forward(params, ds.graph_train, X, Y)
         assert real(trace, ds, DEFAULT_TOPN)[:2] == ranking[:2]

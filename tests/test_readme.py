@@ -116,6 +116,63 @@ def call_keywords(text):
             yield from ((name, kw, kw in params) for kw in KEYWORD.findall(args))
 
 
+def split_arguments(args):
+    """The arguments of a call form's text, split at its top-level commas."""
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(args):
+        depth += (char in "([{") - (char in ")]}")
+        if char == "," and depth == 0:
+            parts.append(args[start:i])
+            start = i + 1
+    return [part.strip() for part in parts + [args[start:]] if part.strip()]
+
+
+def call_forms_bound(text):
+    """(call, arguments, whether they bind to its signature) for each
+    backticked call form in ``text`` that names a graphrec function or class
+    and elides nothing with ``...``. Each argument is bound as written: a
+    keyword by name, any other by position."""
+    for name, args in CALL.findall(text):
+        obj = named_callable(name)
+        if obj is None or "..." in args:
+            continue
+        positional, keywords = [], {}
+        for arg in split_arguments(args):
+            keyword = re.match(r"(\w+)=(?!=)", arg)
+            if keyword:
+                keywords[keyword.group(1)] = arg
+            else:
+                positional.append(arg)
+        try:
+            inspect.signature(obj).bind_partial(*positional, **keywords)
+            bound = True
+        except TypeError:
+            bound = False
+        yield name, args, bound
+
+
+def test_readme_call_forms_bind():
+    # `sparsity_groups(dataset, ranking)` must fit sparsity_groups()
+    found = list(call_forms_bound(README.read_text()))
+    assert len(found) >= 10
+    assert [(name, args) for name, args, bound in found if not bound] == []
+
+
+def test_call_forms_flag_a_stale_form():
+    # a positional argument too many is flagged by binding, an elided form
+    # by its keywords only
+    text = ("`sparsity_groups(dataset, ranking, default_bins(dataset))`, "
+            "`load_interactions(path, keep=...)`, `sparsity_groups(dataset, ranking)`, "
+            "`load_interactions(path, min_rating=4)`, `rank_and_score(trace, f(a, b), [10])`")
+    assert list(call_forms_bound(text)) == [
+        ("sparsity_groups", "dataset, ranking, default_bins(dataset)", False),
+        ("sparsity_groups", "dataset, ranking", True),
+        ("load_interactions", "path, min_rating=4", True),
+        ("rank_and_score", "trace, f(a, b), [10]", True)]
+    assert [(name, kw) for name, kw, known in call_keywords(text) if not known] == [
+        ("load_interactions", "keep")]
+
+
 def test_readme_call_keywords_exist():
     # `train(..., checkpoint_path=path)` must name a parameter of train()
     found = list(call_keywords(README.read_text()))
