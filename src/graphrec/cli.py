@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data as dataio
 from .attributes import check_alpha, check_seed, load_attributes, load_schema, mask, read_lines
-from .data import check_ratios, load_checkpoint, load_dataset, save_dataset, split
+from .data import check_min_rating, check_ratios, load_checkpoint, load_dataset, save_dataset, split
 from .evaluate import evaluate_model, label_propagation_metrics
 from .model import forward, infer_attributes
 from .train import CADENCES, TrainConfig, check_checkpoint, train
@@ -122,9 +122,7 @@ def resolve_settings(args):
         raw = getattr(args, key, None)
         if raw is not None:
             settings[key] = parse_setting(key, raw)
-    threshold = settings["min_rating"]
-    if threshold is not None and np.isnan(threshold):  # it would drop every rating
-        raise ValueError(f"min_rating must be a number, got {threshold!r}")
+    check_min_rating(settings["min_rating"])
     check_ratios(settings["ratios"])
     check_alpha(settings["alpha"])
     check_seed("seed_masking", settings["seed_masking"])

@@ -155,7 +155,8 @@ def load_interactions(path, min_user_interactions=5, min_rating=None):
     that would detect another one, or has an empty user, item or rating
     field, is an error. Given a ``min_rating``, a row whose rating column
     reads below it is dropped and a rating that does not parse as a number
-    is an error; rows without a rating column pass unconditionally. Repeated
+    is an error; rows without a rating column pass unconditionally. A NaN
+    ``min_rating`` is refused (:func:`check_min_rating`). Repeated
     (user, item) rows are kept once, at their first occurrence. Users with
     fewer than ``min_user_interactions`` distinct items are dropped and the
     surviving ids, kept as strings, densified in first-seen order.
@@ -163,6 +164,7 @@ def load_interactions(path, min_user_interactions=5, min_rating=None):
     Returns (pairs, user_ids, item_ids) where pairs is an (E, 2) int array of
     dense indices.
     """
+    check_min_rating(min_rating)
     parsed, sep, offset = [], None, 0
     with open(path) as fh:
         for block in iter(lambda: fh.readlines(1 << 20), []):  # no array holds the file
@@ -218,6 +220,13 @@ def _dataset(train, val, test, num_users, num_items, user_attrs, item_attrs, use
         user_attrs=user_attrs, item_attrs=item_attrs,
         user_ids=list(user_ids) if user_ids is not None else [str(u) for u in range(num_users)],
         item_ids=list(item_ids) if item_ids is not None else [str(i) for i in range(num_items)])
+
+
+def check_min_rating(min_rating):
+    """Refuse a NaN rating threshold: no rating reads at least NaN, so it
+    would drop every rated row."""
+    if min_rating is not None and math.isnan(min_rating):
+        raise ValueError(f"min_rating must be a number, got {min_rating!r}")
 
 
 def check_ratios(ratios):

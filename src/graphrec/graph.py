@@ -5,10 +5,13 @@ immutable afterwards. The propagation operator ``S`` is the (M+N) x (M+N)
 sparse matrix ``D^-1/2 A D^-1/2``, the symmetric normalisation of the
 adjacency ``A`` (as in LR-GCCF), whose only nonzero blocks are user->item
 and item->user; one propagation step computes ``H + S @ H`` (self term plus
-normalized neighbor aggregation). A step can also be restricted to some
-nodes (:class:`NodeRows`): forward, to produce only their rows; transposed,
-from a gradient that is zero off them. Both read only the rows of ``S`` at
-those nodes.
+normalized neighbor aggregation). Every product with ``S`` runs here: K
+steps forward (:func:`propagate`), K transposed steps backward
+(:func:`propagate_back`), and the propagated attribute block
+(:func:`attribute_block`). A step can also be restricted to some nodes
+(:class:`NodeRows`): forward, to produce only their rows; transposed, from
+a gradient that is zero off them. Both read only the rows of ``S`` at those
+nodes.
 
 The graph is bipartite, so a user row of ``S`` holds only item columns and
 an item row only user columns: the graph also keeps the two off-diagonal
@@ -102,6 +105,35 @@ class BipartiteGraph:
                 f"edges={self.S.indptr[self.num_users]})")
 
 
+def attribute_block(graph, X, Y, K):
+    """``A^K [[X, 0], [0, Y]]``, one (M+N) x (d_x+d_y) block: the attribute
+    inputs propagated K times. It depends on X and Y only, so it stays valid
+    until the next attribute write-back.
+
+    The graph is bipartite, so each side's columns propagate as a chain of
+    contiguous arrays through the two off-diagonal blocks of S
+    (``graph.blocks``), and the block is assembled once from the two chains.
+    Call ``near`` the rows of the side that owns the columns (the users for
+    X) and ``far`` the other side's. Hop 1 computes only ``far = S_fn near``:
+    S has no near-to-near entries. Hop 2 computes only ``near + S_nf far``;
+    far's product would be ``S_fn near`` again, so far becomes ``far + far``.
+    Later hops compute both sides. Each product adds the terms of the
+    matching rows of ``S @ B`` in their order, so the block equals K full
+    propagation steps on the stacked block bit for bit, and at K = 2 it
+    takes half their sparse work.
+    """
+    X, Y = np.asarray(X), np.asarray(Y)
+    to_users, to_items = graph.blocks
+    chains = []
+    for near, to_near, to_far in ((X, to_users, to_items), (Y, to_items, to_users)):
+        far = to_far @ near if K else np.zeros((to_far.shape[0], near.shape[1]))
+        for k in range(2, K + 1):
+            near, far = near + to_near @ far, far + (far if k == 2 else to_far @ near)
+        chains.append((near, far))
+    (user_x, item_x), (item_y, user_y) = chains
+    return np.block([[user_x, user_y], [item_x, item_y]])
+
+
 def check_pairs(pairs, num_users, num_items):
     """(user, item) ``pairs`` as an (E, 2) int64 array; raises naming the first
     pair that is not two integers in range for ``num_users``, ``num_items``."""
@@ -167,26 +199,26 @@ class NodeRows:
         return self.graph.S[self.ids]
 
 
-def propagate(graph, H, rows=None):
-    """One propagation step: ``H + S @ H``.
+def propagate(graph, H, K=1, rows=None):
+    """``A^K H`` with ``A = I + S``: K steps of ``H + S @ H``.
 
     ``H`` must have M+N rows. Degree-zero nodes pass their row through
-    unchanged. The output is freshly allocated. With ``rows`` (a
-    :class:`NodeRows`) only the rows at ``rows.ids`` are computed, in that
-    order, from the slice ``rows.S``: ``H[R] + S[R] @ H``.
+    unchanged. Each step allocates its output; at K = 0 ``H`` is returned.
+    With ``rows`` (a :class:`NodeRows`) only the rows at ``rows.ids`` are
+    computed, in that order: the first K - 1 steps cover every node and the
+    last one reads only the slice ``rows.S``, ``H[R] + S[R] @ H``.
     """
     H = np.asarray(H)
     if H.shape[0] != graph.num_nodes:
-        raise ValueError(
-            f"H has {H.shape[0]} rows, expected M+N={graph.num_nodes}"
-        )
-    if rows is None:
-        out = graph.S @ H
-        out += H
-        return out
-    out = rows.S @ H
-    out += H[rows.ids]
-    return out
+        raise ValueError(f"H has {H.shape[0]} rows, expected M+N={graph.num_nodes}")
+    if rows is not None and K == 0:
+        return H[rows.ids]
+    for k in range(K):
+        last = rows is not None and k == K - 1
+        out = (rows.S if last else graph.S) @ H
+        out += H[rows.ids] if last else H
+        H = out
+    return H
 
 
 def propagate_back(graph, G, K, rows):

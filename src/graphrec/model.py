@@ -1,4 +1,4 @@
-"""Model parameters and the linear-convolution forward pass.
+"""Model parameters, the linear-convolution forward pass and the heads.
 
 Per-node input is the concatenation of a free embedding (dim d) and a
 projected attribute vector (dim d_a). K propagation layers apply
@@ -8,9 +8,10 @@ forward propagates once and multiplies by one D x D product of the layer
 weights. By linearity, ``A^K [P, X W_u]`` is ``[A^K P, (A^K X) W_u]``: the
 forward propagates only the free embeddings ``[P; Q]`` (width d), and takes
 the attribute half of ``A^K H_0`` as the propagated attribute block
-``A^K [[X, 0], [0, Y]]`` (:func:`attribute_block`, built side by side
-through the off-diagonal blocks of S) times the stacked projections
-``[W_u; W_v]``. The block changes only when X and Y do, so a caller that
+``A^K [[X, 0], [0, Y]]`` (:func:`graph.attribute_block`) times the
+stacked projections ``[W_u; W_v]``. Both products with S, the K hops of
+``[P; Q]`` (:func:`graph.propagate`) and the attribute chains, run in
+graph.py. The block changes only when X and Y do, so a caller that
 keeps it (training) passes it to :func:`forward`; otherwise the forward
 builds it. Every map after the propagation is row by row, so a forward
 asked for a few rows (``rows``) computes the final embeddings of those rows
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NodeRows, propagate
+from .graph import NodeRows, attribute_block, propagate
 
 
 @dataclass
@@ -131,53 +132,12 @@ class ForwardTrace:
                             rows)
 
 
-def propagate_k(graph, H, K, rows=None):
-    """``A^K H`` with ``A = I + S``: K propagation steps. With ``rows`` (a
-    :class:`graph.NodeRows`) only the rows at ``rows.ids``, in that order:
-    the first K - 1 steps cover every node and the last one those rows
-    alone."""
-    if rows is not None and K == 0:
-        return H[rows.ids]
-    for k in range(K):
-        H = propagate(graph, H, rows if k == K - 1 else None)
-    return H
-
-
-def attribute_block(graph, X, Y, K):
-    """``A^K [[X, 0], [0, Y]]``, one (M+N) x (d_x+d_y) block: the attribute
-    inputs propagated K times. It depends on X and Y only, so it stays valid
-    until the next attribute write-back.
-
-    The graph is bipartite, so each side's columns propagate as a chain of
-    contiguous arrays through the two off-diagonal blocks of S
-    (``graph.blocks``), and the block is assembled once from the two chains.
-    Call ``near`` the rows of the side that owns the columns (the users for
-    X) and ``far`` the other side's. Hop 1 computes only ``far = S_fn near``:
-    S has no near-to-near entries. Hop 2 computes only ``near + S_nf far``;
-    far's product would be ``S_fn near`` again, so far becomes ``far + far``.
-    Later hops compute both sides. Each product adds the terms of the
-    matching rows of ``S @ B`` in their order, so the block equals K full
-    propagation steps on the stacked block bit for bit, and at K = 2 it
-    takes half their sparse work.
-    """
-    X, Y = np.asarray(X), np.asarray(Y)
-    to_users, to_items = graph.blocks
-    chains = []
-    for near, to_near, to_far in ((X, to_users, to_items), (Y, to_items, to_users)):
-        far = to_far @ near if K else np.zeros((to_far.shape[0], near.shape[1]))
-        for k in range(2, K + 1):
-            near, far = near + to_near @ far, far + (far if k == 2 else to_far @ near)
-        chains.append((near, far))
-    (user_x, item_x), (item_y, user_y) = chains
-    return np.block([[user_x, user_y], [item_x, item_y]])
-
-
 def forward(params, graph, X, Y, block=None, rows=None):
     """Output embeddings of the K layers, in collapsed form.
 
     Only ``[P; Q]`` is propagated, at width d; the attribute half of
     ``A^K H_0`` is ``block @ [W_u; W_v]``, with ``block =
-    attribute_block(graph, X, Y, K)``. A caller that keeps the block
+    graph.attribute_block(graph, X, Y, K)``. A caller that keeps the block
     current with X and Y passes it; without one the forward builds it.
 
     With ``rows`` (a :class:`graph.NodeRows`) ``z``, the block and
@@ -201,7 +161,7 @@ def forward(params, graph, X, Y, block=None, rows=None):
     K = params.num_layers
     if block is None:
         block = attribute_block(graph, X, Y, K)
-    z = propagate_k(graph, np.vstack([params.P, params.Q]), K, rows)
+    z = propagate(graph, np.vstack([params.P, params.Q]), K, rows)
     if rows is not None:
         block = block[rows.ids]
     z = np.hstack([z, block @ np.vstack([params.W_u, params.W_v])])

@@ -36,9 +36,9 @@ import scipy.sparse as sp
 from .attributes import apply_update, check_seed, init_missing
 from .data import EpochLog, TrainState, save_checkpoint
 from .evaluate import evaluate_model, rank_and_score
-from .graph import NodeRows, propagate_back
-from .model import (ModelParams, attribute_block, field_probabilities, forward,
-                    infer_attributes, init_params, logistic)
+from .graph import NodeRows, attribute_block, propagate_back
+from .model import (ModelParams, field_probabilities, forward, infer_attributes, init_params,
+                    logistic)
 
 PROB_EPS = 1e-7  # clamp for logs inside the cross entropy
 

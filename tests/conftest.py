@@ -8,8 +8,8 @@ import scipy.sparse as sp
 from graphrec import build_graph, make_toy_dataset
 from graphrec.attributes import AttributeSchema, encode, mask
 from graphrec.evaluate import PropagationResult, Ranking
-from graphrec.graph import BipartiteGraph
-from graphrec.model import forward, infer_attributes, propagate_k
+from graphrec.graph import BipartiteGraph, propagate
+from graphrec.model import forward, infer_attributes
 from graphrec.train import TripleBatch, bpr_loss, field_loss, sample_negatives
 
 
@@ -71,12 +71,12 @@ def random_bipartite(rng, max_users=10, max_items=10, operator="symmetric"):
 
 def attribute_block_stacked(graph, X, Y, K):
     """``A^K [[X, 0], [0, Y]]`` by K full propagation steps on the stacked
-    block (the reference for ``model.attribute_block``)."""
+    block (the reference for ``graph.attribute_block``)."""
     M, d_x = X.shape
     B = np.zeros((M + Y.shape[0], d_x + Y.shape[1]))
     B[:M, :d_x] = X
     B[M:, d_x:] = Y
-    return propagate_k(graph, B, K)
+    return propagate(graph, B, K)
 
 
 def pair_batch(graph, pairs, size, rng):

@@ -18,7 +18,8 @@ from graphrec.attributes import AttributeSchema, apply_update, encode, mask
 from graphrec.data import load_checkpoint, save_checkpoint, split
 from graphrec.evaluate import (attribute_metrics, evaluate_model, label_propagation_metrics,
                                majority_class_accuracy)
-from graphrec.model import attribute_block, forward, init_params, normalize_logits
+from graphrec.graph import attribute_block
+from graphrec.model import forward, init_params, normalize_logits
 from graphrec.train import StepRows, TrainConfig, bpr_baseline, initial_state, train, train_step
 
 from conftest import filled, pair_batch, small_attr_tables, total_loss

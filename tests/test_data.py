@@ -99,6 +99,14 @@ class TestLoadInteractions:
         assert len(pairs) == 2
         assert items == ["10", "12"]
 
+    def test_nan_min_rating_refused(self, tmp_path):
+        # no rating reads at least NaN: the threshold would drop every rated
+        # row and keep the unrated ones
+        p = tmp_path / "r.csv"
+        write_lines(p, ["A,X,5", "A,Y", "B,X,4", "B,Y"])
+        with pytest.raises(ValueError, match="min_rating must be a number, got nan"):
+            load_interactions(p, min_user_interactions=1, min_rating=float("nan"))
+
     def test_unparsable_line_number(self, tmp_path):
         p = tmp_path / "bad.tsv"
         write_lines(p, ["A\ti0", "justonefield"])

@@ -468,19 +468,19 @@ class TestParallelRanking:
 
     @pytest.mark.parametrize("fail_on_helper", [False, True])
     def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch, fail_on_helper):
-        # the calling thread waits for a helper to take a block first, so
-        # blocks run on both; the blocks of one of them fail
+        # a block on either side, the calling thread or a helper, waits
+        # until the other side has taken one too, so blocks run on both
+        # whichever starts first; the blocks of one side fail
         monkeypatch.setattr(evaluate, "_BLOCK_USERS", 4)
         monkeypatch.setattr(evaluate, "ranking_workers", lambda cores, blas: 3)
         ds, trace = scored_dataset(*tie_heavy_case(1, self.M, self.N, 4))
-        helper_took_one, real = threading.Event(), evaluate._block_ranks
+        took_one = {True: threading.Event(), False: threading.Event()}  # by on_helper
+        real = evaluate._block_ranks
 
         def failing(*args):
             on_helper = threading.current_thread() is not threading.main_thread()
-            if on_helper:
-                helper_took_one.set()
-            else:
-                helper_took_one.wait(timeout=10)
+            took_one[on_helper].set()
+            took_one[not on_helper].wait(timeout=10)
             if on_helper == fail_on_helper:
                 raise RuntimeError("a block failed")
             return real(*args)
@@ -488,7 +488,7 @@ class TestParallelRanking:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="a block failed"):
             rank_and_score(trace, ds, [4])
-        assert helper_took_one.is_set()
+        assert took_one[True].is_set() and took_one[False].is_set()
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cores,blas,workers", [(2, 1, 2), (2, 2, 1), (2, None, 1),

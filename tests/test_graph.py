@@ -169,8 +169,9 @@ class TestPropagate:
         assert np.allclose(propagate(g, H), np.ones((2, 2)))
 
     def test_matches_dense_oracle(self):
-        # the full step, the step restricted to some nodes (in their order),
-        # and K transposed steps from a gradient held on those nodes
+        # K full steps, K steps whose last is restricted to some nodes (in
+        # their order), and K transposed steps from a gradient held on those
+        # nodes
         rng = np.random.default_rng(11)
         for operator in OPERATORS:
             for _ in range(25):
@@ -181,11 +182,15 @@ class TestPropagate:
                 assert np.abs(propagate(g, H) - dense).max() <= 1e-12
                 ids = rng.permutation(g.num_nodes)[:int(rng.integers(1, g.num_nodes + 1))]
                 rows = NodeRows(g, ids)
-                assert np.array_equal(propagate(g, H, rows), propagate(g, H)[ids])
+                assert np.array_equal(propagate(g, H, rows=rows), propagate(g, H)[ids])
                 G = rng.normal(size=(len(ids), 3))
                 g_full = np.zeros((g.num_nodes, 3))
                 g_full[ids] = G
                 for K in range(4):
+                    full = propagate(g, H, K)
+                    want = np.linalg.matrix_power(A, K) @ H
+                    assert np.abs(full - want).max() <= 1e-12
+                    assert np.array_equal(propagate(g, H, K, rows), full[ids])
                     want = np.linalg.matrix_power(A.T, K) @ g_full
                     assert np.abs(propagate_back(g, G, K, rows) - want).max() <= 1e-12
 

@@ -3,9 +3,9 @@ import pytest
 
 from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, encode
-from graphrec.graph import NodeRows
-from graphrec.model import (ForwardTrace, ModelParams, attribute_block, forward,
-                            infer_attributes, init_params, normalize_logits)
+from graphrec.graph import NodeRows, attribute_block
+from graphrec.model import (ForwardTrace, ModelParams, forward, infer_attributes, init_params,
+                            normalize_logits)
 
 from conftest import OPERATORS, attribute_block_stacked, predict_rating, random_bipartite
 

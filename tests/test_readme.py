@@ -49,14 +49,25 @@ def has_member(obj, name):
             and re.search(rf"\bself\.{name}\s*=", _source(obj)) is not None)
 
 
+def defined_in(obj, module):
+    """Whether ``obj``, if a function or class, is defined in ``module``;
+    any other object passes."""
+    return (not (inspect.isroutine(obj) or inspect.isclass(obj))
+            or getattr(obj, "__module__", None) == module.__name__)
+
+
 def resolves(name, scope=None):
     """Whether the dotted ``name`` is a member chain from a graphrec module
     (``graph.NodeRows``, ``graphrec.graph``) or class (``BipartiteGraph.blocks``)
     or, given a module ``scope``, from a name in that module, or is a member
-    of one of its classes (``user_degrees`` in graph.py)."""
+    of one of its classes (``user_degrees`` in graph.py). A function or class
+    named from a module must be defined there, not only imported there."""
     head, *rest = name.split(".")
     if head == "graphrec" and rest:
         head, *rest = rest
+    module = MODULES.get(head)
+    if module is not None and rest and not defined_in(getattr(module, rest[0], None), module):
+        return False
     for root in (MODULES.get(head), CLASSES.get(head), getattr(scope, head, None)):
         obj = root
         for part in rest:
@@ -70,12 +81,26 @@ def resolves(name, scope=None):
         has_member(cls, head) for cls in CLASSES.values() if cls.__module__ == scope.__name__)
 
 
+def dotted_names(text):
+    """The backticked dotted names in ``text`` whose head is a graphrec
+    module or class, sorted."""
+    names = set(re.findall(r"`((?:graphrec\.)?[A-Za-z_]\w*(?:\.\w+)+)`", text))
+    return sorted(n for n in names if n.split(".")[0] in {*MODULES, *CLASSES, "graphrec"})
+
+
 def test_readme_names_exist():
-    # every backticked dotted name whose head is a graphrec module or class
-    names = set(re.findall(r"`((?:graphrec\.)?[A-Za-z_]\w*(?:\.\w+)+)`", README.read_text()))
-    named = sorted(n for n in names if n.split(".")[0] in {*MODULES, *CLASSES, "graphrec"})
+    named = dotted_names(README.read_text())
     assert len(named) >= 25
     assert [n for n in named if not resolves(n)] == []
+
+
+def test_names_flag_a_function_a_module_only_imports():
+    # train.py imports forward from model.py, so `train.forward` resolves
+    # as an attribute but names the wrong module
+    text = ("`model.forward`, `train.forward`, `graph.attribute_block`, "
+            "`graphrec.train.TrainConfig`, `BipartiteGraph.blocks`, `evaluate.TARGETS`")
+    assert [n for n in dotted_names(text) if not resolves(n)] == ["train.forward"]
+    assert not resolves("train.forward", MODULES["cli"])
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))

@@ -12,8 +12,8 @@ from graphrec import build_graph
 from graphrec.attributes import AttributeSchema, AttributeTable, encode
 from graphrec.data import load_checkpoint
 from graphrec.evaluate import evaluate_model
-from graphrec.graph import NodeRows
-from graphrec.model import attribute_block, forward, infer_attributes, init_params
+from graphrec.graph import NodeRows, attribute_block
+from graphrec.model import forward, infer_attributes, init_params
 from graphrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, RESUME_MAY_CHANGE,
                             StepRows, TrainConfig, TrainingDivergedError, TripleBatch,
                             adam_step, bpr_baseline, bpr_loss, epochs, gradients,
@@ -373,7 +373,7 @@ class TestGradients:
                 g_free += graph.S.T @ g_free
             return g_free
 
-        monkeypatch.setattr(sys.modules["graphrec.model"], "propagate_k", every_step_in_full)
+        monkeypatch.setattr(sys.modules["graphrec.model"], "propagate", every_step_in_full)
         monkeypatch.setattr(sys.modules["graphrec.train"], "propagate_back",
                             every_back_step_in_full)
         want = train_step(p, g, X, Y, block, batch, rows, config)
